@@ -16,16 +16,17 @@
 //! 4. compute output swing, power, area and input offset analytically from
 //!    the operating points.
 
-use crate::batch_eval::{evaluate_block_batched, PreparedSample};
+use crate::batch_eval::{
+    evaluate_block_batched, evaluate_scalar, BiasSolve, PreparedSample, SampleCircuit,
+};
 use crate::specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specification};
 use crate::testbench::{DesignVariable, Testbench};
 use crate::variation_map::{
     bias_current_factor_from_shifts, inter_die_shifts, mismatch_deltas, perturbed_model_with_shifts,
 };
 use moheco_process::{tech_035um, ProcessSample, Technology};
-use spicelite::ac::{log_space, sweep};
-use spicelite::mosfet::{model_035um, MosGeometry, MosType, Mosfet};
-use spicelite::netlist::LinearCircuit;
+use spicelite::mosfet::{model_035um, BiasRequest, MosGeometry, MosType, Mosfet};
+use spicelite::netlist::ElementSink;
 
 /// Index of each transistor in the mismatch vector (15 devices).
 mod dev {
@@ -161,33 +162,22 @@ impl Testbench for FoldedCascode {
     }
 
     fn evaluate(&self, x: &[f64], xi: &ProcessSample) -> AmplifierPerformance {
-        let Some(p) = self.prepare(x, xi) else {
-            return AmplifierPerformance::failed();
-        };
-        let freqs = log_space(1e3, 3e10, 50);
-        let Ok(resp) = sweep(&p.ckt, p.out, &freqs) else {
-            return AmplifierPerformance::failed();
-        };
-        let a0_db = resp.dc_gain_db();
-        let (gbw_hz, pm_deg) = match (resp.unity_gain_freq(), resp.phase_margin_deg()) {
-            (Ok(f), Ok(pm)) => (f, pm),
-            _ => (0.0, 0.0),
-        };
-        p.into_performance(a0_db, gbw_hz, pm_deg)
+        evaluate_scalar(self, x, xi)
     }
 
     fn evaluate_block(&self, x: &[f64], xis: &[ProcessSample]) -> Vec<AmplifierPerformance> {
-        evaluate_block_batched(xis, |xi| self.prepare(x, xi))
+        evaluate_block_batched(self, x, xis)
     }
 }
 
-impl FoldedCascode {
-    /// Everything before the AC sweep: parses the sizing, applies the process
-    /// sample, solves the bias points, assembles the half circuit and computes
-    /// the analytic figures (swing, power, area, offset, saturation).
-    /// `None` means the sample is an evaluation failure
-    /// ([`AmplifierPerformance::failed`]).
-    fn prepare(&self, x: &[f64], xi: &ProcessSample) -> Option<PreparedSample> {
+impl SampleCircuit for FoldedCascode {
+    fn prepare<S: ElementSink>(
+        &self,
+        x: &[f64],
+        xi: &ProcessSample,
+        bias: BiasSolve,
+        ckt: &mut S,
+    ) -> Option<PreparedSample> {
         assert_eq!(x.len(), self.dimension(), "wrong design-vector length");
         let um = 1e-6;
         let ua = 1e-6;
@@ -243,16 +233,20 @@ impl FoldedCascode {
         let m_nmir = Mosfet::new(nmodel(dev::M10_NMIR_P, g_nmir), g_nmir);
 
         // Solve gate biases for the branch currents at representative Vds.
-        let op = |m: &Mosfet, id: f64, vds: f64| -> Option<spicelite::mosfet::MosOperatingPoint> {
-            let vgs = m.vgs_for_current(id, vds, 0.0).ok()?;
-            Some(m.operating_point(vgs, vds, 0.0))
+        let req = |device: Mosfet, id_target: f64, vds: f64| BiasRequest {
+            device,
+            id_target,
+            vds,
+            vsb: 0.0,
         };
-        let op_in = op(&m_in, id_in, 1.0)?;
-        let op_tail = op(&m_tail, i_tail, 0.4)?;
-        let op_psrc = op(&m_psrc, i_psrc, 0.5)?;
-        let op_pcas = op(&m_pcas, i_fold, vdd / 2.0)?;
-        let op_ncas = op(&m_ncas, i_fold, 0.7)?;
-        let op_nmir = op(&m_nmir, i_fold, 0.5)?;
+        let [op_in, op_tail, op_psrc, op_pcas, op_ncas, op_nmir] = bias.operating_points(&[
+            req(m_in, id_in, 1.0),
+            req(m_tail, i_tail, 0.4),
+            req(m_psrc, i_psrc, 0.5),
+            req(m_pcas, i_fold, vdd / 2.0),
+            req(m_ncas, i_fold, 0.7),
+            req(m_nmir, i_fold, 0.5),
+        ])?;
 
         // Saturation / headroom checks.
         let overdrives = [
@@ -270,7 +264,6 @@ impl FoldedCascode {
         let all_saturated = vov_ok && swing > 0.2 && input_headroom;
 
         // Small-signal half circuit.
-        let mut ckt = LinearCircuit::new();
         let vin = ckt.node();
         let fold = ckt.node();
         let out = ckt.node();
@@ -339,7 +332,6 @@ impl FoldedCascode {
             (d_in + d_psrc * op_psrc.gm / op_in.gm + d_nmir * op_nmir.gm / op_in.gm).abs();
 
         Some(PreparedSample {
-            ckt,
             out,
             output_swing_v: swing,
             power_w,

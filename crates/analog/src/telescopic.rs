@@ -16,16 +16,17 @@
 //! against the area bound), which is the behaviour that matters for the
 //! optimizer comparison. See DESIGN.md.
 
-use crate::batch_eval::{evaluate_block_batched, PreparedSample};
+use crate::batch_eval::{
+    evaluate_block_batched, evaluate_scalar, BiasSolve, PreparedSample, SampleCircuit,
+};
 use crate::specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specification};
 use crate::testbench::{DesignVariable, Testbench};
 use crate::variation_map::{
     bias_current_factor_from_shifts, inter_die_shifts, mismatch_deltas, perturbed_model_with_shifts,
 };
 use moheco_process::{tech_90nm, ProcessSample, Technology};
-use spicelite::ac::{log_space, sweep};
-use spicelite::mosfet::{model_90nm, MosGeometry, MosType, Mosfet};
-use spicelite::netlist::LinearCircuit;
+use spicelite::mosfet::{model_90nm, BiasRequest, MosGeometry, MosType, Mosfet};
+use spicelite::netlist::ElementSink;
 
 /// Index of each transistor in the mismatch vector (19 devices).
 mod dev {
@@ -159,32 +160,22 @@ impl Testbench for TelescopicTwoStage {
     }
 
     fn evaluate(&self, x: &[f64], xi: &ProcessSample) -> AmplifierPerformance {
-        let Some(p) = self.prepare(x, xi) else {
-            return AmplifierPerformance::failed();
-        };
-        let freqs = log_space(1e3, 3e10, 50);
-        let Ok(resp) = sweep(&p.ckt, p.out, &freqs) else {
-            return AmplifierPerformance::failed();
-        };
-        let a0_db = resp.dc_gain_db();
-        let (gbw_hz, pm_deg) = match (resp.unity_gain_freq(), resp.phase_margin_deg()) {
-            (Ok(f), Ok(pm)) => (f, pm),
-            _ => (0.0, 0.0),
-        };
-        p.into_performance(a0_db, gbw_hz, pm_deg)
+        evaluate_scalar(self, x, xi)
     }
 
     fn evaluate_block(&self, x: &[f64], xis: &[ProcessSample]) -> Vec<AmplifierPerformance> {
-        evaluate_block_batched(xis, |xi| self.prepare(x, xi))
+        evaluate_block_batched(self, x, xis)
     }
 }
 
-impl TelescopicTwoStage {
-    /// Everything before the AC sweep (see
-    /// [`FoldedCascode::prepare`](crate::FoldedCascode)): sizing parse,
-    /// process-sample application, bias solution, half-circuit assembly and
-    /// the analytic figures. `None` means the sample fails evaluation.
-    fn prepare(&self, x: &[f64], xi: &ProcessSample) -> Option<PreparedSample> {
+impl SampleCircuit for TelescopicTwoStage {
+    fn prepare<S: ElementSink>(
+        &self,
+        x: &[f64],
+        xi: &ProcessSample,
+        bias: BiasSolve,
+        ckt: &mut S,
+    ) -> Option<PreparedSample> {
         assert_eq!(x.len(), self.dimension(), "wrong design-vector length");
         let um = 1e-6;
         let ua = 1e-6;
@@ -241,17 +232,22 @@ impl TelescopicTwoStage {
         let m_p2 = Mosfet::new(pmodel(dev::M9_DRV_P, g_p2), g_p2);
         let m_n2 = Mosfet::new(nmodel(dev::M11_SRC_P, g_n2), g_n2);
 
-        let op = |m: &Mosfet, id: f64, vds: f64| -> Option<spicelite::mosfet::MosOperatingPoint> {
-            let vgs = m.vgs_for_current(id, vds, 0.0).ok()?;
-            Some(m.operating_point(vgs, vds, 0.0))
+        let req = |device: Mosfet, id_target: f64, vds: f64| BiasRequest {
+            device,
+            id_target,
+            vds,
+            vsb: 0.0,
         };
-        let op_in = op(&m_in, id1, 0.3)?;
-        let op_tail = op(&m_tail, i_tail, 0.15)?;
-        let op_ncas = op(&m_ncas, id1, 0.3)?;
-        let op_pcas = op(&m_pcas, id1, 0.3)?;
-        let op_pload = op(&m_pload, id1, 0.2)?;
-        let op_p2 = op(&m_p2, i_2, vdd / 2.0)?;
-        let op_n2 = op(&m_n2, i_2, vdd / 2.0)?;
+        let [op_in, op_tail, op_ncas, op_pcas, op_pload, op_p2, op_n2] =
+            bias.operating_points(&[
+                req(m_in, id1, 0.3),
+                req(m_tail, i_tail, 0.15),
+                req(m_ncas, id1, 0.3),
+                req(m_pcas, id1, 0.3),
+                req(m_pload, id1, 0.2),
+                req(m_p2, i_2, vdd / 2.0),
+                req(m_n2, i_2, vdd / 2.0),
+            ])?;
 
         // Saturation / headroom checks.
         let overdrives = [
@@ -271,7 +267,6 @@ impl TelescopicTwoStage {
         let all_saturated = vov_ok && stack1 < vdd && swing > 0.2;
 
         // Small-signal half circuit (two stages plus Miller compensation).
-        let mut ckt = LinearCircuit::new();
         let vin = ckt.node();
         let s3 = ckt.node(); // source of the NMOS cascode / drain of the input device
         let o1 = ckt.node(); // first-stage output
@@ -349,7 +344,6 @@ impl TelescopicTwoStage {
         let offset_v = (d_in + d_load * op_pload.gm / op_in.gm + d_drv / a1.max(1.0)).abs();
 
         Some(PreparedSample {
-            ckt,
             out,
             output_swing_v: swing,
             power_w,

@@ -72,3 +72,30 @@ fn harsh_corner_block_matches_scalar_loop() {
     let x = tb.reference_design();
     check_testbench(&tb, &[x], 99, 60);
 }
+
+/// About 100 designs drawn uniformly inside the testbench's bounds, each
+/// evaluated as one 13-sample block (the typical block of a paper-budget
+/// run) against the scalar loop.
+fn check_random_designs(tb: &dyn Testbench, seed: u64) {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let designs: Vec<Vec<f64>> = (0..100)
+        .map(|_| {
+            tb.design_variables()
+                .iter()
+                .map(|v| rng.gen_range(v.lo..=v.hi))
+                .collect()
+        })
+        .collect();
+    check_testbench(tb, &designs, seed ^ 0x5eed, 13);
+}
+
+#[test]
+fn folded_cascode_random_designs_match_scalar_loop() {
+    check_random_designs(&FoldedCascode::new(), 41);
+}
+
+#[test]
+fn telescopic_random_designs_match_scalar_loop() {
+    check_random_designs(&TelescopicTwoStage::new(), 43);
+}

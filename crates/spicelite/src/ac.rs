@@ -213,76 +213,92 @@ impl FrequencyResponse {
         let phase_shift = phase_at_fu - phases[0];
         Ok(180.0 + phase_shift)
     }
-
-    /// Extracts all three amplifier figures of merit in a single pass.
-    ///
-    /// Bit-identical to calling [`Self::dc_gain_db`], [`Self::unity_gain_freq`]
-    /// and [`Self::phase_margin_deg`] separately (the batched simulation path
-    /// relies on this), but computes the gain curve and unwrapped phase once
-    /// instead of once per method.
-    pub fn foms(&self) -> AcFoms {
-        let n = self.freqs.len();
-        let gains: Vec<f64> = (0..n)
-            .map(|i| 20.0 * self.magnitude(i).max(1e-30).log10())
-            .collect();
-        let unity_gain_freq = (|| {
-            if gains[0] <= 0.0 {
-                return Err(SpiceError::AcExtraction {
-                    reason: "gain is below 0 dB at the lowest swept frequency".into(),
-                });
-            }
-            for i in 1..n {
-                let g0 = gains[i - 1];
-                let g1 = gains[i];
-                if g0 > 0.0 && g1 <= 0.0 {
-                    let t = g0 / (g0 - g1);
-                    let lf = self.freqs[i - 1].log10()
-                        + t * (self.freqs[i].log10() - self.freqs[i - 1].log10());
-                    return Ok(10f64.powf(lf));
-                }
-            }
-            Err(SpiceError::AcExtraction {
-                reason: "no unity-gain crossing within the swept range".into(),
-            })
-        })();
-        let phase_margin_deg = match &unity_gain_freq {
-            Err(e) => Err(e.clone()),
-            Ok(fu) => {
-                let fu = *fu;
-                let phases = self.unwrapped_phase();
-                let mut phase_at_fu = phases[phases.len() - 1];
-                for i in 1..self.freqs.len() {
-                    if self.freqs[i] >= fu {
-                        let t = (fu.log10() - self.freqs[i - 1].log10())
-                            / (self.freqs[i].log10() - self.freqs[i - 1].log10());
-                        phase_at_fu = phases[i - 1] + t * (phases[i] - phases[i - 1]);
-                        break;
-                    }
-                }
-                let phase_shift = phase_at_fu - phases[0];
-                Ok(180.0 + phase_shift)
-            }
-        };
-        AcFoms {
-            dc_gain_db: gains[0],
-            unity_gain_freq,
-            phase_margin_deg,
-        }
-    }
 }
 
-/// The amplifier figures of merit of one frequency response, extracted in a
-/// single pass by [`FrequencyResponse::foms`].
-#[derive(Debug, Clone)]
+/// The amplifier figures of merit of one frequency response, extracted by
+/// [`foms`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcFoms {
     /// Gain at the first sweep point, in dB.
     pub dc_gain_db: f64,
-    /// First 0 dB crossing (hertz), or the same error
-    /// [`FrequencyResponse::unity_gain_freq`] returns.
-    pub unity_gain_freq: Result<f64, SpiceError>,
-    /// Phase margin in degrees, or the same error
-    /// [`FrequencyResponse::phase_margin_deg`] returns.
-    pub phase_margin_deg: Result<f64, SpiceError>,
+    /// `(unity-gain frequency in Hz, phase margin in degrees)`, or `None`
+    /// where [`FrequencyResponse::unity_gain_freq`] (and with it
+    /// [`FrequencyResponse::phase_margin_deg`]) returns an error.
+    pub crossing: Option<(f64, f64)>,
+}
+
+/// Extracts DC gain, unity-gain frequency and phase margin from the output
+/// phasors `values` of a sweep over `freqs`, bit-identical to
+/// [`FrequencyResponse::dc_gain_db`], [`FrequencyResponse::unity_gain_freq`]
+/// and [`FrequencyResponse::phase_margin_deg`].
+///
+/// Only the prefix the figures depend on is visited: gains up to the first
+/// 0 dB crossing (and only where `|v|^2` alone cannot rule a crossing out),
+/// and phases — unwrapped on the fly with the same running correction — up
+/// to the first frequency at or above the crossing. Nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if `values` is empty or not the same length as `freqs`.
+pub fn foms(freqs: &[f64], values: &[Complex]) -> AcFoms {
+    assert_eq!(freqs.len(), values.len(), "one phasor per frequency");
+    let gain_db = |i: usize| 20.0 * values[i].abs().max(1e-30).log10();
+    let dc_gain_db = gain_db(0);
+    let none = AcFoms {
+        dc_gain_db,
+        crossing: None,
+    };
+    if dc_gain_db <= 0.0 {
+        return none;
+    }
+    // A crossing at `i` needs gain(i) <= 0 dB. A point whose |v|^2 exceeds
+    // 1.0001 is above 0 dB by a margin no rounding in `norm_sqr`, `hypot` or
+    // `log10` can close, so it is skipped without evaluating its gain; the
+    // exact gains are computed only where the test is inconclusive.
+    let mut unity = None;
+    let mut g0 = Some(dc_gain_db);
+    for i in 1..freqs.len() {
+        if values[i].norm_sqr() > 1.0001 {
+            g0 = None;
+            continue;
+        }
+        let g1 = gain_db(i);
+        let g0_exact = g0.unwrap_or_else(|| gain_db(i - 1));
+        if g0_exact > 0.0 && g1 <= 0.0 {
+            let t = g0_exact / (g0_exact - g1);
+            let lf = freqs[i - 1].log10() + t * (freqs[i].log10() - freqs[i - 1].log10());
+            unity = Some(10f64.powf(lf));
+            break;
+        }
+        g0 = Some(g1);
+    }
+    let Some(fu) = unity else {
+        return none;
+    };
+    let phase0 = values[0].arg_deg();
+    let mut prev = phase0;
+    let mut phase_at_fu = None;
+    for i in 1..freqs.len() {
+        let mut p = values[i].arg_deg();
+        while p - prev > 180.0 {
+            p -= 360.0;
+        }
+        while p - prev < -180.0 {
+            p += 360.0;
+        }
+        if freqs[i] >= fu {
+            let t = (fu.log10() - freqs[i - 1].log10()) / (freqs[i].log10() - freqs[i - 1].log10());
+            phase_at_fu = Some(prev + t * (p - prev));
+            break;
+        }
+        prev = p;
+    }
+    // No frequency reaches fu: the last unwrapped phase, which `prev` holds.
+    let phase_shift = phase_at_fu.unwrap_or(prev) - phase0;
+    AcFoms {
+        dc_gain_db,
+        crossing: Some((fu, 180.0 + phase_shift)),
+    }
 }
 
 /// Sweeps `circuit` over `freqs` and records the phasor at `output`.
@@ -489,19 +505,106 @@ mod tests {
             responses.push(sweep(&ckt, out, &log_space(1.0, 1e6, 50)).unwrap());
         }
         for resp in &responses {
-            let foms = resp.foms();
+            let foms = foms(&resp.freqs, &resp.values);
             assert_eq!(foms.dc_gain_db.to_bits(), resp.dc_gain_db().to_bits());
-            match (&foms.unity_gain_freq, resp.unity_gain_freq()) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (Err(a), Err(b)) => assert_eq!(*a, b),
-                (a, b) => panic!("foms {a:?} vs method {b:?}"),
-            }
-            match (&foms.phase_margin_deg, resp.phase_margin_deg()) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (Err(a), Err(b)) => assert_eq!(*a, b),
-                (a, b) => panic!("foms {a:?} vs method {b:?}"),
+            match (
+                foms.crossing,
+                resp.unity_gain_freq(),
+                resp.phase_margin_deg(),
+            ) {
+                (Some((fu, pm)), Ok(a), Ok(b)) => {
+                    assert_eq!(fu.to_bits(), a.to_bits());
+                    assert_eq!(pm.to_bits(), b.to_bits());
+                }
+                (None, Err(_), Err(_)) => {}
+                (a, b, c) => panic!("foms {a:?} vs methods {b:?} / {c:?}"),
             }
         }
+    }
+
+    #[test]
+    fn foms_match_methods_on_random_responses() {
+        // Synthetic responses: falling magnitudes that may or may not cross
+        // 0 dB (sometimes exactly on a grid point) and phase steps large enough to need unwrapping in both
+        // directions. The prefix extraction must reproduce the methods' bits.
+        let mut state = 0x0f0f_5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let freqs = log_space(1e3, 3e10, 50);
+        let mut crossings = 0;
+        for case in 0..3000 {
+            let mut mag = 10f64.powf(-1.0 + 5.0 * next());
+            let mut phase = 360.0 * next() - 180.0;
+            let exact = (next() * 60.0) as usize;
+            let values: Vec<Complex> = (0..freqs.len())
+                .map(|i| {
+                    mag *= 10f64.powf(-0.3 * next());
+                    phase += 200.0 * next() - 150.0;
+                    // Some points sit right around unit magnitude, where
+                    // only the exact gain can tell which side of 0 dB they
+                    // are on.
+                    let m = if i == exact {
+                        1.0
+                    } else if next() < 0.1 {
+                        1.0 + 4e-4 * (next() - 0.5)
+                    } else {
+                        mag
+                    };
+                    let rad = phase.to_radians();
+                    Complex::new(m * rad.cos(), m * rad.sin())
+                })
+                .collect();
+            let resp = FrequencyResponse {
+                freqs: freqs.clone(),
+                values,
+            };
+            let f = foms(&resp.freqs, &resp.values);
+            assert_eq!(f.dc_gain_db.to_bits(), resp.dc_gain_db().to_bits());
+            match (f.crossing, resp.unity_gain_freq(), resp.phase_margin_deg()) {
+                (Some((fu, pm)), Ok(a), Ok(b)) => {
+                    crossings += 1;
+                    assert_eq!(fu.to_bits(), a.to_bits(), "case {case}");
+                    assert_eq!(pm.to_bits(), b.to_bits(), "case {case}");
+                }
+                (None, Err(_), Err(_)) => {}
+                (a, b, c) => panic!("case {case}: foms {a:?} vs methods {b:?} / {c:?}"),
+            }
+        }
+        assert!(crossings > 500, "only {crossings} responses crossed 0 dB");
+    }
+
+    #[test]
+    fn foms_match_methods_when_crossing_rounds_past_the_sweep() {
+        // Gain exactly 0 dB at the last point, with the interval starting at
+        // 1 Hz, puts the interpolated crossing at 10^log10(x), which rounds
+        // above x for many x: then no frequency reaches the crossing and the
+        // phase margin falls back to the last unwrapped phase.
+        let mut past_end = 0;
+        for k in 0..400 {
+            let x = 1e3 * (1.0 + 0.0137 * k as f64);
+            let freqs = vec![0.5, 1.0, x];
+            let values = [3.0, 2.0, 1.0]
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    let rad = (-170.0 * i as f64).to_radians();
+                    Complex::new(m * rad.cos(), m * rad.sin())
+                })
+                .collect();
+            let resp = FrequencyResponse { freqs, values };
+            let f = foms(&resp.freqs, &resp.values);
+            let (fu, pm) = f.crossing.expect("the gain reaches 0 dB at the last point");
+            assert_eq!(fu.to_bits(), resp.unity_gain_freq().unwrap().to_bits());
+            assert_eq!(pm.to_bits(), resp.phase_margin_deg().unwrap().to_bits());
+            if fu > x {
+                past_end += 1;
+            }
+        }
+        assert!(past_end > 0, "no grid rounded the crossing past the sweep");
     }
 
     #[test]

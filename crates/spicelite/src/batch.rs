@@ -42,17 +42,25 @@
 //!
 //! The inner kernel is compiled three times — generic, AVX2 and AVX-512F via
 //! `#[target_feature]` — and dispatched once per `FactorizedCircuit` from
-//! runtime CPU detection. All versions run the same per-lane operation
-//! sequence; Rust never contracts `a*b + c` into FMA or reassociates floats,
-//! so the wider builds change throughput, not values.
+//! runtime CPU detection ([`Kernel::detect`]). All versions run the same
+//! per-lane operation sequence; Rust never contracts `a*b + c` into FMA or
+//! reassociates floats, so the wider builds change throughput, not values.
+//!
+//! # Loading values without a netlist
+//!
+//! [`FactorizedCircuit::sweep`] takes a [`LinearCircuit`] and checks its
+//! structure against the template element by element. A caller that
+//! assembles one netlist per sample can skip building it altogether:
+//! [`FactorizedCircuit::writer`] returns a [`ValueWriter`], an
+//! [`ElementSink`] that writes each element's value straight into the
+//! compiled plan while confirming its nodes match the template's, and
+//! [`FactorizedCircuit::sweep_loaded`] then solves into a reused buffer.
 
 use crate::ac::FrequencyResponse;
 use crate::complex::Complex;
 use crate::error::SpiceError;
-use crate::netlist::{LinearCircuit, NodeId};
-
-/// Number of frequency points solved simultaneously per lane chunk.
-pub const LANES: usize = 8;
+use crate::netlist::{ElementSink, LinearCircuit, NodeId};
+use crate::simd::{Kernel, LANES};
 
 /// Sentinel for "lane not singular" in the per-lane failure tracker.
 const NOT_SINGULAR: usize = usize::MAX;
@@ -60,9 +68,9 @@ const NOT_SINGULAR: usize = usize::MAX;
 /// Value source of one real-plane stamp.
 #[derive(Debug, Clone, Copy)]
 enum ReSrc {
-    /// `conductances[i].2`.
+    /// The value of conductance `i`.
     Conductance(usize),
-    /// `vccs[i].gm`.
+    /// The transconductance of VCCS `i`.
     Vccs(usize),
     /// The constant `1.0` (voltage-source incidence entries).
     Unit,
@@ -78,7 +86,7 @@ struct ReOp {
 }
 
 /// One accumulation into the per-frequency imaginary plane:
-/// `a_im[flat] += omega * (sign * capacitances[src].2)`.
+/// `a_im[flat] += omega * (sign * value of capacitance src)`.
 #[derive(Debug, Clone, Copy)]
 struct CapOp {
     flat: usize,
@@ -88,7 +96,7 @@ struct CapOp {
 
 /// Structural fingerprint of the template circuit; every loaded circuit must
 /// match it exactly (values may differ, topology may not).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct StructSig {
     num_nodes: usize,
     conductances: Vec<(NodeId, NodeId)>,
@@ -121,29 +129,25 @@ impl StructSig {
             vsources: circuit.vsources.iter().map(|v| (v.p, v.n)).collect(),
         }
     }
-}
 
-/// Which compiled variant of the lane kernel to run.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Generic,
-}
-
-fn detect_kernel() -> Kernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Kernel::Avx512;
+    /// Element-by-element comparison with `circuit`, allocation-free.
+    fn matches(&self, circuit: &LinearCircuit) -> bool {
+        fn same<T: PartialEq, E>(sig: &[T], elems: &[E], key: impl Fn(&E) -> T) -> bool {
+            sig.len() == elems.len() && sig.iter().zip(elems).all(|(s, e)| *s == key(e))
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
-        }
+        self.num_nodes == circuit.num_nodes()
+            && same(&self.conductances, &circuit.conductances, |&(p, q, _)| {
+                (p, q)
+            })
+            && same(&self.capacitances, &circuit.capacitances, |&(p, q, _)| {
+                (p, q)
+            })
+            && same(&self.vccs, &circuit.vccs, |g| {
+                (g.out_p, g.out_n, g.in_p, g.in_n)
+            })
+            && same(&self.isources, &circuit.isources, |s| (s.from, s.to))
+            && same(&self.vsources, &circuit.vsources, |v| (v.p, v.n))
     }
-    Kernel::Generic
 }
 
 /// A structurally factorized linear circuit: assembly plan, loaded sample
@@ -164,7 +168,15 @@ pub struct FactorizedCircuit {
     rhs_add: Vec<(usize, f64, usize)>,
     /// `(rhs row, vsource index)` assignments (after the accumulations).
     rhs_set: Vec<(usize, usize)>,
-    // Per-sample loaded values.
+    // Element values of the loaded sample, indexed like the template's
+    // element lists; `loaded` says whether they form a complete sample.
+    conductance_vals: Vec<f64>,
+    capacitance_vals: Vec<f64>,
+    vccs_vals: Vec<f64>,
+    isource_vals: Vec<f64>,
+    vsource_vals: Vec<f64>,
+    loaded: bool,
+    // Stamped planes of the loaded sample.
     re_base: Vec<f64>,
     cap_vals: Vec<(usize, f64)>,
     rhs_re: Vec<f64>,
@@ -182,6 +194,8 @@ pub struct FactorizedCircuit {
     x_im: Vec<f64>,
     prow_re: Vec<f64>,
     prow_im: Vec<f64>,
+    /// Output phasors of the last [`Self::sweep_loaded`].
+    response: Vec<Complex>,
 }
 
 impl FactorizedCircuit {
@@ -326,11 +340,17 @@ impl FactorizedCircuit {
             num_nodes: n,
             dim,
             sig: StructSig::of(circuit),
-            kernel: detect_kernel(),
+            kernel: Kernel::detect(),
             re_prog,
             cap_prog,
             rhs_add,
             rhs_set,
+            conductance_vals: vec![0.0; circuit.conductances.len()],
+            capacitance_vals: vec![0.0; circuit.capacitances.len()],
+            vccs_vals: vec![0.0; circuit.vccs.len()],
+            isource_vals: vec![0.0; circuit.isources.len()],
+            vsource_vals: vec![0.0; circuit.vsources.len()],
+            loaded: false,
             re_base: vec![0.0; dim * dim],
             cap_vals: vec![(0, 0.0); n_caps],
             rhs_re: vec![0.0; dim],
@@ -342,44 +362,78 @@ impl FactorizedCircuit {
             x_im: vec![0.0; dim * LANES],
             prow_re: vec![0.0; dim * LANES],
             prow_im: vec![0.0; dim * LANES],
+            response: Vec::new(),
         }
     }
 
     /// Returns `true` when `circuit` has exactly the structure this plan was
     /// compiled from (same nodes, same elements in the same order).
     pub fn matches(&self, circuit: &LinearCircuit) -> bool {
-        self.sig == StructSig::of(circuit)
+        self.sig.matches(circuit)
     }
 
-    /// Re-reads the element values of `circuit` through the precomputed stamp
-    /// programs: real plane, signed capacitances and right-hand side.
+    /// Loads the element values of `circuit` for [`Self::sweep_loaded`].
     ///
     /// # Panics
     ///
     /// Panics if `circuit` does not structurally match the template.
-    fn load(&mut self, circuit: &LinearCircuit) {
+    pub fn load(&mut self, circuit: &LinearCircuit) {
         assert!(
             self.matches(circuit),
             "circuit structure differs from the factorized template"
         );
+        for (d, e) in self.conductance_vals.iter_mut().zip(&circuit.conductances) {
+            *d = e.2;
+        }
+        for (d, e) in self.capacitance_vals.iter_mut().zip(&circuit.capacitances) {
+            *d = e.2;
+        }
+        for (d, g) in self.vccs_vals.iter_mut().zip(&circuit.vccs) {
+            *d = g.gm;
+        }
+        for (d, src) in self.isource_vals.iter_mut().zip(&circuit.isources) {
+            *d = src.amps;
+        }
+        for (d, v) in self.vsource_vals.iter_mut().zip(&circuit.vsources) {
+            *d = v.ac;
+        }
+        self.loaded = true;
+    }
+
+    /// Starts loading a sample's element values without building its
+    /// netlist: stamp the sample's elements into the returned writer, in the
+    /// template's order, then call [`ValueWriter::finish`].
+    pub fn writer(&mut self) -> ValueWriter<'_> {
+        self.loaded = false;
+        ValueWriter {
+            fac: self,
+            num_nodes: 1,
+            next: [0; 5],
+            matched: true,
+        }
+    }
+
+    /// Runs the loaded element values through the precomputed stamp
+    /// programs: real plane, signed capacitances and right-hand side.
+    fn stamp(&mut self) {
         self.re_base.iter_mut().for_each(|v| *v = 0.0);
         for op in &self.re_prog {
             let val = match op.src {
-                ReSrc::Conductance(t) => circuit.conductances[t].2,
-                ReSrc::Vccs(t) => circuit.vccs[t].gm,
+                ReSrc::Conductance(t) => self.conductance_vals[t],
+                ReSrc::Vccs(t) => self.vccs_vals[t],
                 ReSrc::Unit => 1.0,
             };
             self.re_base[op.flat] += op.sign * val;
         }
         for (slot, op) in self.cap_vals.iter_mut().zip(&self.cap_prog) {
-            *slot = (op.flat, op.sign * circuit.capacitances[op.src].2);
+            *slot = (op.flat, op.sign * self.capacitance_vals[op.src]);
         }
         self.rhs_re.iter_mut().for_each(|v| *v = 0.0);
         for &(i, sign, t) in &self.rhs_add {
-            self.rhs_re[i] += sign * circuit.isources[t].amps;
+            self.rhs_re[i] += sign * self.isource_vals[t];
         }
         for &(row, k) in &self.rhs_set {
-            self.rhs_re[row] = circuit.vsources[k].ac;
+            self.rhs_re[row] = self.vsource_vals[k];
         }
         for (e, &v) in self.re_base.iter().enumerate() {
             self.re_bcast[e * LANES..(e + 1) * LANES].fill(v);
@@ -408,14 +462,53 @@ impl FactorizedCircuit {
         freqs: &[f64],
     ) -> Result<FrequencyResponse, SpiceError> {
         self.load(circuit);
-        let mut values = Vec::with_capacity(freqs.len());
+        let values = self.sweep_loaded(output, freqs)?.to_vec();
+        Ok(FrequencyResponse {
+            freqs: freqs.to_vec(),
+            values,
+        })
+    }
+
+    /// [`Self::sweep`] of the values last loaded by [`Self::load`] or a
+    /// finished [`ValueWriter`], into a buffer reused across calls: no
+    /// allocation once the buffer has grown to `freqs.len()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same [`SpiceError::SingularMatrix`] the scalar sweep would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no complete sample is loaded.
+    pub fn sweep_loaded(
+        &mut self,
+        output: NodeId,
+        freqs: &[f64],
+    ) -> Result<&[Complex], SpiceError> {
+        assert!(
+            self.loaded,
+            "no complete sample loaded into the factorized circuit"
+        );
+        self.stamp();
+        let mut values = std::mem::take(&mut self.response);
+        values.clear();
+        let result = self.solve_sweep(output, freqs, &mut values);
+        self.response = values;
+        result.map(|()| self.response.as_slice())
+    }
+
+    /// The lane-chunked sweep of the stamped planes, pushing one phasor per
+    /// frequency onto `values`.
+    fn solve_sweep(
+        &mut self,
+        output: NodeId,
+        freqs: &[f64],
+        values: &mut Vec<Complex>,
+    ) -> Result<(), SpiceError> {
         let dim = self.dim;
         if dim == 0 {
             values.resize(freqs.len(), Complex::ZERO);
-            return Ok(FrequencyResponse {
-                freqs: freqs.to_vec(),
-                values,
-            });
+            return Ok(());
         }
         debug_assert!(output < self.num_nodes, "output node out of range");
         let out_idx = if output == 0 { None } else { Some(output - 1) };
@@ -509,10 +602,121 @@ impl FactorizedCircuit {
             }
             start += LANES;
         }
-        Ok(FrequencyResponse {
-            freqs: freqs.to_vec(),
-            values,
-        })
+        Ok(())
+    }
+}
+
+/// Writes one sample's element values into a [`FactorizedCircuit`] through
+/// the [`ElementSink`] surface, checking as it goes that every element lands
+/// on the template's nodes — an integer comparison per element, no netlist
+/// and no allocation. Obtained from [`FactorizedCircuit::writer`].
+#[derive(Debug)]
+pub struct ValueWriter<'a> {
+    fac: &'a mut FactorizedCircuit,
+    num_nodes: usize,
+    /// Next element index per kind, indexed by the `ValueWriter` kind
+    /// constants.
+    next: [usize; 5],
+    matched: bool,
+}
+
+impl ValueWriter<'_> {
+    const CONDUCTANCE: usize = 0;
+    const CAPACITANCE: usize = 1;
+    const VCCS: usize = 2;
+    const ISOURCE: usize = 3;
+    const VSOURCE: usize = 4;
+
+    /// Completes the sample. Returns `true` — and makes the values available
+    /// to [`FactorizedCircuit::sweep_loaded`] — when the written elements had
+    /// exactly the template's structure, as [`FactorizedCircuit::matches`]
+    /// would judge the same netlist built as a [`LinearCircuit`] from
+    /// [`LinearCircuit::new`]. On `false` nothing is loaded and the caller
+    /// must fall back to a freshly built netlist.
+    pub fn finish(self) -> bool {
+        let sig = &self.fac.sig;
+        let complete = self.next
+            == [
+                sig.conductances.len(),
+                sig.capacitances.len(),
+                sig.vccs.len(),
+                sig.isources.len(),
+                sig.vsources.len(),
+            ];
+        self.fac.loaded = self.matched && complete && self.num_nodes == sig.num_nodes;
+        self.fac.loaded
+    }
+
+    /// Mirrors [`LinearCircuit`]'s node-count growth.
+    fn grow(&mut self, max_node: NodeId) {
+        if max_node >= self.num_nodes {
+            self.num_nodes = max_node + 1;
+        }
+    }
+
+    /// Claims the next element index of `kind`.
+    fn slot(&mut self, kind: usize) -> usize {
+        let t = self.next[kind];
+        self.next[kind] += 1;
+        t
+    }
+}
+
+impl ElementSink for ValueWriter<'_> {
+    fn node(&mut self) -> NodeId {
+        let id = self.num_nodes;
+        self.num_nodes += 1;
+        id
+    }
+
+    fn add_conductance(&mut self, a: NodeId, b: NodeId, siemens: f64) {
+        self.grow(a.max(b));
+        let t = self.slot(Self::CONDUCTANCE);
+        if self.fac.sig.conductances.get(t) == Some(&(a, b)) {
+            self.fac.conductance_vals[t] = siemens;
+        } else {
+            self.matched = false;
+        }
+    }
+
+    fn add_capacitance(&mut self, a: NodeId, b: NodeId, farads: f64) {
+        self.grow(a.max(b));
+        let t = self.slot(Self::CAPACITANCE);
+        if self.fac.sig.capacitances.get(t) == Some(&(a, b)) {
+            self.fac.capacitance_vals[t] = farads;
+        } else {
+            self.matched = false;
+        }
+    }
+
+    fn add_vccs(&mut self, out_p: NodeId, out_n: NodeId, in_p: NodeId, in_n: NodeId, gm: f64) {
+        self.grow(out_p.max(out_n).max(in_p).max(in_n));
+        let t = self.slot(Self::VCCS);
+        if self.fac.sig.vccs.get(t) == Some(&(out_p, out_n, in_p, in_n)) {
+            self.fac.vccs_vals[t] = gm;
+        } else {
+            self.matched = false;
+        }
+    }
+
+    fn add_isource(&mut self, from: NodeId, to: NodeId, amps: f64) {
+        self.grow(from.max(to));
+        let t = self.slot(Self::ISOURCE);
+        if self.fac.sig.isources.get(t) == Some(&(from, to)) {
+            self.fac.isource_vals[t] = amps;
+        } else {
+            self.matched = false;
+        }
+    }
+
+    fn add_vsource(&mut self, p: NodeId, n: NodeId, ac: f64) {
+        self.grow(p.max(n));
+        let t = self.slot(Self::VSOURCE);
+        if self.fac.sig.vsources.get(t) == Some(&(p, n)) {
+            self.fac.vsource_vals[t] = ac;
+        } else {
+            self.matched = false;
+        }
     }
 }
 
@@ -897,6 +1101,96 @@ mod tests {
         b.add_resistor(n1, 0, 1.0);
         let mut fac = FactorizedCircuit::new(&b);
         let _ = fac.sweep(&a, out, &[1.0]);
+    }
+
+    /// The `amplifier` topology stamped into any sink.
+    fn stamp_amplifier<S: ElementSink>(s: &mut S, gm: f64, r: f64, c: f64) -> NodeId {
+        let vin = s.node();
+        let vout = s.node();
+        s.add_vsource(vin, 0, 1.0);
+        s.add_vccs(vout, 0, vin, 0, gm);
+        s.add_resistor(vout, 0, r);
+        s.add_capacitance(vout, 0, c);
+        vout
+    }
+
+    #[test]
+    fn written_values_sweep_bit_identically_to_scalar() {
+        let freqs = log_space(10.0, 1e11, 23);
+        let (template, _) = amplifier(1e-3, 1e6, 1e-12);
+        let mut fac = FactorizedCircuit::new(&template);
+        for (gm, r, c) in [(2e-3, 5e5, 2e-12), (5e-4, 2e6, 4e-13), (1e-5, 1e4, 1e-15)] {
+            let mut ckt = LinearCircuit::new();
+            let out = stamp_amplifier(&mut ckt, gm, r, c);
+            let scalar = sweep(&ckt, out, &freqs).unwrap();
+            let mut w = fac.writer();
+            assert_eq!(stamp_amplifier(&mut w, gm, r, c), out);
+            assert!(w.finish(), "same structure must load");
+            let batched = fac.sweep_loaded(out, &freqs).unwrap();
+            assert_eq!(batched.len(), scalar.values.len());
+            for (s, b) in scalar.values.iter().zip(batched) {
+                assert_eq!(bits(*s), bits(*b));
+            }
+        }
+    }
+
+    #[test]
+    fn writer_rejects_every_structural_departure() {
+        let (template, _) = amplifier(1e-3, 1e6, 1e-12);
+        let mut fac = FactorizedCircuit::new(&template);
+        let departures: [&dyn Fn(&mut ValueWriter<'_>); 5] = [
+            // An extra element.
+            &|w| {
+                stamp_amplifier(w, 1e-3, 1e6, 1e-12);
+                w.add_conductance(2, 0, 1.0);
+            },
+            // A missing element.
+            &|w| {
+                let vin = w.node();
+                let vout = w.node();
+                w.add_vsource(vin, 0, 1.0);
+                w.add_vccs(vout, 0, vin, 0, 1e-3);
+                w.add_resistor(vout, 0, 1e6);
+            },
+            // An element on other nodes.
+            &|w| {
+                let vin = w.node();
+                let vout = w.node();
+                w.add_vsource(vin, 0, 1.0);
+                w.add_vccs(vout, 0, vin, 0, 1e-3);
+                w.add_resistor(vout, 0, 1e6);
+                w.add_capacitance(vout, vin, 1e-12);
+            },
+            // An extra, unused node.
+            &|w| {
+                stamp_amplifier(w, 1e-3, 1e6, 1e-12);
+                w.node();
+            },
+            // An element kind the template lacks.
+            &|w| {
+                stamp_amplifier(w, 1e-3, 1e6, 1e-12);
+                w.add_isource(0, 1, 1e-6);
+            },
+        ];
+        for (k, stamp) in departures.iter().enumerate() {
+            let mut w = fac.writer();
+            stamp(&mut w);
+            assert!(!w.finish(), "departure {k} must not load");
+        }
+        let mut w = fac.writer();
+        stamp_amplifier(&mut w, 1e-3, 1e6, 1e-12);
+        assert!(w.finish());
+    }
+
+    #[test]
+    #[should_panic(expected = "no complete sample loaded")]
+    fn sweeping_a_rejected_sample_panics() {
+        let (template, out) = amplifier(1e-3, 1e6, 1e-12);
+        let mut fac = FactorizedCircuit::new(&template);
+        let mut w = fac.writer();
+        w.add_conductance(1, 0, 1.0);
+        assert!(!w.finish());
+        let _ = fac.sweep_loaded(out, &[1.0]);
     }
 
     #[test]

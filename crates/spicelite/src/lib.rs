@@ -49,14 +49,16 @@ pub mod error;
 pub mod linalg;
 pub mod mosfet;
 pub mod netlist;
+pub mod simd;
 
-pub use ac::{log_space, sweep, sweep_differential, AcFoms, FrequencyResponse};
+pub use ac::{foms, log_space, sweep, sweep_differential, AcFoms, FrequencyResponse};
 pub use batch::FactorizedCircuit;
 pub use complex::Complex;
 pub use dc::{solve_dc, solve_dc_with, DcOptions, DcSolution};
 pub use error::SpiceError;
 pub use linalg::{CMatrix, Matrix};
 pub use mosfet::{
-    model_035um, model_90nm, MosGeometry, MosModel, MosOperatingPoint, MosType, Mosfet, Region,
+    model_035um, model_90nm, vgs_for_current_lanes, BiasRequest, MosGeometry, MosModel,
+    MosOperatingPoint, MosType, Mosfet, Region,
 };
-pub use netlist::{Circuit, LinearCircuit, NodeId};
+pub use netlist::{Circuit, ElementSink, LinearCircuit, NodeId};

@@ -10,6 +10,7 @@
 //! paper as far as algorithmic behaviour is concerned.
 
 use crate::error::SpiceError;
+use crate::simd::{Kernel, LANES};
 
 /// Polarity of a MOSFET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -391,6 +392,250 @@ impl Mosfet {
         }
         Ok(0.5 * (lo + hi))
     }
+}
+
+/// One bias point for [`vgs_for_current_lanes`]: a device and the arguments
+/// of its [`Mosfet::vgs_for_current`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BiasRequest {
+    /// The device to bias.
+    pub device: Mosfet,
+    /// Target drain current magnitude (A).
+    pub id_target: f64,
+    /// Drain-source voltage magnitude (V).
+    pub vds: f64,
+    /// Source-bulk voltage magnitude (V).
+    pub vsb: f64,
+}
+
+/// The `vgs`-independent quantities of one bisection, computed with exactly
+/// the expressions of [`Mosfet::vgs_for_current`].
+struct Hoisted {
+    vth: f64,
+    nvt: f64,
+    i0: f64,
+    drain_factor: f64,
+    beta: f64,
+    clm: f64,
+}
+
+impl Hoisted {
+    fn new(d: &Mosfet, vds: f64, vsb: f64) -> Self {
+        let m = &d.model;
+        let w_eff = d.w_eff();
+        let l_eff = d.l_eff();
+        let kp = m.kp();
+        let beta = kp * w_eff / l_eff;
+        let phi_f2 = 0.7;
+        let vth = m.vth0 + m.gamma * ((phi_f2 + vsb.max(0.0)).sqrt() - phi_f2.sqrt());
+        let lambda = d.lambda();
+        let n = m.subthreshold_n;
+        Self {
+            vth,
+            nvt: n * VT_THERMAL,
+            i0: beta * n * VT_THERMAL * VT_THERMAL * 2.0,
+            drain_factor: 1.0 - (-vds / VT_THERMAL).exp(),
+            beta,
+            clm: 1.0 + lambda * vds,
+        }
+    }
+
+    /// Drain current at `vgs`, as the scalar bisection computes it.
+    fn current(&self, vgs: f64, vds: f64) -> f64 {
+        let vov = vgs - self.vth;
+        let vdsat = vov.max(0.0);
+        if vov <= 0.0 {
+            (self.i0 * (vov / self.nvt).exp() * self.drain_factor).max(0.0)
+        } else if vds < vdsat {
+            (self.beta * (vov * vds - 0.5 * vds * vds) * self.clm).max(0.0)
+        } else {
+            0.5 * self.beta * vov * vov * self.clm
+        }
+    }
+}
+
+/// One group of [`LANES`] doubles.
+type Lane = [f64; LANES];
+
+/// Structure-of-arrays state of up to [`LANES`] bisections.
+#[derive(Default)]
+struct BisectLanes {
+    vth: Lane,
+    nvt: Lane,
+    i0: Lane,
+    drain_factor: Lane,
+    beta: Lane,
+    clm: Lane,
+    vds: Lane,
+    target: Lane,
+    lo: Lane,
+    hi: Lane,
+    /// All-ones while the lane is still bisecting.
+    active: [u64; LANES],
+}
+
+/// Solves up to [`LANES`] bias points together; `out[k]` receives exactly —
+/// bit for bit, errors included — what
+/// `requests[k].device.vgs_for_current(id_target, vds, vsb)` returns.
+///
+/// Each lane replays the scalar bisection's operation sequence: the three
+/// operating regions are evaluated branch-free and selected per lane, `exp`
+/// runs only for lanes currently in subthreshold, and a lane freezes once
+/// `hi - lo < 1e-12`, as the scalar loop breaks. The loop ends when every
+/// lane is frozen or after the scalar's 200 iterations.
+///
+/// # Panics
+///
+/// Panics if `requests` holds more than [`LANES`] entries or `out` is not
+/// the same length as `requests`.
+pub fn vgs_for_current_lanes(requests: &[BiasRequest], out: &mut [Result<f64, SpiceError>]) {
+    vgs_for_current_lanes_on(Kernel::detect(), requests, out);
+}
+
+/// [`vgs_for_current_lanes`] on an explicitly chosen compiled kernel — every
+/// kernel returns the same bits; this exists so tests can cover each one.
+///
+/// # Panics
+///
+/// Panics as [`vgs_for_current_lanes`] does, and if the running CPU does not
+/// support `kernel`.
+pub fn vgs_for_current_lanes_on(
+    kernel: Kernel,
+    requests: &[BiasRequest],
+    out: &mut [Result<f64, SpiceError>],
+) {
+    assert!(
+        requests.len() <= LANES,
+        "at most {LANES} bias points per call"
+    );
+    assert_eq!(requests.len(), out.len(), "one result slot per request");
+    assert!(kernel.is_supported(), "kernel {kernel:?} unsupported here");
+    let mut s = BisectLanes::default();
+    let mut solved = [false; LANES];
+    for (l, (r, slot)) in requests.iter().zip(out.iter_mut()).enumerate() {
+        if r.id_target <= 0.0 {
+            *slot = Err(SpiceError::InvalidElement {
+                reason: format!("target current must be positive, got {}", r.id_target),
+            });
+            continue;
+        }
+        let h = Hoisted::new(&r.device, r.vds, r.vsb);
+        let hi = r.device.model.vth0 + 5.0;
+        let f_hi = h.current(hi, r.vds) - r.id_target;
+        if f_hi < 0.0 {
+            *slot = Err(SpiceError::DcNoConvergence {
+                iterations: 0,
+                residual: -f_hi,
+            });
+            continue;
+        }
+        s.vth[l] = h.vth;
+        s.nvt[l] = h.nvt;
+        s.i0[l] = h.i0;
+        s.drain_factor[l] = h.drain_factor;
+        s.beta[l] = h.beta;
+        s.clm[l] = h.clm;
+        s.vds[l] = r.vds;
+        s.target[l] = r.id_target;
+        s.lo[l] = 0.0;
+        s.hi[l] = hi;
+        s.active[l] = !0;
+        solved[l] = true;
+    }
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `is_supported` confirmed AVX-512F above.
+        Kernel::Avx512 => unsafe { bisect_lanes_avx512(&mut s) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `is_supported` confirmed AVX2 above.
+        Kernel::Avx2 => unsafe { bisect_lanes_avx2(&mut s) },
+        Kernel::Generic => bisect_lanes_impl(&mut s),
+    }
+    for (l, slot) in out.iter_mut().enumerate() {
+        if solved[l] {
+            *slot = Ok(0.5 * (s.lo[l] + s.hi[l]));
+        }
+    }
+}
+
+/// All-ones when `c` holds, zero otherwise.
+#[inline(always)]
+fn mask(c: bool) -> u64 {
+    u64::from(c).wrapping_neg()
+}
+
+/// Bitwise select: `a` where `m` is all-ones, `b` where it is zero.
+#[inline(always)]
+fn select(m: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & m) | (b.to_bits() & !m))
+}
+
+/// The lane bisection. Lane state and every branch are bit masks and
+/// bitwise selects, which the vectorizer turns into straight-line SIMD; a
+/// `bool`-driven formulation of the same loop compiled to scalar code.
+#[inline(always)]
+fn bisect_lanes_impl(s: &mut BisectLanes) {
+    const L: usize = LANES;
+    for _ in 0..200 {
+        if s.active.iter().fold(0, |any, &a| any | a) == 0 {
+            break;
+        }
+        let mut mid = [0.0f64; L];
+        let mut vov = [0.0f64; L];
+        let mut needs_exp = 0u64;
+        for l in 0..L {
+            mid[l] = 0.5 * (s.lo[l] + s.hi[l]);
+            vov[l] = mid[l] - s.vth[l];
+            needs_exp |= s.active[l] & mask(vov[l] <= 0.0);
+        }
+        // The only transcendental of the loop, evaluated only for active
+        // lanes in subthreshold — rare once the bracket has closed in.
+        let mut sub = [0.0f64; L];
+        if needs_exp != 0 {
+            for l in 0..L {
+                if s.active[l] != 0 && vov[l] <= 0.0 {
+                    sub[l] = (s.i0[l] * (vov[l] / s.nvt[l]).exp() * s.drain_factor[l]).max(0.0);
+                }
+            }
+        }
+        for l in 0..L {
+            let v = vov[l];
+            let vds = s.vds[l];
+            let vdsat = v.max(0.0);
+            let triode = (s.beta[l] * (v * vds - 0.5 * vds * vds) * s.clm[l]).max(0.0);
+            let sat = 0.5 * s.beta[l] * v * v * s.clm[l];
+            let id = select(
+                mask(v <= 0.0),
+                sub[l],
+                select(mask(vds < vdsat), triode, sat),
+            );
+            let up = mask(id - s.target[l] > 0.0);
+            let a = s.active[l];
+            let hi = select(a & up, mid[l], s.hi[l]);
+            let lo = select(a & !up, mid[l], s.lo[l]);
+            s.hi[l] = hi;
+            s.lo[l] = lo;
+            s.active[l] = a & !mask(hi - lo < 1e-12);
+        }
+    }
+}
+
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn bisect_lanes_avx512(s: &mut BisectLanes) {
+    bisect_lanes_impl(s);
+}
+
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn bisect_lanes_avx2(s: &mut BisectLanes) {
+    bisect_lanes_impl(s);
 }
 
 /// Returns a representative 0.35 µm model card for the requested polarity.

@@ -465,6 +465,60 @@ impl LinearCircuit {
         cdb: f64,
         csb: f64,
     ) {
+        ElementSink::add_mos_small_signal(self, d, g, s, b, gm, gds, gmb, cgs, cgd, cdb, csb);
+    }
+
+    fn grow(&mut self, max_node: NodeId) {
+        if max_node >= self.num_nodes {
+            self.num_nodes = max_node + 1;
+        }
+    }
+}
+
+/// The element-adding surface of a small-signal netlist.
+///
+/// [`LinearCircuit`] implements it by recording elements; the value writer of
+/// a [`FactorizedCircuit`](crate::batch::FactorizedCircuit) implements it by
+/// writing element values into a compiled structure. A netlist written once
+/// against this trait therefore serves both the scalar AC path and the
+/// factorized one, with no circuit built per sample on the latter.
+pub trait ElementSink {
+    /// Allocates and returns a fresh node id.
+    fn node(&mut self) -> NodeId;
+    /// Adds a conductance (siemens) between `a` and `b`.
+    fn add_conductance(&mut self, a: NodeId, b: NodeId, siemens: f64);
+    /// Adds a capacitance (farads) between `a` and `b`.
+    fn add_capacitance(&mut self, a: NodeId, b: NodeId, farads: f64);
+    /// Adds a voltage-controlled current source.
+    fn add_vccs(&mut self, out_p: NodeId, out_n: NodeId, in_p: NodeId, in_n: NodeId, gm: f64);
+    /// Adds an AC current source pushing current from `from` into `to`.
+    fn add_isource(&mut self, from: NodeId, to: NodeId, amps: f64);
+    /// Adds a voltage-source branch with the given AC amplitude.
+    fn add_vsource(&mut self, p: NodeId, n: NodeId, ac: f64);
+
+    /// Adds a resistor (ohms) between `a` and `b` as its conductance.
+    fn add_resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) {
+        self.add_conductance(a, b, 1.0 / ohms);
+    }
+
+    /// Adds the full small-signal expansion of a MOSFET: the `gm` VCCS, the
+    /// `gds` conductance, the `gmb` VCCS when `gmb > 0`, and the four
+    /// capacitances.
+    #[allow(clippy::too_many_arguments)]
+    fn add_mos_small_signal(
+        &mut self,
+        d: NodeId,
+        g: NodeId,
+        s: NodeId,
+        b: NodeId,
+        gm: f64,
+        gds: f64,
+        gmb: f64,
+        cgs: f64,
+        cgd: f64,
+        cdb: f64,
+        csb: f64,
+    ) {
         self.add_vccs(d, s, g, s, gm);
         self.add_conductance(d, s, gds);
         if gmb > 0.0 {
@@ -475,11 +529,26 @@ impl LinearCircuit {
         self.add_capacitance(d, b, cdb);
         self.add_capacitance(s, b, csb);
     }
+}
 
-    fn grow(&mut self, max_node: NodeId) {
-        if max_node >= self.num_nodes {
-            self.num_nodes = max_node + 1;
-        }
+impl ElementSink for LinearCircuit {
+    fn node(&mut self) -> NodeId {
+        LinearCircuit::node(self)
+    }
+    fn add_conductance(&mut self, a: NodeId, b: NodeId, siemens: f64) {
+        LinearCircuit::add_conductance(self, a, b, siemens);
+    }
+    fn add_capacitance(&mut self, a: NodeId, b: NodeId, farads: f64) {
+        LinearCircuit::add_capacitance(self, a, b, farads);
+    }
+    fn add_vccs(&mut self, out_p: NodeId, out_n: NodeId, in_p: NodeId, in_n: NodeId, gm: f64) {
+        LinearCircuit::add_vccs(self, out_p, out_n, in_p, in_n, gm);
+    }
+    fn add_isource(&mut self, from: NodeId, to: NodeId, amps: f64) {
+        LinearCircuit::add_isource(self, from, to, amps);
+    }
+    fn add_vsource(&mut self, p: NodeId, n: NodeId, ac: f64) {
+        LinearCircuit::add_vsource(self, p, n, ac);
     }
 }
 
