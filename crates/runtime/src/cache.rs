@@ -19,11 +19,11 @@
 //! two additional responsibilities:
 //!
 //! * **Memory accounting** — [`SimCache::bytes`] estimates the heap
-//!   footprint of every retained block *and* of the backing shard tables, so
-//!   a long-lived engine can be observed (and bounded) instead of trusted.
-//!   [`SimCache::clear`] releases the backing capacity too
-//!   (`shrink_to_fit`), so a per-run reset returns memory to near baseline
-//!   rather than pinning the peak forever.
+//!   footprint of every retained block, of the backing shard tables *and* of
+//!   the eviction queues, so a long-lived engine can be observed (and
+//!   bounded) instead of trusted. [`SimCache::clear`] releases the backing
+//!   capacity too (`shrink_to_fit`), so a per-run reset returns memory to
+//!   near baseline rather than pinning the peak forever.
 //! * **Bounded retention** — [`SimCache::enforce_limit`] implements a coarse
 //!   second-chance FIFO eviction: blocks are considered in creation order
 //!   (batch-granular, key-tiebroken, so the sweep is deterministic and
@@ -32,10 +32,35 @@
 //!   ever costs *re-simulation*: a block's points are a pure function of
 //!   `(seed, design, block index)`, so a re-created block is bit-identical
 //!   and correctness is never at stake.
+//!
+//! # The eviction queue
+//!
+//! The creation order is kept, not recomputed: every live block has one
+//! `(creation batch, key)` stamp in a queue sorted by that pair. A block
+//! created since the last sweep is first pushed to its shard's `fresh`
+//! list, under the shard lock the insertion holds anyway, so parallel
+//! workers share no lock beyond the shards. They insert in any order, so
+//! the next sweep gathers the shards' lists, sorts them and appends them.
+//! (A cache that is never swept, as in an unbounded engine, keeps one
+//! 24-byte stamp per live block there, counted by [`SimCache::bytes`].)
+//! Batch stamps only grow, so the appended run already follows the queue's
+//! tail and the queue stays sorted, exactly the order a full snapshot
+//! sorted by `(created, key)` would give. (A stamp older than the tail,
+//! which only a caller replaying old batch numbers can produce, re-sorts the
+//! queue once.) The sweep then walks from the front: an unreferenced block
+//! is evicted, a referenced one has its bit cleared and is set aside, and
+//! the walk stops as soon as the excess is gone. If the excess outlives the
+//! walk, the set-aside blocks are evicted in order; the survivors return to
+//! the front in their original order. That is the victim set and order of
+//! the full snapshot-and-sort sweep, at a cost of the entries visited
+//! (evicted plus reprieved) and one lock of each shard, rather than the
+//! cache size.
+//! The nominal map keeps the same kind of queue, trimmed from the front.
 
 use moheco_sampling::splitmix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::mem::size_of;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independent shard locks.
@@ -45,19 +70,76 @@ const SHARDS: usize = 16;
 /// bytes + padding), used by the [`SimCache::bytes`] estimate.
 const MAP_SLOT_OVERHEAD: usize = 16;
 
-/// One cached block plus its eviction bookkeeping.
+/// Cache key of one Monte-Carlo block: `(design key, block index)`.
+type BlockKey = (u64, u64);
+
+/// One cached block plus its second-chance bit.
 struct CacheEntry {
     block: Arc<Mutex<Block>>,
-    /// Batch sequence number at creation (FIFO eviction order; the set of
-    /// blocks created per batch is deterministic, so this is too).
-    created: u64,
     /// Whether the entry was referenced since the last eviction sweep
     /// (second-chance bit).
     referenced: bool,
 }
 
-/// One shard: a locked map from `(design key, block index)` to its entry.
-type Shard = Mutex<HashMap<(u64, u64), CacheEntry>>;
+/// One shard: the entries whose keys hash to it, plus the stamps of the
+/// blocks it created since the last sweep. The stamps are pushed under the
+/// shard lock the insertion already holds, so creating a block never takes
+/// a cache-wide lock.
+#[derive(Default)]
+struct ShardState {
+    map: HashMap<BlockKey, CacheEntry>,
+    fresh: Vec<(u64, BlockKey)>,
+}
+
+type Shard = Mutex<ShardState>;
+
+/// The live keys of one map in `(creation batch, key)` order.
+///
+/// `queue` is sorted; `fresh` holds the keys created since the last
+/// [`Self::settle`], in whatever order they arrived.
+#[derive(Default)]
+struct EvictionOrder<K> {
+    queue: VecDeque<(u64, K)>,
+    fresh: Vec<(u64, K)>,
+}
+
+impl<K: Copy + Ord> EvictionOrder<K> {
+    /// Records a key created in batch `batch`.
+    fn push(&mut self, batch: u64, key: K) {
+        self.fresh.push((batch, key));
+    }
+
+    /// Moves the fresh keys into the queue, keeping it sorted.
+    fn settle(&mut self) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        self.fresh.sort_unstable();
+        let in_order = self.queue.back().is_none_or(|tail| *tail <= self.fresh[0]);
+        self.queue.extend(self.fresh.drain(..));
+        if !in_order {
+            self.queue.make_contiguous().sort_unstable();
+        }
+    }
+
+    /// Forgets `key` wherever it is stamped (a linear scan).
+    fn remove(&mut self, key: K) {
+        self.queue.retain(|&(_, k)| k != key);
+        self.fresh.retain(|&(_, k)| k != key);
+    }
+
+    /// Backing capacity of both lists, in bytes.
+    fn bytes(&self) -> usize {
+        (self.queue.capacity() + self.fresh.capacity()) * size_of::<(u64, K)>()
+    }
+
+    fn clear(&mut self) {
+        self.queue.clear();
+        self.queue.shrink_to_fit();
+        self.fresh.clear();
+        self.fresh.shrink_to_fit();
+    }
+}
 
 /// One block of a design's sample stream.
 #[derive(Debug)]
@@ -115,19 +197,24 @@ impl Block {
     }
 }
 
-/// One cached nominal evaluation plus its eviction stamp.
-struct NominalEntry {
-    margins: Arc<Vec<f64>>,
-    /// Batch sequence number at creation. All entries of one batch share a
-    /// stamp (the per-batch creation *set* is deterministic even under
-    /// parallel dispatch), so FIFO trimming stays order-independent.
-    created: u64,
+/// The nominal evaluations and their trim order, under one lock.
+#[derive(Default)]
+struct NominalCache {
+    map: HashMap<u64, Arc<Vec<f64>>>,
+    order: EvictionOrder<u64>,
 }
 
 /// Concurrent cache of simulation blocks and nominal evaluations.
 pub struct SimCache {
     mc: Vec<Shard>,
-    nominal: Mutex<HashMap<u64, NominalEntry>>,
+    /// Eviction order of the blocks; each sweep first gathers the shards'
+    /// fresh stamps into it. Lock order: `order` before a shard.
+    order: Mutex<EvictionOrder<BlockKey>>,
+    /// Number of live blocks across all shards. `Relaxed` suffices: it
+    /// publishes no other data, and sweeps run between batches, after the
+    /// pool's thread joins have ordered every worker's insertions.
+    blocks: AtomicUsize,
+    nominal: Mutex<NominalCache>,
 }
 
 impl std::fmt::Debug for SimCache {
@@ -149,19 +236,22 @@ impl SimCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self {
-            mc: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            nominal: Mutex::new(HashMap::new()),
+            mc: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            order: Mutex::default(),
+            blocks: AtomicUsize::new(0),
+            nominal: Mutex::default(),
         }
     }
 
-    fn shard(&self, key: u64, block: u64) -> &Shard {
-        let mixed = splitmix64(key ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    fn shard(&self, key: BlockKey) -> &Shard {
+        let mixed = splitmix64(key.0 ^ key.1.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         &self.mc[(mixed % SHARDS as u64) as usize]
     }
 
     /// Returns the block for `(design key, block index)`, creating it with
     /// `make` if absent. `batch` is the engine's batch sequence number,
-    /// recorded as the entry's creation stamp for FIFO eviction.
+    /// recorded as the entry's creation stamp for FIFO eviction; stamps are
+    /// expected not to decrease from one sweep to the next.
     ///
     /// `make` runs *outside* the shard lock (double-checked insertion), so
     /// generating one block's points never stalls workers whose different
@@ -176,26 +266,32 @@ impl SimCache {
         batch: u64,
         make: F,
     ) -> Arc<Mutex<Block>> {
+        let key = (key, block);
         if let Some(existing) = self
-            .shard(key, block)
+            .shard(key)
             .lock()
             .expect("cache shard poisoned")
-            .get_mut(&(key, block))
+            .map
+            .get_mut(&key)
         {
             existing.referenced = true;
             return existing.block.clone();
         }
-        let fresh = Arc::new(Mutex::new(make()));
-        let mut shard = self.shard(key, block).lock().expect("cache shard poisoned");
-        shard
-            .entry((key, block))
-            .or_insert(CacheEntry {
-                block: fresh,
-                created: batch,
+        let made = Arc::new(Mutex::new(make()));
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        if let Some(raced) = shard.map.get(&key) {
+            return raced.block.clone();
+        }
+        shard.map.insert(
+            key,
+            CacheEntry {
+                block: made.clone(),
                 referenced: true,
-            })
-            .block
-            .clone()
+            },
+        );
+        shard.fresh.push((batch, key));
+        self.blocks.fetch_add(1, Ordering::Relaxed);
+        made
     }
 
     /// Looks up the cached nominal evaluation of a design.
@@ -203,54 +299,57 @@ impl SimCache {
         self.nominal
             .lock()
             .expect("nominal cache poisoned")
+            .map
             .get(&key)
-            .map(|e| e.margins.clone())
+            .cloned()
     }
 
     /// Stores the nominal evaluation of a design; `batch` is the engine's
-    /// batch sequence number, recorded for FIFO trimming.
+    /// batch sequence number, recorded for FIFO trimming. Storing a design
+    /// again replaces its evaluation and restamps it with `batch`.
     pub fn store_nominal(&self, key: u64, margins: Arc<Vec<f64>>, batch: u64) {
-        self.nominal.lock().expect("nominal cache poisoned").insert(
-            key,
-            NominalEntry {
-                margins,
-                created: batch,
-            },
-        );
+        let mut nominal = self.nominal.lock().expect("nominal cache poisoned");
+        if nominal.map.insert(key, margins).is_some() {
+            nominal.order.remove(key);
+        }
+        nominal.order.push(batch, key);
     }
 
     /// Number of cached nominal evaluations.
     pub fn nominals(&self) -> usize {
-        self.nominal.lock().expect("nominal cache poisoned").len()
+        self.nominal
+            .lock()
+            .expect("nominal cache poisoned")
+            .map
+            .len()
     }
 
     /// Number of cached blocks across all shards.
     pub fn blocks(&self) -> usize {
-        self.mc
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.blocks.load(Ordering::Relaxed)
     }
 
     /// Estimated heap footprint of the cache in bytes: block contents plus
-    /// the backing capacity of the shard tables and the nominal map, so a
-    /// cleared-but-not-shrunk cache is *visible* rather than hidden.
+    /// the backing capacity of the shard tables, the nominal map and both
+    /// eviction queues, so a cleared-but-not-shrunk cache is *visible*
+    /// rather than hidden.
     pub fn bytes(&self) -> usize {
-        let entry_slot = size_of::<(u64, u64)>() + size_of::<CacheEntry>() + MAP_SLOT_OVERHEAD;
-        let mut total = 0usize;
+        let entry_slot = size_of::<BlockKey>() + size_of::<CacheEntry>() + MAP_SLOT_OVERHEAD;
+        let mut total = self.order.lock().expect("cache order poisoned").bytes();
         for shard in &self.mc {
             let guard = shard.lock().expect("cache shard poisoned");
-            total += guard.capacity() * entry_slot;
-            for entry in guard.values() {
+            total += guard.map.capacity() * entry_slot
+                + guard.fresh.capacity() * size_of::<(u64, BlockKey)>();
+            for entry in guard.map.values() {
                 total +=
                     size_of::<Mutex<Block>>() + entry.block.lock().expect("block poisoned").bytes();
             }
         }
         let nominal = self.nominal.lock().expect("nominal cache poisoned");
-        let nominal_slot = size_of::<u64>() + size_of::<NominalEntry>() + MAP_SLOT_OVERHEAD;
-        total += nominal.capacity() * nominal_slot;
-        for entry in nominal.values() {
-            total += size_of::<Vec<f64>>() + entry.margins.capacity() * size_of::<f64>();
+        let nominal_slot = size_of::<u64>() + size_of::<Arc<Vec<f64>>>() + MAP_SLOT_OVERHEAD;
+        total += nominal.map.capacity() * nominal_slot + nominal.order.bytes();
+        for margins in nominal.map.values() {
+            total += size_of::<Vec<f64>>() + margins.capacity() * size_of::<f64>();
         }
         total
     }
@@ -265,17 +364,11 @@ impl SimCache {
             return 0;
         }
         let mut nominal = self.nominal.lock().expect("nominal cache poisoned");
-        if nominal.len() <= max {
-            return 0;
-        }
-        let excess = nominal.len() - max;
-        let mut order: Vec<(u64, u64)> = nominal
-            .iter()
-            .map(|(&key, entry)| (entry.created, key))
-            .collect();
-        order.sort_unstable();
-        for &(_, key) in order.iter().take(excess) {
-            nominal.remove(&key);
+        let NominalCache { map, order } = &mut *nominal;
+        order.settle();
+        let excess = map.len().saturating_sub(max);
+        for (_, key) in order.queue.drain(..excess) {
+            map.remove(&key);
         }
         excess as u64
     }
@@ -291,87 +384,84 @@ impl SimCache {
     /// if clearing every bit still leaves the cache over budget, the
     /// reprieved entries are evicted in the same order. Evicting a block
     /// only discards memo state: a later request re-creates it bit-for-bit
-    /// and re-simulates its outcomes, so results are unchanged.
+    /// and re-simulates its outcomes, so results are unchanged. The cost is
+    /// the number of entries visited, not the cache size (see the module
+    /// docs).
     ///
     /// Callers must invoke this between batches (the engine does, after
     /// assembly), never while tasks still expect their blocks to be present.
     pub fn enforce_limit(&self, max: usize) -> u64 {
+        self.sweep(max).0
+    }
+
+    /// [`Self::enforce_limit`], returning the evicted count and the number
+    /// of queue entries the walk visited (evicted plus reprieved).
+    fn sweep(&self, max: usize) -> (u64, usize) {
         if max == 0 {
-            return 0;
+            return (0, 0);
         }
-        let total = self.blocks();
-        if total <= max {
-            return 0;
-        }
-        let mut excess = total - max;
-
-        // Snapshot every entry's eviction key.
-        let mut candidates: Vec<(u64, (u64, u64), bool)> = Vec::with_capacity(total);
+        let mut order = self.order.lock().expect("cache order poisoned");
         for shard in &self.mc {
-            let guard = shard.lock().expect("cache shard poisoned");
-            for (key, entry) in guard.iter() {
-                candidates.push((entry.created, *key, entry.referenced));
-            }
+            let mut guard = shard.lock().expect("cache shard poisoned");
+            order.fresh.append(&mut guard.fresh);
         }
-        candidates.sort_unstable_by_key(|&(created, key, _)| (created, key));
-
-        let mut evicted = 0u64;
-        let mut reprieved: Vec<(u64, u64)> = Vec::new();
-        for &(_, key, referenced) in &candidates {
-            if excess == 0 {
+        order.settle();
+        let mut excess = self.blocks().saturating_sub(max);
+        let mut evicted = 0;
+        let mut reprieved: Vec<(u64, BlockKey)> = Vec::new();
+        while excess > 0 {
+            let Some(stamp) = order.queue.pop_front() else {
                 break;
-            }
-            if referenced {
-                reprieved.push(key);
+            };
+            let mut shard = self.shard(stamp.1).lock().expect("cache shard poisoned");
+            let entry = shard.map.get_mut(&stamp.1).expect("queued block is cached");
+            if entry.referenced {
+                entry.referenced = false;
+                reprieved.push(stamp);
             } else {
-                self.evict(key);
+                shard.map.remove(&stamp.1);
                 excess -= 1;
                 evicted += 1;
             }
         }
-        // Clear the second-chance bit of everything that used it.
-        for &key in &reprieved {
-            if let Some(entry) = self
-                .shard(key.0, key.1)
+        let visited = evicted + reprieved.len();
+        // Still over budget: the reprieve is exhausted, evict in FIFO order.
+        let exhausted = excess.min(reprieved.len());
+        for &(_, key) in &reprieved[..exhausted] {
+            self.shard(key)
                 .lock()
                 .expect("cache shard poisoned")
-                .get_mut(&key)
-            {
-                entry.referenced = false;
-            }
+                .map
+                .remove(&key);
         }
-        // Still over budget: the reprieve is exhausted, evict in FIFO order.
-        for key in reprieved {
-            if excess == 0 {
-                break;
-            }
-            self.evict(key);
-            excess -= 1;
-            evicted += 1;
+        evicted += exhausted;
+        // The survivors keep their place at the front of the queue.
+        for &stamp in reprieved[exhausted..].iter().rev() {
+            order.queue.push_front(stamp);
         }
-        evicted
-    }
-
-    fn evict(&self, key: (u64, u64)) {
-        self.shard(key.0, key.1)
-            .lock()
-            .expect("cache shard poisoned")
-            .remove(&key);
+        self.blocks.fetch_sub(evicted, Ordering::Relaxed);
+        (evicted as u64, visited)
     }
 
     /// Drops every cached block and nominal evaluation *and releases the
-    /// backing capacity* of the shard tables, so a long-lived engine's
-    /// per-run reset returns memory to near baseline instead of pinning the
-    /// peak table capacity forever.
+    /// backing capacity* of the shard tables and eviction queues, so a
+    /// long-lived engine's per-run reset returns memory to near baseline
+    /// instead of pinning the peak table capacity forever.
     pub fn clear(&self) {
+        let mut order = self.order.lock().expect("cache order poisoned");
         for shard in &self.mc {
             let mut guard = shard.lock().expect("cache shard poisoned");
-            guard.clear();
-            guard.shrink_to_fit();
+            guard.map.clear();
+            guard.map.shrink_to_fit();
+            guard.fresh.clear();
+            guard.fresh.shrink_to_fit();
         }
+        order.clear();
+        self.blocks.store(0, Ordering::Relaxed);
         let mut nominal = self.nominal.lock().expect("nominal cache poisoned");
-        nominal.clear();
-        nominal.shrink_to_fit();
+        nominal.map.clear();
+        nominal.map.shrink_to_fit();
+        nominal.order.clear();
     }
 }
 
@@ -489,6 +579,41 @@ mod tests {
     }
 
     #[test]
+    fn bytes_count_one_stamp_per_live_block() {
+        let cache = SimCache::new();
+        let stamp = size_of::<(u64, BlockKey)>();
+        // Everything bytes() counts besides the stamps (the blocks are
+        // empty, and there are no nominals).
+        let tables = |cache: &SimCache| -> usize {
+            let slot = size_of::<BlockKey>() + size_of::<CacheEntry>() + MAP_SLOT_OVERHEAD;
+            cache
+                .mc
+                .iter()
+                .map(|s| {
+                    let shard = s.lock().unwrap();
+                    shard.map.capacity() * slot + shard.map.len() * size_of::<Mutex<Block>>()
+                })
+                .sum()
+        };
+        for i in 0..500u64 {
+            let _ = cache.block(i, 0, i, || Block::new(Vec::new()));
+        }
+        assert!(
+            cache.bytes() >= tables(&cache) + 500 * stamp,
+            "fresh stamps"
+        );
+        assert_eq!(cache.enforce_limit(400), 100);
+        // The sweep emptied the fresh lists but kept their capacity.
+        let spare: usize = cache
+            .mc
+            .iter()
+            .map(|s| s.lock().unwrap().fresh.capacity())
+            .sum();
+        let queued = tables(&cache) + (spare + 400) * stamp;
+        assert!(cache.bytes() >= queued, "queued stamps");
+    }
+
+    #[test]
     fn enforce_limit_is_fifo_with_second_chance() {
         let cache = SimCache::new();
         let keys: Vec<u64> = (0..6).map(|i| design_key(&[i as f64])).collect();
@@ -540,5 +665,286 @@ mod tests {
         }
         assert_eq!(cache.enforce_limit(0), 0);
         assert_eq!(cache.blocks(), 10);
+    }
+
+    #[test]
+    fn sweep_visits_evicted_plus_reprieved_not_the_cache() {
+        const N: u64 = 4096;
+        let cache = SimCache::new();
+        let add = |i: u64| {
+            let _ = cache.block(i, 0, i, || Block::new(Vec::new()));
+        };
+        (0..=N).for_each(add);
+        // Every block is freshly referenced, so this one sweep has to clear
+        // every bit before the FIFO fallback evicts the oldest.
+        assert_eq!(cache.sweep(N as usize), (1, N as usize + 1));
+
+        // Excess 1 with an unreferenced head: one visit, whatever N is.
+        add(N + 1);
+        assert_eq!(cache.sweep(N as usize), (1, 1));
+
+        // Three referenced blocks at the head are reprieved, the fourth goes.
+        for i in 2..5 {
+            add(i);
+        }
+        add(N + 2);
+        assert_eq!(cache.sweep(N as usize), (1, 4));
+        assert_eq!(cache.blocks(), N as usize);
+
+        // The reprieved blocks kept their place: the oldest goes next.
+        add(N + 3);
+        assert_eq!(cache.sweep(N as usize), (1, 1));
+        let mut rebuilt = false;
+        let _ = cache.block(2, 0, N + 4, || {
+            rebuilt = true;
+            Block::new(Vec::new())
+        });
+        assert!(rebuilt, "the reprieved FIFO head was evicted last");
+
+        // Within budget: the sweep visits nothing.
+        assert_eq!(cache.sweep(2 * N as usize), (0, 0));
+    }
+
+    /// Differential test of the queue-based sweep against the snapshot-and-
+    /// sort sweep it replaced, on seeded random cache histories.
+    mod eviction_equivalence {
+        use super::super::*;
+        use std::collections::BTreeSet;
+
+        /// The previous implementation's bookkeeping and sweeps, kept only
+        /// as the reference model: every sweep snapshots all entries and
+        /// sorts them by `(creation batch, key)`.
+        #[derive(Default)]
+        struct Reference {
+            /// Key -> (creation batch, referenced bit).
+            blocks: HashMap<BlockKey, (u64, bool)>,
+            /// Key -> creation batch.
+            nominal: HashMap<u64, u64>,
+        }
+
+        impl Reference {
+            fn block(&mut self, key: BlockKey, batch: u64) {
+                self.blocks
+                    .entry(key)
+                    .and_modify(|e| e.1 = true)
+                    .or_insert((batch, true));
+            }
+
+            fn store_nominal(&mut self, key: u64, batch: u64) {
+                self.nominal.insert(key, batch);
+            }
+
+            fn enforce_limit(&mut self, max: usize) -> u64 {
+                if max == 0 || self.blocks.len() <= max {
+                    return 0;
+                }
+                let mut excess = self.blocks.len() - max;
+                let mut candidates: Vec<(u64, BlockKey, bool)> = self
+                    .blocks
+                    .iter()
+                    .map(|(&key, &(created, referenced))| (created, key, referenced))
+                    .collect();
+                candidates.sort_unstable_by_key(|&(created, key, _)| (created, key));
+                let mut evicted = 0;
+                let mut reprieved = Vec::new();
+                for &(_, key, referenced) in &candidates {
+                    if excess == 0 {
+                        break;
+                    }
+                    if referenced {
+                        reprieved.push(key);
+                    } else {
+                        self.blocks.remove(&key);
+                        excess -= 1;
+                        evicted += 1;
+                    }
+                }
+                for key in &reprieved {
+                    self.blocks.get_mut(key).unwrap().1 = false;
+                }
+                for key in reprieved {
+                    if excess == 0 {
+                        break;
+                    }
+                    self.blocks.remove(&key);
+                    excess -= 1;
+                    evicted += 1;
+                }
+                evicted
+            }
+
+            fn enforce_nominal_limit(&mut self, max: usize) -> u64 {
+                if max == 0 || self.nominal.len() <= max {
+                    return 0;
+                }
+                let excess = self.nominal.len() - max;
+                let mut order: Vec<(u64, u64)> =
+                    self.nominal.iter().map(|(&k, &c)| (c, k)).collect();
+                order.sort_unstable();
+                for &(_, key) in order.iter().take(excess) {
+                    self.nominal.remove(&key);
+                }
+                excess as u64
+            }
+
+            fn clear(&mut self) {
+                self.blocks.clear();
+                self.nominal.clear();
+            }
+        }
+
+        /// A seeded splitmix64 counter stream.
+        struct Rng(u64);
+
+        impl Rng {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 = self.0.wrapping_add(1);
+                (splitmix64(self.0) % n as u64) as usize
+            }
+
+            fn shuffle<T>(&mut self, items: &mut [T]) {
+                for i in (1..items.len()).rev() {
+                    items.swap(i, self.below(i + 1));
+                }
+            }
+        }
+
+        fn live_blocks(cache: &SimCache) -> BTreeSet<BlockKey> {
+            cache
+                .mc
+                .iter()
+                .flat_map(|s| s.lock().unwrap().map.keys().copied().collect::<Vec<_>>())
+                .collect()
+        }
+
+        fn live_nominals(cache: &SimCache) -> BTreeSet<u64> {
+            cache.nominal.lock().unwrap().map.keys().copied().collect()
+        }
+
+        fn assert_same(cache: &SimCache, reference: &Reference, ctx: &str) {
+            let blocks: BTreeSet<BlockKey> = reference.blocks.keys().copied().collect();
+            assert_eq!(live_blocks(cache), blocks, "{ctx}: surviving blocks");
+            assert_eq!(cache.blocks(), blocks.len(), "{ctx}: block count");
+            let nominals: BTreeSet<u64> = reference.nominal.keys().copied().collect();
+            assert_eq!(live_nominals(cache), nominals, "{ctx}: surviving nominals");
+        }
+
+        /// Inserts one batch's blocks in `keys` order — split over two
+        /// threads when `threaded`, as parallel workers would — then touches
+        /// them again in a reshuffled order, as request assembly does.
+        fn insert_batch(cache: &SimCache, keys: &[BlockKey], batch: u64, threaded: bool) {
+            let insert = |part: &[BlockKey]| {
+                for &(key, block) in part {
+                    let _ = cache.block(key, block, batch, || Block::new(vec![vec![0.0]; 1]));
+                }
+            };
+            if threaded {
+                let (a, b) = keys.split_at(keys.len() / 2);
+                std::thread::scope(|s| {
+                    s.spawn(|| insert(a));
+                    s.spawn(|| insert(b));
+                });
+            } else {
+                insert(keys);
+            }
+        }
+
+        fn run_history(seed: u64) {
+            const DESIGNS: usize = 12;
+            const BLOCKS_PER_DESIGN: usize = 4;
+            const NOMINAL_KEYS: usize = 20;
+            let mut rng = Rng(splitmix64(seed));
+            let bound = [0, 1, 3, 8, 16, 24][rng.below(6)];
+            let threaded = seed.is_multiple_of(4);
+            let design = |i: usize| splitmix64(i as u64 ^ 0xD5);
+            let cache = SimCache::new();
+            let mut reference = Reference::default();
+            let mut batch = 0u64;
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step} bound {bound}");
+                match rng.below(100) {
+                    // A Monte-Carlo batch: distinct blocks, new or re-touched,
+                    // then the engine's per-batch sweep.
+                    0..=59 => {
+                        batch += 1;
+                        let mut keys: Vec<BlockKey> = (0..1 + rng.below(8))
+                            .map(|_| {
+                                let b = rng.below(BLOCKS_PER_DESIGN) as u64;
+                                (design(rng.below(DESIGNS)), b)
+                            })
+                            .collect::<BTreeSet<_>>()
+                            .into_iter()
+                            .collect();
+                        rng.shuffle(&mut keys);
+                        insert_batch(&cache, &keys, batch, threaded);
+                        rng.shuffle(&mut keys);
+                        insert_batch(&cache, &keys, batch, false);
+                        for &key in &keys {
+                            reference.block(key, batch);
+                        }
+                        let got = cache.enforce_limit(bound);
+                        assert_eq!(got, reference.enforce_limit(bound), "{ctx}: batch sweep");
+                    }
+                    // A nominal batch: missing designs only, in shuffled
+                    // order, then the per-batch trim.
+                    60..=74 => {
+                        batch += 1;
+                        let mut keys: Vec<u64> = (0..1 + rng.below(6))
+                            .map(|_| design(rng.below(NOMINAL_KEYS)))
+                            .filter(|k| !reference.nominal.contains_key(k))
+                            .collect::<BTreeSet<_>>()
+                            .into_iter()
+                            .collect();
+                        rng.shuffle(&mut keys);
+                        for &key in &keys {
+                            cache.store_nominal(key, Arc::new(vec![1.0]), batch);
+                            reference.store_nominal(key, batch);
+                        }
+                        let got = cache.enforce_nominal_limit(bound);
+                        let want = reference.enforce_nominal_limit(bound);
+                        assert_eq!(got, want, "{ctx}: nominal trim");
+                    }
+                    // An external quota trim: unbounded, to zero-ish, below
+                    // or above the current size.
+                    75..=89 => {
+                        let size = reference.blocks.len().max(reference.nominal.len());
+                        let max = match rng.below(4) {
+                            0 => 0,
+                            1 => 1,
+                            2 => rng.below(size + 1),
+                            _ => size + rng.below(4),
+                        };
+                        let got = cache.enforce_limit(max);
+                        assert_eq!(got, reference.enforce_limit(max), "{ctx}: trim {max}");
+                        let got = cache.enforce_nominal_limit(max);
+                        let want = reference.enforce_nominal_limit(max);
+                        assert_eq!(got, want, "{ctx}: nominal trim {max}");
+                    }
+                    90..=93 => {
+                        cache.clear();
+                        reference.clear();
+                    }
+                    // Stamps up to two batches old: a re-stored nominal and
+                    // a late block insert (the queue's re-sort path).
+                    _ => {
+                        let stamp = batch.saturating_sub(rng.below(3) as u64);
+                        let key = design(rng.below(NOMINAL_KEYS));
+                        cache.store_nominal(key, Arc::new(vec![2.0]), stamp);
+                        reference.store_nominal(key, stamp);
+                        let block = (design(rng.below(DESIGNS)), rng.below(4) as u64);
+                        insert_batch(&cache, &[block], stamp, false);
+                        reference.block(block, stamp);
+                    }
+                }
+                assert_same(&cache, &reference, &ctx);
+            }
+        }
+
+        #[test]
+        fn eviction_equivalence_on_seeded_histories() {
+            for seed in 0..200 {
+                run_history(seed);
+            }
+        }
     }
 }

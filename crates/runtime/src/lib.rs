@@ -36,7 +36,9 @@
 //!  SimCache ──hit──► outcomes already on file (free)
 //!        │ miss
 //!        ▼
-//!  block RNG stream ─► unit points ─► SimulationModel::simulate_point
+//!  block RNG stream ─► unit points ─► SimulationModel::simulate_block
+//!                                     (one call per task; the default
+//!                                      loops simulate_point)
 //! ```
 //!
 //! # Example
