@@ -10,9 +10,7 @@
 //!
 //! Pass `--samples <n>` / `--designs <n>` / `--reps <n>` to change the load.
 
-use moheco::runtime::{
-    EngineConfig, EvalEngine, McRequest, ParallelEngine, SerialEngine, SimulationModel,
-};
+use moheco::runtime::{Engine, EngineConfig, EvalEngine, McRequest, SimulationModel};
 use moheco::{CircuitBench, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
 use std::sync::Arc;
@@ -55,12 +53,12 @@ fn timed_batch(
     elapsed
 }
 
-/// Cold pass through a fresh single-worker serial engine, dispatching either
+/// Cold pass through a fresh one-worker engine, dispatching either
 /// the batched model or its scalarized wrapper. Isolates the `simulate_block`
 /// fast path from parallelism and cache effects.
 fn timed_cold_dispatch(designs: &[Vec<f64>], samples: usize, scalarize: bool) -> u64 {
     let bench = CircuitBench::new(FoldedCascode::new());
-    let engine = SerialEngine::new(EngineConfig::default());
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
     let requests: Vec<McRequest> = designs
         .iter()
         .map(|x| McRequest::new(x.clone(), 0, samples))
@@ -184,14 +182,14 @@ fn main() {
     for _ in 0..reps {
         let problem = YieldProblem::with_engine(
             FoldedCascode::new(),
-            Arc::new(SerialEngine::new(EngineConfig::default())),
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1))),
         );
         serial_cold.push(timed_batch(&problem, &designs, samples));
         serial_warm.push(timed_batch(&problem, &designs, samples));
 
         let problem = YieldProblem::with_engine(
             FoldedCascode::new(),
-            Arc::new(ParallelEngine::new(EngineConfig::default())),
+            Arc::new(Engine::new(EngineConfig::default())),
         );
         parallel_cold.push(timed_batch(&problem, &designs, samples));
         parallel_warm.push(timed_batch(&problem, &designs, samples));
@@ -204,7 +202,7 @@ fn main() {
     // A final instrumented pass for the stats block.
     let instrumented = YieldProblem::with_engine(
         FoldedCascode::new(),
-        Arc::new(ParallelEngine::new(EngineConfig::default())),
+        Arc::new(Engine::new(EngineConfig::default())),
     );
     let _ = timed_batch(&instrumented, &designs, samples);
     let _ = timed_batch(&instrumented, &designs, samples);

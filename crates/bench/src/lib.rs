@@ -28,7 +28,7 @@ pub use schedule::{
 use moheco::{CircuitBench, MohecoConfig, RunResult, RunSummary, YieldOptimizer, YieldProblem};
 use moheco_analog::Testbench;
 use moheco_optim::problem::{Evaluation, Problem};
-use moheco_runtime::{EngineConfig, EvalEngine, ParallelEngine, SerialEngine, SimulationModel};
+use moheco_runtime::{Engine, EngineConfig, EvalEngine, SimulationModel};
 use moheco_sampling::{EstimatorKind, SamplingPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +42,8 @@ pub enum EngineKind {
     /// In-order dispatch on the calling thread.
     #[default]
     Serial,
-    /// Work-stealing dispatch over all available cores.
+    /// Work-stealing dispatch over the configured workers (all available
+    /// cores by default).
     Parallel,
 }
 
@@ -75,11 +76,14 @@ impl EngineKind {
 
     /// Builds a fresh engine of this kind from an explicit configuration
     /// (the campaign layer threads `max_cached_blocks` through this).
+    /// `Serial` forces `workers = 1`, whatever the configuration says, so it
+    /// never spawns a thread; `Parallel` keeps the configured worker count.
     pub fn build_with(self, config: EngineConfig) -> Arc<dyn EvalEngine> {
-        match self {
-            Self::Serial => Arc::new(SerialEngine::new(config)),
-            Self::Parallel => Arc::new(ParallelEngine::new(config)),
-        }
+        let config = match self {
+            Self::Serial => config.with_workers(1),
+            Self::Parallel => config,
+        };
+        Arc::new(Engine::new(config))
     }
 
     /// The stable label used in results (`serial` / `parallel`).

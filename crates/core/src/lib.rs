@@ -23,8 +23,8 @@
 //!
 //! Every circuit simulation is dispatched through the evaluation engine of
 //! the [`moheco_runtime`] crate (re-exported here as [`runtime`]): batches
-//! run in parallel on a [`runtime::ParallelEngine`] with bit-identical
-//! results to the serial engine, repeated evaluations are served from the
+//! run in parallel on a multi-worker [`runtime::Engine`] with bit-identical
+//! results to the one-worker engine, repeated evaluations are served from the
 //! engine cache, and the engine instrumentation is surfaced in
 //! [`RunResult::engine_stats`] and the per-generation [`Trace`]. Construct a
 //! problem with [`YieldProblem::with_engine`] to choose the engine.

@@ -7,7 +7,7 @@
 //! nominal feasibility checks and Monte-Carlo yield samples alike — is
 //! dispatched through the engine, so that (a) the simulation counts reported
 //! in Tables 2 and 4 are complete, (b) batches run in parallel when the
-//! engine is a [`moheco_runtime::ParallelEngine`], and (c) repeated
+//! [`moheco_runtime::Engine`] has more than one worker, and (c) repeated
 //! evaluations of a design are served from the engine cache.
 //!
 //! The problem is generic over `B: Benchmark + ?Sized`: the circuit paths
@@ -25,7 +25,7 @@
 use crate::benchmark::{Benchmark, CircuitBench};
 use moheco_analog::Testbench;
 use moheco_process::ProcessSampler;
-use moheco_runtime::{EngineConfig, EvalEngine, McRequest, SerialEngine};
+use moheco_runtime::{Engine, EngineConfig, EvalEngine, McRequest};
 use moheco_sampling::{
     AcceptanceSampler, AsDecision, EstimatedYield, EstimatorKind, SamplingPlan, SimulationCounter,
     YieldEstimate,
@@ -61,7 +61,7 @@ pub struct YieldProblem<B: Benchmark + ?Sized> {
 
 impl<T: Testbench> YieldProblem<CircuitBench<T>> {
     /// Creates the yield problem for a circuit `testbench` with the given
-    /// sampling plan, dispatching through a fresh [`SerialEngine`].
+    /// sampling plan, dispatching through a fresh one-worker [`Engine`].
     pub fn new(testbench: T, plan: SamplingPlan) -> Self {
         Self::with_estimator(testbench, plan, EstimatorKind::default())
     }
@@ -72,9 +72,10 @@ impl<T: Testbench> YieldProblem<CircuitBench<T>> {
     /// The default kind ([`EstimatorKind::MonteCarlo`]) is bit-identical to
     /// [`Self::new`].
     pub fn with_estimator(testbench: T, plan: SamplingPlan, estimator: EstimatorKind) -> Self {
-        let engine = Arc::new(SerialEngine::new(EngineConfig {
+        let engine = Arc::new(Engine::new(EngineConfig {
             plan,
             estimator,
+            workers: 1,
             ..EngineConfig::default()
         }));
         Self::with_engine(testbench, engine)
@@ -297,7 +298,6 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
 mod tests {
     use super::*;
     use moheco_analog::FoldedCascode;
-    use moheco_runtime::ParallelEngine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -397,7 +397,7 @@ mod tests {
         let serial = problem();
         let parallel = YieldProblem::with_engine(
             FoldedCascode::new(),
-            Arc::new(ParallelEngine::new(EngineConfig::default().with_workers(3))),
+            Arc::new(Engine::new(EngineConfig::default().with_workers(3))),
         );
         let x = serial.testbench().reference_design();
         assert_eq!(serial.feasibility(&x), parallel.feasibility(&x));
@@ -446,11 +446,11 @@ mod tests {
     fn type_erased_problem_behaves_like_the_static_one() {
         let erased: YieldProblem<dyn Benchmark> = YieldProblem::from_bench(
             Arc::new(CircuitBench::new(FoldedCascode::new())),
-            Arc::new(SerialEngine::new(EngineConfig::default())),
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1))),
         );
         let static_p = YieldProblem::with_engine(
             FoldedCascode::new(),
-            Arc::new(SerialEngine::new(EngineConfig::default())),
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1))),
         );
         let x = erased.bench().reference_design();
         assert_eq!(erased.dimension(), static_p.dimension());

@@ -1,15 +1,15 @@
-//! The evaluation engines: serial and parallel dispatch over the shared
-//! block cache with deterministic per-block RNG streams.
+//! The evaluation engine: dispatch over the shared block cache with
+//! deterministic per-block RNG streams.
 //!
-//! Both engines share one core. A batch of [`McRequest`]s is split into
-//! per-`(design, block)` tasks (deduplicated and merged, so one block is
-//! touched by exactly one task per batch), the tasks are executed — inline by
-//! [`SerialEngine`], on the work-stealing pool by [`ParallelEngine`] — and
-//! the outcomes are assembled back in request order. Because a block's unit
-//! points are a pure function of `(engine seed, quantized design, block
-//! index)` and outcomes are cached per sample index, the *values* returned
-//! and the *number of simulations executed* are identical regardless of
-//! execution order: parallel and serial runs are bit-identical.
+//! A batch of [`McRequest`]s is split into per-`(design, block)` tasks
+//! (deduplicated and merged, so one block is touched by exactly one task per
+//! batch), the tasks are executed — inline at one worker, on the
+//! work-stealing pool otherwise — and the outcomes are assembled back in
+//! request order. Because a block's unit points are a pure function of
+//! `(engine seed, quantized design, block index)` and outcomes are cached per
+//! sample index, the *values* returned and the *number of simulations
+//! executed* are identical regardless of execution order: every worker count
+//! gives bit-identical runs.
 
 use crate::cache::{design_key, Block, SimCache};
 use crate::model::{McRequest, SimulationModel};
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration shared by both engine implementations.
+/// Configuration of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Master seed of every per-block RNG stream. Two engines with the same
@@ -41,8 +41,10 @@ pub struct EngineConfig {
     /// budgets (~15-35 samples, which a bigger block would under-stratify)
     /// and `n_max` (500).
     pub block_size: usize,
-    /// Worker threads for [`ParallelEngine`]; `0` = the machine's available
-    /// parallelism. Ignored by [`SerialEngine`].
+    /// Worker threads of the engine: `1` runs every batch inline on the
+    /// calling thread (the "serial" engine), `0` uses the machine's
+    /// available parallelism and `n > 1` uses `n` pool threads (both
+    /// "parallel"). Results are bit-identical at every worker count.
     pub workers: usize,
     /// The variance-reduction estimator shaping every block of the sample
     /// streams (see `moheco_sampling::estimator`). The default
@@ -82,7 +84,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker count (`ParallelEngine` only).
+    /// Sets the worker count (`1` = inline, `0` = all cores).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -263,9 +265,17 @@ struct BlockTask {
     ranges: Vec<(usize, usize)>,
 }
 
-/// State shared by [`SerialEngine`] and [`ParallelEngine`].
-struct EngineCore {
+/// The evaluation engine. [`EngineConfig::workers`] is its only dispatch
+/// knob: at `1` every batch runs inline on the calling thread (no thread is
+/// ever spawned), otherwise tasks are drained by the work-stealing
+/// [`pool`]. All randomness lives in per-block streams that do not depend on
+/// execution order, and the cache guarantees each sample is simulated at
+/// most once, so every worker count produces bit-identical results for the
+/// same [`EngineConfig::seed`].
+pub struct Engine {
     config: EngineConfig,
+    /// Resolved pool size (`config.workers`, with `0` = available cores).
+    workers: usize,
     estimator: Box<dyn YieldEstimator>,
     cache: SimCache,
     stats: EngineStats,
@@ -285,10 +295,16 @@ fn seeded_cache_key(design_key: u64, seed: u64) -> u64 {
     splitmix64(design_key ^ splitmix64(seed ^ 0xCA11_ED5E_ED00_0001))
 }
 
-impl EngineCore {
-    fn new(config: EngineConfig) -> Self {
+impl Engine {
+    /// Creates an engine; see [`EngineConfig::workers`] for the worker count.
+    pub fn new(config: EngineConfig) -> Self {
         config.validate();
+        let workers = match config.workers {
+            0 => pool::default_workers(),
+            n => n,
+        };
         Self {
+            workers,
             estimator: config.build_estimator(),
             cache: SimCache::new(),
             stats: EngineStats::new(),
@@ -297,10 +313,6 @@ impl EngineCore {
             batch_seq: AtomicU64::new(0),
             config,
         }
-    }
-
-    fn active_seed(&self) -> u64 {
-        self.active_seed.load(Ordering::Relaxed)
     }
 
     fn make_block(
@@ -364,19 +376,31 @@ impl EngineCore {
         tasks.sort_by_key(|t| (t.cache_key, t.block));
         tasks
     }
+}
 
-    fn mc_outcomes(
-        &self,
-        model: &dyn SimulationModel,
-        requests: &[McRequest],
-        workers: usize,
-    ) -> Vec<Vec<f64>> {
+impl EvalEngine for Engine {
+    /// `"serial"` when configured with one worker, `"parallel"` otherwise.
+    /// The label follows the configured count, not the resolved one, so a
+    /// `workers: 0` engine is `"parallel"` even on a one-core host.
+    fn name(&self) -> &'static str {
+        if self.config.workers == 1 {
+            "serial"
+        } else {
+            "parallel"
+        }
+    }
+
+    fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    fn mc_outcomes(&self, model: &dyn SimulationModel, requests: &[McRequest]) -> Vec<Vec<f64>> {
         let start_time = Instant::now();
         let batch = self.batch_seq.fetch_add(1, Ordering::Relaxed);
         let tasks = self.plan_tasks(requests);
         let executed = AtomicU64::new(0);
 
-        pool::run_tasks(&tasks, workers, |task| {
+        pool::run_tasks(&tasks, self.workers, |task| {
             let design = &requests[task.request_index].design;
             let block = self.cache.block(task.cache_key, task.block, batch, || {
                 self.make_block(model, design, task.stream_key, task.block)
@@ -423,14 +447,12 @@ impl EngineCore {
                     };
                     guard.outcomes[i] = Some(outcome);
                 }
-            }
-            // A fully simulated block never reads points or weights again;
-            // drop the (now all-empty) outer vectors too.
-            if ran > 0 && guard.outcomes.iter().all(|o| o.is_some()) {
-                guard.points = Vec::new();
-                guard.weights = Vec::new();
-            }
-            if ran > 0 {
+                // A fully simulated block never reads points or weights
+                // again; drop the (now all-empty) outer vectors too.
+                if guard.outcomes.iter().all(|o| o.is_some()) {
+                    guard.points = Vec::new();
+                    guard.weights = Vec::new();
+                }
                 executed.fetch_add(ran, Ordering::Relaxed);
             }
         });
@@ -480,12 +502,11 @@ impl EngineCore {
         results
     }
 
-    fn nominal_batch(
-        &self,
-        model: &dyn SimulationModel,
-        designs: &[Vec<f64>],
-        workers: usize,
-    ) -> Vec<Vec<f64>> {
+    fn estimate(&self, outcomes: &[f64]) -> EstimatedYield {
+        self.estimator.estimate(outcomes)
+    }
+
+    fn nominal_batch(&self, model: &dyn SimulationModel, designs: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let start_time = Instant::now();
         let batch = self.batch_seq.fetch_add(1, Ordering::Relaxed);
         let keys: Vec<u64> = designs.iter().map(|d| design_key(d)).collect();
@@ -498,7 +519,7 @@ impl EngineCore {
         }
         missing.sort_by_key(|&(key, _)| key);
 
-        pool::run_tasks(&missing, workers, |&(key, i)| {
+        pool::run_tasks(&missing, self.workers, |&(key, i)| {
             let margins = model.nominal(&designs[i]);
             self.cache.store_nominal(key, Arc::new(margins), batch);
         });
@@ -530,6 +551,26 @@ impl EngineCore {
         results
     }
 
+    /// `simulations_run` is sourced from the shared counter (the single
+    /// source of truth for executed simulations).
+    fn stats(&self) -> EngineStatsSnapshot {
+        let mut snap = self.stats.snapshot();
+        snap.simulations_run = self.counter.total();
+        snap
+    }
+
+    fn timing(&self) -> EngineTiming {
+        self.stats.timing()
+    }
+
+    fn simulations(&self) -> u64 {
+        self.counter.total()
+    }
+
+    fn counter(&self) -> SimulationCounter {
+        self.counter.clone()
+    }
+
     fn reset(&self) {
         self.stats.reset();
         self.counter.reset();
@@ -539,6 +580,22 @@ impl EngineCore {
     fn reset_counters(&self) {
         self.stats.reset();
         self.counter.reset();
+    }
+
+    fn reseed(&self, seed: u64) {
+        self.active_seed.store(seed, Ordering::Relaxed);
+    }
+
+    fn active_seed(&self) -> u64 {
+        self.active_seed.load(Ordering::Relaxed)
+    }
+
+    fn cache_blocks(&self) -> usize {
+        self.cache.blocks()
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.cache.bytes()
     }
 
     /// Quiescent-time cache trim for external quota policies; evictions land
@@ -551,197 +608,16 @@ impl EngineCore {
         }
         evicted
     }
-
-    /// Snapshot with `simulations_run` sourced from the shared counter (the
-    /// single source of truth for executed simulations).
-    fn snapshot(&self) -> EngineStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.simulations_run = self.counter.total();
-        snap
-    }
-}
-
-/// In-order, thread-free evaluation engine (the reference implementation).
-pub struct SerialEngine {
-    core: EngineCore,
-}
-
-impl SerialEngine {
-    /// Creates a serial engine.
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            core: EngineCore::new(config),
-        }
-    }
-}
-
-impl EvalEngine for SerialEngine {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    fn mc_outcomes(&self, model: &dyn SimulationModel, requests: &[McRequest]) -> Vec<Vec<f64>> {
-        self.core.mc_outcomes(model, requests, 1)
-    }
-
-    fn estimate(&self, outcomes: &[f64]) -> EstimatedYield {
-        self.core.estimator.estimate(outcomes)
-    }
-
-    fn nominal_batch(&self, model: &dyn SimulationModel, designs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.core.nominal_batch(model, designs, 1)
-    }
-
-    fn stats(&self) -> EngineStatsSnapshot {
-        self.core.snapshot()
-    }
-
-    fn timing(&self) -> EngineTiming {
-        self.core.stats.timing()
-    }
-
-    fn simulations(&self) -> u64 {
-        self.core.counter.total()
-    }
-
-    fn counter(&self) -> SimulationCounter {
-        self.core.counter.clone()
-    }
-
-    fn reset(&self) {
-        self.core.reset();
-    }
-
-    fn reset_counters(&self) {
-        self.core.reset_counters();
-    }
-
-    fn reseed(&self, seed: u64) {
-        self.core.active_seed.store(seed, Ordering::Relaxed);
-    }
-
-    fn active_seed(&self) -> u64 {
-        self.core.active_seed()
-    }
-
-    fn cache_blocks(&self) -> usize {
-        self.core.cache.blocks()
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.core.cache.bytes()
-    }
-
-    fn enforce_cache_limit(&self, max_blocks: usize) -> u64 {
-        self.core.enforce_cache_limit(max_blocks)
-    }
-}
-
-/// Work-stealing multi-threaded evaluation engine.
-///
-/// Produces bit-identical results to [`SerialEngine`] for the same
-/// [`EngineConfig::seed`]: all randomness lives in per-block streams that do
-/// not depend on execution order, and the cache guarantees each sample is
-/// simulated at most once in either mode.
-pub struct ParallelEngine {
-    core: EngineCore,
-    workers: usize,
-}
-
-impl ParallelEngine {
-    /// Creates a parallel engine; `config.workers == 0` selects the machine's
-    /// available parallelism.
-    pub fn new(config: EngineConfig) -> Self {
-        let workers = if config.workers == 0 {
-            pool::default_workers()
-        } else {
-            config.workers
-        };
-        Self {
-            core: EngineCore::new(config),
-            workers: workers.max(1),
-        }
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl EvalEngine for ParallelEngine {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    fn mc_outcomes(&self, model: &dyn SimulationModel, requests: &[McRequest]) -> Vec<Vec<f64>> {
-        self.core.mc_outcomes(model, requests, self.workers)
-    }
-
-    fn estimate(&self, outcomes: &[f64]) -> EstimatedYield {
-        self.core.estimator.estimate(outcomes)
-    }
-
-    fn nominal_batch(&self, model: &dyn SimulationModel, designs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.core.nominal_batch(model, designs, self.workers)
-    }
-
-    fn stats(&self) -> EngineStatsSnapshot {
-        self.core.snapshot()
-    }
-
-    fn timing(&self) -> EngineTiming {
-        self.core.stats.timing()
-    }
-
-    fn simulations(&self) -> u64 {
-        self.core.counter.total()
-    }
-
-    fn counter(&self) -> SimulationCounter {
-        self.core.counter.clone()
-    }
-
-    fn reset(&self) {
-        self.core.reset();
-    }
-
-    fn reset_counters(&self) {
-        self.core.reset_counters();
-    }
-
-    fn reseed(&self, seed: u64) {
-        self.core.active_seed.store(seed, Ordering::Relaxed);
-    }
-
-    fn active_seed(&self) -> u64 {
-        self.core.active_seed()
-    }
-
-    fn cache_blocks(&self) -> usize {
-        self.core.cache.blocks()
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.core.cache.bytes()
-    }
-
-    fn enforce_cache_limit(&self, max_blocks: usize) -> u64 {
-        self.core.enforce_cache_limit(max_blocks)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-worker (inline) engine.
+    fn serial(config: EngineConfig) -> Engine {
+        Engine::new(config.with_workers(1))
+    }
 
     /// Toy model: passes when `u[0] < x[0]`; nominal margins echo the design.
     struct Threshold;
@@ -775,8 +651,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_outcomes_are_bit_identical() {
-        let serial = SerialEngine::new(EngineConfig::default().with_seed(11));
-        let parallel = ParallelEngine::new(EngineConfig::default().with_seed(11).with_workers(4));
+        let serial = serial(EngineConfig::default().with_seed(11));
+        let parallel = Engine::new(EngineConfig::default().with_seed(11).with_workers(4));
         let a = serial.mc_outcomes(&Threshold, &requests());
         let b = parallel.mc_outcomes(&Threshold, &requests());
         assert_eq!(a, b);
@@ -791,7 +667,7 @@ mod tests {
 
     #[test]
     fn repeated_requests_are_served_from_cache() {
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let reqs = requests();
         let first = engine.mc_outcomes(&Threshold, &reqs);
         let after_first = engine.simulations();
@@ -804,8 +680,8 @@ mod tests {
     #[test]
     fn sample_ranges_compose_into_one_stream() {
         // Reading [0, 90) in one request equals reading [0, 40) + [40, 90).
-        let whole = SerialEngine::new(EngineConfig::default().with_seed(5));
-        let split = SerialEngine::new(EngineConfig::default().with_seed(5));
+        let whole = serial(EngineConfig::default().with_seed(5));
+        let split = serial(EngineConfig::default().with_seed(5));
         let x = vec![0.6, 0.1, 0.9];
         let full = whole.mc_single(&Threshold, &x, 0, 90);
         let head = split.mc_single(&Threshold, &x, 0, 40);
@@ -821,7 +697,7 @@ mod tests {
         // Two requests for the same design with a gap between their ranges:
         // the gap samples must not be simulated, and the cache-hit
         // accounting must not underflow (served >= ran).
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let x = vec![0.5, 0.5, 0.5];
         let reqs = vec![
             McRequest::new(x.clone(), 5, 5),
@@ -843,7 +719,7 @@ mod tests {
 
     #[test]
     fn simulation_counts_are_exact_for_fresh_requests() {
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let x = vec![0.5, 0.5, 0.5];
         let out = engine.mc_single(&Threshold, &x, 0, 37);
         assert_eq!(out.len(), 37);
@@ -856,8 +732,8 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = SerialEngine::new(EngineConfig::default().with_seed(1));
-        let b = SerialEngine::new(EngineConfig::default().with_seed(2));
+        let a = serial(EngineConfig::default().with_seed(1));
+        let b = serial(EngineConfig::default().with_seed(2));
         let x = vec![0.5, 0.5, 0.5];
         assert_ne!(
             a.mc_single(&Threshold, &x, 0, 200),
@@ -867,7 +743,7 @@ mod tests {
 
     #[test]
     fn estimates_track_the_true_probability() {
-        let engine = ParallelEngine::new(EngineConfig::default().with_workers(3));
+        let engine = Engine::new(EngineConfig::default().with_workers(3));
         let x = vec![0.42, 0.0, 0.0];
         let outcomes = engine.mc_single(&Threshold, &x, 0, 4_000);
         let mean = outcomes.iter().sum::<f64>() / outcomes.len() as f64;
@@ -876,7 +752,7 @@ mod tests {
 
     #[test]
     fn reset_clears_counts_and_cache() {
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let x = vec![0.5, 0.5, 0.5];
         let _ = engine.mc_single(&Threshold, &x, 0, 20);
         assert!(engine.simulations() > 0);
@@ -890,7 +766,7 @@ mod tests {
 
     #[test]
     fn counter_handle_tracks_engine() {
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let counter = engine.counter();
         let _ = engine.mc_single(&Threshold, &[0.5, 0.5, 0.5], 0, 12);
         assert_eq!(counter.total(), 12);
@@ -916,8 +792,7 @@ mod tests {
 
     #[test]
     fn antithetic_streams_are_mirrored_within_blocks() {
-        let engine =
-            SerialEngine::new(EngineConfig::default().with_estimator(EstimatorKind::Antithetic));
+        let engine = serial(EngineConfig::default().with_estimator(EstimatorKind::Antithetic));
         let x = vec![0.5, 0.5, 0.5];
         let out = engine.mc_single(&Echo, &x, 0, 100);
         for (i, pair) in out.chunks_exact(2).enumerate() {
@@ -933,8 +808,7 @@ mod tests {
         // Reading the two halves of a pair through separate requests must
         // materialise exactly one block (same (design, block) key, hence the
         // same cache shard), and re-reading the mirror half must be free.
-        let engine =
-            SerialEngine::new(EngineConfig::default().with_estimator(EstimatorKind::Antithetic));
+        let engine = serial(EngineConfig::default().with_estimator(EstimatorKind::Antithetic));
         let x = vec![0.5, 0.5, 0.5];
         // Sample 48 and its mirror 49 sit at the end of block 0 (size 50).
         let even = engine.mc_single(&Echo, &x, 48, 1);
@@ -946,7 +820,7 @@ mod tests {
         assert_eq!(engine.simulations(), 2);
 
         // Serial and parallel engines materialise identical pairs.
-        let parallel = ParallelEngine::new(
+        let parallel = Engine::new(
             EngineConfig::default()
                 .with_estimator(EstimatorKind::Antithetic)
                 .with_workers(4),
@@ -958,9 +832,8 @@ mod tests {
     #[test]
     fn every_estimator_is_deterministic_and_parallel_equals_serial() {
         for kind in EstimatorKind::ALL {
-            let serial =
-                SerialEngine::new(EngineConfig::default().with_seed(7).with_estimator(kind));
-            let parallel = ParallelEngine::new(
+            let serial = serial(EngineConfig::default().with_seed(7).with_estimator(kind));
+            let parallel = Engine::new(
                 EngineConfig::default()
                     .with_seed(7)
                     .with_estimator(kind)
@@ -1002,9 +875,8 @@ mod tests {
 
     #[test]
     fn importance_sampled_outcomes_are_weighted_but_unbiased() {
-        let engine = SerialEngine::new(
-            EngineConfig::default().with_estimator(EstimatorKind::ImportanceSampling),
-        );
+        let engine =
+            serial(EngineConfig::default().with_estimator(EstimatorKind::ImportanceSampling));
         let x = vec![0.0];
         let out = engine.mc_single(&Shifted, &x, 0, 2_000);
         // The shift pushes samples into the failure region, so failures are
@@ -1016,9 +888,8 @@ mod tests {
         let mean = out.iter().sum::<f64>() / out.len() as f64;
         assert!((mean - 0.9).abs() < 0.03, "IS mean {mean}");
         // Without a shift hint the same estimator stores raw indicators.
-        let plain = SerialEngine::new(
-            EngineConfig::default().with_estimator(EstimatorKind::ImportanceSampling),
-        );
+        let plain =
+            serial(EngineConfig::default().with_estimator(EstimatorKind::ImportanceSampling));
         let raw = plain.mc_single(&Threshold, &[0.7, 0.0, 0.0], 0, 100);
         assert!(raw.iter().all(|o| *o == 0.0 || *o == 1.0));
     }
@@ -1028,8 +899,8 @@ mod tests {
         // The estimator field must not disturb the historic default streams:
         // an explicit MonteCarlo estimator and the plain default produce the
         // same outcomes for the same seed.
-        let default_engine = SerialEngine::new(EngineConfig::default().with_seed(3));
-        let explicit = SerialEngine::new(
+        let default_engine = serial(EngineConfig::default().with_seed(3));
+        let explicit = serial(
             EngineConfig::default()
                 .with_seed(3)
                 .with_estimator(EstimatorKind::MonteCarlo),
@@ -1043,9 +914,9 @@ mod tests {
 
     #[test]
     fn reseeded_engine_matches_fresh_engine_bit_for_bit() {
-        let fresh_a = SerialEngine::new(EngineConfig::default().with_seed(21));
-        let fresh_b = SerialEngine::new(EngineConfig::default().with_seed(22));
-        let reused = SerialEngine::new(EngineConfig::default().with_seed(21));
+        let fresh_a = serial(EngineConfig::default().with_seed(21));
+        let fresh_b = serial(EngineConfig::default().with_seed(22));
+        let reused = serial(EngineConfig::default().with_seed(21));
         let x = vec![0.6, 0.3, 0.8];
         assert_eq!(
             reused.mc_single(&Echo, &x, 0, 120),
@@ -1072,7 +943,7 @@ mod tests {
 
     #[test]
     fn reset_counters_keeps_the_cache_warm() {
-        let engine = SerialEngine::new(EngineConfig::default());
+        let engine = serial(EngineConfig::default());
         let x = vec![0.5, 0.5, 0.5];
         let first = engine.mc_single(&Threshold, &x, 0, 30);
         assert_eq!(engine.simulations(), 30);
@@ -1087,7 +958,7 @@ mod tests {
 
     #[test]
     fn external_cache_trim_evicts_and_records() {
-        let engine = SerialEngine::new(EngineConfig::default().with_seed(5));
+        let engine = serial(EngineConfig::default().with_seed(5));
         let designs: Vec<Vec<f64>> = (0..5).map(|i| vec![0.1 * i as f64, 0.2, 0.3]).collect();
         let mut reference = Vec::new();
         for x in &designs {
@@ -1113,10 +984,10 @@ mod tests {
         let bounded_config = EngineConfig::default()
             .with_seed(9)
             .with_max_cached_blocks(2);
-        let unbounded = SerialEngine::new(EngineConfig::default().with_seed(9));
-        let bounded = SerialEngine::new(bounded_config);
-        let bounded_twin = SerialEngine::new(bounded_config);
-        let parallel = ParallelEngine::new(EngineConfig {
+        let unbounded = serial(EngineConfig::default().with_seed(9));
+        let bounded = serial(bounded_config);
+        let bounded_twin = serial(bounded_config);
+        let parallel = Engine::new(EngineConfig {
             workers: 4,
             ..bounded_config
         });
@@ -1160,6 +1031,6 @@ mod tests {
             estimator: EstimatorKind::Antithetic,
             ..EngineConfig::default()
         };
-        let _ = SerialEngine::new(config);
+        let _ = serial(config);
     }
 }

@@ -7,10 +7,11 @@
 //! simulation as cheap as the hardware allows. It owns all circuit-simulation
 //! dispatch for the workspace:
 //!
-//! * [`engine::EvalEngine`] — the dispatch abstraction. Two implementations:
-//!   [`engine::SerialEngine`] (in-order, zero threads) and
-//!   [`engine::ParallelEngine`] (a work-stealing pool of `std::thread`
-//!   workers; the build environment has no `rayon`, so the pool in [`pool`]
+//! * [`engine::EvalEngine`] — the dispatch abstraction, implemented by
+//!   [`engine::Engine`]. Its worker count ([`EngineConfig::workers`]) is the
+//!   only dispatch knob: `1` runs in order on the calling thread with zero
+//!   threads, anything else uses a work-stealing pool of `std::thread`
+//!   workers (the build environment has no `rayon`, so the pool in [`pool`]
 //!   plays its role).
 //! * **Deterministic per-job RNG streams** — every Monte-Carlo outcome of a
 //!   design is indexed. Outcomes are generated in fixed-size *blocks* whose
@@ -30,7 +31,7 @@
 //!  YieldOptimizer / two_stage / OCBA loop / Nelder-Mead
 //!        │  batches of McRequest { design, start, count }
 //!        ▼
-//!  EvalEngine (Serial | Parallel)
+//!  Engine (workers = 1: inline, otherwise: pool)
 //!        │  split into per-(design, block) tasks, deduplicated
 //!        ▼
 //!  SimCache ──hit──► outcomes already on file (free)
@@ -44,7 +45,7 @@
 //! # Example
 //!
 //! ```
-//! use moheco_runtime::{EngineConfig, EvalEngine, McRequest, SerialEngine, SimulationModel};
+//! use moheco_runtime::{Engine, EngineConfig, EvalEngine, McRequest, SimulationModel};
 //!
 //! /// A toy "circuit": passes when the first coordinate of the process
 //! /// sample is below the first design variable.
@@ -57,7 +58,7 @@
 //!     fn nominal(&self, x: &[f64]) -> Vec<f64> { vec![x[0]] }
 //! }
 //!
-//! let engine = SerialEngine::new(EngineConfig::default());
+//! let engine = Engine::new(EngineConfig::default().with_workers(1));
 //! let req = McRequest::new(vec![0.8, 0.0], 0, 200);
 //! let outcomes = engine.mc_outcomes(&Toy, std::slice::from_ref(&req));
 //! let passes = outcomes[0].iter().filter(|&&o| o > 0.5).count();
@@ -78,7 +79,7 @@ pub mod pool;
 pub mod stats;
 
 pub use cache::{design_key, Block, SimCache};
-pub use engine::{EngineConfig, EvalEngine, ParallelEngine, SerialEngine};
+pub use engine::{Engine, EngineConfig, EvalEngine};
 pub use metrics::{attach_engine_probe, render_pool_cache, render_prometheus, EngineCacheUsage};
 pub use model::{McRequest, SimulationModel};
 pub use stats::{EngineStats, EngineStatsSnapshot, EngineTiming};

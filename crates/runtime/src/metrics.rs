@@ -159,7 +159,7 @@ pub fn render_pool_cache(usage: &[EngineCacheUsage]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, SerialEngine};
+    use crate::engine::{Engine, EngineConfig};
     use crate::model::McRequest;
     use crate::SimulationModel;
     use moheco_obs::Span;
@@ -183,7 +183,8 @@ mod tests {
 
     #[test]
     fn probe_attributes_engine_work_to_phases() {
-        let engine: Arc<dyn EvalEngine> = Arc::new(SerialEngine::new(EngineConfig::default()));
+        let engine: Arc<dyn EvalEngine> =
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1)));
         let tracer = Tracer::aggregating();
         attach_engine_probe(&tracer, &engine);
         let req = McRequest::new(vec![0.5], 0, 100);
@@ -231,7 +232,8 @@ mod tests {
 
     #[test]
     fn probe_on_a_disabled_tracer_is_a_no_op() {
-        let engine: Arc<dyn EvalEngine> = Arc::new(SerialEngine::new(EngineConfig::default()));
+        let engine: Arc<dyn EvalEngine> =
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1)));
         let tracer = Tracer::disabled();
         attach_engine_probe(&tracer, &engine);
         let _span = Span::enter(&tracer, "run");
@@ -240,7 +242,8 @@ mod tests {
 
     #[test]
     fn prometheus_snapshot_includes_engine_and_phase_families() {
-        let engine: Arc<dyn EvalEngine> = Arc::new(SerialEngine::new(EngineConfig::default()));
+        let engine: Arc<dyn EvalEngine> =
+            Arc::new(Engine::new(EngineConfig::default().with_workers(1)));
         let tracer = Tracer::aggregating();
         attach_engine_probe(&tracer, &engine);
         {

@@ -1,10 +1,10 @@
 //! A minimal work-stealing execution pool built on scoped `std::thread`s.
 //!
 //! `rayon` is not available in this build environment, so this module plays
-//! its role for the [`crate::ParallelEngine`]: a batch of independent tasks
-//! is drained from a shared atomic cursor by `workers` scoped threads
-//! (dynamic self-scheduling — each idle worker "steals" the next undone task,
-//! so long tasks never serialise behind short ones).
+//! its role for a [`crate::Engine`] with more than one worker: a batch of
+//! independent tasks is drained from a shared atomic cursor by `workers`
+//! scoped threads (dynamic self-scheduling — each idle worker "steals" the
+//! next undone task, so long tasks never serialise behind short ones).
 //!
 //! Scoped threads let tasks borrow the simulation model and cache without
 //! `'static` bounds; the pool is created per batch. Spawning and joining two

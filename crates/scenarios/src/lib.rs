@@ -21,11 +21,11 @@
 //!
 //! ```
 //! use moheco_scenarios::{find_scenario, Scenario};
-//! use moheco_runtime::{EngineConfig, SerialEngine};
+//! use moheco_runtime::{Engine, EngineConfig};
 //! use std::sync::Arc;
 //!
 //! let scenario = find_scenario("quadratic_feasibility").unwrap();
-//! let problem = scenario.build(Arc::new(SerialEngine::new(EngineConfig::default())));
+//! let problem = scenario.build(Arc::new(Engine::new(EngineConfig::default().with_workers(1))));
 //! let x = problem.bench().reference_design();
 //! let truth = problem.true_yield(&x).unwrap();
 //! let outcomes = problem.outcomes(&x, 0, 2000);
@@ -99,10 +99,10 @@ pub trait Scenario: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moheco_runtime::{EngineConfig, SerialEngine};
+    use moheco_runtime::{Engine, EngineConfig};
 
     fn serial() -> Arc<dyn EvalEngine> {
-        Arc::new(SerialEngine::new(EngineConfig::default()))
+        Arc::new(Engine::new(EngineConfig::default().with_workers(1)))
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //! way, while borderline designs are where CI width drives the budget.
 
 use moheco::{Benchmark, YieldProblem};
-use moheco_runtime::{EngineConfig, EvalEngine, ParallelEngine, SerialEngine};
+use moheco_runtime::{Engine, EngineConfig, EvalEngine};
 use moheco_sampling::{EstimatorKind, Z_95};
 use moheco_scenarios::{all_scenarios, Scenario};
 use std::sync::Arc;
 
 /// A fresh serial engine with the given master seed and estimator.
 fn serial(seed: u64, kind: EstimatorKind) -> Arc<dyn EvalEngine> {
-    Arc::new(SerialEngine::new(
-        EngineConfig::default().with_seed(seed).with_estimator(kind),
+    Arc::new(Engine::new(
+        EngineConfig::default()
+            .with_seed(seed)
+            .with_estimator(kind)
+            .with_workers(1),
     ))
 }
 
@@ -207,7 +210,7 @@ fn estimator_choice_preserves_parallel_equals_serial_on_a_scenario() {
     let x = scenario.bench().reference_design();
     for kind in EstimatorKind::ALL {
         let serial_problem = scenario.build(serial(42, kind));
-        let parallel_problem = scenario.build(Arc::new(ParallelEngine::new(
+        let parallel_problem = scenario.build(Arc::new(Engine::new(
             EngineConfig::default()
                 .with_seed(42)
                 .with_estimator(kind)

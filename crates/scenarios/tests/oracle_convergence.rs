@@ -6,7 +6,7 @@
 //! a seeded Monte-Carlo estimate at several design points, and the parallel
 //! engine must reproduce the serial engine's outcomes bit-identically.
 
-use moheco_runtime::{EngineConfig, EvalEngine, ParallelEngine, SerialEngine};
+use moheco_runtime::{Engine, EngineConfig, EvalEngine};
 use moheco_sampling::SamplingPlan;
 use moheco_scenarios::{all_scenarios, Scenario};
 use std::sync::Arc;
@@ -22,11 +22,11 @@ fn engine(seed: u64, parallel: bool) -> Arc<dyn EvalEngine> {
         seed,
         ..EngineConfig::default()
     };
-    if parallel {
-        Arc::new(ParallelEngine::new(config.with_workers(3)))
+    Arc::new(Engine::new(config.with_workers(if parallel {
+        3
     } else {
-        Arc::new(SerialEngine::new(config))
-    }
+        1
+    })))
 }
 
 /// Design points to check: the reference design plus two deterministic

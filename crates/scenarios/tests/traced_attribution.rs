@@ -5,7 +5,7 @@
 
 use moheco::{MohecoConfig, YieldOptimizer, YieldStrategy};
 use moheco_obs::{Span, Tracer};
-use moheco_runtime::{attach_engine_probe, EngineConfig, EvalEngine, SerialEngine};
+use moheco_runtime::{attach_engine_probe, Engine, EngineConfig, EvalEngine};
 use moheco_sampling::SamplingPlan;
 use moheco_scenarios::all_scenarios;
 use rand::rngs::StdRng;
@@ -15,9 +15,10 @@ use std::sync::Arc;
 #[test]
 fn every_scenario_attributes_its_full_budget_to_phases() {
     for scenario in all_scenarios() {
-        let engine: Arc<dyn EvalEngine> = Arc::new(SerialEngine::new(EngineConfig {
+        let engine: Arc<dyn EvalEngine> = Arc::new(Engine::new(EngineConfig {
             plan: SamplingPlan::LatinHypercube,
             seed: 7,
+            workers: 1,
             ..EngineConfig::default()
         }));
         let tracer = Tracer::aggregating();

@@ -12,9 +12,7 @@
 
 use moheco::{Benchmark, CircuitBench};
 use moheco_analog::FoldedCascode;
-use moheco_runtime::{
-    EngineConfig, EvalEngine, McRequest, ParallelEngine, SerialEngine, SimulationModel,
-};
+use moheco_runtime::{Engine, EngineConfig, EvalEngine, McRequest, SimulationModel};
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::all_scenarios;
 use std::sync::Arc;
@@ -44,11 +42,11 @@ fn engine(parallel: bool, kind: EstimatorKind, bounded: Option<usize>) -> Arc<dy
     if let Some(max) = bounded {
         config = config.with_max_cached_blocks(max);
     }
-    if parallel {
-        Arc::new(ParallelEngine::new(config.with_workers(4)))
+    Arc::new(Engine::new(config.with_workers(if parallel {
+        4
     } else {
-        Arc::new(SerialEngine::new(config))
-    }
+        1
+    })))
 }
 
 /// Multi-block, overlapping, misaligned request set over two designs: the

@@ -1,11 +1,11 @@
-//! Determinism property of the evaluation engine: the work-stealing
-//! `ParallelEngine` and the in-order `SerialEngine` produce **bit-identical**
-//! results for the same seeds — identical `YieldEstimate`s for a generation
+//! Determinism property of the evaluation engine: an `Engine` on the
+//! work-stealing pool and an in-order one-worker `Engine` produce
+//! **bit-identical** results for the same seeds — identical `YieldEstimate`s for a generation
 //! and identical `RunResult`s for a whole optimization — because all
 //! Monte-Carlo randomness lives in per-(design, block) RNG streams that do
 //! not depend on execution order.
 
-use moheco::runtime::{EngineConfig, ParallelEngine, SerialEngine};
+use moheco::runtime::{Engine, EngineConfig};
 use moheco::{Candidate, CircuitBench, MohecoConfig, RunResult, YieldOptimizer, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
 use rand::rngs::StdRng;
@@ -15,14 +15,16 @@ use std::sync::Arc;
 fn serial_problem(seed: u64) -> YieldProblem<CircuitBench<FoldedCascode>> {
     YieldProblem::with_engine(
         FoldedCascode::new(),
-        Arc::new(SerialEngine::new(EngineConfig::default().with_seed(seed))),
+        Arc::new(Engine::new(
+            EngineConfig::default().with_seed(seed).with_workers(1),
+        )),
     )
 }
 
 fn parallel_problem(seed: u64, workers: usize) -> YieldProblem<CircuitBench<FoldedCascode>> {
     YieldProblem::with_engine(
         FoldedCascode::new(),
-        Arc::new(ParallelEngine::new(
+        Arc::new(Engine::new(
             EngineConfig::default()
                 .with_seed(seed)
                 .with_workers(workers),
