@@ -1,5 +1,5 @@
-//! `moheco-campaign` — multi-seed campaign runner over the scenario
-//! registry, the schema-v4 aggregate-gating entry point.
+//! `moheco-campaign` — the experiment runner over the scenario registry:
+//! multi-seed campaigns and the schema-v4 aggregate gate.
 //!
 //! ```text
 //! moheco-campaign [--scenario <name>|all] [--algo de|ga|memetic|two-stage]
@@ -8,19 +8,23 @@
 //!                 [--schedule fixed|ocba|ocba-shrink]
 //!                 [--engine-reuse reset|shared-cache] [--max-cached-blocks N]
 //!                 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR]
-//!                 [--obs off|jsonl:FILE] [--metrics-out FILE]
+//!                 [--obs off|jsonl:FILE] [--metrics-out FILE] [--list]
 //! ```
 //!
-//! The scenario × algorithm × seed grid runs as one long-lived process with
-//! one engine per scenario. Each completed cell streams one deterministic
-//! JSONL row to `--jsonl` (default `<out-dir>/CAMPAIGN.jsonl`); a killed
+//! `--list` prints the scenario registry (dimensions, spec count, whether a
+//! closed-form truth exists) and exits. Otherwise the scenario × algorithm ×
+//! seed grid runs as one long-lived process with one engine per scenario,
+//! over the seeds `1..=N`. Each completed cell streams one deterministic
+//! JSONL row to `--jsonl` (default `<out-dir>/CAMPAIGN.jsonl`); under the
+//! default `--engine-reuse reset` the seed-`s` row is byte-identical to a
+//! standalone run of seed `s`, and a killed
 //! campaign restarted with the same arguments skips the rows already on
 //! disk and finishes with byte-identical output. Per-(scenario, algo)
 //! aggregates (mean/median/std/CI over the seeds) are written to
 //! `RESULTS_<scenario>.json` in `--out-dir`, and with `--baseline-dir` each
 //! aggregate is gated against the committed baseline on the cross-seed
-//! *median* yield — the single-seed gate this replaces could pass or fail on
-//! seed noise alone.
+//! *median* yield — a single-seed gate could pass or fail on seed noise
+//! alone.
 //!
 //! After the grid completes, the per-cell cost summary (simulations, wall
 //! time, cache efficiency of every cell executed in this invocation) goes to
@@ -34,12 +38,13 @@
 
 use moheco::PrescreenKind;
 use moheco_bench::campaign::run_campaign_traced;
+use moheco_bench::jobspec::seed_count;
 use moheco_bench::results::compare_aggregates;
-use moheco_bench::{Algo, BudgetClass, CliArgs, EngineReuse, JobSpec, ScheduleKind};
+use moheco_bench::{Algo, BudgetClass, CliArgs, EngineKind, EngineReuse, JobSpec, ScheduleKind};
 use moheco_obs::{JsonlCollector, Tracer};
 use moheco_runtime::{render_pool_cache, render_prometheus};
 use moheco_sampling::EstimatorKind;
-use moheco_scenarios::{all_scenarios, find_scenario, Scenario};
+use moheco_scenarios::all_scenarios;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -50,7 +55,7 @@ const USAGE: &str = "usage: moheco-campaign [--scenario <name>|all] \
 [--parallel] [--schedule fixed|ocba|ocba-shrink] \
 [--engine-reuse reset|shared-cache] [--max-cached-blocks N] \
 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR] [--obs off|jsonl:FILE] \
-[--metrics-out FILE]";
+[--metrics-out FILE] [--list]";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("error: {message}");
@@ -58,10 +63,81 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// What one invocation runs, and where its outputs go.
+struct Invocation {
+    spec: JobSpec,
+    out_dir: String,
+    jsonl: PathBuf,
+    baseline_dir: Option<String>,
+    metrics_out: Option<String>,
+    tracer: Tracer,
+}
+
+/// Reads the campaign from the command line, creating the output directory
+/// and the obs stream on the way.
+fn invocation(args: &CliArgs) -> Result<Invocation, String> {
+    let scenarios = match args.value_of("--scenario")? {
+        None | Some("all") => moheco_scenarios::scenario_names(),
+        Some(name) => vec![name.to_string()],
+    };
+    let spec = JobSpec {
+        scenarios,
+        algos: vec![args.parsed_or("--algo", Algo::default(), Algo::parse)?],
+        budget: args.parsed_or("--budget", BudgetClass::default(), BudgetClass::parse)?,
+        seeds: seed_count(args.u64_of("--seeds", 3)?).map_err(|e| format!("--seeds: {e}"))?,
+        engine: args.engine_kind(),
+        estimator: args.parsed_or(
+            "--estimator",
+            EstimatorKind::default(),
+            EstimatorKind::parse,
+        )?,
+        prescreen: args.parsed_or(
+            "--prescreen",
+            PrescreenKind::default(),
+            PrescreenKind::parse,
+        )?,
+        reuse: args.parsed_or("--engine-reuse", EngineReuse::default(), EngineReuse::parse)?,
+        max_cached_blocks: args.u64_of("--max-cached-blocks", 0)? as usize,
+        schedule: args.parsed_or("--schedule", ScheduleKind::default(), ScheduleKind::parse)?,
+    };
+    spec.validate()?;
+    let out_dir = args.value_of("--out-dir")?.unwrap_or(".").to_string();
+    let jsonl = match args.value_of("--jsonl")? {
+        Some(p) => PathBuf::from(p),
+        None => Path::new(&out_dir).join("CAMPAIGN.jsonl"),
+    };
+    let baseline_dir = args.value_of("--baseline-dir")?.map(str::to_string);
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create out dir {out_dir:?}: {e}"))?;
+    let metrics_out = args.value_of("--metrics-out")?.map(str::to_string);
+    let tracer = match args.value_of("--obs")?.unwrap_or("off") {
+        // Phase attribution without an event stream: the Prometheus snapshot
+        // needs the aggregated breakdown only.
+        "off" if metrics_out.is_some() => Tracer::aggregating(),
+        "off" => Tracer::disabled(),
+        obs => {
+            let path = obs
+                .strip_prefix("jsonl:")
+                .ok_or_else(|| format!("unknown obs mode {obs:?}; expected off or jsonl:FILE"))?;
+            let collector = JsonlCollector::create(Path::new(path))
+                .map_err(|e| format!("cannot create obs stream {path:?}: {e}"))?;
+            Tracer::new(Arc::new(collector))
+        }
+    };
+    Ok(Invocation {
+        spec,
+        out_dir,
+        jsonl,
+        baseline_dir,
+        metrics_out,
+        tracer,
+    })
+}
+
 fn main() -> ExitCode {
     let args = CliArgs::parse();
     if let Err(e) = args.expect_only(
-        &["--parallel"],
+        &["--parallel", "--list"],
         &[
             "--scenario",
             "--algo",
@@ -82,145 +158,50 @@ fn main() -> ExitCode {
         return fail(&e);
     }
 
-    let scenarios: Vec<Arc<dyn Scenario>> = match args.value_of("--scenario") {
-        Err(e) => return fail(&e),
-        Ok(None) | Ok(Some("all")) => all_scenarios(),
-        Ok(Some(name)) => match find_scenario(name) {
-            Some(s) => vec![s],
-            None => {
-                let names = moheco_scenarios::scenario_names().join(", ");
-                return fail(&format!("unknown scenario {name:?}; registered: {names}"));
-            }
-        },
-    };
-    let algo = match args.value_of("--algo") {
-        Err(e) => return fail(&e),
-        Ok(None) => Algo::default(),
-        Ok(Some(v)) => match Algo::parse(v) {
-            Some(a) => a,
-            None => return fail(&format!("unknown algo {v:?}")),
-        },
-    };
-    let budget = match args.value_of("--budget") {
-        Err(e) => return fail(&e),
-        Ok(None) => BudgetClass::default(),
-        Ok(Some(v)) => match BudgetClass::parse(v) {
-            Some(b) => b,
-            None => return fail(&format!("unknown budget {v:?}")),
-        },
-    };
-    let estimator = match args.value_of("--estimator") {
-        Err(e) => return fail(&e),
-        Ok(None) => EstimatorKind::default(),
-        Ok(Some(v)) => match EstimatorKind::parse(v) {
-            Some(k) => k,
-            None => return fail(&format!("unknown estimator {v:?}")),
-        },
-    };
-    let prescreen = match args.value_of("--prescreen") {
-        Err(e) => return fail(&e),
-        Ok(None) => PrescreenKind::default(),
-        Ok(Some(v)) => match PrescreenKind::parse(v) {
-            Some(k) => k,
-            None => return fail(&format!("unknown prescreen {v:?}; expected off or rsb")),
-        },
-    };
-    let seeds = match args.u64_of("--seeds", 3) {
-        Ok(s) if s >= 1 => (1..=s).collect::<Vec<u64>>(),
-        Ok(_) => return fail("--seeds must be >= 1"),
-        Err(e) => return fail(&e),
-    };
-    let schedule = match args.value_of("--schedule") {
-        Err(e) => return fail(&e),
-        Ok(None) => ScheduleKind::default(),
-        Ok(Some(v)) => match ScheduleKind::parse(v) {
-            Some(k) => k,
-            None => {
-                return fail(&format!(
-                    "unknown schedule {v:?}; expected fixed, ocba or ocba-shrink"
-                ))
-            }
-        },
-    };
-    let reuse = match args.value_of("--engine-reuse") {
-        Err(e) => return fail(&e),
-        Ok(None) => EngineReuse::default(),
-        Ok(Some(v)) => match EngineReuse::parse(v) {
-            Some(r) => r,
-            None => return fail(&format!("unknown engine-reuse {v:?}")),
-        },
-    };
-    let max_cached_blocks = match args.u64_of("--max-cached-blocks", 0) {
-        Ok(v) => v as usize,
-        Err(e) => return fail(&e),
-    };
-    let out_dir = match args.value_of("--out-dir") {
-        Err(e) => return fail(&e),
-        Ok(v) => v.unwrap_or(".").to_string(),
-    };
-    let jsonl: PathBuf = match args.value_of("--jsonl") {
-        Err(e) => return fail(&e),
-        Ok(Some(p)) => PathBuf::from(p),
-        Ok(None) => Path::new(&out_dir).join("CAMPAIGN.jsonl"),
-    };
-    let baseline_dir = match args.value_of("--baseline-dir") {
-        Err(e) => return fail(&e),
-        Ok(v) => v.map(str::to_string),
-    };
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("cannot create out dir {out_dir:?}: {e}"));
-    }
-    let metrics_out = match args.value_of("--metrics-out") {
-        Err(e) => return fail(&e),
-        Ok(v) => v.map(str::to_string),
-    };
-    let obs = match args.value_of("--obs") {
-        Err(e) => return fail(&e),
-        Ok(v) => v.unwrap_or("off").to_string(),
-    };
-    let tracer = if let Some(path) = obs.strip_prefix("jsonl:") {
-        match JsonlCollector::create(Path::new(path)) {
-            Ok(c) => Tracer::new(Arc::new(c)),
-            Err(e) => return fail(&format!("cannot create obs stream {path:?}: {e}")),
+    if args.has("--list") {
+        println!(
+            "{:<24} {:>4} {:>5} {:>6} {:<6} description",
+            "scenario", "dim", "stats", "specs", "truth"
+        );
+        for s in all_scenarios() {
+            println!(
+                "{:<24} {:>4} {:>5} {:>6} {:<6} {}",
+                s.name(),
+                s.dimension(),
+                s.statistical_dimension(),
+                s.spec_names().len(),
+                if s.has_true_yield() { "exact" } else { "mc" },
+                s.description()
+            );
         }
-    } else if obs != "off" {
-        return fail(&format!(
-            "unknown obs mode {obs:?}; expected off or jsonl:FILE"
-        ));
-    } else if metrics_out.is_some() {
-        // Phase attribution without an event stream: the Prometheus snapshot
-        // needs the aggregated breakdown only.
-        Tracer::aggregating()
-    } else {
-        Tracer::disabled()
-    };
+        return ExitCode::SUCCESS;
+    }
 
-    let spec = JobSpec {
-        scenarios: scenarios.iter().map(|s| s.name().to_string()).collect(),
-        algos: vec![algo],
-        budget,
-        seeds,
-        engine: args.engine_kind(),
-        estimator,
-        prescreen,
-        reuse,
-        max_cached_blocks,
-        schedule,
+    let Invocation {
+        spec,
+        out_dir,
+        jsonl,
+        baseline_dir,
+        metrics_out,
+        tracer,
+    } = match invocation(&args) {
+        Ok(i) => i,
+        Err(e) => return fail(&e),
     };
     eprintln!(
         "moheco-campaign: {} cell(s) ({} scenario(s) x {} x {} seed(s)), budget {}, estimator {}, prescreen {}, {} engine, reuse {}, schedule {}{}",
         spec.cells(),
         spec.scenarios.len(),
-        algo.label(),
+        spec.algos[0].label(),
         spec.seeds.len(),
-        budget.label(),
-        estimator.label(),
-        prescreen.label(),
+        spec.budget.label(),
+        spec.estimator.label(),
+        spec.prescreen.label(),
         spec.engine.label(),
-        reuse.label(),
-        schedule.label(),
-        if max_cached_blocks > 0 {
-            format!(", cache bound {max_cached_blocks} blocks")
+        spec.reuse.label(),
+        spec.schedule.label(),
+        if spec.max_cached_blocks > 0 {
+            format!(", cache bound {} blocks", spec.max_cached_blocks)
         } else {
             String::new()
         },
@@ -327,16 +308,16 @@ fn main() -> ExitCode {
                             "moheco-campaign --scenario {} --algo {} --budget {} --seeds {}",
                             agg.scenario,
                             agg.algo,
-                            budget.label(),
+                            spec.budget.label(),
                             agg.seeds.len(),
                         );
-                        if estimator != EstimatorKind::default() {
-                            hint.push_str(&format!(" --estimator {}", estimator.label()));
+                        if spec.estimator != EstimatorKind::default() {
+                            hint.push_str(&format!(" --estimator {}", spec.estimator.label()));
                         }
-                        if prescreen != PrescreenKind::default() {
-                            hint.push_str(&format!(" --prescreen {}", prescreen.label()));
+                        if spec.prescreen != PrescreenKind::default() {
+                            hint.push_str(&format!(" --prescreen {}", spec.prescreen.label()));
                         }
-                        if args.has("--parallel") {
+                        if spec.engine == EngineKind::Parallel {
                             hint.push_str(" --parallel");
                         }
                         let msg = format!(

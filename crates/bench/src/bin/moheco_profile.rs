@@ -4,9 +4,9 @@
 //! moheco-profile --input FILE [--check]
 //! ```
 //!
-//! `FILE` is a JSONL stream written by `moheco-run --obs jsonl:FILE` (or any
-//! `JsonlCollector`): one flat JSON object per span exit plus one
-//! `run_summary` record per completed scenario. The binary rebuilds the
+//! `FILE` is a JSONL stream written by `moheco-campaign --obs jsonl:FILE` (or
+//! any `JsonlCollector`): one flat JSON object per span exit plus one
+//! `run_summary` record per completed run. The binary rebuilds the
 //! [`PhaseBreakdown`] from the raw span events and prints a self-time table
 //! (sorted by self simulations) followed by a text flamegraph over
 //! *inclusive* simulations.

@@ -89,19 +89,12 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-    let budget = match args.value_of("--budget") {
+    let budget = match args.parsed_or("--budget", BudgetClass::Paper, BudgetClass::parse) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
-        Ok(None) => BudgetClass::Paper,
-        Ok(Some(v)) => match BudgetClass::parse(v) {
-            Some(b) => b,
-            None => {
-                eprintln!("error: unknown budget {v:?}");
-                return ExitCode::from(2);
-            }
-        },
     };
     let seeds = match args.u64_of("--seeds", 3) {
         Ok(s) if s >= 1 => s,

@@ -35,6 +35,7 @@
 //! ```
 
 use moheco_bench::campaign::run_campaign;
+use moheco_bench::jobspec::seed_count;
 use moheco_bench::results::{fmt_f64, AggregateResult, YIELD_TOLERANCE};
 use moheco_bench::{Algo, BudgetClass, CliArgs, GroupOutcome, JobSpec, OcbaSchedule, ScheduleKind};
 use moheco_scenarios::all_scenarios;
@@ -89,31 +90,22 @@ fn main() -> ExitCode {
     ) {
         return fail(&e);
     }
-    let budget = match args.value_of("--budget") {
-        Err(e) => return fail(&e),
-        Ok(None) => BudgetClass::Tiny,
-        Ok(Some(v)) => match BudgetClass::parse(v) {
-            Some(b) => b,
-            None => return fail(&format!("unknown budget {v:?}")),
-        },
-    };
-    let adaptive = match args.value_of("--schedule") {
-        Err(e) => return fail(&e),
-        Ok(None) => ScheduleKind::OcbaShrink,
-        Ok(Some(v)) => match ScheduleKind::parse(v) {
-            Some(k) if k != ScheduleKind::Fixed => k,
-            _ => {
-                return fail(&format!(
-                    "unknown schedule {v:?}; expected ocba or ocba-shrink"
-                ))
-            }
-        },
-    };
-    let seeds = match args.u64_of("--seeds", 8) {
-        Ok(s) if s >= 1 => s,
-        Ok(_) => return fail("--seeds must be >= 1"),
+    let budget = match args.parsed_or("--budget", BudgetClass::Tiny, BudgetClass::parse) {
+        Ok(b) => b,
         Err(e) => return fail(&e),
     };
+    // `fixed` is the reference side of the study, never the adaptive one.
+    let adaptive = match args.parsed_or("--schedule", ScheduleKind::OcbaShrink, |v| {
+        ScheduleKind::parse(v).filter(|k| *k != ScheduleKind::Fixed)
+    }) {
+        Ok(k) => k,
+        Err(e) => return fail(&e),
+    };
+    let seed_pool = match args.u64_of("--seeds", 8).and_then(seed_count) {
+        Ok(s) => s,
+        Err(e) => return fail(&format!("--seeds: {e}")),
+    };
+    let seeds = seed_pool.len() as u64;
     let data_dir = match args.value_of("--data-dir") {
         Err(e) => return fail(&e),
         Ok(v) => v.unwrap_or("schedule-study-data").to_string(),
@@ -138,7 +130,7 @@ fn main() -> ExitCode {
         scenarios: scenarios.iter().map(|s| s.name().to_string()).collect(),
         algos: vec![Algo::TwoStage],
         budget,
-        seeds: (1..=seeds).collect(),
+        seeds: seed_pool,
         ..JobSpec::default()
     };
     let mut reports = Vec::new();

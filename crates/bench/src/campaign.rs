@@ -10,7 +10,7 @@
 //! * **Engine reuse** — one engine per scenario lives for the whole
 //!   campaign. In the default [`EngineReuse::Reset`] mode it is reseeded and
 //!   fully reset before each cell, so every row is bit-identical to a
-//!   standalone `moheco-run` invocation of the same
+//!   standalone [`RunSpec::execute`] of the same
 //!   `(scenario, algo, budget, seed, estimator, prescreen)`. The opt-in
 //!   [`EngineReuse::SharedCache`] mode keeps the cache warm across cells:
 //!   sample streams are seed-keyed, so every *yield* is still bit-identical —

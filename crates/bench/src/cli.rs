@@ -56,27 +56,51 @@ impl CliArgs {
         }
     }
 
-    /// Validates that every argument is either one of `boolean_flags`, one
-    /// of `valued_flags`, or the value of a valued flag.
+    /// Parses the value of a flag with `parse` (a label parser such as
+    /// `Algo::parse`), with a default when absent.
     ///
     /// # Errors
     ///
-    /// Returns the first unrecognized argument.
+    /// Returns an error when the value is missing or `parse` rejects it.
+    pub fn parsed_or<T>(
+        &self,
+        flag: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.value_of(flag)? {
+            None => Ok(default),
+            Some(v) => {
+                parse(v).ok_or_else(|| format!("unknown {} {v:?}", flag.trim_start_matches("--")))
+            }
+        }
+    }
+
+    /// Validates that every argument is either one of `boolean_flags`, one
+    /// of `valued_flags`, or the value of a valued flag, and that no flag
+    /// is given twice ([`Self::value_of`] would silently take the first
+    /// value).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first unrecognized or repeated argument.
     pub fn expect_only(&self, boolean_flags: &[&str], valued_flags: &[&str]) -> Result<(), String> {
+        let mut seen: Vec<&str> = Vec::new();
         let mut skip_value = false;
         for a in &self.args {
             if skip_value {
                 skip_value = false;
                 continue;
             }
-            if boolean_flags.contains(&a.as_str()) {
-                continue;
+            let a = a.as_str();
+            if !boolean_flags.contains(&a) && !valued_flags.contains(&a) {
+                return Err(format!("unrecognized argument {a:?}"));
             }
-            if valued_flags.contains(&a.as_str()) {
-                skip_value = true;
-                continue;
+            if seen.contains(&a) {
+                return Err(format!("flag {a} given more than once"));
             }
-            return Err(format!("unrecognized argument {a:?}"));
+            seen.push(a);
+            skip_value = valued_flags.contains(&a);
         }
         Ok(())
     }
@@ -132,6 +156,10 @@ mod tests {
         assert_eq!(a.u64_of("--seed", 1).unwrap(), 7);
         assert_eq!(a.u64_of("--budget-n", 42).unwrap(), 42);
         assert_eq!(a.value_of("--scenario").unwrap(), Some("all"));
+        assert_eq!(a.parsed_or("--seed", 0, |v| v.parse().ok()).unwrap(), 7);
+        assert_eq!(a.parsed_or("--algo", 3, |_| None).unwrap(), 3);
+        let err = a.parsed_or("--scenario", 0, |_| None::<u8>).unwrap_err();
+        assert_eq!(err, "unknown scenario \"all\"");
     }
 
     #[test]
@@ -149,6 +177,18 @@ mod tests {
         assert!(a.expect_only(&["--paper"], &[]).is_err());
         let b = args(&["--seed", "7", "--parallel"]);
         assert!(b.expect_only(&["--parallel"], &["--seed"]).is_ok());
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected() {
+        let valued = args(&["--seeds", "3", "--seeds", "5"]);
+        let err = valued.expect_only(&[], &["--seeds"]).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+        let boolean = args(&["--parallel", "--parallel"]);
+        assert!(boolean.expect_only(&["--parallel"], &[]).is_err());
+        // A value equal to a flag name is a value, not a repetition.
+        let value = args(&["--out-dir", "--out-dir"]);
+        assert!(value.expect_only(&[], &["--out-dir"]).is_ok());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The unified experiment harness behind the `moheco-run` binary.
+//! The unified experiment harness behind the `moheco-campaign` binary.
 //!
 //! [`RunSpec`] executes one (scenario, algorithm, budget, seed, engine)
 //! combination through the PR-1 evaluation engine and condenses it into one
@@ -11,9 +11,7 @@
 //!     .execute()
 //! ```
 //!
-//! The historical `run_scenario*` free functions remain as one-line
-//! deprecated shims over the builder for one release. Four algorithms are
-//! exposed:
+//! Four algorithms are exposed:
 //!
 //! * `memetic` — full MOHECO (two-stage OO estimation + DE/NM search);
 //! * `two-stage` — OO + AS + LHS without the memetic operator;
@@ -43,7 +41,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The algorithms `moheco-run --algo` accepts.
+/// The algorithms `moheco-campaign --algo` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algo {
     /// Plain DE over a fixed-budget yield objective.
@@ -80,7 +78,7 @@ impl Algo {
     }
 }
 
-/// The budget classes `moheco-run --budget` accepts.
+/// The budget classes `moheco-campaign --budget` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BudgetClass {
     /// Minimal settings for unit tests (seconds per scenario).
@@ -282,8 +280,8 @@ impl TrialFilter for SurrogateTrialFilter {
 /// with [`RunSpec::execute`] — the one entry point every binary, test and the
 /// job server drive runs through.
 ///
-/// Defaults mirror `moheco-run`'s: [`BudgetClass::Small`], seed 1, serial
-/// engine, plain Monte-Carlo estimator, no prescreen, disabled tracer.
+/// Defaults: [`BudgetClass::Small`], seed 1, serial engine, plain
+/// Monte-Carlo estimator, no prescreen, disabled tracer.
 ///
 /// Two engine modes:
 ///
@@ -603,7 +601,6 @@ impl<'a> RunSpec<'a> {
             trace_digest: digest,
             wall_time_ms,
             engine_stats,
-            engine_timing: problem.engine().timing(),
             phase_breakdown: tracer.breakdown(),
         }
     }
@@ -640,7 +637,7 @@ mod tests {
         assert!(r.generations >= 1);
         assert!((0.0..=1.0).contains(&r.best_yield));
         assert!(r.true_yield.is_some(), "synthetic scenario has a truth");
-        let parsed = parse_flat_json(&r.to_json()).expect("schema is well-formed");
+        let parsed = parse_flat_json(r.to_jsonl_row().trim_end()).expect("schema is well-formed");
         assert_eq!(parsed.str("algo"), Some("memetic"));
         assert_eq!(parsed.num("seed"), Some(1.0));
     }

@@ -1,6 +1,6 @@
 //! [`JobSpec`] — the one serializable description of a scenario × algorithm
-//! × seed grid, shared verbatim by `moheco-campaign` (CLI), `moheco-run`
-//! (CLI) and `moheco-serve` (HTTP `POST /jobs` bodies).
+//! × seed grid, shared verbatim by `moheco-campaign` (CLI) and
+//! `moheco-serve` (HTTP `POST /jobs` bodies).
 //!
 //! A spec names its scenarios (resolution against the registry happens at
 //! execution time), so the same object round-trips through the flat-JSON
@@ -18,11 +18,34 @@ use moheco_scenarios::{find_scenario, Scenario};
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// The largest seed count (`"seeds": N`, `--seeds N`) a spec may expand.
+///
+/// A count is shorthand for the explicit list `"1,2,…,N"`, so it may never
+/// expand past what such a list could carry in a `POST /jobs` body
+/// (`moheco-serve` caps bodies at 1 MiB): the list up to 100,000 is 588,894
+/// bytes. Without a cap, `"seeds": 1e15` would abort the process on the
+/// allocation of an 8 PB seed vector.
+pub const MAX_SEED_COUNT: u64 = 100_000;
+
+/// Expands a seed count `n` into the seeds `1..=n`.
+///
+/// # Errors
+///
+/// Returns an error when `n` is 0 or above [`MAX_SEED_COUNT`].
+pub fn seed_count(n: u64) -> Result<Vec<u64>, String> {
+    if !(1..=MAX_SEED_COUNT).contains(&n) {
+        return Err(format!(
+            "seed count {n} must be between 1 and {MAX_SEED_COUNT}"
+        ));
+    }
+    Ok((1..=n).collect())
+}
+
 /// How the per-scenario engine is prepared between campaign cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineReuse {
     /// Reseed + full reset before every cell: rows are bit-identical to
-    /// standalone `moheco-run` invocations (the default, and the mode the
+    /// standalone [`crate::RunSpec`] runs (the default, and the mode the
     /// determinism acceptance tests pin down).
     #[default]
     Reset,
@@ -371,7 +394,7 @@ impl JobSpec {
             if n < 1.0 || n.fract() != 0.0 {
                 return Err(format!("\"seeds\": {n} must be a positive integer count"));
             }
-            spec.seeds = (1..=n as u64).collect();
+            spec.seeds = seed_count(n as u64)?;
         }
         if let Some(s) = record.str("engine") {
             spec.engine = match s {
@@ -457,6 +480,15 @@ mod tests {
         );
         assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"algos\": \"warp\"}").is_err());
         assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"seeds\": 0}").is_err());
+        // A count expands only up to the cap, so 1e15 is an error, not an
+        // aborted allocation.
+        assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"seeds\": 1e15}").is_err());
+        let at_cap = format!("{{\"scenarios\": \"margin_wall\", \"seeds\": {MAX_SEED_COUNT}}}");
+        assert_eq!(
+            JobSpec::parse(&at_cap).unwrap().seeds.len() as u64,
+            MAX_SEED_COUNT
+        );
+        assert!(seed_count(0).is_err() && seed_count(MAX_SEED_COUNT + 1).is_err());
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl EngineKind {
     }
 
     /// [`Self::build_seeded`] with an explicit variance-reduction estimator
-    /// (`moheco-run --estimator`).
+    /// (`moheco-campaign --estimator`).
     pub fn build_configured(self, seed: u64, estimator: EstimatorKind) -> Arc<dyn EvalEngine> {
         self.build_with(EngineConfig {
             plan: SamplingPlan::LatinHypercube,

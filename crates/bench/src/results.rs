@@ -1,32 +1,36 @@
-//! The machine-readable result schema of `moheco-run` and the CI baseline
-//! gate built on it.
+//! The machine-readable result schema of the experiment harness and the CI
+//! baseline gate built on it.
 //!
-//! One run of one scenario produces one [`ScenarioResult`], serialized as a
-//! flat JSON object with a stable key order (`RESULTS_<scenario>.json`). The
+//! One run of one scenario produces one [`ScenarioResult`]. Its
+//! deterministic fields serialize as one flat JSONL row with a stable key
+//! order ([`ScenarioResult::to_jsonl_row`]), the campaign row format. The
 //! engine counters are embedded under an `engine_` prefix straight from
 //! [`EngineStatsSnapshot::counter_fields`], so the runtime instrumentation
 //! and the result schema cannot drift apart silently.
 //!
-//! CI commits one baseline file per scenario under `baselines/` and re-runs
-//! the harness on every push; [`compare_results`] fails the build on
+//! `moheco-campaign` condenses the rows of each (scenario, algo) group into
+//! one multi-seed [`AggregateResult`] (`RESULTS_<scenario>.json`). CI commits
+//! one aggregate per scenario under `baselines/`, re-runs the 3-seed
+//! campaign on every push, and [`compare_aggregates`] fails the build on
 //!
-//! * **schema drift** — the key set of the fresh result differs from the
+//! * **schema drift** — the key set of the fresh aggregate differs from the
 //!   baseline's (a new field means the baselines must be regenerated
 //!   deliberately, in the same PR), or an identity field (scenario, algo,
-//!   budget, seed, engine) changed;
-//! * **yield deviation** — the reported yield moved by more than
+//!   budget, engine, estimator, prescreen, seeds) changed;
+//! * **yield deviation** — the cross-seed median yield moved by more than
 //!   [`YIELD_TOLERANCE`] (5 percentage points) from the committed value.
 //!
-//! Timing fields (`wall_time_ms`, `engine_busy_nanos`) and the simulation
-//! counters are *reported* in the one-line trend summary but never gated:
-//! they vary across hosts, while the gated fields are deterministic in
-//! `(scenario, algo, budget, seed)` up to libm rounding.
+//! Timing (`wall_time_ms`, the engine's busy time) never reaches a row or
+//! an aggregate, and the simulation counters are *reported* in the one-line
+//! trend summary but never gated: they vary across hosts, while the gated
+//! fields are deterministic in `(scenario, algo, budget, seed)` up to libm
+//! rounding.
 //!
 //! No serialization crates exist in this build environment, so the module
 //! carries its own minimal JSON writer and parser.
 
 use moheco_obs::PhaseBreakdown;
-use moheco_runtime::{EngineStatsSnapshot, EngineTiming};
+use moheco_runtime::EngineStatsSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -44,18 +48,18 @@ use std::fmt::Write as _;
 /// (`seeds` + mean/median/std/CI fields) gated on the aggregate median —
 /// a single-seed point estimate can pass or fail on seed noise alone, so
 /// the trust boundary moved to statistics over repeated runs. v5 is the
-/// observability layer: `engine_busy_nanos` now comes from the segregated
-/// [`EngineTiming`] struct instead of the counter snapshot, and a traced
-/// run's pretty file carries a compact `phase_breakdown` summary (treated
-/// like a timing field, so never in JSONL rows; the full span stream lives in the
-/// `--obs jsonl:` event file read by `moheco-profile`).
+/// observability layer: engine busy time moved to the segregated
+/// [`moheco_runtime::EngineTiming`] struct, out of the counter snapshot,
+/// and a traced run carries its [`ScenarioResult::phase_breakdown`] (never
+/// in JSONL rows; the full span stream lives in the `--obs jsonl:` event
+/// file read by `moheco-profile`).
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Maximum allowed absolute deviation of `best_yield` from the committed
 /// baseline (5 percentage points, per the CI gating policy).
 pub const YIELD_TOLERANCE: f64 = 0.05;
 
-/// The result record of one `moheco-run` scenario execution.
+/// The result record of one scenario execution ([`crate::RunSpec::execute`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Registry name of the scenario.
@@ -105,11 +109,9 @@ pub struct ScenarioResult {
     pub wall_time_ms: f64,
     /// Engine instrumentation snapshot (deterministic counters only).
     pub engine_stats: EngineStatsSnapshot,
-    /// Engine wall-clock accounting, segregated from the gated counters.
-    pub engine_timing: EngineTiming,
     /// Per-phase budget attribution of the run; empty unless the run was
-    /// traced. Like the other timing-adjacent data it appears only in the
-    /// pretty per-run file (compact form), never in JSONL rows.
+    /// traced. Like the other timing-adjacent data it never appears in
+    /// JSONL rows.
     pub phase_breakdown: PhaseBreakdown,
 }
 
@@ -130,16 +132,18 @@ fn fmt_opt(v: Option<f64>) -> String {
 }
 
 impl ScenarioResult {
-    /// The `(key, rendered value)` pairs of the record in schema order.
-    /// `timing` controls whether the host-dependent fields (`wall_time_ms`,
-    /// `engine_busy_nanos`) are included: the pretty per-run file keeps
-    /// them, the campaign JSONL row drops them so the row is a pure
-    /// function of `(scenario, algo, budget, seed, engine, estimator,
-    /// prescreen)` — which is what makes resumed campaigns byte-identical
-    /// and campaign rows comparable to standalone `moheco-run` output.
-    fn fields(&self, timing: bool) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::with_capacity(32);
-        let mut field = |k: &str, v: String| out.push((k.to_string(), v));
+    /// Serializes the *deterministic* fields as a single JSONL line
+    /// (newline included) in schema order: the campaign row format.
+    /// `wall_time_ms` and the phase breakdown are excluded, so the row is a
+    /// pure function of `(scenario, algo, budget, seed, engine, estimator,
+    /// prescreen)`: two runs of the same cell — standalone, inside a
+    /// campaign, or after a campaign resume — produce byte-identical rows.
+    pub fn to_jsonl_row(&self) -> String {
+        let mut out = String::from("{");
+        let mut field = |k: &str, v: String| {
+            let sep = if out.len() == 1 { "" } else { ", " };
+            let _ = write!(out, "{sep}\"{k}\": {v}");
+        };
         field("schema_version", SCHEMA_VERSION.to_string());
         field("scenario", format!("\"{}\"", self.scenario));
         field("algo", format!("\"{}\"", self.algo));
@@ -163,56 +167,12 @@ impl ScenarioResult {
         field("local_searches", self.local_searches.to_string());
         field("prescreen_skips", self.prescreen_skips.to_string());
         field("trace_digest", format!("\"{}\"", self.trace_digest));
-        if timing {
-            field("wall_time_ms", fmt_f64(self.wall_time_ms));
-            field(
-                "engine_busy_nanos",
-                self.engine_timing.busy_nanos.to_string(),
-            );
-        }
         for (name, value) in self.engine_stats.counter_fields() {
             field(&format!("engine_{name}"), value.to_string());
         }
         field("engine_hit_rate", fmt_f64(self.engine_stats.hit_rate()));
-        if timing && !self.phase_breakdown.is_empty() {
-            field(
-                "phase_breakdown",
-                format!("\"{}\"", self.phase_breakdown.to_compact()),
-            );
-        }
-        out
-    }
-
-    /// Serializes the result as a flat JSON object with a stable key order.
-    pub fn to_json(&self) -> String {
-        let fields = self.fields(true);
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            let comma = if i + 1 == fields.len() { "" } else { "," };
-            let _ = writeln!(out, "  \"{k}\": {v}{comma}");
-        }
         out.push_str("}\n");
         out
-    }
-
-    /// Serializes the *deterministic* fields as a single JSONL line
-    /// (newline included): the campaign row format. Timing fields are
-    /// excluded, so two runs of the same cell — standalone, inside a
-    /// campaign, or after a campaign resume — produce byte-identical rows.
-    pub fn to_jsonl_row(&self) -> String {
-        let fields = self.fields(false);
-        let mut out = String::from("{");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            let comma = if i + 1 == fields.len() { "" } else { ", " };
-            let _ = write!(out, "\"{k}\": {v}{comma}");
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// The file name the harness writes this result to.
-    pub fn file_name(&self) -> String {
-        format!("RESULTS_{}.json", self.scenario)
     }
 }
 
@@ -371,101 +331,6 @@ impl BaselineComparison {
     /// Whether the gate passes.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-}
-
-/// Fields that must match the baseline exactly (run identity; the schema
-/// version is included so a version bump always forces a deliberate
-/// baseline regeneration, even when the key set happens not to change).
-const IDENTITY_FIELDS: [&str; 8] = [
-    "schema_version",
-    "scenario",
-    "algo",
-    "budget",
-    "engine",
-    "estimator",
-    "prescreen",
-    "seed",
-];
-
-/// Gates a fresh result (as JSON text) against its committed baseline.
-pub fn compare_results(baseline_text: &str, current_text: &str) -> BaselineComparison {
-    let mut failures = Vec::new();
-    let (baseline, current) = match (
-        parse_flat_json(baseline_text),
-        parse_flat_json(current_text),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            if let Err(e) = b {
-                failures.push(format!("baseline unparsable: {e}"));
-            }
-            if let Err(e) = c {
-                failures.push(format!("result unparsable: {e}"));
-            }
-            return BaselineComparison {
-                scenario: "?".into(),
-                failures,
-                summary: "unparsable result".into(),
-            };
-        }
-    };
-    let scenario = current.str("scenario").unwrap_or("?").to_string();
-
-    // Schema drift: key sets must be identical (order included — the writer
-    // is deterministic, so an order change is also a deliberate change).
-    if baseline.keys != current.keys {
-        let missing: Vec<&String> = baseline
-            .keys
-            .iter()
-            .filter(|k| !current.keys.contains(k))
-            .collect();
-        let extra: Vec<&String> = current
-            .keys
-            .iter()
-            .filter(|k| !baseline.keys.contains(k))
-            .collect();
-        failures.push(format!(
-            "schema drift: missing keys {missing:?}, new keys {extra:?} (regenerate baselines/ deliberately if intended)"
-        ));
-    }
-
-    for field in IDENTITY_FIELDS {
-        if baseline.values.get(field) != current.values.get(field) {
-            failures.push(format!(
-                "identity field {field:?} changed: baseline {:?}, current {:?}",
-                baseline.values.get(field),
-                current.values.get(field)
-            ));
-        }
-    }
-
-    let b_yield = baseline.num("best_yield").unwrap_or(f64::NAN);
-    let c_yield = current.num("best_yield").unwrap_or(f64::NAN);
-    let dy = c_yield - b_yield;
-    // NaN (a missing/unparsable yield field) must fail the gate too.
-    if dy.is_nan() || dy.abs() > YIELD_TOLERANCE {
-        failures.push(format!(
-            "yield deviation {:.3} exceeds the ±{YIELD_TOLERANCE} gate (baseline {b_yield:.4}, current {c_yield:.4})",
-            dy
-        ));
-    }
-
-    let b_sims = baseline.num("simulations").unwrap_or(f64::NAN);
-    let c_sims = current.num("simulations").unwrap_or(f64::NAN);
-    let sims_trend = if b_sims > 0.0 {
-        format!("{:+.1}%", 100.0 * (c_sims - b_sims) / b_sims)
-    } else {
-        "n/a".to_string()
-    };
-    let summary = format!(
-        "{scenario}: yield {c_yield:.4} (baseline {b_yield:.4}, {dy:+.4}) sims {c_sims:.0} (baseline {b_sims:.0}, {sims_trend}) {}",
-        if failures.is_empty() { "OK" } else { "FAIL" }
-    );
-    BaselineComparison {
-        scenario,
-        failures,
-        summary,
     }
 }
 
@@ -679,8 +544,10 @@ pub fn aggregate_rows(rows: &[JsonRecord]) -> Result<Vec<AggregateResult>, Strin
     Ok(aggregates)
 }
 
-/// Identity fields of an aggregate baseline (the per-run `seed` is replaced
-/// by the `seeds` set).
+/// Fields that must match the baseline exactly: the group identity, with
+/// the seed set in place of a single seed. The schema version is included so
+/// a version bump always forces a deliberate baseline regeneration, even
+/// when the key set happens not to change.
 const AGGREGATE_IDENTITY_FIELDS: [&str; 8] = [
     "schema_version",
     "scenario",
@@ -693,11 +560,11 @@ const AGGREGATE_IDENTITY_FIELDS: [&str; 8] = [
 ];
 
 /// Gates a fresh multi-seed aggregate (as JSON text) against its committed
-/// baseline: schema drift and identity changes fail exactly like the
-/// per-run gate, and the yield criterion compares the cross-seed *medians*
-/// within [`YIELD_TOLERANCE`]. The one-line summary reports the measured
-/// cross-seed std alongside, so the tolerance is visibly justified (or not)
-/// by the actual run-to-run noise.
+/// baseline: schema drift and identity changes fail, and the yield
+/// criterion compares the cross-seed *medians* within [`YIELD_TOLERANCE`].
+/// The one-line summary reports the measured cross-seed std alongside, so
+/// the tolerance is visibly justified (or not) by the actual run-to-run
+/// noise.
 pub fn compare_aggregates(baseline_text: &str, current_text: &str) -> BaselineComparison {
     let mut failures = Vec::new();
     let (baseline, current) = match (
@@ -814,38 +681,8 @@ mod tests {
             trace_digest: "00ff00ff00ff00ff".into(),
             wall_time_ms: 12.5,
             engine_stats: EngineStatsSnapshot::default(),
-            engine_timing: EngineTiming::default(),
             phase_breakdown: PhaseBreakdown::default(),
         }
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_every_field() {
-        let r = sample_result();
-        let json = r.to_json();
-        let parsed = parse_flat_json(&json).expect("well-formed");
-        assert_eq!(parsed.str("scenario"), Some("margin_wall"));
-        assert_eq!(parsed.num("schema_version"), Some(SCHEMA_VERSION as f64));
-        assert_eq!(parsed.num("best_yield"), Some(0.8725));
-        assert_eq!(parsed.str("estimator"), Some("mc"));
-        assert_eq!(parsed.num("ci_half_width"), Some(0.0456));
-        assert_eq!(parsed.num("true_yield"), Some(0.871));
-        assert_eq!(parsed.num("simulations"), Some(1234.0));
-        assert_eq!(parsed.values.get("feasible"), Some(&JsonValue::Bool(true)));
-        assert_eq!(
-            parsed.values.get("engine_cache_hits"),
-            Some(&JsonValue::Num(0.0))
-        );
-        assert_eq!(r.file_name(), "RESULTS_margin_wall.json");
-    }
-
-    #[test]
-    fn none_serializes_as_null() {
-        let mut r = sample_result();
-        r.true_yield = None;
-        r.true_yield_abs_error = None;
-        let parsed = parse_flat_json(&r.to_json()).unwrap();
-        assert_eq!(parsed.values.get("true_yield"), Some(&JsonValue::Null));
     }
 
     #[test]
@@ -859,63 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_results_pass_the_gate() {
-        let json = sample_result().to_json();
-        let cmp = compare_results(&json, &json);
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-        assert!(cmp.summary.contains("OK"));
-        assert_eq!(cmp.scenario, "margin_wall");
-    }
-
-    #[test]
-    fn small_yield_drift_passes_large_fails() {
-        let baseline = sample_result();
-        let mut near = baseline.clone();
-        near.best_yield += 0.03;
-        let cmp = compare_results(&baseline.to_json(), &near.to_json());
-        assert!(cmp.passed(), "{:?}", cmp.failures);
-
-        let mut far = baseline.clone();
-        far.best_yield += 0.08;
-        let cmp = compare_results(&baseline.to_json(), &far.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures[0].contains("yield deviation"));
-    }
-
-    #[test]
-    fn schema_drift_fails_the_gate() {
-        let baseline = sample_result().to_json();
-        let current = baseline.replace("\"generations\": 8,\n", "");
-        let cmp = compare_results(&baseline, &current);
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("schema drift")));
-    }
-
-    #[test]
-    fn identity_change_fails_the_gate() {
-        let baseline = sample_result();
-        let mut other = sample_result();
-        other.seed = 2;
-        let cmp = compare_results(&baseline.to_json(), &other.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("seed")));
-        // The estimator is part of the run identity: an lhs result can never
-        // silently replace an mc baseline.
-        let mut lhs = sample_result();
-        lhs.estimator = "lhs".into();
-        let cmp = compare_results(&baseline.to_json(), &lhs.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("estimator")));
-        // The prescreen is part of the run identity too: a prescreened
-        // result can never silently replace an unscreened baseline.
-        let mut rsb = sample_result();
-        rsb.prescreen = "rsb".into();
-        let cmp = compare_results(&baseline.to_json(), &rsb.to_json());
-        assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("prescreen")));
-    }
-
-    #[test]
     fn digest_is_deterministic_and_sensitive() {
         let a = trace_digest([0.1, 0.2, 0.3]);
         let b = trace_digest([0.1, 0.2, 0.3]);
@@ -926,24 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_row_drops_timing_and_stays_parsable() {
-        let r = sample_result();
-        let row = r.to_jsonl_row();
-        assert!(row.ends_with('\n'));
-        assert_eq!(row.trim_end().lines().count(), 1, "one line per row");
-        let parsed = parse_flat_json(row.trim_end()).expect("row parses");
-        assert!(parsed.num("wall_time_ms").is_none(), "timing excluded");
-        assert!(parsed.num("engine_busy_nanos").is_none(), "timing excluded");
-        assert_eq!(parsed.num("best_yield"), Some(r.best_yield));
-        assert_eq!(parsed.str("trace_digest"), Some("00ff00ff00ff00ff"));
-    }
-
-    #[test]
-    fn phase_breakdown_appears_only_in_the_traced_pretty_file() {
+    fn jsonl_row_roundtrips_every_field_and_drops_timing() {
         use moheco_obs::SpanEvent;
         let mut r = sample_result();
-        // Untraced run: no phase field anywhere.
-        assert!(!r.to_json().contains("phase_breakdown"));
+        // A traced run: the phase breakdown stays off the row like timing.
         r.phase_breakdown = PhaseBreakdown::from_span_events([SpanEvent {
             seq: 0,
             path: "run".into(),
@@ -953,11 +719,30 @@ mod tests {
             evictions: 0,
             wall_nanos: 10,
         }]);
-        let pretty = parse_flat_json(&r.to_json()).expect("pretty parses");
-        assert_eq!(pretty.str("phase_breakdown"), Some("run=1:1234:0:0"));
-        // Timing-adjacent data never reaches the deterministic JSONL row.
-        let row = parse_flat_json(r.to_jsonl_row().trim_end()).expect("row parses");
-        assert!(row.str("phase_breakdown").is_none());
+        let row = r.to_jsonl_row();
+        assert!(row.ends_with('\n'));
+        assert_eq!(row.trim_end().lines().count(), 1, "one line per row");
+        let parsed = parse_flat_json(row.trim_end()).expect("row parses");
+        assert_eq!(parsed.str("scenario"), Some("margin_wall"));
+        assert_eq!(parsed.num("schema_version"), Some(SCHEMA_VERSION as f64));
+        assert_eq!(parsed.num("best_yield"), Some(0.8725));
+        assert_eq!(parsed.str("estimator"), Some("mc"));
+        assert_eq!(parsed.num("ci_half_width"), Some(0.0456));
+        assert_eq!(parsed.num("true_yield"), Some(0.871));
+        assert_eq!(parsed.num("simulations"), Some(1234.0));
+        assert_eq!(parsed.values.get("feasible"), Some(&JsonValue::Bool(true)));
+        assert_eq!(
+            parsed.values.get("engine_cache_hits"),
+            Some(&JsonValue::Num(0.0))
+        );
+        assert_eq!(parsed.str("trace_digest"), Some("00ff00ff00ff00ff"));
+        for timing in ["wall_time_ms", "engine_busy_nanos", "phase_breakdown"] {
+            assert!(!parsed.values.contains_key(timing), "{timing} excluded");
+        }
+
+        r.true_yield = None;
+        let parsed = parse_flat_json(r.to_jsonl_row().trim_end()).unwrap();
+        assert_eq!(parsed.values.get("true_yield"), Some(&JsonValue::Null));
     }
 
     fn sample_rows() -> Vec<JsonRecord> {
@@ -1022,5 +807,19 @@ mod tests {
         let cmp = compare_aggregates(&baseline.to_json(), &fewer.to_json());
         assert!(!cmp.passed());
         assert!(cmp.failures.iter().any(|f| f.contains("seeds")));
+        // So are the estimator and the prescreen: an lhs or prescreened
+        // aggregate can never silently replace an mc or unscreened baseline.
+        let mut lhs = baseline.clone();
+        lhs.estimator = "lhs".into();
+        let mut rsb = baseline.clone();
+        rsb.prescreen = "rsb".into();
+        for (other, field) in [(lhs, "estimator"), (rsb, "prescreen")] {
+            let cmp = compare_aggregates(&baseline.to_json(), &other.to_json());
+            assert!(cmp.failures.iter().any(|f| f.contains(field)), "{field}");
+        }
+        // A dropped key is schema drift.
+        let current = baseline.to_json().replace("  \"runs\": 3,\n", "");
+        let cmp = compare_aggregates(&baseline.to_json(), &current);
+        assert!(cmp.failures.iter().any(|f| f.contains("schema drift")));
     }
 }

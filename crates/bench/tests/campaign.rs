@@ -1,7 +1,7 @@
 //! Determinism guarantees of the campaign layer.
 //!
 //! * A campaign's per-seed rows are **bit-identical** to standalone
-//!   `moheco-run`-style invocations of the same
+//!   [`RunSpec::execute`] runs of the same
 //!   `(scenario, algo, budget, seed, estimator, prescreen)` — engine reuse
 //!   with a per-cell reset changes nothing.
 //! * A **killed-and-resumed** campaign (including one killed mid-row-write)

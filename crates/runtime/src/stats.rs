@@ -194,7 +194,7 @@ impl EngineStatsSnapshot {
     /// Stable `(name, value)` pairs of every counter field, in schema order.
     ///
     /// This is the single source of the snapshot's serialized shape: both
-    /// [`Self::to_json`] and the `moheco-run` result schema (which embeds
+    /// [`Self::to_json`] and the campaign row schema (which embeds
     /// the counters under an `engine_` prefix) are generated from it, so the
     /// two can never drift apart silently. Every field here is
     /// deterministic; wall-clock timing lives in [`EngineTiming`] and is

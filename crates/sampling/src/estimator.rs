@@ -48,7 +48,8 @@ use rand::rngs::StdRng;
 /// z value of a two-sided 95 % normal confidence interval.
 pub const Z_95: f64 = 1.96;
 
-/// The variance-reduction estimators `moheco-run --estimator` can select.
+/// The variance-reduction estimators `moheco-campaign --estimator` can
+/// select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// Plain Monte-Carlo acceptance counting over the engine's sampling plan

@@ -4,8 +4,9 @@
 //! The paper validates its method on two opamp testbenches. This crate turns
 //! the repository into a *benchmarkable system*: a [`Scenario`] bundles a
 //! [`Benchmark`] (circuit or synthetic) with registry metadata, and
-//! [`all_scenarios`] exposes a fixed, ordered registry that the `moheco-run`
-//! experiment harness and the CI baseline gate iterate over:
+//! [`all_scenarios`] exposes a fixed, ordered registry that the
+//! `moheco-campaign` experiment runner and the CI baseline gate iterate
+//! over:
 //!
 //! * the two paper circuits at multiple process-corner severities
 //!   ([`moheco_analog::FoldedCascode::with_corner`] /
@@ -49,7 +50,7 @@ use std::sync::Arc;
 /// optional closed-form ground truth and a builder returning a
 /// [`YieldProblem`] wired to an evaluation engine.
 pub trait Scenario: Send + Sync {
-    /// Registry name (unique, stable; used by `moheco-run --scenario`).
+    /// Registry name (unique, stable; used by `moheco-campaign --scenario`).
     fn name(&self) -> &str;
 
     /// One-line human-readable description.

@@ -3,8 +3,8 @@
 //! Nine scenarios ship by default: the paper's two amplifiers at graded
 //! process-corner severities (via `Testbench::with_corner`) plus five
 //! synthetic analytic benchmarks whose true yield is known in closed form.
-//! `moheco-run --scenario all` iterates exactly this list; CI gates each
-//! entry against a committed baseline.
+//! `moheco-campaign --scenario all` iterates exactly this list; CI gates each
+//! entry's multi-seed aggregate against a committed baseline.
 
 use crate::synthetic::{rotated_spd_matrix, MarginForm, SyntheticBench, SyntheticSpec};
 use crate::Scenario;

@@ -1,6 +1,7 @@
 //! End-to-end service guarantees, exercised over real TCP connections:
 //!
 //! * Basic routes behave (`/healthz`, `/metrics`, 404s, 400s, 405s).
+//! * A seed count too large to expand is a 400, not a dead server.
 //! * Two tenants' jobs run concurrently and their streamed rows are
 //!   byte-identical to an offline `run_campaign` of the same spec.
 //! * A job killed mid-row (torn JSONL tail on disk) and resubmitted to a
@@ -12,9 +13,10 @@
 //! * Per-tenant cache quotas trim a cache-hungry tenant without starving a
 //!   small one.
 
-use moheco_bench::jobspec::{EngineReuse, JobSpec};
+use moheco_bench::jobspec::{EngineReuse, JobSpec, MAX_SEED_COUNT};
 use moheco_bench::{run_campaign, Algo, BudgetClass, ScheduleKind};
 use moheco_serve::client::request;
+use moheco_serve::http::MAX_BODY_BYTES;
 use moheco_serve::{job_path, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -128,6 +130,23 @@ fn basic_routes_and_errors() {
     let bad_method = request(addr, "DELETE", "/jobs/x", &[], b"").expect("405");
     assert_eq!(bad_method.status, 405);
 
+    server.shutdown();
+}
+
+#[test]
+fn huge_seed_count_is_rejected_and_the_server_survives() {
+    // A count may expand no further than an explicit list in a body could.
+    let explicit: Vec<String> = (1..=MAX_SEED_COUNT).map(|s| s.to_string()).collect();
+    assert!(explicit.join(",").len() < MAX_BODY_BYTES);
+
+    let server = server("huge-seeds", 1, 4, 0);
+    let addr = server.addr();
+    let body = b"{\"scenarios\": \"margin_wall\", \"seeds\": 1e15}";
+    let huge = request(addr, "POST", "/jobs", &[], body).expect("400");
+    assert_eq!(huge.status, 400, "{}", huge.text());
+    assert!(huge.text().contains(&MAX_SEED_COUNT.to_string()));
+    let health = request(addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!((health.status, health.text().as_str()), (200, "ok\n"));
     server.shutdown();
 }
 
