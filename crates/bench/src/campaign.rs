@@ -51,7 +51,7 @@ use moheco_runtime::{EngineCacheUsage, EngineConfig, EngineStatsSnapshot, EvalEn
 use moheco_sampling::{EstimatorKind, SamplingPlan};
 use moheco_scenarios::Scenario;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -569,7 +569,9 @@ pub fn run_campaign_traced(
     // scenarios) resumes fine, but its stale cells must not leak into this
     // campaign's aggregates — e.g. regenerating 3-seed baselines over a
     // 5-seed file would otherwise silently commit 5-seed aggregates.
-    let requested = spec.cell_set();
+    // The grid is a product, so a row lies in it exactly when each of its
+    // three coordinates lies on the matching axis.
+    let seeds: HashSet<u64> = spec.seeds.iter().copied().collect();
     let rows = read_existing_rows(jsonl_path, spec)?
         .map(|e| e.rows)
         .unwrap_or_default();
@@ -577,11 +579,9 @@ pub fn run_campaign_traced(
     let rows: Vec<JsonRecord> = rows
         .into_iter()
         .filter(|row| {
-            requested.contains(&(
-                row.str("scenario").unwrap_or_default().to_string(),
-                row.str("algo").unwrap_or_default().to_string(),
-                row.num("seed").unwrap_or(-1.0) as u64,
-            ))
+            by_name.contains_key(row.str("scenario").unwrap_or_default())
+                && algo_by_label.contains_key(row.str("algo").unwrap_or_default())
+                && seeds.contains(&(row.num("seed").unwrap_or(-1.0) as u64))
         })
         .collect();
     if rows.len() < total_rows {

@@ -16,6 +16,7 @@ use moheco::PrescreenKind;
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::{find_scenario, Scenario};
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The largest seed count (`"seeds": N`, `--seeds N`) a spec may expand.
@@ -26,6 +27,18 @@ use std::sync::Arc;
 /// bytes. Without a cap, `"seeds": 1e15` would abort the process on the
 /// allocation of an 8 PB seed vector.
 pub const MAX_SEED_COUNT: u64 = 100_000;
+
+/// The largest grid (`scenarios × algos × seeds` cells) a spec may expand.
+///
+/// It equals [`MAX_SEED_COUNT`], so every seed count a spec accepts still
+/// fits for one scenario and one algorithm; a wider study is several jobs.
+pub const MAX_CELLS: usize = MAX_SEED_COUNT as usize;
+
+/// Whether `items` holds some value twice.
+fn has_repeat<T: Eq + Hash>(items: &[T]) -> bool {
+    let mut seen = HashSet::with_capacity(items.len());
+    !items.iter().all(|item| seen.insert(item))
+}
 
 /// Expands a seed count `n` into the seeds `1..=n`.
 ///
@@ -195,22 +208,12 @@ impl JobSpec {
         }
     }
 
-    /// The `(scenario, algo, seed)` identity of every requested cell.
-    pub fn cell_set(&self) -> HashSet<(String, String, u64)> {
-        self.scenarios
-            .iter()
-            .flat_map(|sc| {
-                self.algos.iter().flat_map(move |a| {
-                    self.seeds
-                        .iter()
-                        .map(move |&seed| (sc.clone(), a.label().to_string(), seed))
-                })
-            })
-            .collect()
-    }
-
-    /// Checks the spec is executable: non-empty grid axes, no duplicate
-    /// cells, and every scenario name registered.
+    /// Checks the spec is executable: non-empty grid axes, every scenario
+    /// name registered, no duplicate cells, and at most [`MAX_CELLS`] cells.
+    ///
+    /// Every check is linear in the axis lengths and runs before anything
+    /// per cell is built, so a short hostile body cannot make a request
+    /// handler expand a huge grid only to reject it.
     pub fn validate(&self) -> Result<(), String> {
         if self.scenarios.is_empty() {
             return Err("spec selects no scenarios".into());
@@ -221,14 +224,22 @@ impl JobSpec {
         if self.seeds.is_empty() {
             return Err("spec selects no seeds".into());
         }
-        if self.cell_set().len() != self.cells() {
+        let registered = moheco_scenarios::scenario_names();
+        if let Some(name) = self.scenarios.iter().find(|n| !registered.contains(n)) {
+            let names = registered.join(", ");
+            return Err(format!("unknown scenario {name:?}; registered: {names}"));
+        }
+        // The grid is a product, so it repeats a cell exactly when one of
+        // its axes repeats a value.
+        let algos: Vec<&str> = self.algos.iter().map(Algo::label).collect();
+        if has_repeat(&self.scenarios) || has_repeat(&algos) || has_repeat(&self.seeds) {
             return Err("spec repeats a (scenario, algo, seed) cell".into());
         }
-        for name in &self.scenarios {
-            if find_scenario(name).is_none() {
-                let names = moheco_scenarios::scenario_names().join(", ");
-                return Err(format!("unknown scenario {name:?}; registered: {names}"));
-            }
+        if self.cells() > MAX_CELLS {
+            return Err(format!(
+                "spec expands to {} cells; at most {MAX_CELLS} are allowed",
+                self.cells()
+            ));
         }
         Ok(())
     }
@@ -496,9 +507,15 @@ mod tests {
         let mut empty = sample();
         empty.scenarios.clear();
         assert!(empty.validate().is_err());
-        let mut dup = sample();
-        dup.seeds = vec![1, 1];
-        assert!(dup.validate().unwrap_err().contains("repeats"));
+        for repeat in [
+            |s: &mut JobSpec| s.seeds = vec![1, 1],
+            |s: &mut JobSpec| s.algos = vec![Algo::De, Algo::Memetic, Algo::De],
+            |s: &mut JobSpec| s.scenarios.push("margin_wall".into()),
+        ] {
+            let mut dup = sample();
+            repeat(&mut dup);
+            assert!(dup.validate().unwrap_err().contains("repeats"), "{dup:?}");
+        }
         let mut unknown = sample();
         unknown.scenarios = vec!["not_a_scenario".into()];
         assert!(unknown.validate().unwrap_err().contains("unknown scenario"));

@@ -3,9 +3,11 @@
 //! at every byte, seeded byte flips, nested values, duplicate keys and
 //! hostile numbers (negative, fractional, NaN, infinite and huge). Both
 //! parsers read `POST /jobs` bodies, so a panic here is a dead request
-//! handler, and an abort is a dead server.
+//! handler, and an abort is a dead server. A parsed spec then passes
+//! [`JobSpec::validate`], which must reject a hostile grid (unknown names,
+//! too many cells) without expanding it.
 
-use moheco_bench::jobspec::MAX_SEED_COUNT;
+use moheco_bench::jobspec::{MAX_CELLS, MAX_SEED_COUNT};
 use moheco_bench::results::parse_flat_json;
 use moheco_bench::JobSpec;
 use rand::rngs::StdRng;
@@ -98,4 +100,41 @@ fn hostile_numbers_never_panic_and_huge_counts_are_rejected() {
         let text = format!(r#"{{"scenarios": "margin_wall", "seeds": {n}}}"#);
         assert!(parses_without_panic(&text).is_err(), "{text}");
     }
+}
+
+/// Parses `text` and validates it, timing both. `validate` runs in the
+/// `POST /jobs` handler, so it must reject a hostile grid in time linear in
+/// the body, before anything per cell is built.
+fn parse_and_validate(text: &str) -> (Result<(), String>, std::time::Duration) {
+    let start = std::time::Instant::now();
+    let outcome = parses_without_panic(text).and_then(|spec| spec.validate());
+    (outcome, start.elapsed())
+}
+
+#[test]
+fn many_unknown_names_over_a_huge_grid_are_rejected_quickly() {
+    let names: Vec<String> = (0..50).map(|i| format!("s{i}")).collect();
+    let text = format!(
+        r#"{{"scenarios": "{}", "algos": "de,ga,memetic,two-stage", "seeds": {MAX_SEED_COUNT}}}"#,
+        names.join(",")
+    );
+    let (outcome, elapsed) = parse_and_validate(&text);
+    let err = outcome.expect_err("unknown scenarios");
+    assert!(err.contains("unknown scenario \"s0\""), "{err}");
+    // Expanding the 20M-cell grid first took tens of seconds.
+    assert!(elapsed.as_secs_f64() < 5.0, "took {elapsed:?}");
+}
+
+#[test]
+fn grids_over_the_cell_cap_are_rejected() {
+    let text = format!(
+        r#"{{"scenarios": "margin_wall,two_basin", "algos": "de,memetic", "seeds": {MAX_SEED_COUNT}}}"#
+    );
+    let (outcome, elapsed) = parse_and_validate(&text);
+    let err = outcome.expect_err("over the cell cap");
+    assert!(err.contains(&MAX_CELLS.to_string()), "{err}");
+    assert!(elapsed.as_secs_f64() < 5.0, "took {elapsed:?}");
+    // One scenario and one algorithm at the seed cap is the largest grid.
+    let at_cap = format!(r#"{{"scenarios": "margin_wall", "seeds": {MAX_SEED_COUNT}}}"#);
+    assert_eq!(parse_and_validate(&at_cap).0, Ok(()));
 }

@@ -17,6 +17,7 @@
 //! this binary directly.
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec, ScheduleKind};
+use moheco_bench::results::parse_flat_json;
 use moheco_bench::{Algo, BudgetClass, CliArgs};
 use moheco_serve::client::{request, request_observed};
 use std::io::Write;
@@ -77,25 +78,6 @@ fn job_spec(budget: BudgetClass, job_index: usize, seeds_per_job: usize) -> JobS
     }
 }
 
-/// Pulls `"key": "value"` out of a flat JSON body.
-fn json_str_field(body: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = body.find(&marker)? + marker.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
-
-/// Pulls `"key": 123` (a bare number) out of a flat JSON body.
-fn json_num_field(body: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\": ");
-    let start = body.find(&marker)? + marker.len();
-    let end = body[start..]
-        .find([',', '}', '\n'])
-        .map(|i| i + start)
-        .unwrap_or(body.len());
-    body[start..end].trim().parse().ok()
-}
-
 /// The 64-bit finalizer from splitmix64 — a cheap, deterministic mixer.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -152,7 +134,9 @@ fn submit_with_retry(
                 response.text().trim()
             ));
         }
-        let id = json_str_field(&response.text(), "job")
+        let id = parse_flat_json(&response.text())
+            .ok()
+            .and_then(|record| record.str("job").map(str::to_string))
             .ok_or_else(|| format!("no job id in {:?}", response.text()))?;
         return Ok((response.status, id));
     }
@@ -202,14 +186,14 @@ fn run_tenant(
         outcome.row_latencies_ms.append(&mut latencies);
 
         let status = request(addr, "GET", &format!("/jobs/{id}"), &[], b"")?;
-        if json_str_field(&status.text(), "state").as_deref() != Some("completed") {
+        let record = parse_flat_json(&status.text()).unwrap_or_default();
+        if record.str("state") != Some("completed") {
             outcome.failures += 1;
             eprintln!("job {id} did not complete: {}", status.text().trim());
             continue;
         }
         if adaptive {
-            outcome.ocba_seeds_saved +=
-                json_num_field(&status.text(), "seeds_saved").unwrap_or(0.0) as usize;
+            outcome.ocba_seeds_saved += record.num("seeds_saved").unwrap_or(0.0) as usize;
         }
 
         // Determinism: a finished job's stream is a pure file read — any

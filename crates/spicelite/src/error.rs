@@ -24,20 +24,19 @@ pub enum SpiceError {
         /// The row at which the factorisation failed.
         row: usize,
     },
-    /// The Newton–Raphson DC solver did not converge.
+    /// The bias bisection ([`Mosfet::vgs_for_current`] and its laned form)
+    /// could not reach the target drain current within its gate-voltage
+    /// search range.
+    ///
+    /// [`Mosfet::vgs_for_current`]: crate::mosfet::Mosfet::vgs_for_current
     DcNoConvergence {
         /// Number of iterations performed.
         iterations: usize,
-        /// Residual norm at the last iteration.
+        /// Current shortfall (A) at the top of the search range.
         residual: f64,
     },
-    /// A netlist referenced a node index that does not exist.
-    UnknownNode {
-        /// The offending node index.
-        node: usize,
-    },
-    /// A circuit element was constructed with a non-physical value
-    /// (e.g. a negative resistance where it is not allowed).
+    /// A device or bias request had a non-physical value (e.g. a
+    /// non-positive channel width or target current).
     InvalidElement {
         /// Human-readable reason.
         reason: String,
@@ -66,7 +65,6 @@ impl fmt::Display for SpiceError {
                 f,
                 "dc operating point did not converge after {iterations} iterations (residual {residual:e})"
             ),
-            SpiceError::UnknownNode { node } => write!(f, "unknown node index {node}"),
             SpiceError::InvalidElement { reason } => write!(f, "invalid element: {reason}"),
             SpiceError::AcExtraction { reason } => write!(f, "ac extraction failed: {reason}"),
         }
@@ -98,7 +96,6 @@ mod tests {
                 },
                 "50 iterations",
             ),
-            (SpiceError::UnknownNode { node: 7 }, "node index 7"),
             (
                 SpiceError::InvalidElement {
                     reason: "negative capacitance".into(),

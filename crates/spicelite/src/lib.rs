@@ -11,9 +11,12 @@
 //! * [`mosfet`] — a square-law MOSFET compact model whose parameters
 //!   (`TOX`, `VTH0`, `LD`, `WD`, mobility, junction caps) are exactly the
 //!   quantities the paper's statistical process models perturb.
-//! * [`netlist`] — nonlinear ([`netlist::Circuit`]) and small-signal
-//!   ([`netlist::LinearCircuit`]) netlists with MNA stamping.
-//! * [`dc`] — Newton–Raphson DC operating-point analysis.
+//!   [`mosfet::Mosfet::vgs_for_current`] biases a device from its branch
+//!   current by bisection (laned: [`mosfet::vgs_for_current_lanes`]).
+//! * [`netlist`] — the small-signal [`netlist::LinearCircuit`] with MNA
+//!   stamping, written through the [`netlist::ElementSink`] trait.
+//! * [`batch`] — [`batch::FactorizedCircuit`], a netlist compiled once and
+//!   re-loaded with element values per sample.
 //! * [`ac`] — complex MNA frequency sweeps and figure-of-merit extraction
 //!   (DC gain, unity-gain frequency, phase margin).
 //!
@@ -44,21 +47,19 @@
 pub mod ac;
 pub mod batch;
 pub mod complex;
-pub mod dc;
 pub mod error;
 pub mod linalg;
 pub mod mosfet;
 pub mod netlist;
 pub mod simd;
 
-pub use ac::{foms, log_space, sweep, sweep_differential, AcFoms, FrequencyResponse};
+pub use ac::{foms, log_space, sweep, AcFoms, FrequencyResponse};
 pub use batch::FactorizedCircuit;
 pub use complex::Complex;
-pub use dc::{solve_dc, solve_dc_with, DcOptions, DcSolution};
 pub use error::SpiceError;
 pub use linalg::{CMatrix, Matrix};
 pub use mosfet::{
     model_035um, model_90nm, vgs_for_current_lanes, BiasRequest, MosGeometry, MosModel,
     MosOperatingPoint, MosType, Mosfet, Region,
 };
-pub use netlist::{Circuit, ElementSink, LinearCircuit, NodeId};
+pub use netlist::{ElementSink, LinearCircuit, NodeId};

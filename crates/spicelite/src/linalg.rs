@@ -315,10 +315,9 @@ impl CMatrix {
 ///
 /// `a` is an `n x n` row-major matrix that is overwritten with its (permuted)
 /// LU factors; `x` holds the right-hand side on entry and the solution on
-/// return. This is the arithmetic core of [`Matrix::solve`], exposed so the
-/// batched simulation path and the DC Newton loop can reuse preallocated
-/// buffers while producing **bit-identical** results to the allocating API —
-/// both call this exact function.
+/// return. This is the arithmetic core of [`Matrix::solve`], exposed so a
+/// caller can reuse preallocated buffers while producing **bit-identical**
+/// results to the allocating API — both call this exact function.
 ///
 /// # Errors
 ///

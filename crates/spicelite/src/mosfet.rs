@@ -21,16 +21,6 @@ pub enum MosType {
     Pmos,
 }
 
-impl MosType {
-    /// Sign convention helper: +1 for NMOS, -1 for PMOS.
-    pub fn sign(self) -> f64 {
-        match self {
-            MosType::Nmos => 1.0,
-            MosType::Pmos => -1.0,
-        }
-    }
-}
-
 /// Operating region of the device at a given bias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
@@ -824,11 +814,27 @@ mod tests {
 
     #[test]
     fn vgs_for_current_inverts_the_model() {
-        let d = nmos_035(50.0, 0.5);
+        // Every model card, with and without body bias, in both saturation
+        // and triode: the operating point at the solved vgs carries the
+        // target current.
         let target = 100e-6;
-        let vgs = d.vgs_for_current(target, 1.5, 0.0).unwrap();
-        let op = d.operating_point(vgs, 1.5, 0.0);
-        assert!((op.id - target).abs() / target < 1e-6);
+        for (card, l) in [
+            (model_035um as fn(MosType) -> MosModel, 0.5e-6),
+            (model_90nm, 0.18e-6),
+        ] {
+            for mos_type in [MosType::Nmos, MosType::Pmos] {
+                let d = Mosfet::new(card(mos_type), MosGeometry::new(20e-6, l, 1.0).unwrap());
+                for vsb in [0.0, 0.3] {
+                    for (vds, region) in [(1.0, Region::Saturation), (0.02, Region::Triode)] {
+                        let case = format!("{mos_type:?} L={l} vsb={vsb} vds={vds}");
+                        let vgs = d.vgs_for_current(target, vds, vsb).expect(&case);
+                        let op = d.operating_point(vgs, vds, vsb);
+                        assert_eq!(op.region, region, "{case}");
+                        assert!((op.id - target).abs() / target < 1e-6, "{case}: {}", op.id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
