@@ -13,6 +13,7 @@
 use moheco::runtime::{Engine, EngineConfig, EvalEngine, McRequest, SimulationModel};
 use moheco::{CircuitBench, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
+use moheco_obs::json::JsonWriter;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -249,54 +250,44 @@ fn main() {
     println!("  cache hit/miss speedup (serial): {hit_speedup:.2}x");
     println!("  instrumented pass: {stats}");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"engine_throughput\",\n",
-            "  \"circuit\": \"folded_cascode_035\",\n",
-            "  \"cores\": {},\n",
-            "  \"designs\": {},\n",
-            "  \"samples_per_design\": {},\n",
-            "  \"simulations_per_batch\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"serial_cold_ns\": {},\n",
-            "  \"parallel_cold_ns\": {},\n",
-            "  \"serial_warm_ns\": {},\n",
-            "  \"parallel_warm_ns\": {},\n",
-            "  \"scalar_cold_ns\": {},\n",
-            "  \"batched_cold_ns\": {},\n",
-            "  \"scalar_per_sample_ns\": {:.1},\n",
-            "  \"batched_per_sample_ns\": {:.1},\n",
-            "  \"batch_speedup\": {:.4},\n",
-            "  \"scalar_sweep_ns\": {},\n",
-            "  \"batched_sweep_ns\": {},\n",
-            "  \"kernel_sweep_speedup\": {:.4},\n",
-            "  \"parallel_speedup\": {:.4},\n",
-            "  \"cache_hit_speedup\": {:.4},\n",
-            "  \"engine_stats\": {}\n",
-            "}}\n"
-        ),
-        cores,
-        designs_n,
-        samples,
-        total,
-        reps,
-        s_cold,
-        p_cold,
-        s_warm,
-        p_warm,
-        sc_cold,
-        b_cold,
-        scalar_per_sample,
-        batched_per_sample,
-        batch_speedup,
-        sweep_scalar,
-        sweep_batched,
-        kernel_sweep_speedup,
-        speedup,
-        hit_speedup,
-        stats.to_json(),
-    );
+    // CI greps the `cores`, `batch_speedup` and `kernel_sweep_speedup`
+    // lines; the engine counters sit flat under an `engine_` prefix, the
+    // same way campaign rows carry them.
+    let mut json = JsonWriter::pretty();
+    json.str("bench", "engine_throughput")
+        .str("circuit", "folded_cascode_035")
+        .bare("cores", cores)
+        .bare("designs", designs_n)
+        .bare("samples_per_design", samples)
+        .bare("simulations_per_batch", total)
+        .bare("reps", reps)
+        .bare("serial_cold_ns", s_cold)
+        .bare("parallel_cold_ns", p_cold)
+        .bare("serial_warm_ns", s_warm)
+        .bare("parallel_warm_ns", p_warm)
+        .bare("scalar_cold_ns", sc_cold)
+        .bare("batched_cold_ns", b_cold)
+        .bare(
+            "scalar_per_sample_ns",
+            format_args!("{scalar_per_sample:.1}"),
+        )
+        .bare(
+            "batched_per_sample_ns",
+            format_args!("{batched_per_sample:.1}"),
+        )
+        .bare("batch_speedup", format_args!("{batch_speedup:.4}"))
+        .bare("scalar_sweep_ns", sweep_scalar)
+        .bare("batched_sweep_ns", sweep_batched)
+        .bare(
+            "kernel_sweep_speedup",
+            format_args!("{kernel_sweep_speedup:.4}"),
+        )
+        .bare("parallel_speedup", format_args!("{speedup:.4}"))
+        .bare("cache_hit_speedup", format_args!("{hit_speedup:.4}"));
+    for (name, value) in stats.counter_fields() {
+        json.bare(&format!("engine_{name}"), value);
+    }
+    let json = json.f64("engine_hit_rate", stats.hit_rate()).finish();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("  wrote {path}"),

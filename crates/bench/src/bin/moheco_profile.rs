@@ -18,8 +18,8 @@
 //! attribution invariant the workspace tests enforce — and exits non-zero,
 //! which is how CI gates the profiled smoke run.
 
-use moheco_bench::results::parse_flat_json;
 use moheco_bench::CliArgs;
+use moheco_obs::json::parse_flat_json;
 use moheco_obs::{PhaseBreakdown, SpanEvent};
 use std::process::ExitCode;
 

@@ -35,11 +35,11 @@
 
 use moheco::{PrescreenKind, RunSummary};
 use moheco_bench::campaign::CampaignEngines;
-use moheco_bench::results::{fmt_f64, YIELD_TOLERANCE};
+use moheco_bench::results::YIELD_TOLERANCE;
 use moheco_bench::{Algo, BudgetClass, CliArgs, EngineKind, EngineReuse, RunSpec};
+use moheco_obs::json::JsonWriter;
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::all_scenarios;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Minimum *pooled* percentage of simulate() calls the prescreen must save
@@ -203,60 +203,44 @@ fn main() -> ExitCode {
     // Flat JSON record (same conventions as RESULTS_*.json). v2: per-seed
     // statistics (mean ± std) replace the pooled single-pass totals, and
     // regression verdicts are recorded explicitly.
-    let mut json = String::from("{\n");
-    let mut field = |k: &str, v: String| {
-        let _ = writeln!(json, "  \"{k}\": {v},");
-    };
-    field("schema_version", "2".into());
-    field("algo", "\"two-stage\"".into());
-    field("budget", format!("\"{}\"", budget.label()));
-    field("seeds", seeds.to_string());
-    field("gate_savings_pct", fmt_f64(SAVINGS_GATE_PCT));
-    field("gate_yield_tolerance", fmt_f64(YIELD_TOLERANCE));
+    let round2 = |x: f64| (x * 100.0).round() / 100.0;
+    let mut json = JsonWriter::pretty();
+    json.bare("schema_version", 2)
+        .str("algo", "two-stage")
+        .str("budget", budget.label())
+        .bare("seeds", seeds)
+        .f64("gate_savings_pct", SAVINGS_GATE_PCT)
+        .f64("gate_yield_tolerance", YIELD_TOLERANCE);
     for r in &rows {
         let s = &r.scenario;
-        field(&format!("{s}_sims_off_mean"), fmt_f64(r.sims_off.mean));
-        field(&format!("{s}_sims_off_std"), fmt_f64(r.sims_off.std_dev()));
-        field(&format!("{s}_sims_rsb_mean"), fmt_f64(r.sims_rsb.mean));
-        field(&format!("{s}_sims_rsb_std"), fmt_f64(r.sims_rsb.std_dev()));
-        field(
-            &format!("{s}_savings_pct_pooled"),
-            fmt_f64((r.savings_pooled_pct * 100.0).round() / 100.0),
-        );
-        field(
-            &format!("{s}_savings_pct_mean"),
-            fmt_f64((r.savings.mean * 100.0).round() / 100.0),
-        );
-        field(
-            &format!("{s}_savings_pct_std"),
-            fmt_f64((r.savings.std_dev() * 100.0).round() / 100.0),
-        );
-        field(&format!("{s}_yield_off_mean"), fmt_f64(r.yield_off.mean));
-        field(
-            &format!("{s}_yield_off_std"),
-            fmt_f64(r.yield_off.std_dev()),
-        );
-        field(&format!("{s}_yield_rsb_mean"), fmt_f64(r.yield_rsb.mean));
-        field(
-            &format!("{s}_yield_rsb_std"),
-            fmt_f64(r.yield_rsb.std_dev()),
-        );
-        field(&format!("{s}_skips"), r.skips.to_string());
-        field(&format!("{s}_pass"), r.pass.to_string());
+        json.f64(&format!("{s}_sims_off_mean"), r.sims_off.mean)
+            .f64(&format!("{s}_sims_off_std"), r.sims_off.std_dev())
+            .f64(&format!("{s}_sims_rsb_mean"), r.sims_rsb.mean)
+            .f64(&format!("{s}_sims_rsb_std"), r.sims_rsb.std_dev())
+            .f64(
+                &format!("{s}_savings_pct_pooled"),
+                round2(r.savings_pooled_pct),
+            )
+            .f64(&format!("{s}_savings_pct_mean"), round2(r.savings.mean))
+            .f64(&format!("{s}_savings_pct_std"), round2(r.savings.std_dev()))
+            .f64(&format!("{s}_yield_off_mean"), r.yield_off.mean)
+            .f64(&format!("{s}_yield_off_std"), r.yield_off.std_dev())
+            .f64(&format!("{s}_yield_rsb_mean"), r.yield_rsb.mean)
+            .f64(&format!("{s}_yield_rsb_std"), r.yield_rsb.std_dev())
+            .bare(&format!("{s}_skips"), r.skips)
+            .bare(&format!("{s}_pass"), r.pass);
     }
     // The PR-4 two_basin "regression": confirmed or retracted with error
     // bars (mean ± std across the seeds) instead of a single-seed pool.
     if let Some(tb) = rows.iter().find(|r| r.scenario == "two_basin") {
-        field(
+        json.str(
             "two_basin_regression",
-            format!(
-                "\"{}\"",
-                regression_verdict(tb.savings_pooled_pct, &tb.savings)
-            ),
+            regression_verdict(tb.savings_pooled_pct, &tb.savings),
         );
     }
-    field("scenarios_total", rows.len().to_string());
-    let _ = write!(json, "  \"scenarios_passing\": {passing}\n}}\n");
+    json.bare("scenarios_total", rows.len())
+        .bare("scenarios_passing", passing);
+    let json = json.finish();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -36,10 +36,10 @@
 
 use moheco_bench::campaign::run_campaign;
 use moheco_bench::jobspec::seed_count;
-use moheco_bench::results::{fmt_f64, AggregateResult, YIELD_TOLERANCE};
+use moheco_bench::results::{AggregateResult, YIELD_TOLERANCE};
 use moheco_bench::{Algo, BudgetClass, CliArgs, GroupOutcome, JobSpec, OcbaSchedule, ScheduleKind};
+use moheco_obs::json::JsonWriter;
 use moheco_scenarios::all_scenarios;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -230,49 +230,42 @@ fn main() -> ExitCode {
     let pass = oracle_savings_pct >= SAVINGS_GATE_PCT && oracle_equal == oracle_total;
 
     // Flat JSON record, same writer conventions as BENCH_prescreen.json.
-    let mut json = String::from("{\n");
-    let mut field = |k: &str, v: String| {
-        let _ = writeln!(json, "  \"{k}\": {v},");
-    };
-    field("schema_version", "2".into());
-    field("schedule", format!("\"{}\"", adaptive.label()));
-    field("algo", "\"two-stage\"".into());
-    field("budget", format!("\"{}\"", budget.label()));
-    field("seed_pool", seeds.to_string());
-    field("min_seeds_floor", floor.to_string());
-    field("gate_savings_pct", fmt_f64(SAVINGS_GATE_PCT));
-    field("gate_yield_tolerance", fmt_f64(YIELD_TOLERANCE));
+    let mut json = JsonWriter::pretty();
+    json.bare("schema_version", 2)
+        .str("schedule", adaptive.label())
+        .str("algo", "two-stage")
+        .str("budget", budget.label())
+        .bare("seed_pool", seeds)
+        .bare("min_seeds_floor", floor)
+        .f64("gate_savings_pct", SAVINGS_GATE_PCT)
+        .f64("gate_yield_tolerance", YIELD_TOLERANCE);
     for r in &rows {
         let s = &r.scenario;
-        field(&format!("{s}_sims_fixed"), r.sims_fixed.to_string());
-        field(&format!("{s}_sims_ocba"), r.sims_ocba.to_string());
-        field(
-            &format!("{s}_savings_pct"),
-            fmt_f64(if r.sims_fixed > 0 {
-                (10_000.0 * (1.0 - r.sims_ocba as f64 / r.sims_fixed as f64)).round() / 100.0
-            } else {
-                0.0
-            }),
-        );
-        field(&format!("{s}_median_fixed"), fmt_f64(r.median_fixed));
-        field(&format!("{s}_median_ocba"), fmt_f64(r.median_ocba));
-        field(&format!("{s}_ci_fixed"), fmt_f64(r.ci_fixed));
-        field(&format!("{s}_ci_ocba"), fmt_f64(r.ci_ocba));
-        field(
-            &format!("{s}_final_budget"),
-            format!("\"{}\"", r.final_budget.label()),
-        );
-        field(&format!("{s}_seeds_used"), r.seeds_used.to_string());
-        field(&format!("{s}_seeds_saved"), r.seeds_saved.to_string());
-        field(&format!("{s}_median_equal"), r.median_equal.to_string());
+        let savings_pct = if r.sims_fixed > 0 {
+            (10_000.0 * (1.0 - r.sims_ocba as f64 / r.sims_fixed as f64)).round() / 100.0
+        } else {
+            0.0
+        };
+        json.bare(&format!("{s}_sims_fixed"), r.sims_fixed)
+            .bare(&format!("{s}_sims_ocba"), r.sims_ocba)
+            .f64(&format!("{s}_savings_pct"), savings_pct)
+            .f64(&format!("{s}_median_fixed"), r.median_fixed)
+            .f64(&format!("{s}_median_ocba"), r.median_ocba)
+            .f64(&format!("{s}_ci_fixed"), r.ci_fixed)
+            .f64(&format!("{s}_ci_ocba"), r.ci_ocba)
+            .str(&format!("{s}_final_budget"), r.final_budget.label())
+            .bare(&format!("{s}_seeds_used"), r.seeds_used)
+            .bare(&format!("{s}_seeds_saved"), r.seeds_saved)
+            .bare(&format!("{s}_median_equal"), r.median_equal);
     }
-    field(
+    json.f64(
         "oracle_savings_pct_pooled",
-        fmt_f64((oracle_savings_pct * 100.0).round() / 100.0),
-    );
-    field("oracle_scenarios_total", oracle_total.to_string());
-    field("oracle_scenarios_equal", oracle_equal.to_string());
-    let _ = write!(json, "  \"pass\": {pass}\n}}\n");
+        (oracle_savings_pct * 100.0).round() / 100.0,
+    )
+    .bare("oracle_scenarios_total", oracle_total)
+    .bare("oracle_scenarios_equal", oracle_equal)
+    .bare("pass", pass);
+    let json = json.finish();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

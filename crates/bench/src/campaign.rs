@@ -41,11 +41,10 @@ pub use crate::jobspec::{EngineReuse, JobSpec};
 
 use crate::exec::{drive_schedule, CellOutcome};
 use crate::harness::{Algo, BudgetClass, RunSpec};
-use crate::results::{
-    aggregate_rows, fmt_f64, parse_flat_json, AggregateResult, JsonRecord, ScenarioResult,
-};
+use crate::results::{aggregate_rows, AggregateResult, ScenarioResult};
 use crate::schedule::{Cell, ScheduleOutcome};
 use crate::EngineKind;
+use moheco_obs::json::{fmt_f64, parse_flat_json, JsonRecord};
 use moheco_obs::Tracer;
 use moheco_runtime::{EngineCacheUsage, EngineConfig, EngineStatsSnapshot, EvalEngine};
 use moheco_sampling::{EstimatorKind, SamplingPlan};

@@ -26,6 +26,7 @@ use moheco::{
     Benchmark, MohecoConfig, PrescreenConfig, PrescreenKind, YieldOptimizer, YieldProblem,
     YieldStrategy,
 };
+use moheco_obs::json::fmt_f64;
 use moheco_obs::{Span, Tracer};
 use moheco_optim::de::{DeConfig, DifferentialEvolution};
 use moheco_optim::filter::{AdmitAll, TrialFilter};
@@ -572,7 +573,7 @@ impl<'a> RunSpec<'a> {
                     ("algo", algo.label().to_string()),
                     ("budget", budget.label().to_string()),
                     ("seed", seed.to_string()),
-                    ("best_yield", crate::results::fmt_f64(best_yield)),
+                    ("best_yield", fmt_f64(best_yield)),
                     ("simulations_run", engine_stats.simulations_run.to_string()),
                     ("cache_hits", engine_stats.cache_hits.to_string()),
                 ],

@@ -10,9 +10,10 @@
 //! the CLI and the HTTP server can never drift apart on what "the same
 //! campaign" means.
 
-use crate::results::{parse_flat_json, SCHEMA_VERSION};
+use crate::results::SCHEMA_VERSION;
 use crate::{Algo, BudgetClass, EngineKind};
 use moheco::PrescreenKind;
+use moheco_obs::json::{parse_flat_json, JsonWriter};
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::{find_scenario, Scenario};
 use std::collections::HashSet;
@@ -314,24 +315,24 @@ impl JobSpec {
             .map(|a| a.label())
             .collect::<Vec<_>>()
             .join(",");
+        let mut out = JsonWriter::inline();
+        out.bare("schema_version", SCHEMA_VERSION)
+            .str("scenarios", &self.scenarios.join(","))
+            .str("algos", &algos)
+            .str("budget", self.budget.label())
+            .str("seeds", &seeds)
+            .str("engine", self.engine.label())
+            .str("estimator", self.estimator.label())
+            .str("prescreen", self.prescreen.label())
+            .str("engine_reuse", self.reuse.label())
+            .bare("max_cached_blocks", self.max_cached_blocks);
         // Like the fingerprint, the schedule key appears only when
         // non-default, so the canonical serialization (and thus every job
         // id) of pre-existing fixed specs is unchanged.
-        let schedule = match self.schedule {
-            ScheduleKind::Fixed => String::new(),
-            other => format!(", \"schedule\": \"{}\"", other.label()),
-        };
-        format!(
-            "{{\"schema_version\": {}, \"scenarios\": \"{}\", \"algos\": \"{algos}\", \"budget\": \"{}\", \"seeds\": \"{seeds}\", \"engine\": \"{}\", \"estimator\": \"{}\", \"prescreen\": \"{}\", \"engine_reuse\": \"{}\", \"max_cached_blocks\": {}{schedule}}}",
-            SCHEMA_VERSION,
-            self.scenarios.join(","),
-            self.budget.label(),
-            self.engine.label(),
-            self.estimator.label(),
-            self.prescreen.label(),
-            self.reuse.label(),
-            self.max_cached_blocks,
-        )
+        if self.schedule != ScheduleKind::Fixed {
+            out.str("schedule", self.schedule.label());
+        }
+        out.finish()
     }
 
     /// Parses a spec from the flat JSON wire format ([`JobSpec::to_json`]'s
@@ -615,5 +616,33 @@ mod tests {
         let mut wider = sample();
         wider.seeds.push(9);
         assert_eq!(fp, wider.fingerprint());
+    }
+
+    #[test]
+    fn canonical_wire_bytes_and_job_ids_are_pinned() {
+        // The job id hashes these bytes and names the resumable
+        // `job-<id>.jsonl` file, so any byte drift orphans files on disk.
+        let fixed = JobSpec {
+            scenarios: vec!["margin_wall".into()],
+            seeds: vec![1, 2, 3],
+            ..JobSpec::default()
+        };
+        assert_eq!(
+            fixed.to_json(),
+            "{\"schema_version\": 5, \"scenarios\": \"margin_wall\", \"algos\": \"memetic\", \
+             \"budget\": \"small\", \"seeds\": \"1,2,3\", \"engine\": \"serial\", \"estimator\": \"mc\", \
+             \"prescreen\": \"off\", \"engine_reuse\": \"reset\", \"max_cached_blocks\": 0}"
+        );
+        assert_eq!(fixed.job_id("acme"), "54ee9ed55f36ba74");
+        let mut ocba = sample();
+        ocba.schedule = ScheduleKind::Ocba;
+        assert_eq!(
+            ocba.to_json(),
+            "{\"schema_version\": 5, \"scenarios\": \"margin_wall,quadratic_feasibility\", \
+             \"algos\": \"two-stage,de\", \"budget\": \"tiny\", \"seeds\": \"1,2,3\", \"engine\": \"serial\", \
+             \"estimator\": \"mc\", \"prescreen\": \"off\", \"engine_reuse\": \"shared-cache\", \
+             \"max_cached_blocks\": 64, \"schedule\": \"ocba\"}"
+        );
+        assert_eq!(ocba.job_id("acme"), "df314c8063411960");
     }
 }

@@ -26,13 +26,14 @@
 //! fields are deterministic in `(scenario, algo, budget, seed)` up to libm
 //! rounding.
 //!
-//! No serialization crates exist in this build environment, so the module
-//! carries its own minimal JSON writer and parser.
+//! Rows and aggregates are written and read through [`moheco_obs::json`];
+//! its parser is re-exported here.
 
+use moheco_obs::json::JsonWriter;
+pub use moheco_obs::json::{parse_flat_json, JsonRecord, JsonValue};
 use moheco_obs::PhaseBreakdown;
 use moheco_runtime::EngineStatsSnapshot;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Version of the result schema; bump when a field is added, removed or
 /// re-interpreted (and regenerate `baselines/`).
@@ -115,22 +116,6 @@ pub struct ScenarioResult {
     pub phase_breakdown: PhaseBreakdown,
 }
 
-/// Formats a float for the flat-JSON writers (full round-trip precision so
-/// baselines don't lose information; integral values keep a `.0` suffix so
-/// they stay visibly floats).
-pub fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map(fmt_f64).unwrap_or_else(|| "null".to_string())
-}
-
 impl ScenarioResult {
     /// Serializes the *deterministic* fields as a single JSONL line
     /// (newline included) in schema order: the campaign row format.
@@ -139,181 +124,33 @@ impl ScenarioResult {
     /// prescreen)`: two runs of the same cell — standalone, inside a
     /// campaign, or after a campaign resume — produce byte-identical rows.
     pub fn to_jsonl_row(&self) -> String {
-        let mut out = String::from("{");
-        let mut field = |k: &str, v: String| {
-            let sep = if out.len() == 1 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{k}\": {v}");
-        };
-        field("schema_version", SCHEMA_VERSION.to_string());
-        field("scenario", format!("\"{}\"", self.scenario));
-        field("algo", format!("\"{}\"", self.algo));
-        field("budget", format!("\"{}\"", self.budget));
-        field("engine", format!("\"{}\"", self.engine));
-        field("estimator", format!("\"{}\"", self.estimator));
-        field("prescreen", format!("\"{}\"", self.prescreen));
-        field("seed", self.seed.to_string());
-        field("dimension", self.dimension.to_string());
-        field(
-            "statistical_dimension",
-            self.statistical_dimension.to_string(),
-        );
-        field("feasible", self.feasible.to_string());
-        field("best_yield", fmt_f64(self.best_yield));
-        field("ci_half_width", fmt_f64(self.ci_half_width));
-        field("true_yield", fmt_opt(self.true_yield));
-        field("true_yield_abs_error", fmt_opt(self.true_yield_abs_error));
-        field("simulations", self.simulations.to_string());
-        field("generations", self.generations.to_string());
-        field("local_searches", self.local_searches.to_string());
-        field("prescreen_skips", self.prescreen_skips.to_string());
-        field("trace_digest", format!("\"{}\"", self.trace_digest));
+        let mut row = JsonWriter::inline();
+        row.bare("schema_version", SCHEMA_VERSION)
+            .str("scenario", &self.scenario)
+            .str("algo", &self.algo)
+            .str("budget", &self.budget)
+            .str("engine", &self.engine)
+            .str("estimator", &self.estimator)
+            .str("prescreen", &self.prescreen)
+            .bare("seed", self.seed)
+            .bare("dimension", self.dimension)
+            .bare("statistical_dimension", self.statistical_dimension)
+            .bare("feasible", self.feasible)
+            .f64("best_yield", self.best_yield)
+            .f64("ci_half_width", self.ci_half_width)
+            .opt_f64("true_yield", self.true_yield)
+            .opt_f64("true_yield_abs_error", self.true_yield_abs_error)
+            .bare("simulations", self.simulations)
+            .bare("generations", self.generations)
+            .bare("local_searches", self.local_searches)
+            .bare("prescreen_skips", self.prescreen_skips)
+            .str("trace_digest", &self.trace_digest);
         for (name, value) in self.engine_stats.counter_fields() {
-            field(&format!("engine_{name}"), value.to_string());
+            row.bare(&format!("engine_{name}"), value);
         }
-        field("engine_hit_rate", fmt_f64(self.engine_stats.hit_rate()));
-        out.push_str("}\n");
-        out
+        row.f64("engine_hit_rate", self.engine_stats.hit_rate());
+        row.finish() + "\n"
     }
-}
-
-/// A parsed JSON scalar (the schema is flat; nested values are rejected).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (no escape handling beyond `\"` — the schema needs none).
-    Str(String),
-}
-
-impl JsonValue {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// A parsed flat JSON object, key order preserved.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct JsonRecord {
-    /// Keys in file order.
-    pub keys: Vec<String>,
-    /// Key → value map.
-    pub values: BTreeMap<String, JsonValue>,
-}
-
-impl JsonRecord {
-    /// Numeric field accessor.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        self.values.get(key).and_then(JsonValue::as_f64)
-    }
-
-    /// String field accessor.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).and_then(JsonValue::as_str)
-    }
-}
-
-/// Parses a flat JSON object (`{"k": scalar, ...}`).
-///
-/// # Errors
-///
-/// Returns a message describing the first syntax problem, including nested
-/// arrays/objects (the result schema is flat by design).
-pub fn parse_flat_json(text: &str) -> Result<JsonRecord, String> {
-    let mut chars = text.chars().peekable();
-    let mut record = JsonRecord::default();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-    fn expect(chars: &mut std::iter::Peekable<std::str::Chars>, want: char) -> Result<(), String> {
-        skip_ws(chars);
-        match chars.next() {
-            Some(c) if c == want => Ok(()),
-            other => Err(format!("expected {want:?}, found {other:?}")),
-        }
-    }
-    fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-        expect(chars, '"')?;
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(s),
-                Some('\\') => match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(c) => s.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(record);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some('{') | Some('[') => {
-                return Err(format!("key {key:?}: nested values are not allowed"))
-            }
-            Some(_) => {
-                let mut token = String::new();
-                while matches!(chars.peek(), Some(c) if !",}".contains(*c) && !c.is_whitespace()) {
-                    token.push(chars.next().expect("peeked"));
-                }
-                match token.as_str() {
-                    "null" => JsonValue::Null,
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    t => JsonValue::Num(
-                        t.parse()
-                            .map_err(|_| format!("key {key:?}: bad number {t:?}"))?,
-                    ),
-                }
-            }
-            None => return Err("unexpected end of input".into()),
-        };
-        if record.values.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        record.keys.push(key);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing content after the object".into());
-    }
-    Ok(record)
 }
 
 /// Outcome of gating one fresh result against its committed baseline.
@@ -403,50 +240,33 @@ impl AggregateResult {
     /// Serializes the aggregate as a flat JSON object with a stable key
     /// order (the committed-baseline format).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut field = |k: &str, v: String| {
-            let _ = writeln!(out, "  \"{k}\": {v},");
-        };
-        field("schema_version", SCHEMA_VERSION.to_string());
-        field("scenario", format!("\"{}\"", self.scenario));
-        field("algo", format!("\"{}\"", self.algo));
-        field("budget", format!("\"{}\"", self.budget));
-        field("engine", format!("\"{}\"", self.engine));
-        field("estimator", format!("\"{}\"", self.estimator));
-        field("prescreen", format!("\"{}\"", self.prescreen));
-        field("seeds", format!("\"{}\"", self.seeds_label()));
-        field("runs", self.best_yield.runs.to_string());
-        field("best_yield_mean", fmt_f64(self.best_yield.mean));
-        field("best_yield_median", fmt_f64(self.best_yield.median));
-        field("best_yield_std", fmt_f64(self.best_yield.std_dev()));
-        field("best_yield_min", fmt_f64(self.best_yield.min));
-        field("best_yield_max", fmt_f64(self.best_yield.max));
-        field(
-            "best_yield_ci_half_width",
-            fmt_f64(self.best_yield_ci_half_width()),
-        );
-        field("ci_half_width_mean", fmt_f64(self.ci_half_width_mean));
-        field(
-            "true_yield_abs_error_mean",
-            fmt_opt(self.true_yield_abs_error_mean),
-        );
-        field("simulations_total", self.simulations_total.to_string());
-        field("simulations_mean", fmt_f64(self.simulations.mean));
-        field("simulations_median", fmt_f64(self.simulations.median));
-        field("simulations_std", fmt_f64(self.simulations.std_dev()));
-        field("generations_mean", fmt_f64(self.generations_mean));
-        field(
-            "prescreen_skips_total",
-            self.prescreen_skips_total.to_string(),
-        );
-        field("cache_hit_rate_mean", fmt_f64(self.cache_hit_rate_mean));
-        // Last field without the trailing comma.
-        let _ = write!(
-            out,
-            "  \"trace_digests\": \"{}\"\n}}\n",
-            self.trace_digests.join(",")
-        );
-        out
+        let mut out = JsonWriter::pretty();
+        out.bare("schema_version", SCHEMA_VERSION)
+            .str("scenario", &self.scenario)
+            .str("algo", &self.algo)
+            .str("budget", &self.budget)
+            .str("engine", &self.engine)
+            .str("estimator", &self.estimator)
+            .str("prescreen", &self.prescreen)
+            .str("seeds", &self.seeds_label())
+            .bare("runs", self.best_yield.runs)
+            .f64("best_yield_mean", self.best_yield.mean)
+            .f64("best_yield_median", self.best_yield.median)
+            .f64("best_yield_std", self.best_yield.std_dev())
+            .f64("best_yield_min", self.best_yield.min)
+            .f64("best_yield_max", self.best_yield.max)
+            .f64("best_yield_ci_half_width", self.best_yield_ci_half_width())
+            .f64("ci_half_width_mean", self.ci_half_width_mean)
+            .opt_f64("true_yield_abs_error_mean", self.true_yield_abs_error_mean)
+            .bare("simulations_total", self.simulations_total)
+            .f64("simulations_mean", self.simulations.mean)
+            .f64("simulations_median", self.simulations.median)
+            .f64("simulations_std", self.simulations.std_dev())
+            .f64("generations_mean", self.generations_mean)
+            .bare("prescreen_skips_total", self.prescreen_skips_total)
+            .f64("cache_hit_rate_mean", self.cache_hit_rate_mean)
+            .str("trace_digests", &self.trace_digests.join(","));
+        out.finish()
     }
 
     /// The baseline file name. The default (`memetic`) algorithm keeps the
@@ -683,16 +503,6 @@ mod tests {
             engine_stats: EngineStatsSnapshot::default(),
             phase_breakdown: PhaseBreakdown::default(),
         }
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        assert!(parse_flat_json("").is_err());
-        assert!(parse_flat_json("{\"a\": }").is_err());
-        assert!(parse_flat_json("{\"a\": {\"b\": 1}}").is_err());
-        assert!(parse_flat_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_flat_json("{\"a\": 1, \"a\": 2}").is_err());
-        assert!(parse_flat_json("{}").unwrap().keys.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Acceptance tests for the observability layer: attribution completeness,
-//! no-op bit-identity, and serial/parallel attribution equality.
+//! no-op bit-identity, serial/parallel attribution equality, and
+//! `moheco-profile` reading back what `JsonlCollector` writes.
 
 use moheco::PrescreenKind;
 use moheco_bench::{Algo, BudgetClass, EngineKind, RunSpec};
-use moheco_obs::{MemoryCollector, Tracer};
+use moheco_obs::{Collector, JsonlCollector, MemoryCollector, SpanEvent, Tracer};
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::find_scenario;
 use std::sync::Arc;
@@ -155,4 +156,46 @@ fn parallel_attribution_matches_serial() {
         parallel.phase_breakdown.to_compact()
     );
     assert_eq!(serial.best_yield.to_bits(), parallel.best_yield.to_bits());
+}
+
+#[test]
+fn moheco_profile_checks_a_stream_with_escaped_control_characters() {
+    let path = std::env::temp_dir().join(format!(
+        "moheco-profile-escapes-{}.jsonl",
+        std::process::id()
+    ));
+    {
+        let collector = JsonlCollector::create(&path).expect("create stream");
+        collector.span(&SpanEvent {
+            seq: 1,
+            path: "run/\"odd\"\tphase\r\n\u{1}".into(),
+            depth: 1,
+            simulations: 5,
+            cache_hits: 1,
+            evictions: 0,
+            wall_nanos: 10,
+        });
+        collector.event(
+            "run_summary",
+            &[
+                ("scenario", "multi\nline".to_string()),
+                ("simulations_run", "5".to_string()),
+                ("cache_hits", "1".to_string()),
+            ],
+        );
+    }
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_moheco-profile"))
+        .arg("--input")
+        .arg(&path)
+        .arg("--check")
+        .output()
+        .expect("run moheco-profile");
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("check: OK"), "{stdout}");
 }

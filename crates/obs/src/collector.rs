@@ -1,5 +1,6 @@
 //! Pluggable sinks for span and custom events.
 
+use crate::json::JsonWriter;
 use crate::span::SpanEvent;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -83,7 +84,8 @@ impl Collector for MemoryCollector {
     }
 }
 
-/// Streams one flat JSON object per event to a file.
+/// Streams one flat JSON object per event to a file, in the inline
+/// [`JsonWriter`] layout.
 ///
 /// Span lines look like
 ///
@@ -120,30 +122,25 @@ impl JsonlCollector {
 
 impl Collector for JsonlCollector {
     fn span(&self, event: &SpanEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"span\", \"seq\": {}, \"path\": \"{}\", \"depth\": {}, \
-             \"simulations\": {}, \"cache_hits\": {}, \"evictions\": {}, \"wall_nanos\": {}}}",
-            event.seq,
-            escape_json(&event.path),
-            event.depth,
-            event.simulations,
-            event.cache_hits,
-            event.evictions,
-            event.wall_nanos,
-        ));
+        let mut line = JsonWriter::inline();
+        line.str("event", "span")
+            .bare("seq", event.seq)
+            .str("path", &event.path)
+            .bare("depth", event.depth)
+            .bare("simulations", event.simulations)
+            .bare("cache_hits", event.cache_hits)
+            .bare("evictions", event.evictions)
+            .bare("wall_nanos", event.wall_nanos);
+        self.write_line(&line.finish());
     }
 
     fn event(&self, kind: &str, fields: &[(&str, String)]) {
-        let mut line = format!("{{\"event\": \"{}\"", escape_json(kind));
+        let mut line = JsonWriter::inline();
+        line.str("event", kind);
         for (key, value) in fields {
-            line.push_str(&format!(
-                ", \"{}\": {}",
-                escape_json(key),
-                json_value(value)
-            ));
+            line.number_or_str(key, value);
         }
-        line.push('}');
-        self.write_line(&line);
+        self.write_line(&line.finish());
     }
 
     fn flush(&self) {
@@ -154,43 +151,6 @@ impl Collector for JsonlCollector {
 impl Drop for JsonlCollector {
     fn drop(&mut self) {
         Collector::flush(self);
-    }
-}
-
-/// Escapes a string for embedding inside a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes a custom-event field value: bare if it already reads as a JSON
-/// number, quoted otherwise.
-fn json_value(value: &str) -> String {
-    let numeric = !value.is_empty()
-        && value.parse::<f64>().is_ok()
-        // `parse::<f64>` accepts forms JSON does not ("inf", "nan", "1.")
-        // and forms we do not want bare ("1e5" is fine, "+1" is not).
-        && value
-            .chars()
-            .all(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        && !value.ends_with('.')
-        && value != "-"
-        && !value.starts_with('+');
-    if numeric {
-        value.to_string()
-    } else {
-        format!("\"{}\"", escape_json(value))
     }
 }
 
@@ -231,12 +191,12 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(
-            lines[0].ends_with("\"wall_nanos\": 81250}"),
-            "timing must be the final field: {}",
-            lines[0]
+        // Timing is the final field.
+        assert_eq!(
+            lines[0],
+            "{\"event\": \"span\", \"seq\": 1, \"path\": \"optimize/screening\", \"depth\": 1, \
+             \"simulations\": 40, \"cache_hits\": 10, \"evictions\": 0, \"wall_nanos\": 81250}"
         );
-        assert!(lines[0].contains("\"simulations\": 40"));
         assert!(lines[1].contains("\"event\": \"run_summary\""));
         assert!(lines[1].contains("\"scenario\": \"margin_wall\""));
         assert!(lines[1].contains("\"simulations_run\": 1234"));
@@ -256,17 +216,5 @@ mod tests {
                 vec![("cell".to_string(), "a/b".to_string())]
             )]
         );
-    }
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_value("12"), "12");
-        assert_eq!(json_value("-3.5"), "-3.5");
-        assert_eq!(json_value("1e5"), "1e5");
-        assert_eq!(json_value("abc"), "\"abc\"");
-        assert_eq!(json_value("1."), "\"1.\"");
-        assert_eq!(json_value("+1"), "\"+1\"");
-        assert_eq!(json_value(""), "\"\"");
     }
 }

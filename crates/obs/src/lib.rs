@@ -21,6 +21,9 @@
 //! * [`PhaseBreakdown`] — the aggregated per-phase budget attribution
 //!   (spans, simulations, cache hits, evictions, wall nanos), rendered as a
 //!   self-time table or a text flamegraph by `moheco-profile`.
+//! * [`json`] — the flat-JSON writer, string escaper, float format and
+//!   parser behind every persisted or served record (campaign rows,
+//!   baselines, `BENCH_*.json`, job specs and status bodies, events).
 //! * [`prometheus`] — Prometheus-style text exposition helpers used by the
 //!   campaign process to publish engine and phase counters.
 //!
@@ -67,6 +70,7 @@
 
 mod breakdown;
 mod collector;
+pub mod json;
 pub mod prometheus;
 mod span;
 

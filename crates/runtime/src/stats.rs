@@ -193,12 +193,12 @@ impl EngineStatsSnapshot {
 
     /// Stable `(name, value)` pairs of every counter field, in schema order.
     ///
-    /// This is the single source of the snapshot's serialized shape: both
-    /// [`Self::to_json`] and the campaign row schema (which embeds
-    /// the counters under an `engine_` prefix) are generated from it, so the
-    /// two can never drift apart silently. Every field here is
-    /// deterministic; wall-clock timing lives in [`EngineTiming`] and is
-    /// serialized separately (never gated).
+    /// This is the single source of the snapshot's serialized shape: every
+    /// flat-JSON record that carries engine counters (campaign rows, the
+    /// `engine_throughput` bench record) writes these pairs under an
+    /// `engine_` prefix, so no record can drift from the counter set
+    /// silently. Every field here is deterministic; wall-clock timing lives
+    /// in [`EngineTiming`] and is serialized separately (never gated).
     pub fn counter_fields(&self) -> [(&'static str, u64); 9] {
         [
             ("simulations_run", self.simulations_run),
@@ -211,17 +211,6 @@ impl EngineStatsSnapshot {
             ("max_batch_samples", self.max_batch_samples),
             ("evicted_blocks", self.evicted_blocks),
         ]
-    }
-
-    /// Renders the snapshot as a single JSON object (no external
-    /// serialization crates are available in this build environment).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, value) in self.counter_fields() {
-            out.push_str(&format!("\"{name}\":{value},"));
-        }
-        out.push_str(&format!("\"hit_rate\":{:.6}}}", self.hit_rate()));
-        out
     }
 }
 
@@ -277,34 +266,10 @@ mod tests {
                 .all(|(name, _)| !name.contains("nanos")),
             "wall-clock timing must never appear among gated counter fields"
         );
-        assert!(!snap.to_json().contains("busy_nanos"));
         let timing = stats.timing();
         assert_eq!(timing.busy_nanos, 1_500_000);
         assert!((timing.busy_ms() - 1.5).abs() < 1e-12);
         assert_eq!(timing.to_string(), "1.5 ms busy");
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed() {
-        let stats = EngineStats::new();
-        stats.record_mc_batch(4, 1, 10);
-        let json = stats.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"mc_samples_served\":4"));
-    }
-
-    #[test]
-    fn counter_fields_and_json_share_one_schema() {
-        let stats = EngineStats::new();
-        stats.record_mc_batch(4, 1, 10);
-        let snap = stats.snapshot();
-        let json = snap.to_json();
-        for (name, value) in snap.counter_fields() {
-            assert!(
-                json.contains(&format!("\"{name}\":{value}")),
-                "field {name} missing from {json}"
-            );
-        }
     }
 
     #[test]

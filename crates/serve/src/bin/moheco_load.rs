@@ -17,8 +17,8 @@
 //! this binary directly.
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec, ScheduleKind};
-use moheco_bench::results::parse_flat_json;
 use moheco_bench::{Algo, BudgetClass, CliArgs};
+use moheco_obs::json::{parse_flat_json, JsonWriter};
 use moheco_serve::client::{request, request_observed};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -320,29 +320,42 @@ fn run(args: &CliArgs) -> Result<usize, String> {
     let jobs = tenants * jobs_per_tenant;
     // Schema v2: the pooled fields stay (dashboards keep working), and each
     // scheduler kind gets its own latency bucket plus the adaptive savings.
-    let report = format!(
-        "{{\n  \"schema_version\": 2,\n  \"jobs\": {jobs},\n  \"tenants\": {tenants},\n  \"rows\": {},\n  \"jobs_per_sec\": {:.3},\n  \"row_latency_p50_ms\": {:.3},\n  \"row_latency_p99_ms\": {:.3},\n  \"fixed_jobs\": {},\n  \"fixed_rows\": {},\n  \"fixed_row_latency_p50_ms\": {:.3},\n  \"fixed_row_latency_p99_ms\": {:.3},\n  \"ocba_jobs\": {},\n  \"ocba_rows\": {},\n  \"ocba_row_latency_p50_ms\": {:.3},\n  \"ocba_row_latency_p99_ms\": {:.3},\n  \"ocba_seeds_saved\": {},\n  \"rejected_429\": {},\n  \"resubmits\": {},\n  \"failures\": {},\n  \"determinism_violations\": {},\n  \"resume_violations\": {},\n  \"quota_fairness\": {:.3},\n  \"wall_time_ms\": {:.1}\n}}\n",
-        total.rows,
-        jobs as f64 / (wall_ms / 1e3).max(1e-9),
-        percentile(&total.row_latencies_ms, 50.0),
-        percentile(&total.row_latencies_ms, 99.0),
-        total.fixed_jobs,
-        total.fixed_row_latencies_ms.len(),
-        percentile(&total.fixed_row_latencies_ms, 50.0),
-        percentile(&total.fixed_row_latencies_ms, 99.0),
-        total.ocba_jobs,
-        total.ocba_row_latencies_ms.len(),
-        percentile(&total.ocba_row_latencies_ms, 50.0),
-        percentile(&total.ocba_row_latencies_ms, 99.0),
-        total.ocba_seeds_saved,
-        total.rejected_429,
-        total.resubmits,
-        total.failures,
-        total.determinism_violations,
-        total.resume_violations,
-        fairness,
-        wall_ms,
-    );
+    let p50 = |latencies: &[f64]| format!("{:.3}", percentile(latencies, 50.0));
+    let p99 = |latencies: &[f64]| format!("{:.3}", percentile(latencies, 99.0));
+    let report = JsonWriter::pretty()
+        .bare("schema_version", 2)
+        .bare("jobs", jobs)
+        .bare("tenants", tenants)
+        .bare("rows", total.rows)
+        .bare(
+            "jobs_per_sec",
+            format_args!("{:.3}", jobs as f64 / (wall_ms / 1e3).max(1e-9)),
+        )
+        .bare("row_latency_p50_ms", p50(&total.row_latencies_ms))
+        .bare("row_latency_p99_ms", p99(&total.row_latencies_ms))
+        .bare("fixed_jobs", total.fixed_jobs)
+        .bare("fixed_rows", total.fixed_row_latencies_ms.len())
+        .bare(
+            "fixed_row_latency_p50_ms",
+            p50(&total.fixed_row_latencies_ms),
+        )
+        .bare(
+            "fixed_row_latency_p99_ms",
+            p99(&total.fixed_row_latencies_ms),
+        )
+        .bare("ocba_jobs", total.ocba_jobs)
+        .bare("ocba_rows", total.ocba_row_latencies_ms.len())
+        .bare("ocba_row_latency_p50_ms", p50(&total.ocba_row_latencies_ms))
+        .bare("ocba_row_latency_p99_ms", p99(&total.ocba_row_latencies_ms))
+        .bare("ocba_seeds_saved", total.ocba_seeds_saved)
+        .bare("rejected_429", total.rejected_429)
+        .bare("resubmits", total.resubmits)
+        .bare("failures", total.failures)
+        .bare("determinism_violations", total.determinism_violations)
+        .bare("resume_violations", total.resume_violations)
+        .bare("quota_fairness", format_args!("{fairness:.3}"))
+        .bare("wall_time_ms", format_args!("{wall_ms:.1}"))
+        .finish();
     let mut file =
         std::fs::File::create(&out_path).map_err(|e| format!("create {out_path}: {e}"))?;
     file.write_all(report.as_bytes())

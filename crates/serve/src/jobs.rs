@@ -12,6 +12,7 @@ use crate::pool::EnginePool;
 use moheco_bench::jobspec::JobSpec;
 use moheco_bench::results::ScenarioResult;
 use moheco_bench::{Algo, Cell, CellOutcome, CellWriter, ExecutionCore, RunSpec, ScheduleOutcome};
+use moheco_obs::json::JsonWriter;
 use moheco_obs::Tracer;
 use moheco_runtime::EngineStatsSnapshot;
 use moheco_scenarios::Scenario;
@@ -71,26 +72,22 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Status response body (flat JSON).
+    /// Status response body: one line of flat JSON.
     pub fn to_json(&self, id: &str) -> String {
-        let error = match &self.state {
-            JobState::Failed(e) => format!(
-                ", \"error\": \"{}\"",
-                e.replace('\\', "\\\\").replace('"', "\\\"")
-            ),
-            _ => String::new(),
-        };
-        format!(
-            "{{\"job\": \"{id}\", \"tenant\": \"{}\", \"state\": \"{}\", \"schedule\": \"{}\", \"cells\": {}, \"resumed\": {}, \"executed\": {}, \"seeds_saved\": {}, \"simulations\": {}{error}}}\n",
-            self.tenant,
-            self.state.label(),
-            self.schedule,
-            self.spec.cells(),
-            self.resumed,
-            self.executed,
-            self.seeds_saved,
-            self.stats.simulations_run,
-        )
+        let mut body = JsonWriter::inline();
+        body.str("job", id)
+            .str("tenant", &self.tenant)
+            .str("state", self.state.label())
+            .str("schedule", self.schedule)
+            .bare("cells", self.spec.cells())
+            .bare("resumed", self.resumed)
+            .bare("executed", self.executed)
+            .bare("seeds_saved", self.seeds_saved)
+            .bare("simulations", self.stats.simulations_run);
+        if let JobState::Failed(e) = &self.state {
+            body.str("error", e);
+        }
+        body.finish() + "\n"
     }
 }
 
@@ -456,6 +453,7 @@ impl ActiveJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moheco_obs::json::parse_flat_json;
 
     fn spec(seeds: Vec<u64>) -> JobSpec {
         JobSpec {
@@ -521,5 +519,24 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         registry.shutdown();
         assert!(worker.join().expect("worker").is_none());
+    }
+
+    #[test]
+    fn failed_status_body_is_one_line_of_valid_json() {
+        // An `assert_eq!` panic message spans lines; the body must not.
+        let message = "assertion `left == right` failed\n  left: 1\n right: 2";
+        let registry = Registry::new(1);
+        let id = match registry.submit("t", spec(vec![1])) {
+            Submit::Accepted(id) => id,
+            other => panic!("expected acceptance, got {other:?}"),
+        };
+        registry.finish(&id, Err(message.into()));
+        let body = registry.get(&id).expect("registered").to_json(&id);
+        assert_eq!(body.lines().count(), 1, "{body:?}");
+        assert!(body.ends_with("}\n"));
+        let record = parse_flat_json(&body).expect("valid JSON");
+        assert_eq!(record.str("error"), Some(message));
+        assert_eq!(record.str("state"), Some("failed"));
+        assert_eq!(record.str("job"), Some(id.as_str()));
     }
 }

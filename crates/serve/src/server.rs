@@ -16,6 +16,7 @@ use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use crate::jobs::{job_path, ActiveJob, NextJob, Registry, Submit};
 use crate::pool::EnginePool;
 use moheco_bench::jobspec::JobSpec;
+use moheco_obs::json::JsonWriter;
 use moheco_obs::prometheus::{push_header, push_sample};
 use moheco_obs::PhaseBreakdown;
 use moheco_runtime::{render_pool_cache, render_prometheus};
@@ -338,7 +339,7 @@ fn submit_job(request: &Request, writer: &mut TcpStream, shared: &Shared) -> std
             writer,
             202,
             "application/json",
-            format!("{{\"job\": \"{id}\", \"state\": \"queued\"}}\n").as_bytes(),
+            status_body(&id, "queued").as_bytes(),
         ),
         Submit::Existing(id) => {
             let state = shared
@@ -350,7 +351,7 @@ fn submit_job(request: &Request, writer: &mut TcpStream, shared: &Shared) -> std
                 writer,
                 200,
                 "application/json",
-                format!("{{\"job\": \"{id}\", \"state\": \"{state}\"}}\n").as_bytes(),
+                status_body(&id, state).as_bytes(),
             )
         }
         Submit::QueueFull => write_response(
@@ -360,6 +361,15 @@ fn submit_job(request: &Request, writer: &mut TcpStream, shared: &Shared) -> std
             b"queue full, retry later; nothing was accepted\n",
         ),
     }
+}
+
+/// The short `{"job": ..., "state": ...}` body of a submission response.
+fn status_body(id: &str, state: &str) -> String {
+    JsonWriter::inline()
+        .str("job", id)
+        .str("state", state)
+        .finish()
+        + "\n"
 }
 
 fn job_status(id: &str, writer: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {

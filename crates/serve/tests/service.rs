@@ -15,6 +15,7 @@
 
 use moheco_bench::jobspec::{EngineReuse, JobSpec, MAX_SEED_COUNT};
 use moheco_bench::{run_campaign, Algo, BudgetClass, ScheduleKind};
+use moheco_obs::json::parse_flat_json;
 use moheco_serve::client::request;
 use moheco_serve::http::MAX_BODY_BYTES;
 use moheco_serve::{job_path, Server, ServerConfig};
@@ -60,14 +61,10 @@ fn submit(addr: SocketAddr, tenant: &str, spec: &JobSpec) -> (u16, String) {
         spec.to_json().as_bytes(),
     )
     .expect("submit");
-    let body = response.text();
-    let id = body
-        .split("\"job\": \"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or("")
-        .to_string();
-    (response.status, id)
+    let id = parse_flat_json(&response.text())
+        .ok()
+        .and_then(|body| body.str("job").map(str::to_string));
+    (response.status, id.unwrap_or_default())
 }
 
 fn stream(addr: SocketAddr, id: &str) -> Vec<u8> {
