@@ -5,7 +5,7 @@
 //! moheco-campaign [--scenario <name>|all] [--algo de|ga|memetic|two-stage]
 //!                 [--budget tiny|small|paper] [--estimator mc|lhs|antithetic|is]
 //!                 [--prescreen off|rsb] [--seeds N] [--parallel]
-//!                 [--schedule fixed|ocba|ocba-shrink]
+//!                 [--schedule fixed|ocba]
 //!                 [--engine-reuse reset|shared-cache] [--max-cached-blocks N]
 //!                 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR]
 //!                 [--obs off|jsonl:FILE] [--metrics-out FILE] [--list]
@@ -52,7 +52,7 @@ use std::sync::Arc;
 const USAGE: &str = "usage: moheco-campaign [--scenario <name>|all] \
 [--algo de|ga|memetic|two-stage] [--budget tiny|small|paper] \
 [--estimator mc|lhs|antithetic|is] [--prescreen off|rsb] [--seeds N] \
-[--parallel] [--schedule fixed|ocba|ocba-shrink] \
+[--parallel] [--schedule fixed|ocba] \
 [--engine-reuse reset|shared-cache] [--max-cached-blocks N] \
 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR] [--obs off|jsonl:FILE] \
 [--metrics-out FILE] [--list]";
@@ -222,14 +222,13 @@ fn main() -> ExitCode {
         jsonl.display()
     );
     eprintln!(
-        "schedule {}: {} round(s), {} cell(s) scheduled, {} group(s) stopped early, {} seed(s) saved of {}, {} budget escalation(s), {} simulation(s) spent",
+        "schedule {}: {} round(s), {} cell(s) scheduled, {} group(s) stopped early, {} seed(s) saved of {}, {} simulation(s) spent",
         report.schedule.label,
         report.schedule.rounds,
         report.schedule.scheduled,
         report.schedule.groups_gated,
         report.schedule.seeds_saved,
         spec.cells(),
-        report.schedule.escalations,
         report.schedule.simulations_total,
     );
 

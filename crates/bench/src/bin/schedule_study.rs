@@ -1,46 +1,52 @@
 //! `schedule-study` — measures what adaptive campaign scheduling buys.
 //!
 //! Runs every registered scenario through two campaigns with the two-stage
-//! OO algorithm — `fixed` (the full seed rectangle) vs the adaptive arm
-//! selected by `--schedule` (`ocba`: seed replications allocated by
-//! cross-seed variance, groups stopped once their 95 % CI half-width clears
-//! the gate; `ocba-shrink`, the default: additionally starts every group at
-//! the cheapest budget-class rung and escalates only the groups whose CI
-//! never clears at the cheap rung) — and compares, per scenario, the total
-//! simulations spent and the cross-seed median yield reached. Simulation
-//! totals come from the scheduler's own group accounting, so discarded
-//! cheap pilots are **included** in the adaptive arm's bill. A scenario's medians are **equal** when they
-//! differ by no more than the larger of the fixed campaign's own cross-seed
-//! CI half-width and the baseline-gate tolerance
-//! ([`YIELD_TOLERANCE`]) — tighter than the fixed campaign can
-//! resolve itself is a distinction without a difference. The headline
-//! number is the **pooled oracle savings**: across the closed-form (oracle)
-//! scenarios, `1 − total ocba sims / total fixed sims`.
+//! OO algorithm — `fixed` (the full seed rectangle) vs `ocba` (seed
+//! replications allocated by cross-seed variance, groups stopped once
+//! their 95 % CI half-width clears the gate) — and compares, per scenario,
+//! the total simulations spent and the cross-seed median yield reached.
+//! Simulation totals come from the scheduler's own group accounting. A
+//! scenario's medians are **equal** when they differ by no more than the
+//! larger of the fixed campaign's own cross-seed CI half-width and the
+//! baseline-gate tolerance ([`YIELD_TOLERANCE`]) — tighter than the fixed
+//! campaign can resolve itself is a distinction without a difference. The
+//! headline number is the **pooled oracle savings**: across the
+//! closed-form (oracle) scenarios, `1 − total ocba sims / total fixed
+//! sims`.
 //!
-//! The binary always verifies the OCBA min-seeds floor — every
-//! (scenario, algo) group that stopped early must still have run at least
-//! `min(3, pool)` seeds — and exits non-zero on a violation. With
-//! `--strict` it additionally fails unless the pooled oracle savings reach
-//! [`SAVINGS_GATE_PCT`] percent with every oracle median equal. The
-//! aggregate is written to `BENCH_schedule.json` and a markdown savings
-//! table for the README is printed.
+//! Two checks run every time, and a violation exits non-zero:
+//!
+//! * the **min-seeds floor** — every (scenario, algo) group that stopped
+//!   early must still have run at least `min(3, pool)` seeds;
+//! * the **subset property** — every `ocba` row must equal, byte for byte,
+//!   the `fixed` row of the same `(scenario, algo, seed)`. Under the
+//!   default `engine_reuse: reset` a row is a pure function of its cell,
+//!   so the adaptive campaign runs a subset of the fixed grid and can
+//!   never cost more.
+//!
+//! With `--strict` it additionally fails unless the pooled oracle savings
+//! reach [`SAVINGS_GATE_PCT`] percent with every scenario's median equal,
+//! circuit scenarios included. The aggregate is written to
+//! `BENCH_schedule.json` and a markdown savings table for the README is
+//! printed.
 //!
 //! Both campaigns stream through the standard resumable
 //! [`moheco_bench::CellWriter`] files under `--data-dir`, so an interrupted
 //! study resumes instead of re-simulating.
 //!
 //! ```text
-//! schedule-study [--budget tiny|small|paper] [--schedule ocba|ocba-shrink]
-//!                [--seeds N] [--data-dir DIR] [--out FILE] [--strict]
+//! schedule-study [--budget tiny|small|paper] [--seeds N] [--data-dir DIR]
+//!                [--out FILE] [--strict]
 //! ```
 
 use moheco_bench::campaign::run_campaign;
 use moheco_bench::jobspec::seed_count;
 use moheco_bench::results::{AggregateResult, YIELD_TOLERANCE};
 use moheco_bench::{Algo, BudgetClass, CliArgs, GroupOutcome, JobSpec, OcbaSchedule, ScheduleKind};
-use moheco_obs::json::JsonWriter;
+use moheco_obs::json::{parse_flat_json, JsonWriter};
 use moheco_scenarios::all_scenarios;
-use std::path::Path;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Minimum pooled percentage of simulations the adaptive schedule must save
@@ -49,12 +55,11 @@ use std::process::ExitCode;
 const SAVINGS_GATE_PCT: f64 = 25.0;
 
 const USAGE: &str = "usage: schedule-study [--budget tiny|small|paper] \
-[--schedule ocba|ocba-shrink] [--seeds N] [--data-dir DIR] [--out FILE] [--strict]";
+[--seeds N] [--data-dir DIR] [--out FILE] [--strict]";
 
 struct Row {
     scenario: String,
     oracle: bool,
-    final_budget: BudgetClass,
     sims_fixed: u64,
     sims_ocba: u64,
     median_fixed: f64,
@@ -82,23 +87,50 @@ fn group_of<'a>(groups: &'a [GroupOutcome], scenario: &str) -> Option<&'a GroupO
         .find(|g| g.scenario == scenario && g.algo == "two-stage")
 }
 
+/// A campaign row's cell: `(scenario, algo, seed)`.
+type CellKey = (String, String, u64);
+
+/// The rows of a campaign file in file order, each with its cell and its
+/// exact line.
+fn rows_by_cell(path: &Path) -> Result<Vec<(CellKey, String)>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    text.lines()
+        .map(|line| {
+            let row = parse_flat_json(line).map_err(|e| format!("{}: {e}", path.display()))?;
+            let key = (
+                row.str("scenario").unwrap_or_default().to_string(),
+                row.str("algo").unwrap_or_default().to_string(),
+                row.num("seed").unwrap_or(-1.0) as u64,
+            );
+            Ok((key, line.to_string()))
+        })
+        .collect()
+}
+
+/// Every `ocba` row that is not byte-identical to the `fixed` row of the
+/// same cell, as one message each.
+fn subset_violations(fixed: &Path, ocba: &Path) -> Result<Vec<String>, String> {
+    let fixed: HashMap<_, _> = rows_by_cell(fixed)?.into_iter().collect();
+    Ok(rows_by_cell(ocba)?
+        .into_iter()
+        .filter(|(key, line)| fixed.get(key) != Some(line))
+        .map(|((scenario, algo, seed), _)| {
+            format!("{scenario}/{algo}/seed {seed}: ocba row differs from the fixed row")
+        })
+        .collect())
+}
+
 fn main() -> ExitCode {
     let args = CliArgs::parse();
     if let Err(e) = args.expect_only(
         &["--strict"],
-        &["--budget", "--schedule", "--seeds", "--data-dir", "--out"],
+        &["--budget", "--seeds", "--data-dir", "--out"],
     ) {
         return fail(&e);
     }
     let budget = match args.parsed_or("--budget", BudgetClass::Tiny, BudgetClass::parse) {
         Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    // `fixed` is the reference side of the study, never the adaptive one.
-    let adaptive = match args.parsed_or("--schedule", ScheduleKind::OcbaShrink, |v| {
-        ScheduleKind::parse(v).filter(|k| *k != ScheduleKind::Fixed)
-    }) {
-        Ok(k) => k,
         Err(e) => return fail(&e),
     };
     let seed_pool = match args.u64_of("--seeds", 8).and_then(seed_count) {
@@ -118,11 +150,10 @@ fn main() -> ExitCode {
     let scenarios = all_scenarios();
     let floor = OcbaSchedule::default().min_seeds.min(seeds as usize);
     eprintln!(
-        "schedule-study: {} scenario(s), algo two-stage, budget {}, seed pool 1..={}, fixed vs {}, floor {}",
+        "schedule-study: {} scenario(s), algo two-stage, budget {}, seed pool 1..={}, fixed vs ocba, floor {}",
         scenarios.len(),
         budget.label(),
         seeds,
-        adaptive.label(),
         floor,
     );
 
@@ -134,7 +165,8 @@ fn main() -> ExitCode {
         ..JobSpec::default()
     };
     let mut reports = Vec::new();
-    for schedule in [ScheduleKind::Fixed, adaptive] {
+    let mut files: Vec<PathBuf> = Vec::new();
+    for schedule in [ScheduleKind::Fixed, ScheduleKind::Ocba] {
         let spec = JobSpec {
             schedule,
             ..base.clone()
@@ -157,26 +189,33 @@ fn main() -> ExitCode {
             report.executed, report.resumed, report.schedule.rounds, report.schedule.seeds_saved,
         );
         reports.push(report);
+        files.push(jsonl);
     }
     let (fixed, ocba) = (&reports[0], &reports[1]);
 
-    // The floor check: every group the adaptive schedule stopped early must
-    // still hold at least `floor` seeds. This is unconditional — a floor
-    // violation means the scheduler is broken, not that the study "failed".
-    let mut floor_violations = Vec::new();
-    for agg in &ocba.aggregates {
-        if agg.seeds.len() < floor {
-            floor_violations.push(format!(
-                "{}/{}: only {} seed(s), floor is {floor}",
+    // The floor and subset checks are unconditional: a violation means the
+    // scheduler or the campaign layer is broken, not that the study
+    // "failed".
+    let mut violations: Vec<String> = ocba
+        .aggregates
+        .iter()
+        .filter(|agg| agg.seeds.len() < floor)
+        .map(|agg| {
+            format!(
+                "floor violation: {}/{}: only {} seed(s), floor is {floor}",
                 agg.scenario,
                 agg.algo,
                 agg.seeds.len()
-            ));
-        }
+            )
+        })
+        .collect();
+    match subset_violations(&files[0], &files[1]) {
+        Ok(v) => violations.extend(v.into_iter().map(|m| format!("subset violation: {m}"))),
+        Err(e) => violations.push(format!("subset check: {e}")),
     }
-    if !floor_violations.is_empty() {
-        for v in &floor_violations {
-            eprintln!("floor violation: {v}");
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("{v}");
         }
         return ExitCode::FAILURE;
     }
@@ -193,8 +232,6 @@ fn main() -> ExitCode {
         let ci_fixed = f.best_yield_ci_half_width();
         let median_equal =
             (o.best_yield.median - f.best_yield.median).abs() <= ci_fixed.max(YIELD_TOLERANCE);
-        // Simulation bills come from the scheduler's group accounting, so
-        // the adaptive arm pays for its discarded cheap pilots too.
         let (Some(gf), Some(go)) = (
             group_of(&fixed.schedule.groups, scenario.name()),
             group_of(&ocba.schedule.groups, scenario.name()),
@@ -205,7 +242,6 @@ fn main() -> ExitCode {
         rows.push(Row {
             scenario: scenario.name().to_string(),
             oracle: scenario.has_true_yield(),
-            final_budget: go.final_budget,
             sims_fixed: gf.simulations,
             sims_ocba: go.simulations,
             median_fixed: f.best_yield.median,
@@ -225,14 +261,14 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    let oracle_total = rows.iter().filter(|r| r.oracle).count();
-    let oracle_equal = rows.iter().filter(|r| r.oracle && r.median_equal).count();
-    let pass = oracle_savings_pct >= SAVINGS_GATE_PCT && oracle_equal == oracle_total;
+    let scenarios_total = rows.len();
+    let scenarios_equal = rows.iter().filter(|r| r.median_equal).count();
+    let pass = oracle_savings_pct >= SAVINGS_GATE_PCT && scenarios_equal == scenarios_total;
 
     // Flat JSON record, same writer conventions as BENCH_prescreen.json.
     let mut json = JsonWriter::pretty();
-    json.bare("schema_version", 2)
-        .str("schedule", adaptive.label())
+    json.bare("schema_version", 3)
+        .str("schedule", ScheduleKind::Ocba.label())
         .str("algo", "two-stage")
         .str("budget", budget.label())
         .bare("seed_pool", seeds)
@@ -253,7 +289,6 @@ fn main() -> ExitCode {
             .f64(&format!("{s}_median_ocba"), r.median_ocba)
             .f64(&format!("{s}_ci_fixed"), r.ci_fixed)
             .f64(&format!("{s}_ci_ocba"), r.ci_ocba)
-            .str(&format!("{s}_final_budget"), r.final_budget.label())
             .bare(&format!("{s}_seeds_used"), r.seeds_used)
             .bare(&format!("{s}_seeds_saved"), r.seeds_saved)
             .bare(&format!("{s}_median_equal"), r.median_equal);
@@ -262,8 +297,8 @@ fn main() -> ExitCode {
         "oracle_savings_pct_pooled",
         (oracle_savings_pct * 100.0).round() / 100.0,
     )
-    .bare("oracle_scenarios_total", oracle_total)
-    .bare("oracle_scenarios_equal", oracle_equal)
+    .bare("scenarios_total", scenarios_total)
+    .bare("scenarios_equal", scenarios_equal)
     .bare("pass", pass);
     let json = json.finish();
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -273,13 +308,12 @@ fn main() -> ExitCode {
 
     // Markdown savings table for the README.
     println!(
-        "| scenario | sims (fixed) | sims ({label}) | saved | final budget | seeds used | median (fixed) | median ({label}) | equal |",
-        label = adaptive.label()
+        "| scenario | sims (fixed) | sims (ocba) | saved | seeds used | median (fixed) | median (ocba) | equal |"
     );
-    println!("|---|---:|---:|---:|---|---:|---:|---:|---|");
+    println!("|---|---:|---:|---:|---:|---:|---:|---|");
     for r in &rows {
         println!(
-            "| {}{} | {} | {} | {:.1}% | {} | {}/{} | {:.4} ±{:.4} | {:.4} ±{:.4} | {} |",
+            "| {}{} | {} | {} | {:.1}% | {}/{} | {:.4} ±{:.4} | {:.4} ±{:.4} | {} |",
             r.scenario,
             if r.oracle { "" } else { " †" },
             r.sims_fixed,
@@ -289,7 +323,6 @@ fn main() -> ExitCode {
             } else {
                 0.0
             },
-            r.final_budget.label(),
             r.seeds_used,
             seeds,
             r.median_fixed,
@@ -299,14 +332,14 @@ fn main() -> ExitCode {
             if r.median_equal { "yes" } else { "NO" },
         );
     }
-    println!("\n† circuit scenario (no closed-form oracle; reported, not gated)");
+    println!("\n† circuit scenario (no closed-form oracle: its median is gated, its simulations are not pooled)");
     println!(
-        "\npooled oracle savings {oracle_savings_pct:.1}% ({oracle_equal}/{oracle_total} oracle medians equal, floor {floor} honored) -> {out_path}"
+        "\npooled oracle savings {oracle_savings_pct:.1}% ({scenarios_equal}/{scenarios_total} medians equal, floor {floor} honored, every ocba row equals its fixed row) -> {out_path}"
     );
 
     if args.has("--strict") && !pass {
         eprintln!(
-            "strict gate: pooled oracle savings {oracle_savings_pct:.1}% (need ≥{SAVINGS_GATE_PCT}%) with {oracle_equal}/{oracle_total} medians equal"
+            "strict gate: pooled oracle savings {oracle_savings_pct:.1}% (need ≥{SAVINGS_GATE_PCT}%) with {scenarios_equal}/{scenarios_total} medians equal"
         );
         return ExitCode::FAILURE;
     }

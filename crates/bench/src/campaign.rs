@@ -40,7 +40,7 @@
 pub use crate::jobspec::{EngineReuse, JobSpec};
 
 use crate::exec::{drive_schedule, CellOutcome};
-use crate::harness::{Algo, BudgetClass, RunSpec};
+use crate::harness::{Algo, RunSpec};
 use crate::results::{aggregate_rows, AggregateResult, ScenarioResult};
 use crate::schedule::{Cell, ScheduleOutcome};
 use crate::EngineKind;
@@ -233,19 +233,13 @@ fn read_existing_rows(path: &Path, spec: &JobSpec) -> Result<Option<ExistingFile
     let torn_tail = complete_through < text.len();
     // Every row of one file shares these; a mismatch means the file belongs
     // to a different campaign.
-    let expect: [(&str, String); 4] = [
+    let expect: [(&str, String); 5] = [
         ("schema_version", crate::results::SCHEMA_VERSION.to_string()),
+        ("budget", spec.budget.label().to_string()),
         ("engine", spec.engine.label().to_string()),
         ("estimator", spec.estimator.label().to_string()),
         ("prescreen", spec.prescreen.label().to_string()),
     ];
-    // The budget is set-valued: a shrinking schedule legitimately writes
-    // rows at every rung of the spec's ladder into one file.
-    let ladder: Vec<String> = spec
-        .budget_ladder()
-        .iter()
-        .map(|b| b.label().to_string())
-        .collect();
     let mut rows = Vec::new();
     for (lineno, line) in text[..complete_through].lines().enumerate() {
         if line.trim().is_empty() {
@@ -265,17 +259,6 @@ fn read_existing_rows(path: &Path, spec: &JobSpec) -> Result<Option<ExistingFile
                     lineno + 1
                 ));
             }
-        }
-        let budget = row.str("budget").map(str::to_string);
-        if !budget
-            .as_deref()
-            .is_some_and(|b| ladder.iter().any(|l| l == b))
-        {
-            return Err(format!(
-                "{}:{}: row budget is {budget:?} but this campaign runs {ladder:?} — refusing to mix campaigns in one file",
-                path.display(),
-                lineno + 1
-            ));
         }
         rows.push(row);
     }
@@ -325,17 +308,17 @@ fn check_spec_fingerprint(jsonl_path: &Path, spec: &JobSpec, has_rows: bool) -> 
 /// Opening a writer (1) creates the parent directories, (2) reads and
 /// identity-checks any rows already on disk, (3) verifies or writes the
 /// sidecar spec fingerprint, and (4) truncates a torn trailing line left by
-/// a mid-write kill. Afterwards [`CellWriter::is_done`] answers whether a
-/// cell's row is already on disk and [`CellWriter::append`] streams one
-/// flushed row per completed cell.
+/// a mid-write kill. Afterwards [`CellWriter::row_stats`] answers whether
+/// (and with what statistics) a cell's row is already on disk and
+/// [`CellWriter::append`] streams one flushed row per completed cell.
 pub struct CellWriter {
     path: PathBuf,
     file: std::fs::File,
-    /// `(best_yield, simulations)` per completed cell, keyed by the full
-    /// cell identity including its budget class — the observations an
-    /// adaptive scheduler replays its decisions from when rows come off
-    /// disk.
-    stats: HashMap<(String, String, u64, BudgetClass), (f64, f64)>,
+    /// `(best_yield, simulations)` per completed `(scenario, algo, seed)`
+    /// cell — the observations an adaptive scheduler replays its decisions
+    /// from when rows come off disk. Every row of a file shares the spec's
+    /// budget class, so the budget is not part of the key.
+    stats: HashMap<(String, String, u64), (f64, f64)>,
 }
 
 impl CellWriter {
@@ -354,22 +337,16 @@ impl CellWriter {
             spec,
             existing.as_ref().is_some_and(|e| !e.rows.is_empty()),
         )?;
-        let mut stats: HashMap<(String, String, u64, BudgetClass), (f64, f64)> = HashMap::new();
+        let mut stats: HashMap<(String, String, u64), (f64, f64)> = HashMap::new();
         let file = match existing {
             None => std::fs::File::create(jsonl_path)
                 .map_err(|e| format!("cannot create {}: {e}", jsonl_path.display()))?,
             Some(ex) => {
                 for row in &ex.rows {
-                    // The budget label was identity-checked against the
-                    // spec's ladder, so it always parses.
-                    let Some(budget) = row.str("budget").and_then(BudgetClass::parse) else {
-                        continue;
-                    };
                     let key = (
                         row.str("scenario").unwrap_or_default().to_string(),
                         row.str("algo").unwrap_or_default().to_string(),
                         row.num("seed").unwrap_or(-1.0) as u64,
-                        budget,
                     );
                     if let Some(y) = row.num("best_yield") {
                         stats.insert(key, (y, row.num("simulations").unwrap_or(0.0)));
@@ -395,35 +372,12 @@ impl CellWriter {
         })
     }
 
-    /// Whether this cell's row is already on disk.
-    pub fn is_done(&self, scenario: &str, algo: &str, seed: u64, budget: BudgetClass) -> bool {
-        self.stats
-            .contains_key(&(scenario.to_string(), algo.to_string(), seed, budget))
-    }
-
     /// The `(best_yield, simulations)` of a completed cell (on disk at
-    /// open, or appended since), if any.
-    pub fn row_stats(
-        &self,
-        scenario: &str,
-        algo: &str,
-        seed: u64,
-        budget: BudgetClass,
-    ) -> Option<(f64, f64)> {
+    /// open, or appended since), or `None` when the cell has no row yet.
+    pub fn row_stats(&self, scenario: &str, algo: &str, seed: u64) -> Option<(f64, f64)> {
         self.stats
-            .get(&(scenario.to_string(), algo.to_string(), seed, budget))
+            .get(&(scenario.to_string(), algo.to_string(), seed))
             .copied()
-    }
-
-    /// The `best_yield` of a completed cell, if any.
-    pub fn best_yield(
-        &self,
-        scenario: &str,
-        algo: &str,
-        seed: u64,
-        budget: BudgetClass,
-    ) -> Option<f64> {
-        self.row_stats(scenario, algo, seed, budget).map(|(y, _)| y)
     }
 
     /// Number of identity-checked rows that were on disk at open time.
@@ -434,18 +388,11 @@ impl CellWriter {
     /// Appends one cell row and flushes it to disk (the row *is* the commit
     /// point of the resume protocol).
     pub fn append(&mut self, result: &ScenarioResult) -> Result<(), String> {
-        let budget = BudgetClass::parse(&result.budget)
-            .ok_or_else(|| format!("unknown budget class {:?} in result row", result.budget))?;
         self.file
             .write_all(result.to_jsonl_row().as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| format!("cannot append to {}: {e}", self.path.display()))?;
-        let key = (
-            result.scenario.clone(),
-            result.algo.clone(),
-            result.seed,
-            budget,
-        );
+        let key = (result.scenario.clone(), result.algo.clone(), result.seed);
         self.stats
             .insert(key, (result.best_yield, result.simulations as f64));
         Ok(())
@@ -589,45 +536,6 @@ pub fn run_campaign_traced(
             total_rows - rows.len()
         ));
     }
-    // Under a shrinking schedule, each (scenario, algo) group aggregates
-    // only at its final budget class — the most expensive rung present in
-    // its rows, the same rule the scheduler's outcome accounting uses.
-    // Cheaper pilot rows informed the schedule but must not pool with
-    // full-budget rows in one mean.
-    let rows = if spec.budget_ladder().len() > 1 {
-        let mut final_rung: HashMap<(String, String), usize> = HashMap::new();
-        let rung_of = |row: &JsonRecord| {
-            row.str("budget")
-                .and_then(BudgetClass::parse)
-                .map(|b| b.rung())
-                .unwrap_or(0)
-        };
-        let group_of = |row: &JsonRecord| {
-            (
-                row.str("scenario").unwrap_or_default().to_string(),
-                row.str("algo").unwrap_or_default().to_string(),
-            )
-        };
-        for row in &rows {
-            let rung = rung_of(row);
-            let entry = final_rung.entry(group_of(row)).or_insert(rung);
-            *entry = (*entry).max(rung);
-        }
-        let before = rows.len();
-        let rows: Vec<JsonRecord> = rows
-            .into_iter()
-            .filter(|row| final_rung.get(&group_of(row)) == Some(&rung_of(row)))
-            .collect();
-        if rows.len() < before {
-            progress(&format!(
-                "{} pilot row(s) below their group's final budget class are excluded from the aggregates",
-                before - rows.len()
-            ));
-        }
-        rows
-    } else {
-        rows
-    };
     let aggregates = aggregate_rows(&rows)?;
     Ok(CampaignReport {
         resumed,

@@ -175,26 +175,16 @@ where
         );
         let mut slots = Vec::with_capacity(round.len());
         for cell in &round {
-            if inner
+            let on_disk = inner
                 .writer
-                .is_done(&cell.scenario, &cell.algo, cell.seed, cell.budget)
-            {
-                let (best_yield, simulations) = inner
-                    .writer
-                    .row_stats(&cell.scenario, &cell.algo, cell.seed, cell.budget)
-                    .ok_or_else(|| {
-                        format!(
-                            "{}/{}/seed {}: on-disk row has no best_yield — cannot resume",
-                            cell.scenario, cell.algo, cell.seed
-                        )
-                    })?;
-                slots.push(Slot::Done(Resolution::Resumed {
+                .row_stats(&cell.scenario, &cell.algo, cell.seed);
+            slots.push(match on_disk {
+                Some((best_yield, simulations)) => Slot::Done(Resolution::Resumed {
                     best_yield,
                     simulations,
-                }));
-            } else {
-                slots.push(Slot::Pending);
-            }
+                }),
+                None => Slot::Pending,
+            });
         }
         inner.round = round;
         inner.slots = slots;
@@ -218,7 +208,7 @@ fn claim<C>(inner: &mut CoreInner<C>) -> Option<(usize, Cell)> {
 }
 
 impl<E, C> ExecutionCore<E, C> {
-    /// The scheduler's stable label (`fixed`, `ocba`, `ocba-shrink`).
+    /// The scheduler's stable label (`fixed`, `ocba`).
     pub fn label(&self) -> &'static str {
         self.scheduler.label()
     }
@@ -242,8 +232,7 @@ where
     ///
     /// # Errors
     ///
-    /// Propagates `commit` errors and writer I/O errors verbatim; fails
-    /// when an on-disk row claims completion but carries no statistics.
+    /// Propagates `commit` errors and writer I/O errors verbatim.
     pub fn new(
         spec: &JobSpec,
         writer: CellWriter,

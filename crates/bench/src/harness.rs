@@ -93,22 +93,6 @@ pub enum BudgetClass {
 }
 
 impl BudgetClass {
-    /// Every class in escalation order, cheapest first.
-    pub const LADDER: [BudgetClass; 3] = [Self::Tiny, Self::Small, Self::Paper];
-
-    /// Position of this class on [`Self::LADDER`].
-    pub fn rung(&self) -> usize {
-        Self::LADDER
-            .iter()
-            .position(|c| c == self)
-            .expect("every class is on the ladder")
-    }
-
-    /// The escalation ladder from `Tiny` up to (and including) this class.
-    pub fn ladder_to(self) -> Vec<BudgetClass> {
-        Self::LADDER[..=self.rung()].to_vec()
-    }
-
     /// Parses a `--budget` value.
     pub fn parse(s: &str) -> Option<Self> {
         match s {

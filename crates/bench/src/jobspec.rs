@@ -105,14 +105,9 @@ pub enum ScheduleKind {
     /// OCBA over the campaign: seed replications flow to the noisy
     /// (scenario, algo) groups after a min-seeds floor, and a group stops
     /// early once its cross-seed CI half-width clears the gate threshold.
+    /// Every cell runs at the spec's budget class, so an `ocba` campaign
+    /// runs a subset of the `fixed` grid's cells.
     Ocba,
-    /// `Ocba` plus budget-class shrinking: every group starts at the bottom
-    /// of the tiny→small→paper ladder and escalates toward the spec budget
-    /// only while its cross-seed CI at the current class has not cleared the
-    /// gate — groups whose cheap pilot already resolves the yield never buy
-    /// the expensive class at all. Replications at the spec budget are then
-    /// allocated cost-aware (observed simulations per cell).
-    OcbaShrink,
 }
 
 impl ScheduleKind {
@@ -121,7 +116,6 @@ impl ScheduleKind {
         match s {
             "fixed" => Some(Self::Fixed),
             "ocba" => Some(Self::Ocba),
-            "ocba-shrink" => Some(Self::OcbaShrink),
             _ => None,
         }
     }
@@ -131,7 +125,6 @@ impl ScheduleKind {
         match self {
             Self::Fixed => "fixed",
             Self::Ocba => "ocba",
-            Self::OcbaShrink => "ocba-shrink",
         }
     }
 }
@@ -196,17 +189,6 @@ impl JobSpec {
     /// Number of grid cells.
     pub fn cells(&self) -> usize {
         self.scenarios.len() * self.algos.len() * self.seeds.len()
-    }
-
-    /// The budget classes this spec's cells may legitimately run at, in
-    /// escalation order ending at [`JobSpec::budget`]. A single rung for
-    /// every schedule except [`ScheduleKind::OcbaShrink`], whose scheduler
-    /// walks groups up the tiny→…→budget ladder.
-    pub fn budget_ladder(&self) -> Vec<BudgetClass> {
-        match self.schedule {
-            ScheduleKind::OcbaShrink => self.budget.ladder_to(),
-            _ => vec![self.budget],
-        }
     }
 
     /// Checks the spec is executable: non-empty grid axes, every scenario
@@ -537,39 +519,10 @@ mod tests {
 
     #[test]
     fn schedule_labels_roundtrip() {
-        for kind in [
-            ScheduleKind::Fixed,
-            ScheduleKind::Ocba,
-            ScheduleKind::OcbaShrink,
-        ] {
+        for kind in [ScheduleKind::Fixed, ScheduleKind::Ocba] {
             assert_eq!(ScheduleKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(ScheduleKind::parse("bogus"), None);
-    }
-
-    #[test]
-    fn budget_ladders_are_single_rung_except_under_shrink() {
-        let mut spec = sample();
-        spec.budget = BudgetClass::Small;
-        assert_eq!(spec.budget_ladder(), vec![BudgetClass::Small]);
-        spec.schedule = ScheduleKind::Ocba;
-        assert_eq!(spec.budget_ladder(), vec![BudgetClass::Small]);
-        spec.schedule = ScheduleKind::OcbaShrink;
-        assert_eq!(
-            spec.budget_ladder(),
-            vec![BudgetClass::Tiny, BudgetClass::Small]
-        );
-        spec.budget = BudgetClass::Tiny;
-        assert_eq!(spec.budget_ladder(), vec![BudgetClass::Tiny]);
-        spec.budget = BudgetClass::Paper;
-        assert_eq!(
-            spec.budget_ladder(),
-            vec![BudgetClass::Tiny, BudgetClass::Small, BudgetClass::Paper]
-        );
-        let parsed = JobSpec::parse(&spec.to_json()).expect("roundtrip");
-        assert_eq!(parsed.schedule, ScheduleKind::OcbaShrink);
-        assert!(spec.to_json().contains("\"schedule\": \"ocba-shrink\""));
-        assert!(spec.fingerprint().contains(" schedule=ocba-shrink"));
     }
 
     #[test]
@@ -589,9 +542,13 @@ mod tests {
         assert_ne!(fixed.job_id("alice"), ocba.job_id("alice"));
         let parsed = JobSpec::parse(&ocba.to_json()).expect("roundtrip");
         assert_eq!(parsed, ocba);
-        assert!(
-            JobSpec::parse("{\"scenarios\": \"margin_wall\", \"schedule\": \"warp\"}").is_err()
-        );
+        // `ocba-shrink` was a schedule once; an old spec naming it fails
+        // closed instead of silently running another policy.
+        for unknown in ["warp", "ocba-shrink"] {
+            let body = format!("{{\"scenarios\": \"margin_wall\", \"schedule\": \"{unknown}\"}}");
+            let err = JobSpec::parse(&body).expect_err("unknown schedule");
+            assert_eq!(err, format!("unknown schedule {unknown:?}"));
+        }
     }
 
     #[test]

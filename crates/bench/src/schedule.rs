@@ -1,32 +1,24 @@
-//! Campaign scheduling: which cells run, at what budget class, in what
-//! order, and when to stop.
+//! Campaign scheduling: which cells run, in what order, and when to stop.
 //!
 //! The paper's budget-allocation insight — spend replications where the
 //! observed variance says they buy information — applied one level up. A
 //! campaign is a set of `(scenario, algo)` **groups**, each with a pool of
-//! candidate seeds and a ladder of [`BudgetClass`]es; a
-//! [`CampaignScheduler`] decides, round by round, which
-//! `(scenario, algo, seed, budget)` cells to run next based on the
-//! cross-seed statistics observed so far:
+//! candidate seeds at the spec's [`BudgetClass`]; a [`CampaignScheduler`]
+//! decides, round by round, which `(scenario, algo, seed)` cells to run
+//! next based on the cross-seed statistics observed so far:
 //!
 //! * [`FixedGrid`] reproduces the historical behavior exactly: one round
 //!   containing the whole remaining rectangle in grid order (scenario
-//!   outer, algo middle, seed inner), every cell at the spec's budget
-//!   class. Bit-identical rows, counters, and progress order.
+//!   outer, algo middle, seed inner). Bit-identical rows, counters, and
+//!   progress order.
 //! * [`OcbaSchedule`] treats each group as an OCBA arm
 //!   ([`moheco_ocba::Arm`]): after a min-seeds floor it grants further seed
 //!   replications by cross-seed variance, and a group stops early once its
 //!   95 % CI half-width on the cross-seed mean yield clears the gate
 //!   threshold — converged cells stop buying seeds that noisy cells need.
-//! * [`OcbaSchedule`] with [`OcbaSchedule::shrink`] set (the `ocba-shrink`
-//!   schedule) additionally shrinks the per-cell **budget class**: every
-//!   group starts its floor at the cheapest rung of the spec's ladder
-//!   (tiny), and escalates to the next rung only while the cross-seed CI at
-//!   the current rung has not cleared the gate. Groups whose verdict is
-//!   already pinned by cheap runs never pay for expensive ones; only the
-//!   stubborn groups climb to the spec's full budget, where a cost-aware
-//!   OCBA pass ([`moheco_ocba::allocate_arm_units`]) splits further
-//!   replications by variance *per simulation spent*.
+//!   Every replication costs the same, as in the paper's Eq. (1), and
+//!   every cell it runs is a cell of the fixed grid — so it can never cost
+//!   more than [`FixedGrid`].
 //!
 //! # Determinism under resume
 //!
@@ -46,7 +38,7 @@ use crate::harness::BudgetClass;
 use crate::jobspec::{JobSpec, ScheduleKind};
 use crate::results::YIELD_TOLERANCE;
 use moheco_obs::prometheus::{push_header, push_sample};
-use moheco_ocba::{allocate_arm_increment, allocate_arm_units, Arm};
+use moheco_ocba::{allocate_arm_increment, Arm};
 
 /// One schedulable unit of campaign work.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -57,7 +49,7 @@ pub struct Cell {
     pub algo: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// Budget class the cell runs at.
+    /// Budget class the cell runs at (the spec's).
     pub budget: BudgetClass,
 }
 
@@ -66,8 +58,6 @@ pub struct Cell {
 pub struct CompletedCell {
     /// Master seed of the run.
     pub seed: u64,
-    /// Budget class the cell ran at.
-    pub budget: BudgetClass,
     /// Reported yield of the run's best design.
     pub best_yield: f64,
     /// Simulations the run spent.
@@ -75,8 +65,7 @@ pub struct CompletedCell {
 }
 
 /// Observed state of one `(scenario, algo)` group: its seed pool, its
-/// budget-class ladder, and the cells completed so far, in completion
-/// order.
+/// budget class, and the cells completed so far, in completion order.
 #[derive(Debug, Clone)]
 pub struct GroupState {
     /// Registry name of the scenario.
@@ -85,153 +74,58 @@ pub struct GroupState {
     pub algo: String,
     /// Candidate seeds, in spec order; the scheduler may use a prefix.
     pub seed_pool: Vec<u64>,
-    /// Budget classes available to the scheduler, cheapest first. A single
-    /// rung — the spec's budget class — except under `ocba-shrink`, where
-    /// it is the full escalation ladder up to the spec's class
-    /// ([`JobSpec::budget_ladder`]).
-    pub ladder: Vec<BudgetClass>,
+    /// Budget class every cell of the group runs at — the spec's.
+    pub budget: BudgetClass,
     /// Every completed cell, in completion order.
     pub completed: Vec<CompletedCell>,
 }
 
 impl GroupState {
-    /// The most expensive rung of the group's ladder — the spec's budget
-    /// class.
-    pub fn top_class(&self) -> BudgetClass {
-        *self.ladder.last().expect("a group ladder is never empty")
+    /// Seeds completed so far.
+    pub fn used(&self) -> usize {
+        self.completed.len()
     }
 
-    /// Seeds completed at `class` so far.
-    pub fn used_at(&self, class: BudgetClass) -> usize {
-        self.completed.iter().filter(|c| c.budget == class).count()
-    }
-
-    /// Pool seeds not yet completed at `class`, in pool order.
-    pub fn unused_at(&self, class: BudgetClass) -> impl Iterator<Item = u64> + '_ {
-        self.seed_pool.iter().copied().filter(move |s| {
-            !self
-                .completed
-                .iter()
-                .any(|c| c.seed == *s && c.budget == class)
-        })
-    }
-
-    /// Cross-seed mean of `best_yield` at `class` (NaN with no
-    /// completions).
-    pub fn mean_at(&self, class: BudgetClass) -> f64 {
-        let ys: Vec<f64> = self
-            .completed
+    /// Pool seeds not yet completed, in pool order.
+    pub fn unused(&self) -> impl Iterator<Item = u64> + '_ {
+        self.seed_pool
             .iter()
-            .filter(|c| c.budget == class)
-            .map(|c| c.best_yield)
-            .collect();
-        if ys.is_empty() {
+            .copied()
+            .filter(move |s| !self.completed.iter().any(|c| c.seed == *s))
+    }
+
+    /// Cross-seed mean of `best_yield` (NaN with no completions).
+    pub fn mean(&self) -> f64 {
+        if self.completed.is_empty() {
             return f64::NAN;
         }
-        ys.iter().sum::<f64>() / ys.len() as f64
+        self.completed.iter().map(|c| c.best_yield).sum::<f64>() / self.used() as f64
     }
 
-    /// Unbiased cross-seed variance of `best_yield` at `class` (0 below
-    /// two completions).
-    pub fn variance_at(&self, class: BudgetClass) -> f64 {
-        let ys: Vec<f64> = self
-            .completed
-            .iter()
-            .filter(|c| c.budget == class)
-            .map(|c| c.best_yield)
-            .collect();
-        if ys.len() < 2 {
+    /// Unbiased cross-seed variance of `best_yield` (0 below two
+    /// completions).
+    pub fn variance(&self) -> f64 {
+        let n = self.used();
+        if n < 2 {
             return 0.0;
         }
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-        ys.iter().map(|y| (y - mean).powi(2)).sum::<f64>() / (ys.len() - 1) as f64
+        let mean = self.mean();
+        self.completed
+            .iter()
+            .map(|c| (c.best_yield - mean).powi(2))
+            .sum::<f64>()
+            / (n - 1) as f64
     }
 
-    /// 95 % CI half-width of the cross-seed mean yield at `class`, the same
+    /// 95 % CI half-width of the cross-seed mean yield, the same
     /// `Z_95 · std / √n` the aggregate records report. Infinite below two
     /// completions — a group can never gate on a single observation.
-    pub fn ci_half_width_at(&self, class: BudgetClass) -> f64 {
-        let n = self.used_at(class);
+    pub fn ci_half_width(&self) -> f64 {
+        let n = self.used();
         if n < 2 {
             return f64::INFINITY;
         }
-        moheco_sampling::Z_95 * self.variance_at(class).sqrt() / (n as f64).sqrt()
-    }
-
-    /// Mean simulations one completed cell at `class` cost, floored at one
-    /// — the replication cost the cost-aware allocation pays per extra
-    /// seed. One when no cell at `class` has completed yet.
-    pub fn mean_cost_at(&self, class: BudgetClass) -> f64 {
-        let costs: Vec<f64> = self
-            .completed
-            .iter()
-            .filter(|c| c.budget == class)
-            .map(|c| c.simulations)
-            .collect();
-        if costs.is_empty() {
-            return 1.0;
-        }
-        (costs.iter().sum::<f64>() / costs.len() as f64).max(1.0)
-    }
-
-    /// Seeds completed at the top rung so far.
-    pub fn used(&self) -> usize {
-        self.used_at(self.top_class())
-    }
-
-    /// Pool seeds not yet completed at the top rung, in pool order.
-    pub fn unused(&self) -> impl Iterator<Item = u64> + '_ {
-        self.unused_at(self.top_class())
-    }
-
-    /// Cross-seed mean of `best_yield` at the top rung (NaN with no
-    /// completions).
-    pub fn mean(&self) -> f64 {
-        self.mean_at(self.top_class())
-    }
-
-    /// Unbiased cross-seed variance of `best_yield` at the top rung (0
-    /// below two completions).
-    pub fn variance(&self) -> f64 {
-        self.variance_at(self.top_class())
-    }
-
-    /// 95 % CI half-width of the cross-seed mean yield at the top rung.
-    pub fn ci_half_width(&self) -> f64 {
-        self.ci_half_width_at(self.top_class())
-    }
-
-    /// The rung the group has escalated to: starting from the cheapest
-    /// class, a group climbs one rung whenever the current rung's floor is
-    /// met but its CI half-width still exceeds the gate. Monotone under
-    /// new completions — the statistics of a rung below the current level
-    /// freeze once the group climbs past it, so a level can never revisit
-    /// a lower rung.
-    pub fn level(&self, min_seeds: usize, gate_half_width: f64) -> usize {
-        let floor = min_seeds.min(self.seed_pool.len());
-        let mut level = 0;
-        while level + 1 < self.ladder.len() {
-            let class = self.ladder[level];
-            if self.used_at(class) >= floor && self.ci_half_width_at(class) > gate_half_width {
-                level += 1;
-            } else {
-                break;
-            }
-        }
-        level
-    }
-
-    /// The budget class the group's verdict rests on: the most expensive
-    /// class with a completed cell, or the cheapest rung when nothing has
-    /// completed. Aggregates and outcome accounting both use this rule, so
-    /// they agree on which rows count — and it is a pure function of the
-    /// completion log, so a resumed campaign re-derives it identically.
-    pub fn final_class(&self) -> BudgetClass {
-        self.completed
-            .iter()
-            .map(|c| c.budget)
-            .max_by_key(|b| b.rung())
-            .unwrap_or(self.ladder[0])
+        moheco_sampling::Z_95 * self.variance().sqrt() / (n as f64).sqrt()
     }
 }
 
@@ -247,7 +141,6 @@ pub struct CampaignState {
 impl CampaignState {
     /// The initial (empty-observation) state of a spec's grid.
     pub fn new(spec: &JobSpec) -> Self {
-        let ladder = spec.budget_ladder();
         let groups = spec
             .scenarios
             .iter()
@@ -256,7 +149,7 @@ impl CampaignState {
                     scenario: scenario.clone(),
                     algo: algo.label().to_string(),
                     seed_pool: spec.seeds.clone(),
-                    ladder: ladder.clone(),
+                    budget: spec.budget,
                     completed: Vec::new(),
                 })
             })
@@ -265,21 +158,16 @@ impl CampaignState {
     }
 
     /// Records one completed cell. Cells outside the grid are ignored;
-    /// duplicate `(seed, budget)` completions of a group are ignored.
+    /// duplicate seed completions of a group are ignored.
     pub fn record(&mut self, cell: &Cell, best_yield: f64, simulations: f64) {
         if let Some(group) = self
             .groups
             .iter_mut()
             .find(|g| g.scenario == cell.scenario && g.algo == cell.algo)
         {
-            if !group
-                .completed
-                .iter()
-                .any(|c| c.seed == cell.seed && c.budget == cell.budget)
-            {
+            if !group.completed.iter().any(|c| c.seed == cell.seed) {
                 group.completed.push(CompletedCell {
                     seed: cell.seed,
-                    budget: cell.budget,
                     best_yield,
                     simulations,
                 });
@@ -300,12 +188,21 @@ impl CampaignState {
 /// otherwise the driver could loop forever — and must never repeat a
 /// completed cell.
 pub trait CampaignScheduler {
-    /// The stable label (`fixed`, `ocba`, `ocba-shrink`) used in events and
-    /// metrics.
+    /// The stable label (`fixed`, `ocba`) used in events and metrics.
     fn label(&self) -> &'static str;
 
     /// The next round of cells, in execution order.
     fn next_cells(&self, state: &CampaignState) -> Vec<Cell>;
+}
+
+/// A group's cell for `seed`, at the group's budget class.
+fn cell_of(group: &GroupState, seed: u64) -> Cell {
+    Cell {
+        scenario: group.scenario.clone(),
+        algo: group.algo.clone(),
+        seed,
+        budget: group.budget,
+    }
 }
 
 /// The historical fixed rectangle: one round with every remaining cell in
@@ -323,14 +220,7 @@ impl CampaignScheduler for FixedGrid {
         state
             .groups
             .iter()
-            .flat_map(|g| {
-                g.unused().map(|seed| Cell {
-                    scenario: g.scenario.clone(),
-                    algo: g.algo.clone(),
-                    seed,
-                    budget: g.top_class(),
-                })
-            })
+            .flat_map(|g| g.unused().map(|seed| cell_of(g, seed)))
             .collect()
     }
 }
@@ -347,27 +237,15 @@ impl CampaignScheduler for FixedGrid {
 /// size), and asks [`allocate_arm_increment`] to split a delta of one
 /// replication per open group. Converged or exhausted groups receive
 /// nothing; the campaign ends when no group is open.
-///
-/// With [`OcbaSchedule::shrink`] set the floor additionally starts at the
-/// cheapest rung of each group's budget ladder and escalates one rung at a
-/// time ([`GroupState::level`]), and the top-rung allocation switches to
-/// the cost-aware [`allocate_arm_units`] with each group's observed mean
-/// simulations per cell as its replication cost.
 #[derive(Debug, Clone, Copy)]
 pub struct OcbaSchedule {
-    /// Minimum seeds per group (per rung, under `shrink`) before the gate
-    /// may stop or escalate it.
+    /// Minimum seeds per group before the gate may stop it.
     pub min_seeds: usize,
     /// CI half-width below which a group is considered converged. The
     /// default is [`YIELD_TOLERANCE`] — once the cross-seed mean is pinned
     /// tighter than the baseline gate's own tolerance, more seeds cannot
     /// change the verdict.
     pub gate_half_width: f64,
-    /// Whether the scheduler may shrink the per-cell budget class: floors
-    /// start at the cheapest ladder rung and escalate only while the gate
-    /// has not cleared. Off by default — the classic `ocba` schedule runs
-    /// every cell at the spec's budget class.
-    pub shrink: bool,
 }
 
 impl Default for OcbaSchedule {
@@ -375,7 +253,6 @@ impl Default for OcbaSchedule {
         Self {
             min_seeds: 3,
             gate_half_width: YIELD_TOLERANCE,
-            shrink: false,
         }
     }
 }
@@ -386,22 +263,14 @@ impl OcbaSchedule {
     fn is_open(&self, group: &GroupState) -> bool {
         group.used() < group.seed_pool.len() && group.ci_half_width() > self.gate_half_width
     }
+}
 
-    /// Whether a `shrink` group still wants top-rung seeds: it has
-    /// escalated to the top rung, met the floor there, has unused seeds
-    /// left, and the top-rung CI has not cleared the gate.
-    fn is_open_at_top(&self, group: &GroupState) -> bool {
-        let top = group.top_class();
-        let floor = self.min_seeds.min(group.seed_pool.len());
-        group.level(self.min_seeds, self.gate_half_width) + 1 == group.ladder.len()
-            && group.used_at(top) >= floor
-            && group.used_at(top) < group.seed_pool.len()
-            && group.ci_half_width_at(top) > self.gate_half_width
+impl CampaignScheduler for OcbaSchedule {
+    fn label(&self) -> &'static str {
+        "ocba"
     }
 
-    /// The classic (budget-class-preserving) policy. Kept verbatim so the
-    /// `ocba` schedule stays bit-identical to its historical rows.
-    fn next_cells_classic(&self, state: &CampaignState) -> Vec<Cell> {
+    fn next_cells(&self, state: &CampaignState) -> Vec<Cell> {
         // Phase A: the floor round. Any group below its floor gets topped
         // up first — statistics on fewer than `min_seeds` seeds are too
         // weak to allocate on (or to gate on).
@@ -409,12 +278,12 @@ impl OcbaSchedule {
         for group in &state.groups {
             let floor = self.min_seeds.min(group.seed_pool.len());
             if group.used() < floor {
-                floor_cells.extend(group.unused().take(floor - group.used()).map(|seed| Cell {
-                    scenario: group.scenario.clone(),
-                    algo: group.algo.clone(),
-                    seed,
-                    budget: group.top_class(),
-                }));
+                floor_cells.extend(
+                    group
+                        .unused()
+                        .take(floor - group.used())
+                        .map(|seed| cell_of(group, seed)),
+                );
             }
         }
         if !floor_cells.is_empty() {
@@ -442,114 +311,8 @@ impl OcbaSchedule {
             .unwrap_or_else(|_| vec![1; open.len()]);
         open.iter()
             .zip(&grants)
-            .flat_map(|(group, &n)| {
-                group.unused().take(n).map(|seed| Cell {
-                    scenario: group.scenario.clone(),
-                    algo: group.algo.clone(),
-                    seed,
-                    budget: group.top_class(),
-                })
-            })
+            .flat_map(|(group, &n)| group.unused().take(n).map(|seed| cell_of(group, seed)))
             .collect()
-    }
-
-    /// The budget-class-shrinking policy behind the `ocba-shrink` schedule.
-    fn next_cells_shrink(&self, state: &CampaignState) -> Vec<Cell> {
-        // Phase A: the floor round, at each group's current ladder rung.
-        // A group below its floor at the rung it has escalated to gets
-        // topped up there first — so every verdict (gate or escalate)
-        // rests on at least `min_seeds` observations at that rung.
-        let mut floor_cells = Vec::new();
-        for group in &state.groups {
-            let floor = self.min_seeds.min(group.seed_pool.len());
-            let class = group.ladder[group.level(self.min_seeds, self.gate_half_width)];
-            let used = group.used_at(class);
-            if used < floor {
-                floor_cells.extend(group.unused_at(class).take(floor - used).map(|seed| Cell {
-                    scenario: group.scenario.clone(),
-                    algo: group.algo.clone(),
-                    seed,
-                    budget: class,
-                }));
-            }
-        }
-        if !floor_cells.is_empty() {
-            return floor_cells;
-        }
-
-        // Phase B: cost-aware OCBA over the groups open at their top rung.
-        // Each group's replication cost is its observed mean simulations
-        // per top-rung cell, and the spendable units per round are one
-        // replication's worth per open group — so expensive groups must
-        // out-argue cheap ones with variance to keep buying seeds.
-        let open: Vec<&GroupState> = state
-            .groups
-            .iter()
-            .filter(|g| self.is_open_at_top(g))
-            .collect();
-        if open.is_empty() {
-            return Vec::new();
-        }
-        let arms: Vec<Arm> = open
-            .iter()
-            .map(|g| {
-                let top = g.top_class();
-                Arm::new(g.mean_at(top), g.variance_at(top), g.used_at(top))
-                    .with_cap(g.seed_pool.len())
-                    .with_cost(g.mean_cost_at(top))
-            })
-            .collect();
-        let units: f64 = arms.iter().map(|a| a.cost).sum();
-        let grants = allocate_arm_units(&arms, units)
-            // Unreachable for the same reason as the classic path; the
-            // uniform fallback keeps the progress guarantee.
-            .unwrap_or_else(|_| vec![1; open.len()]);
-        let mut cells: Vec<Cell> = open
-            .iter()
-            .zip(&grants)
-            .flat_map(|(group, &n)| {
-                group.unused_at(group.top_class()).take(n).map(|seed| Cell {
-                    scenario: group.scenario.clone(),
-                    algo: group.algo.clone(),
-                    seed,
-                    budget: group.top_class(),
-                })
-            })
-            .collect();
-        if cells.is_empty() {
-            // The unit allocation granted every whole replication to arms
-            // that turned out to have no room. Force one seed into the
-            // first open group (it has unused top-rung seeds by
-            // definition) so a non-empty open set always makes progress.
-            let group = open[0];
-            if let Some(seed) = group.unused_at(group.top_class()).next() {
-                cells.push(Cell {
-                    scenario: group.scenario.clone(),
-                    algo: group.algo.clone(),
-                    seed,
-                    budget: group.top_class(),
-                });
-            }
-        }
-        cells
-    }
-}
-
-impl CampaignScheduler for OcbaSchedule {
-    fn label(&self) -> &'static str {
-        if self.shrink {
-            "ocba-shrink"
-        } else {
-            "ocba"
-        }
-    }
-
-    fn next_cells(&self, state: &CampaignState) -> Vec<Cell> {
-        if self.shrink {
-            self.next_cells_shrink(state)
-        } else {
-            self.next_cells_classic(state)
-        }
     }
 }
 
@@ -558,10 +321,6 @@ pub fn scheduler_for(kind: ScheduleKind) -> Box<dyn CampaignScheduler + Send + S
     match kind {
         ScheduleKind::Fixed => Box::new(FixedGrid),
         ScheduleKind::Ocba => Box::new(OcbaSchedule::default()),
-        ScheduleKind::OcbaShrink => Box::new(OcbaSchedule {
-            shrink: true,
-            ..OcbaSchedule::default()
-        }),
     }
 }
 
@@ -572,18 +331,11 @@ pub struct GroupOutcome {
     pub scenario: String,
     /// Algorithm label.
     pub algo: String,
-    /// The budget class the group's verdict rests on
-    /// ([`GroupState::final_class`]).
-    pub final_budget: BudgetClass,
-    /// Seeds completed at the final budget class.
+    /// Seeds completed.
     pub seeds_used: usize,
-    /// Pool seeds left unspent at the final budget class.
+    /// Pool seeds left unspent.
     pub seeds_saved: usize,
-    /// Ladder rungs the group climbed past the cheapest class (0 for a
-    /// single-rung ladder or a group gated at the bottom).
-    pub escalations: usize,
-    /// Simulations the group spent in total, **including** pilot cells at
-    /// rungs below the final class — the honest price of the schedule.
+    /// Simulations the group spent in total.
     pub simulations: u64,
 }
 
@@ -603,13 +355,10 @@ pub struct ScheduleOutcome {
     /// Groups stopped before exhausting their seed pool (0 under
     /// [`FixedGrid`], which always runs the full rectangle).
     pub groups_gated: usize,
-    /// Seeds left unspent across all groups (at each group's final budget
-    /// class) — the campaign-level budget the scheduler saved.
+    /// Seeds left unspent across all groups — the campaign-level budget the
+    /// scheduler saved.
     pub seeds_saved: usize,
-    /// Ladder rungs climbed across all groups (0 except under
-    /// `ocba-shrink`).
-    pub escalations: usize,
-    /// Simulations spent across all groups, pilot cells included.
+    /// Simulations spent across all groups.
     pub simulations_total: u64,
     /// Per-group accounting, in grid order.
     pub groups: Vec<GroupOutcome>,
@@ -625,7 +374,6 @@ impl ScheduleOutcome {
             resumed: 0,
             groups_gated: 0,
             seeds_saved: 0,
-            escalations: 0,
             simulations_total: 0,
             groups: Vec::new(),
         }
@@ -638,34 +386,25 @@ impl ScheduleOutcome {
             .groups
             .iter()
             .map(|g| {
-                let final_budget = g.final_class();
-                let seeds_used = g.used_at(final_budget);
                 let simulations: f64 = g.completed.iter().map(|c| c.simulations).sum();
                 GroupOutcome {
                     scenario: g.scenario.clone(),
                     algo: g.algo.clone(),
-                    final_budget,
-                    seeds_used,
-                    seeds_saved: g.seed_pool.len() - seeds_used,
-                    escalations: g
-                        .ladder
-                        .iter()
-                        .position(|c| *c == final_budget)
-                        .unwrap_or(0),
+                    seeds_used: g.used(),
+                    seeds_saved: g.seed_pool.len() - g.used(),
                     simulations: simulations.round() as u64,
                 }
             })
             .collect();
         self.groups_gated = self.groups.iter().filter(|g| g.seeds_saved > 0).count();
         self.seeds_saved = self.groups.iter().map(|g| g.seeds_saved).sum();
-        self.escalations = self.groups.iter().map(|g| g.escalations).sum();
         self.simulations_total = self.groups.iter().map(|g| g.simulations).sum();
     }
 
     /// Renders the `moheco_schedule_*` metric families in Prometheus text
     /// exposition format, labelled by scheduler.
     pub fn render_prometheus(&self, out: &mut String) {
-        let families: [(&str, &str, f64); 8] = [
+        let families: [(&str, &str, f64); 7] = [
             (
                 "moheco_schedule_rounds_total",
                 "Allocation rounds taken by the campaign scheduler.",
@@ -697,13 +436,8 @@ impl ScheduleOutcome {
                 self.seeds_saved as f64,
             ),
             (
-                "moheco_schedule_escalations_total",
-                "Budget-class ladder rungs climbed across all groups.",
-                self.escalations as f64,
-            ),
-            (
                 "moheco_schedule_simulations_total",
-                "Simulations spent across all groups, pilot cells included.",
+                "Simulations spent across all groups.",
                 self.simulations_total as f64,
             ),
         ];
@@ -725,17 +459,6 @@ mod tests {
             algos: vec![Algo::TwoStage, Algo::De],
             budget: BudgetClass::Tiny,
             seeds: vec![1, 2, 3],
-            ..JobSpec::default()
-        }
-    }
-
-    fn shrink_spec() -> JobSpec {
-        JobSpec {
-            scenarios: vec!["a".into(), "b".into()],
-            algos: vec![Algo::TwoStage, Algo::De],
-            budget: BudgetClass::Small,
-            seeds: (1..=8).collect(),
-            schedule: ScheduleKind::OcbaShrink,
             ..JobSpec::default()
         }
     }
@@ -906,147 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_floor_starts_at_the_cheapest_rung() {
-        let spec = shrink_spec();
-        let sched = OcbaSchedule {
-            shrink: true,
-            ..OcbaSchedule::default()
-        };
-        let state = CampaignState::new(&spec);
-        for group in &state.groups {
-            assert_eq!(group.ladder, vec![BudgetClass::Tiny, BudgetClass::Small]);
-        }
-        let round = sched.next_cells(&state);
-        assert_eq!(round.len(), 12, "4 groups x 3 floor seeds");
-        assert!(
-            round.iter().all(|c| c.budget == BudgetClass::Tiny),
-            "every pilot runs at the cheapest rung: {round:?}"
-        );
-    }
-
-    #[test]
-    fn shrink_escalates_only_unconverged_groups() {
-        let spec = shrink_spec();
-        let sched = OcbaSchedule {
-            shrink: true,
-            ..OcbaSchedule::default()
-        };
-        let mut state = CampaignState::new(&spec);
-        // Group a/two-stage is noisy at every rung; everything else is
-        // pinned by its tiny pilots. Tiny cells cost 10 simulations, small
-        // ones 50.
-        let yield_of = |c: &Cell| {
-            let wiggle = if c.scenario == "a" && c.algo == "two-stage" {
-                0.3
-            } else {
-                0.001
-            };
-            0.5 + wiggle * (c.seed as f64 - 2.0)
-        };
-        let sims_of = |c: &Cell| match c.budget {
-            BudgetClass::Tiny => 10.0,
-            _ => 50.0,
-        };
-        let pilots = sched.next_cells(&state);
-        for cell in &pilots {
-            state.record(cell, yield_of(cell), sims_of(cell));
-        }
-        let escalation = sched.next_cells(&state);
-        assert!(
-            escalation.iter().all(|c| c.scenario == "a"
-                && c.algo == "two-stage"
-                && c.budget == BudgetClass::Small),
-            "only the noisy group escalates, straight to small: {escalation:?}"
-        );
-        assert_eq!(escalation.len(), 3, "the escalated rung re-pays its floor");
-        // Run dry: the noisy group exhausts its pool at small; the
-        // converged groups never leave tiny.
-        let mut guard = 0;
-        loop {
-            let round = sched.next_cells(&state);
-            if round.is_empty() {
-                break;
-            }
-            for cell in &round {
-                assert_eq!(
-                    (cell.scenario.as_str(), cell.algo.as_str()),
-                    ("a", "two-stage"),
-                    "converged groups must not be fed again"
-                );
-                state.record(cell, yield_of(cell), sims_of(cell));
-            }
-            guard += 1;
-            assert!(guard < 100, "scheduler must terminate");
-        }
-        for group in &state.groups {
-            if group.scenario == "a" && group.algo == "two-stage" {
-                assert_eq!(group.final_class(), BudgetClass::Small);
-                assert_eq!(group.used_at(BudgetClass::Small), 8);
-                assert_eq!(group.used_at(BudgetClass::Tiny), 3, "pilots are kept");
-            } else {
-                assert_eq!(group.final_class(), BudgetClass::Tiny);
-                assert_eq!(group.used_at(BudgetClass::Small), 0, "never paid for small");
-                assert_eq!(group.used_at(BudgetClass::Tiny), 3);
-            }
-        }
-        // The outcome accounting sees the whole bill, pilots included.
-        let mut outcome = ScheduleOutcome::new(sched.label());
-        outcome.finalize(&state);
-        assert_eq!(outcome.escalations, 1, "one group climbed one rung");
-        assert_eq!(
-            outcome.simulations_total,
-            3 * 10 + 8 * 50 + 3 * 3 * 10,
-            "noisy pilots + noisy small pool + converged pilots"
-        );
-        assert_eq!(outcome.seeds_saved, 3 * 5, "converged groups each save 5");
-        assert_eq!(outcome.groups_gated, 3);
-        let noisy = outcome
-            .groups
-            .iter()
-            .find(|g| g.scenario == "a" && g.algo == "two-stage")
-            .unwrap();
-        assert_eq!(noisy.final_budget, BudgetClass::Small);
-        assert_eq!(noisy.seeds_used, 8);
-        assert_eq!(noisy.seeds_saved, 0);
-        assert_eq!(noisy.escalations, 1);
-        assert_eq!(noisy.simulations, 3 * 10 + 8 * 50);
-    }
-
-    #[test]
-    fn shrink_decisions_replay_from_the_completion_log() {
-        // Same replay argument as the classic schedule, with budget
-        // classes in the log: a resumed ocba-shrink campaign re-derives
-        // the identical next round from its consumed rows.
-        let spec = shrink_spec();
-        let sched = OcbaSchedule {
-            shrink: true,
-            ..OcbaSchedule::default()
-        };
-        let yield_of =
-            |c: &Cell| 0.4 + 0.07 * ((c.seed * 13 + c.algo.len() as u64 * 31) % 7) as f64;
-        let sims_of = |c: &Cell| 10.0 * (c.budget.rung() + 1) as f64;
-        let mut log: Vec<(Cell, f64, f64)> = Vec::new();
-        let mut state = CampaignState::new(&spec);
-        for _ in 0..4 {
-            let round = sched.next_cells(&state);
-            if round.is_empty() {
-                break;
-            }
-            for cell in round {
-                let (y, s) = (yield_of(&cell), sims_of(&cell));
-                state.record(&cell, y, s);
-                log.push((cell, y, s));
-            }
-        }
-        let reference = sched.next_cells(&state);
-        let mut replayed = CampaignState::new(&spec);
-        for (cell, y, s) in &log {
-            replayed.record(cell, *y, *s);
-        }
-        assert_eq!(sched.next_cells(&replayed), reference);
-    }
-
-    #[test]
     fn outcome_metrics_render_all_families() {
         let outcome = ScheduleOutcome {
             label: "ocba",
@@ -1056,7 +638,6 @@ mod tests {
             resumed: 5,
             groups_gated: 3,
             seeds_saved: 9,
-            escalations: 2,
             simulations_total: 1234,
             groups: Vec::new(),
         };
@@ -1069,7 +650,6 @@ mod tests {
             "moheco_schedule_cells_resumed_total",
             "moheco_schedule_groups_gated_total",
             "moheco_schedule_seeds_saved_total",
-            "moheco_schedule_escalations_total",
             "moheco_schedule_simulations_total",
         ] {
             assert!(out.contains(family), "missing {family}:\n{out}");

@@ -2,6 +2,9 @@
 //!
 //! * The [`FixedGrid`] refactor changed **nothing**: a fixed campaign's
 //!   JSONL is byte-identical to the committed pre-refactor golden file.
+//! * An `ocba` campaign's JSONL is byte-identical to its committed golden
+//!   file, so the adaptive schedule's floor, gate and allocation are
+//!   pinned too.
 //! * A killed `--schedule ocba` campaign — including one killed mid-row-
 //!   write — re-derives the identical schedule on resume and appends
 //!   byte-identical remaining rows, because scheduler state is rebuilt
@@ -68,6 +71,38 @@ fn fixed_campaign_matches_the_pre_refactor_golden_file() {
 }
 
 #[test]
+fn ocba_campaign_matches_the_golden_file() {
+    // Pins the adaptive schedule's bytes: at tiny these groups stop at 5, 8
+    // and 8 of their 8 seeds, so phase-B OCBA grants across several arms
+    // shape the file. Any change to the floor, the gate or the allocation
+    // rule shows up here as a diff.
+    let path = temp_path("golden-ocba");
+    let spec = JobSpec {
+        scenarios: vec![
+            "margin_wall".to_string(),
+            "quadratic_feasibility".to_string(),
+            "two_basin".to_string(),
+        ],
+        algos: vec![Algo::TwoStage],
+        budget: BudgetClass::Tiny,
+        seeds: (1..=8).collect(),
+        schedule: ScheduleKind::Ocba,
+        ..JobSpec::default()
+    };
+    run_campaign(&spec, &path, |_| {}).expect("ocba campaign");
+    let produced = std::fs::read(&path).expect("rows on disk");
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/golden_ocba_campaign.jsonl"
+    ))
+    .expect("committed golden file");
+    assert_eq!(
+        produced, golden,
+        "ocba campaign drifted from the committed byte stream"
+    );
+}
+
+#[test]
 fn killed_ocba_campaign_resumes_byte_identically() {
     // Reference: one uninterrupted adaptive campaign.
     let full_path = temp_path("ocba-full");
@@ -117,86 +152,6 @@ fn killed_ocba_campaign_resumes_byte_identically() {
     assert_eq!(
         resumed_bytes, full_bytes,
         "resumed adaptive campaign JSONL differs from the uninterrupted run"
-    );
-    let full_aggregates: Vec<String> = full_report.aggregates.iter().map(|a| a.to_json()).collect();
-    let resumed_aggregates: Vec<String> = resumed_report
-        .aggregates
-        .iter()
-        .map(|a| a.to_json())
-        .collect();
-    assert_eq!(resumed_aggregates, full_aggregates);
-}
-
-#[test]
-fn killed_ocba_shrink_campaign_resumes_byte_identically() {
-    // The budget-class-shrinking schedule replays from the same row log as
-    // the classic one — with the budget column now part of the replayed
-    // observation. A killed campaign must re-derive the identical ladder
-    // decisions (including escalations) and append byte-identical rows.
-    let spec = JobSpec {
-        budget: BudgetClass::Small,
-        schedule: ScheduleKind::OcbaShrink,
-        ..ocba_spec()
-    };
-    let full_path = temp_path("shrink-full");
-    let full_report = run_campaign(&spec, &full_path, |_| {}).expect("uninterrupted");
-    let full_bytes = std::fs::read(&full_path).expect("full file");
-    let full_rows = full_bytes.iter().filter(|&&b| b == b'\n').count();
-    assert!(
-        full_rows >= 4,
-        "need several rows to truncate mid-campaign, got {full_rows}"
-    );
-    assert_eq!(full_report.schedule.label, "ocba-shrink");
-    // Every row starts at the cheap rung; escalations (if any) add
-    // full-budget rows for the same (scenario, algo, seed) cells.
-    let text = String::from_utf8(full_bytes.clone()).expect("utf8");
-    let budgets: Vec<String> = text
-        .lines()
-        .map(|l| {
-            parse_flat_json(l)
-                .expect("row")
-                .str("budget")
-                .expect("budget column")
-                .to_string()
-        })
-        .collect();
-    assert!(budgets.iter().any(|b| b == "tiny"), "pilot rows exist");
-    let small_rows = budgets.iter().filter(|b| *b == "small").count();
-    if full_report.schedule.escalations > 0 {
-        assert!(
-            small_rows > 0,
-            "escalated groups must have full-budget rows"
-        );
-    } else {
-        assert_eq!(small_rows, 0, "no escalation means no full-budget rows");
-    }
-
-    // Kill it mid-row-write and resume.
-    let killed_path = temp_path("shrink-killed");
-    let mut keep: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
-    keep.push_str("{\"schema_version\": 5, \"scenario\": \"quadratic_fea"); // torn write
-    std::fs::write(&killed_path, &keep).expect("partial file");
-    std::fs::copy(
-        full_path.with_extension("jsonl.spec"),
-        killed_path.with_extension("jsonl.spec"),
-    )
-    .expect("spec sidecar survives a kill");
-    let resumed_report = run_campaign(&spec, &killed_path, |_| {}).expect("resume");
-    assert_eq!(resumed_report.resumed, 4);
-    assert_eq!(resumed_report.executed, full_rows - 4);
-    assert_eq!(resumed_report.schedule.rounds, full_report.schedule.rounds);
-    assert_eq!(
-        resumed_report.schedule.escalations,
-        full_report.schedule.escalations
-    );
-    assert_eq!(
-        resumed_report.schedule.simulations_total,
-        full_report.schedule.simulations_total
-    );
-    let resumed_bytes = std::fs::read(&killed_path).expect("resumed file");
-    assert_eq!(
-        resumed_bytes, full_bytes,
-        "resumed ocba-shrink campaign JSONL differs from the uninterrupted run"
     );
     let full_aggregates: Vec<String> = full_report.aggregates.iter().map(|a| a.to_json()).collect();
     let resumed_aggregates: Vec<String> = resumed_report

@@ -42,13 +42,6 @@ pub enum OcbaError {
         /// The offending value.
         value: f64,
     },
-    /// A per-replication cost was zero, negative or not finite.
-    InvalidCost {
-        /// Index of the offending arm.
-        index: usize,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for OcbaError {
@@ -64,9 +57,6 @@ impl fmt::Display for OcbaError {
             OcbaError::ZeroBudget => write!(f, "total budget must be positive"),
             OcbaError::InvalidVariance { index, value } => {
                 write!(f, "invalid variance {value} for design {index}")
-            }
-            OcbaError::InvalidCost { index, value } => {
-                write!(f, "invalid replication cost {value} for arm {index}")
             }
         }
     }

@@ -29,33 +29,22 @@ pub struct Arm {
     pub count: usize,
     /// Hard cap on the arm's cumulative replications (`None` = unlimited).
     pub cap: Option<usize>,
-    /// Cost of one replication of this arm, in whatever unit the caller
-    /// budgets in (simulations, seconds, …). `1.0` recovers the classic
-    /// uniform-cost OCBA; only [`allocate_arm_units`] consumes it.
-    pub cost: f64,
 }
 
 impl Arm {
-    /// Creates an uncapped, unit-cost arm.
+    /// Creates an uncapped arm.
     pub fn new(mean: f64, variance: f64, count: usize) -> Self {
         Self {
             mean,
             variance,
             count,
             cap: None,
-            cost: 1.0,
         }
     }
 
     /// Sets the cumulative replication cap.
     pub fn with_cap(mut self, cap: usize) -> Self {
         self.cap = Some(cap);
-        self
-    }
-
-    /// Sets the per-replication cost used by [`allocate_arm_units`].
-    pub fn with_cost(mut self, cost: f64) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -120,98 +109,6 @@ pub fn allocate_arm_increment(arms: &[Arm], delta: usize) -> Result<Vec<usize>, 
         if !placed {
             break; // every arm is at its cap
         }
-    }
-    Ok(granted)
-}
-
-/// Allocates replications across `arms` under a *cost* budget of `units`
-/// instead of a replication count, respecting every arm's cap.
-///
-/// Where [`allocate_arm_increment`] treats every replication as equally
-/// expensive, here one replication of arm `i` consumes `arms[i].cost` units
-/// — the shape the campaign scheduler needs once a "replication" is a whole
-/// seeded optimization run whose simulation cost differs per scenario by an
-/// order of magnitude. The OCBA-optimal *replication* proportions are
-/// computed once (at a fixed fine resolution, so the result is a pure
-/// function of the inputs), then replications are granted greedily: each
-/// step funds the arm with room whose cumulative replication count is
-/// furthest below its OCBA share and whose cost still fits the remaining
-/// units. Ties break on the lower index. The greedy step is what keeps the
-/// allocation deterministic and exactly reproducible from replayed state.
-///
-/// At least one replication is granted whenever `units` covers the cheapest
-/// positive-share arm that has room, so a scheduler budgeting
-/// `units = Σ cost(open arms)` per round is expected to make progress (and
-/// must still guard the zero-grant corner, e.g. every open arm landing on a
-/// zero OCBA share).
-///
-/// # Errors
-///
-/// Returns [`OcbaError::TooFewDesigns`] when `arms` is empty,
-/// [`OcbaError::ZeroBudget`] when `units` is not positive,
-/// [`OcbaError::InvalidCost`] on a non-positive or non-finite cost, and
-/// propagates [`crate::allocate`]'s variance validation.
-pub fn allocate_arm_units(arms: &[Arm], units: f64) -> Result<Vec<usize>, OcbaError> {
-    if arms.is_empty() {
-        return Err(OcbaError::TooFewDesigns { got: 0 });
-    }
-    if units <= 0.0 || !units.is_finite() {
-        return Err(OcbaError::ZeroBudget);
-    }
-    for (i, arm) in arms.iter().enumerate() {
-        if arm.cost <= 0.0 || !arm.cost.is_finite() {
-            return Err(OcbaError::InvalidCost {
-                index: i,
-                value: arm.cost,
-            });
-        }
-        if arm.variance < 0.0 || !arm.variance.is_finite() {
-            return Err(OcbaError::InvalidVariance {
-                index: i,
-                value: arm.variance,
-            });
-        }
-    }
-    if arms.len() == 1 {
-        let affordable = (units / arms[0].cost).floor() as usize;
-        return Ok(vec![affordable.min(arms[0].room())]);
-    }
-
-    // OCBA target replication shares at a fixed fine resolution. The shares
-    // only steer the greedy fill; their absolute scale is irrelevant.
-    const RESOLUTION: usize = 1_000_000;
-    let means: Vec<f64> = arms.iter().map(|a| a.mean).collect();
-    let variances: Vec<f64> = arms.iter().map(|a| a.variance).collect();
-    let mut shares = crate::allocation::allocate(&means, &variances, RESOLUTION)?;
-    if shares.iter().all(|&w| w == 0) {
-        shares = vec![1; arms.len()];
-    }
-
-    let mut granted = vec![0usize; arms.len()];
-    let mut counts: Vec<f64> = arms.iter().map(|a| a.count as f64).collect();
-    let mut remaining = units;
-    loop {
-        // The fundable arm furthest below its OCBA share. Zero-share arms
-        // are only skipped, never funded: OCBA has already decided they buy
-        // no selection confidence.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, arm) in arms.iter().enumerate() {
-            if granted[i] >= arm.room() || shares[i] == 0 || arm.cost > remaining {
-                continue;
-            }
-            let deficit_score = counts[i] / shares[i] as f64;
-            let better = match best {
-                None => true,
-                Some((_, score)) => deficit_score < score,
-            };
-            if better {
-                best = Some((i, deficit_score));
-            }
-        }
-        let Some((i, _)) = best else { break };
-        granted[i] += 1;
-        counts[i] += 1.0;
-        remaining -= arms[i].cost;
     }
     Ok(granted)
 }
@@ -286,98 +183,6 @@ mod tests {
         ];
         let grants = allocate_arm_increment(&arms, 10).unwrap();
         assert_eq!(grants, vec![0, 1], "only the remaining room is granted");
-    }
-
-    #[test]
-    fn unit_allocation_rejects_degenerate_input() {
-        assert!(matches!(
-            allocate_arm_units(&[], 5.0),
-            Err(OcbaError::TooFewDesigns { got: 0 })
-        ));
-        assert!(matches!(
-            allocate_arm_units(&[Arm::new(0.5, 0.1, 3)], 0.0),
-            Err(OcbaError::ZeroBudget)
-        ));
-        assert!(matches!(
-            allocate_arm_units(&[Arm::new(0.5, 0.1, 3).with_cost(0.0)], 5.0),
-            Err(OcbaError::InvalidCost { index: 0, .. })
-        ));
-        assert!(matches!(
-            allocate_arm_units(
-                &[Arm::new(0.5, 0.1, 3), Arm::new(0.4, -2.0, 3).with_cost(2.0)],
-                5.0
-            ),
-            Err(OcbaError::InvalidVariance { index: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn single_arm_units_buy_whole_replications_up_to_the_cap() {
-        let arms = [Arm::new(0.5, 0.1, 3).with_cost(2.5)];
-        assert_eq!(allocate_arm_units(&arms, 9.0).unwrap(), vec![3]);
-        let capped = [Arm::new(0.5, 0.1, 3).with_cap(5).with_cost(2.5)];
-        assert_eq!(allocate_arm_units(&capped, 100.0).unwrap(), vec![2]);
-        // Units below one replication buy nothing — never a fraction.
-        assert_eq!(allocate_arm_units(&arms, 2.0).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn unit_costs_recover_the_classic_proportions() {
-        // With every cost at 1.0, units behave like a replication delta: the
-        // high-variance competitor still earns the most.
-        let arms = [
-            Arm::new(0.9, 0.002, 3),
-            Arm::new(0.7, 0.2, 3),
-            Arm::new(0.69, 0.002, 3),
-        ];
-        let grants = allocate_arm_units(&arms, 30.0).unwrap();
-        assert_eq!(grants.iter().sum::<usize>(), 30);
-        assert!(
-            grants[1] > grants[0] && grants[1] > grants[2],
-            "high-variance arm should earn most: {grants:?}"
-        );
-    }
-
-    #[test]
-    fn expensive_arms_grant_fewer_replications_per_round() {
-        // OCBA's replication shares favor the noisy arm 2:1 here, and the
-        // count-based allocator grants accordingly — but that arm is 10x
-        // more expensive per replication, so under a *unit* budget the
-        // cheap arm ends up with more replications and the spend never
-        // exceeds the budget.
-        let arms = [
-            Arm::new(0.5, 0.4, 3).with_cost(10.0),
-            Arm::new(0.52, 0.1, 3).with_cost(1.0),
-        ];
-        let by_count = allocate_arm_increment(&arms, 12).unwrap();
-        assert!(
-            by_count[0] > by_count[1],
-            "cost-blind allocation favors the noisy arm: {by_count:?}"
-        );
-        let grants = allocate_arm_units(&arms, 12.0).unwrap();
-        let spent = grants[0] as f64 * 10.0 + grants[1] as f64;
-        assert!(spent <= 12.0, "never overspends: {grants:?}");
-        assert!(
-            grants[1] > grants[0],
-            "unit budget buys the cheap arm more replications: {grants:?}"
-        );
-        assert!(
-            grants.iter().sum::<usize>() >= 1,
-            "a full round budget always grants: {grants:?}"
-        );
-    }
-
-    #[test]
-    fn unit_allocation_respects_caps_and_is_deterministic() {
-        let arms = [
-            Arm::new(0.8, 0.3, 4).with_cap(5).with_cost(3.0),
-            Arm::new(0.7, 0.3, 3).with_cap(10).with_cost(1.0),
-        ];
-        let a = allocate_arm_units(&arms, 30.0).unwrap();
-        let b = allocate_arm_units(&arms, 30.0).unwrap();
-        assert_eq!(a, b);
-        assert!(a[0] <= 1, "cap leaves room for one replication: {a:?}");
-        assert!(a[1] <= 7, "cap respected: {a:?}");
     }
 
     #[test]

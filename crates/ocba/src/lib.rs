@@ -40,7 +40,7 @@ pub mod ordinal;
 pub mod sequential;
 
 pub use allocation::{allocate, allocate_incremental, DesignStats, OcbaError};
-pub use arms::{allocate_arm_increment, allocate_arm_units, Arm};
+pub use arms::{allocate_arm_increment, Arm};
 pub use ordinal::{alignment_level, alignment_probability, rank_descending, selected_subset};
 pub use sequential::{
     run_sequential, run_sequential_batched, RunningStats, SequentialConfig, SequentialOutcome,

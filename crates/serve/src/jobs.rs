@@ -54,9 +54,9 @@ pub struct JobRecord {
     pub tenant: String,
     /// The spec as submitted.
     pub spec: JobSpec,
-    /// The spec's scheduler label (`fixed`, `ocba`, `ocba-shrink`) — kept
-    /// on the record so status consumers can bucket latency and savings by
-    /// schedule kind without re-parsing the spec.
+    /// The spec's scheduler label (`fixed`, `ocba`) — kept on the record so
+    /// status consumers can bucket latency and savings by schedule kind
+    /// without re-parsing the spec.
     pub schedule: &'static str,
     /// Lifecycle state.
     pub state: JobState,

@@ -1,6 +1,7 @@
 //! End-to-end service guarantees, exercised over real TCP connections:
 //!
-//! * Basic routes behave (`/healthz`, `/metrics`, 404s, 400s, 405s).
+//! * Basic routes behave (`/healthz`, `/metrics`, 404s, 400s, 405s); a
+//!   spec naming a retired schedule is a 400.
 //! * A seed count too large to expand is a 400, not a dead server.
 //! * Two tenants' jobs run concurrently and their streamed rows are
 //!   byte-identical to an offline `run_campaign` of the same spec.
@@ -114,6 +115,21 @@ fn basic_routes_and_errors() {
     assert_eq!(garbage.status, 400);
     let empty_grid = request(addr, "POST", "/jobs", &[], b"{\"scenarios\": \"\"}").expect("400");
     assert_eq!(empty_grid.status, 400);
+    // A retired schedule fails closed rather than running another policy.
+    let retired = request(
+        addr,
+        "POST",
+        "/jobs",
+        &[],
+        b"{\"scenarios\": \"margin_wall\", \"schedule\": \"ocba-shrink\"}",
+    )
+    .expect("400");
+    assert_eq!(retired.status, 400);
+    assert!(
+        retired.text().contains("unknown schedule \"ocba-shrink\""),
+        "{}",
+        retired.text()
+    );
     let bad_tenant = request(
         addr,
         "POST",
