@@ -3,16 +3,18 @@
 //! the batched (`simulate_block`) vs scalar (`simulate_point` loop) fast
 //! path, on the folded-cascode testbench of example 1.
 //!
-//! Runs as a plain `harness = false` benchmark (the environment has no real
-//! criterion) and emits a machine-readable `BENCH_runtime.json` at the
-//! workspace root alongside the human-readable report. CI gates on the
-//! `batch_speedup` field.
+//! Runs as a plain `harness = false` benchmark and emits a machine-readable
+//! `BENCH_runtime.json` at the workspace root alongside the human-readable
+//! report. CI gates on the `batch_speedup` field.
 //!
-//! Pass `--samples <n>` / `--designs <n>` / `--reps <n>` to change the load.
+//! Pass `--samples <n>` / `--designs <n>` / `--reps <n>` to change the load
+//! (`cargo bench -p moheco-bench --bench engine_throughput -- --reps 3`).
+//! An unknown, repeated or unparsable flag exits with status 2.
 
 use moheco::runtime::{Engine, EngineConfig, EvalEngine, McRequest, SimulationModel};
 use moheco::{CircuitBench, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
+use moheco_bench::CliArgs;
 use moheco_obs::json::JsonWriter;
 use std::sync::Arc;
 use std::time::Instant;
@@ -142,13 +144,21 @@ fn build_designs(n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn arg(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses `--designs`, `--samples` and `--reps`. `cargo bench` appends
+/// `--bench` to every `harness = false` bench, so that flag is accepted.
+fn parse_load() -> Result<(usize, usize, usize), String> {
+    let args = CliArgs::parse();
+    args.expect_only(&["--bench"], &["--designs", "--samples", "--reps"])?;
+    let designs = args.u64_of("--designs", 8)? as usize;
+    let samples = args.u64_of("--samples", 150)? as usize;
+    let reps = args.u64_of("--reps", 5)? as usize;
+    if reps < 2 {
+        return Err(format!(
+            "engine_throughput needs at least 2 repetitions for a stable median \
+             (got --reps {reps})"
+        ));
+    }
+    Ok((designs, samples, reps))
 }
 
 fn median(mut xs: Vec<u64>) -> u64 {
@@ -157,14 +167,11 @@ fn median(mut xs: Vec<u64>) -> u64 {
 }
 
 fn main() {
-    let designs_n = arg("--designs", 8);
-    let samples = arg("--samples", 150);
-    let reps = arg("--reps", 5);
-    assert!(
-        reps >= 2,
-        "engine_throughput needs at least 2 repetitions for a stable median \
-         (got --reps {reps})"
-    );
+    let (designs_n, samples, reps) = parse_load().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: [--designs N] [--samples N] [--reps N]");
+        std::process::exit(2);
+    });
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

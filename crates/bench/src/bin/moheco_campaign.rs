@@ -2,7 +2,7 @@
 //! multi-seed campaigns and the schema-v4 aggregate gate.
 //!
 //! ```text
-//! moheco-campaign [--scenario <name>|all] [--algo de|ga|memetic|two-stage]
+//! moheco-campaign [--scenario <name>|all] [--algo de|memetic|two-stage]
 //!                 [--budget tiny|small|paper] [--estimator mc|lhs|antithetic|is]
 //!                 [--prescreen off|rsb] [--seeds N] [--parallel]
 //!                 [--schedule fixed|ocba]
@@ -50,7 +50,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: moheco-campaign [--scenario <name>|all] \
-[--algo de|ga|memetic|two-stage] [--budget tiny|small|paper] \
+[--algo de|memetic|two-stage] [--budget tiny|small|paper] \
 [--estimator mc|lhs|antithetic|is] [--prescreen off|rsb] [--seeds N] \
 [--parallel] [--schedule fixed|ocba] \
 [--engine-reuse reset|shared-cache] [--max-cached-blocks N] \

@@ -11,14 +11,13 @@
 //!     .execute()
 //! ```
 //!
-//! Four algorithms are exposed:
+//! Three algorithms are exposed:
 //!
 //! * `memetic` — full MOHECO (two-stage OO estimation + DE/NM search);
 //! * `two-stage` — OO + AS + LHS without the memetic operator;
-//! * `de` / `ga` — plain Differential Evolution / Genetic Algorithm over a
-//!   fixed-budget yield objective (the `AS + LHS` baseline family), routed
-//!   through the same engine so cache hits and simulation counts stay
-//!   comparable.
+//! * `de` — plain Differential Evolution over a fixed-budget yield
+//!   objective (the `AS + LHS` baseline family), routed through the same
+//!   engine so cache hits and simulation counts stay comparable.
 
 use crate::results::{trace_digest, ScenarioResult};
 use crate::EngineKind;
@@ -30,9 +29,7 @@ use moheco_obs::json::fmt_f64;
 use moheco_obs::{Span, Tracer};
 use moheco_optim::de::{DeConfig, DifferentialEvolution};
 use moheco_optim::filter::{AdmitAll, TrialFilter};
-use moheco_optim::ga::{GaConfig, GeneticAlgorithm};
 use moheco_optim::problem::{Evaluation, Problem};
-use moheco_optim::result::OptimizationResult;
 use moheco_runtime::EvalEngine;
 use moheco_sampling::{EstimatorKind, Z_95};
 use moheco_scenarios::Scenario;
@@ -47,8 +44,6 @@ use std::time::Instant;
 pub enum Algo {
     /// Plain DE over a fixed-budget yield objective.
     De,
-    /// Plain GA over a fixed-budget yield objective.
-    Ga,
     /// Full MOHECO (two-stage OO + memetic DE/NM).
     #[default]
     Memetic,
@@ -61,7 +56,6 @@ impl Algo {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "de" => Some(Self::De),
-            "ga" => Some(Self::Ga),
             "memetic" => Some(Self::Memetic),
             "two-stage" => Some(Self::TwoStage),
             _ => None,
@@ -72,7 +66,6 @@ impl Algo {
     pub fn label(&self) -> &'static str {
         match self {
             Self::De => "de",
-            Self::Ga => "ga",
             Self::Memetic => "memetic",
             Self::TwoStage => "two-stage",
         }
@@ -141,8 +134,7 @@ impl BudgetClass {
         }
     }
 
-    /// Samples per feasible candidate for the fixed-budget `de` / `ga`
-    /// objective (the mid-range `AS + LHS` baseline of this scale).
+    /// Samples per feasible candidate for the fixed-budget `de` objective (the mid-range `AS + LHS` baseline of this scale).
     pub fn fixed_sims(&self) -> usize {
         match self {
             Self::Tiny => 20,
@@ -153,8 +145,8 @@ impl BudgetClass {
 }
 
 /// A fixed-budget yield-maximisation objective over a [`YieldProblem`],
-/// exposed through the `moheco-optim` [`Problem`] trait so the plain DE/GA
-/// engines can run on any registered scenario.
+/// exposed through the `moheco-optim` [`Problem`] trait so the plain DE
+/// engine can run on any registered scenario.
 struct YieldSearchProblem<'a> {
     problem: &'a YieldProblem<dyn Benchmark>,
     samples: usize,
@@ -195,7 +187,7 @@ impl Problem for YieldSearchProblem<'_> {
 /// surrogate: trial candidates predicted far below the incumbent yield are
 /// rejected before their fixed-budget Monte-Carlo estimate is paid.
 ///
-/// This is the DE/GA counterpart of the two-stage prescreen in
+/// This is the DE counterpart of the two-stage prescreen in
 /// `moheco::prescreen` and follows the same policy: observations come only
 /// from *measured* evaluations, the screen stays inactive until the model
 /// has trained, and every `explore_every`-th generation bypasses it.
@@ -379,7 +371,7 @@ impl<'a> RunSpec<'a> {
     ///
     /// With a prescreen, the `memetic` / `two-stage` algorithms demote
     /// predicted-poor candidates out of the stage-1 OCBA round (see
-    /// `moheco::prescreen`), while `de` / `ga` gate their trial vectors
+    /// `moheco::prescreen`), while `de` gates its trial vectors
     /// through a [`TrialFilter`] so rejected trials never buy their fixed
     /// Monte-Carlo budget. The surrogate is seeded from the run seed, so
     /// results stay deterministic in
@@ -477,7 +469,7 @@ impl<'a> RunSpec<'a> {
                     digest,
                 )
             }
-            Algo::De | Algo::Ga => {
+            Algo::De => {
                 let mut search = YieldSearchProblem {
                     problem: &problem,
                     samples: budget.fixed_sims(),
@@ -487,36 +479,18 @@ impl<'a> RunSpec<'a> {
                     PrescreenKind::Off => None,
                     PrescreenKind::Rsb => Some(SurrogateTrialFilter::new(&prescreen_config)),
                 };
-                let result: OptimizationResult = if algo == Algo::De {
-                    let de = DifferentialEvolution::new(DeConfig {
-                        population_size: config.population_size,
-                        f: config.de_f,
-                        cr: config.de_cr,
-                        max_generations: config.max_generations,
-                        stagnation_limit: Some(config.stop_stagnation),
-                        target_objective: None,
-                        ..DeConfig::default()
-                    });
-                    match filter.as_mut() {
-                        Some(f) => de.run_traced_filtered(&mut search, f, tracer, &mut rng),
-                        None => {
-                            de.run_traced_filtered(&mut search, &mut AdmitAll, tracer, &mut rng)
-                        }
-                    }
-                } else {
-                    let ga = GeneticAlgorithm::new(GaConfig {
-                        population_size: config.population_size,
-                        max_generations: config.max_generations,
-                        stagnation_limit: Some(config.stop_stagnation),
-                        target_objective: None,
-                        ..GaConfig::default()
-                    });
-                    match filter.as_mut() {
-                        Some(f) => ga.run_traced_filtered(&mut search, f, tracer, &mut rng),
-                        None => {
-                            ga.run_traced_filtered(&mut search, &mut AdmitAll, tracer, &mut rng)
-                        }
-                    }
+                let de = DifferentialEvolution::new(DeConfig {
+                    population_size: config.population_size,
+                    f: config.de_f,
+                    cr: config.de_cr,
+                    max_generations: config.max_generations,
+                    stagnation_limit: Some(config.stop_stagnation),
+                    target_objective: None,
+                    ..DeConfig::default()
+                });
+                let result = match filter.as_mut() {
+                    Some(f) => de.run_traced_filtered(&mut search, f, tracer, &mut rng),
+                    None => de.run_traced_filtered(&mut search, &mut AdmitAll, tracer, &mut rng),
                 };
                 let digest = trace_digest(result.history.iter().copied());
                 let best_x = result.best.x.clone();
@@ -599,10 +573,13 @@ mod tests {
 
     #[test]
     fn algo_and_budget_labels_roundtrip() {
-        for algo in [Algo::De, Algo::Ga, Algo::Memetic, Algo::TwoStage] {
+        for algo in [Algo::De, Algo::Memetic, Algo::TwoStage] {
             assert_eq!(Algo::parse(algo.label()), Some(algo));
         }
-        assert_eq!(Algo::parse("bogus"), None);
+        // `ga` was an algorithm once; it is rejected like any other name.
+        for unknown in ["bogus", "ga"] {
+            assert_eq!(Algo::parse(unknown), None);
+        }
         for budget in [BudgetClass::Tiny, BudgetClass::Small, BudgetClass::Paper] {
             assert_eq!(BudgetClass::parse(budget.label()), Some(budget));
             budget.config().validate();
@@ -647,20 +624,18 @@ mod tests {
     }
 
     #[test]
-    fn de_and_ga_report_an_accurate_final_estimate() {
+    fn de_reports_an_accurate_final_estimate() {
         let scenario = find_scenario("margin_wall").expect("registered");
-        for algo in [Algo::De, Algo::Ga] {
-            let r = RunSpec::new(scenario.as_ref(), algo)
-                .budget(BudgetClass::Tiny)
-                .seed(2)
-                .execute();
-            assert_eq!(r.algo, algo.label());
-            assert!(r.simulations > 0, "{}", algo.label());
-            assert_eq!(r.local_searches, 0);
-            if r.feasible {
-                let err = r.true_yield_abs_error.expect("synthetic truth");
-                assert!(err < 0.35, "{}: error {err}", algo.label());
-            }
+        let r = RunSpec::new(scenario.as_ref(), Algo::De)
+            .budget(BudgetClass::Tiny)
+            .seed(2)
+            .execute();
+        assert_eq!(r.algo, "de");
+        assert!(r.simulations > 0);
+        assert_eq!(r.local_searches, 0);
+        if r.feasible {
+            let err = r.true_yield_abs_error.expect("synthetic truth");
+            assert!(err < 0.35, "error {err}");
         }
     }
 }

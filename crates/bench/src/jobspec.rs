@@ -472,7 +472,12 @@ mod tests {
             JobSpec::parse("{\"budget\": \"tiny\"}").is_err(),
             "scenarios required"
         );
-        assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"algos\": \"warp\"}").is_err());
+        // `ga` was an algorithm once; an old spec naming it fails closed.
+        for unknown in ["warp", "ga"] {
+            let body = format!("{{\"scenarios\": \"margin_wall\", \"algos\": \"{unknown}\"}}");
+            let err = JobSpec::parse(&body).expect_err("unknown algo");
+            assert_eq!(err, format!("unknown algo {unknown:?}"));
+        }
         assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"seeds\": 0}").is_err());
         // A count expands only up to the cap, so 1e15 is an error, not an
         // aborted allocation.

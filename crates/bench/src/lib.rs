@@ -1,10 +1,10 @@
-//! `moheco-bench` — experiment harness shared by the table/figure binaries
-//! and the Criterion benchmarks.
+//! `moheco-bench` — experiment harness shared by the table/figure binaries,
+//! the campaign runner and the `engine_throughput` benchmark.
 //!
-//! Every binary accepts `--paper` to switch from the fast, scaled-down
-//! default settings to the paper's full-scale settings (population 50,
-//! `n_max = 500`, 10 independent runs, 50 000-sample reference yields).
-//! The measured outputs are recorded in `EXPERIMENTS.md`.
+//! Every figure binary accepts `--paper` to switch from the fast,
+//! scaled-down default settings to the paper's full-scale settings
+//! (population 50, `n_max = 500`, 10 independent runs, 50 000-sample
+//! reference yields).
 
 #![warn(missing_docs)]
 
@@ -339,10 +339,10 @@ impl<T: Testbench> SimulationModel for NominalModel<T> {
 
 /// A nominal (variation-free) sizing problem over a testbench: minimise the
 /// aggregate specification violation at the nominal process point. Used by
-/// the `nominal_sizing` binary and the `search_engines` benchmark to
-/// reproduce the §3.3 convergence observations.
+/// the `nominal_sizing` binary to reproduce the §3.3 convergence
+/// observations.
 ///
-/// Evaluations are dispatched through an [`EvalEngine`], so whole DE/GA
+/// Evaluations are dispatched through an [`EvalEngine`], so whole DE
 /// generations run as one (optionally parallel) nominal batch and repeated
 /// probes of the same sizing are served from the engine cache.
 pub struct NominalSizingProblem<T> {

@@ -65,7 +65,7 @@ pub const YIELD_TOLERANCE: f64 = 0.05;
 pub struct ScenarioResult {
     /// Registry name of the scenario.
     pub scenario: String,
-    /// Algorithm label (`de`, `ga`, `memetic`, `two-stage`).
+    /// Algorithm label (`de`, `memetic`, `two-stage`).
     pub algo: String,
     /// Budget-class label (`tiny`, `small`, `paper`).
     pub budget: String,
@@ -101,8 +101,8 @@ pub struct ScenarioResult {
     pub local_searches: u64,
     /// Candidates the surrogate prescreen vetoed (0 when prescreening is
     /// off). For `memetic` / `two-stage` runs these are candidates demoted
-    /// from their stage-1 OCBA seat to the probe budget; for `de` / `ga`
-    /// runs they are trial vectors discarded without any evaluation.
+    /// from their stage-1 OCBA seat to the probe budget; for `de` runs
+    /// they are trial vectors discarded without any evaluation.
     pub prescreen_skips: u64,
     /// FNV-1a digest of the per-generation trace (yield history + spend).
     pub trace_digest: String,

@@ -13,8 +13,8 @@
 //! * [`constraints`] — Deb's selection-based feasibility rules.
 //! * [`memetic`] — the adaptive DE + Nelder–Mead coupling (local search only
 //!   on the best member, only after 5 stagnant generations).
-//! * [`ga`] / [`penalty`] — the genetic-algorithm and penalty-function
-//!   baselines the paper compares against.
+//! * [`penalty`] — the penalty-function baseline the paper compares
+//!   against.
 //!
 //! # Example
 //!
@@ -37,7 +37,6 @@
 pub mod constraints;
 pub mod de;
 pub mod filter;
-pub mod ga;
 pub mod memetic;
 pub mod nelder_mead;
 pub mod penalty;
@@ -48,7 +47,6 @@ pub mod result;
 pub use constraints::{aggregate_violations, best_index, feasibility_compare, is_better_or_equal};
 pub use de::{de_crossover, de_mutant, DeConfig, DeStrategy, DifferentialEvolution};
 pub use filter::{AdmitAll, TrialFilter};
-pub use ga::{GaConfig, GeneticAlgorithm};
 pub use memetic::{MemeticConfig, MemeticOptimizer, StagnationTracker};
 pub use nelder_mead::{nelder_mead, NelderMeadConfig, NelderMeadResult};
 pub use penalty::PenaltyProblem;

@@ -56,7 +56,7 @@ pub trait Problem {
 
     /// Evaluates a whole generation of candidates at once.
     ///
-    /// Every population-based engine in this crate (DE, GA, the memetic
+    /// Every population-based engine in this crate (DE and the memetic
     /// coupling) routes its per-generation evaluations through this method,
     /// so problems backed by a batch-capable evaluator — such as the
     /// `moheco-runtime` simulation engine — can dispatch the generation in

@@ -115,21 +115,21 @@ fn basic_routes_and_errors() {
     assert_eq!(garbage.status, 400);
     let empty_grid = request(addr, "POST", "/jobs", &[], b"{\"scenarios\": \"\"}").expect("400");
     assert_eq!(empty_grid.status, 400);
-    // A retired schedule fails closed rather than running another policy.
-    let retired = request(
-        addr,
-        "POST",
-        "/jobs",
-        &[],
-        b"{\"scenarios\": \"margin_wall\", \"schedule\": \"ocba-shrink\"}",
-    )
-    .expect("400");
-    assert_eq!(retired.status, 400);
-    assert!(
-        retired.text().contains("unknown schedule \"ocba-shrink\""),
-        "{}",
-        retired.text()
-    );
+    // A retired schedule or algorithm fails closed rather than running
+    // another one.
+    for (key, name, error) in [
+        (
+            "schedule",
+            "ocba-shrink",
+            "unknown schedule \"ocba-shrink\"",
+        ),
+        ("algos", "ga", "unknown algo \"ga\""),
+    ] {
+        let body = format!("{{\"scenarios\": \"margin_wall\", \"{key}\": \"{name}\"}}");
+        let retired = request(addr, "POST", "/jobs", &[], body.as_bytes()).expect("400");
+        assert_eq!(retired.status, 400);
+        assert!(retired.text().contains(error), "{}", retired.text());
+    }
     let bad_tenant = request(
         addr,
         "POST",
