@@ -129,24 +129,33 @@ macro_rules! impl_sample_uniform_int {
             fn sample_half_open<R: Rng + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo < hi, "gen_range: empty range");
                 let span = (hi as i128 - lo as i128) as u128;
-                // Multiply-shift rejection-free mapping; the modulo bias of a
-                // 64-bit draw over these small spans is < 2^-40 and irrelevant
-                // for the stochastic algorithms in this workspace.
-                let draw = rng.next_u64() as u128 % span;
-                (lo as i128 + draw as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
 
             fn sample_inclusive<R: Rng + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo <= hi, "gen_range: empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let draw = rng.next_u64() as u128 % span;
-                (lo as i128 + draw as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
 }
 
 impl_sample_uniform_int!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
+
+/// Maps a 64-bit draw onto `[0, span)` by plain modulo (`span >= 1`). The
+/// modulo bias over the small spans this workspace draws from is below
+/// 2^-40 and irrelevant to its stochastic algorithms.
+///
+/// Every span of a 64-bit or narrower type fits in 64 bits except the full
+/// inclusive range, `span == 2^64`; those take the cheaper `u64` division,
+/// which equals the 128-bit modulo bit for bit.
+fn reduce(bits: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(narrow) => (bits % narrow) as u128,
+        Err(_) => bits as u128 % span,
+    }
+}
 
 macro_rules! impl_sample_uniform_float {
     ($($t:ty),*) => {$(
@@ -327,7 +336,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn seeded_streams_are_reproducible_and_distinct() {
@@ -373,6 +382,28 @@ mod tests {
             assert!((-1.0..1.0).contains(&f));
         }
         assert!(seen_lo && seen_hi, "inclusive range must reach both ends");
+    }
+
+    #[test]
+    fn narrow_modulo_equals_the_wide_formula() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for span in [1u128, 2, 50, 1 << 32, 1 << 63] {
+            for _ in 0..10_000 {
+                let bits = rng.next_u64();
+                assert_eq!(
+                    super::reduce(bits, span),
+                    bits as u128 % span,
+                    "span {span}"
+                );
+            }
+        }
+        // The full inclusive range is 2^64 wide: it keeps the 128-bit path
+        // (a truncated span would divide by zero) and returns the draw.
+        let mut a = StdRng::seed_from_u64(17);
+        let mut b = a.clone();
+        for _ in 0..1_000 {
+            assert_eq!(a.gen_range(0..=u64::MAX), b.next_u64());
+        }
     }
 
     #[test]

@@ -282,8 +282,7 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
         let mut remaining = n;
         while remaining > 0 {
             let m = remaining.min(chunk);
-            let points = plan.generate(rng, m, dim);
-            for u in &points {
+            for u in plan.generate_flat(rng, m, dim).chunks_exact(dim) {
                 if self.bench.simulate_point(x, u) > 0.5 {
                     passes += 1;
                 }

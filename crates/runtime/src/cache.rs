@@ -9,7 +9,19 @@
 //! The cache is sharded: each shard is a `Mutex<HashMap>` from key to an
 //! entry holding an `Arc<Mutex<Block>>`, so workers contend only when
 //! touching the *same* block of the *same* design — which the engine's task
-//! deduplication already prevents within one batch.
+//! deduplication already prevents within one batch. The design half of a key
+//! is already splitmix-mixed, so the shard maps hash with one rotate and
+//! multiply per word instead of SipHash.
+//!
+//! # Block layout
+//!
+//! A [`Block`] keeps its unit points in one row-major `Vec<f64>` holding
+//! only the rows of the samples not yet simulated, in sample-index order.
+//! After each simulation step the surviving rows are copied into a fresh
+//! buffer of exactly their size, and a complete block releases the buffer,
+//! keeping only its outcomes: a simulated point is never read again.
+//! (Truncating in place, even with `shrink_to_fit`, measured a higher peak
+//! memory than the copy.)
 //!
 //! # Lifecycle and memory
 //!
@@ -57,8 +69,9 @@
 //! cache size.
 //! The nominal map keeps the same kind of queue, trimmed from the front.
 
-use moheco_sampling::splitmix64;
+use moheco_sampling::{splitmix64, weighted_outcome, BlockPoints};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,13 +94,35 @@ struct CacheEntry {
     referenced: bool,
 }
 
+/// Hasher of the shard maps. A block key's design half comes out of
+/// splitmix64 already, so one multiply-rotate per word spreads it over the
+/// high bits (control bytes) and low bits (bucket index) of the hash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One shard: the entries whose keys hash to it, plus the stamps of the
 /// blocks it created since the last sweep. The stamps are pushed under the
 /// shard lock the insertion already holds, so creating a block never takes
 /// a cache-wide lock.
 #[derive(Default)]
 struct ShardState {
-    map: HashMap<BlockKey, CacheEntry>,
+    map: HashMap<BlockKey, CacheEntry, BuildHasherDefault<KeyHasher>>,
     fresh: Vec<(u64, BlockKey)>,
 }
 
@@ -142,57 +177,149 @@ impl<K: Copy + Ord> EvictionOrder<K> {
 }
 
 /// One block of a design's sample stream.
+///
+/// The block keeps one condition among its fields: the rows of `points`
+/// (and of `weights`, when present) are exactly the samples whose outcome is
+/// still `None`, in sample-index order. [`Self::record`] is the only method
+/// that fills outcomes, and it restores the condition.
 #[derive(Debug)]
 pub struct Block {
-    /// The unit-hypercube points of the block, generated eagerly from the
-    /// block's RNG stream (cheap — no circuit simulation involved).
-    pub points: Vec<Vec<f64>>,
-    /// Per-point likelihood weights of the importance-sampling estimator;
-    /// empty means every weight is exactly 1 (all other estimators).
-    pub weights: Vec<f64>,
-    /// Lazily simulated outcomes, one per point. `None` = not yet simulated.
+    /// Values per unit point.
+    dim: usize,
+    /// The unit points of the samples not yet simulated, row-major, in
+    /// sample-index order. Generated eagerly from the block's RNG stream
+    /// (cheap — no circuit simulation involved), compacted after every
+    /// simulation step and released once the block is complete.
+    points: Vec<f64>,
+    /// Likelihood weights of the same rows (importance sampling only);
+    /// empty means every weight is exactly 1.
+    weights: Vec<f64>,
+    /// Lazily simulated outcomes, one per sample. `None` = not yet simulated.
     /// Stored values are *yield contributions* (`weighted_outcome(w, J)`),
     /// which equal the raw pass/fail indicator whenever the weight is 1.
-    pub outcomes: Vec<Option<f64>>,
+    outcomes: Vec<Option<f64>>,
 }
 
 impl Block {
-    /// Creates a block from its generated points, with no outcomes yet and
-    /// unit weights.
-    pub fn new(points: Vec<Vec<f64>>) -> Self {
-        Self::with_weights(points, Vec::new())
-    }
-
-    /// Creates a block from its generated points and likelihood weights
-    /// (empty = all weights are 1).
+    /// Creates a block of `dim`-dimensional samples from its generated
+    /// points (and likelihood weights, empty = all 1), with no outcomes yet.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is non-empty and its length differs from the
-    /// point count.
-    pub fn with_weights(points: Vec<Vec<f64>>, weights: Vec<f64>) -> Self {
+    /// Panics if `dim` is zero or does not divide the point buffer, or if
+    /// the weights are non-empty and their count differs from the samples'.
+    pub fn new(dim: usize, generated: BlockPoints) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        let BlockPoints { points, weights } = generated;
         assert!(
-            weights.is_empty() || weights.len() == points.len(),
+            points.len().is_multiple_of(dim),
+            "point buffer is not whole rows"
+        );
+        let n = points.len() / dim;
+        assert!(
+            weights.is_empty() || weights.len() == n,
             "weight/point count mismatch"
         );
-        let n = points.len();
         Self {
+            dim,
             points,
             weights,
             outcomes: vec![None; n],
         }
     }
 
+    /// The outcome of every sample, `None` where not yet simulated.
+    pub fn outcomes(&self) -> &[Option<f64>] {
+        &self.outcomes
+    }
+
+    /// Replaces `pending` with the `(sample index, pending row)` pair of
+    /// every sample that `want` selects and that has no outcome yet, in
+    /// index order. The pending row of a sample is its rank among the
+    /// samples without an outcome.
+    pub fn pending(&self, want: &[bool], pending: &mut Vec<(usize, usize)>) {
+        pending.clear();
+        let mut row = 0;
+        for (i, (outcome, &wanted)) in self.outcomes.iter().zip(want).enumerate() {
+            if outcome.is_none() {
+                if wanted {
+                    pending.push((i, row));
+                }
+                row += 1;
+            }
+        }
+    }
+
+    /// The unit point in pending row `row` (see [`Self::pending`]).
+    pub fn row(&self, row: usize) -> &[f64] {
+        &self.points[row * self.dim..(row + 1) * self.dim]
+    }
+
+    /// Records the raw outcomes of simulated samples, then compacts the
+    /// pending rows. `simulated` lists `(sample index, pending row)` pairs
+    /// as [`Self::pending`] gives them, `raws` the matching raw outcomes;
+    /// each stored outcome is the yield contribution under the row's weight.
+    ///
+    /// The survivors are copied into a fresh buffer of exactly their size
+    /// (released altogether once the block is complete).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ, or if a pair is out of index order,
+    /// names a sample that already has an outcome or a row that is not the
+    /// sample's pending row.
+    pub fn record(&mut self, simulated: &[(usize, usize)], raws: &[f64]) {
+        assert_eq!(simulated.len(), raws.len(), "one raw outcome per sample");
+        if simulated.is_empty() {
+            return;
+        }
+        let (mut scanned, mut rank) = (0, 0);
+        for &(i, row) in simulated {
+            assert!(scanned <= i, "samples out of index order");
+            rank += self.outcomes[scanned..i]
+                .iter()
+                .filter(|o| o.is_none())
+                .count();
+            assert!(self.outcomes[i].is_none(), "sample {i} simulated twice");
+            assert_eq!(row, rank, "sample {i} is not in pending row {row}");
+            (scanned, rank) = (i + 1, rank + 1);
+        }
+        for (&(i, row), &raw) in simulated.iter().zip(raws) {
+            let outcome = match self.weights.get(row) {
+                Some(&w) => weighted_outcome(w, raw),
+                None => raw,
+            };
+            self.outcomes[i] = Some(outcome);
+        }
+        let rows = self.points.len() / self.dim;
+        let left = rows - simulated.len();
+        if left == 0 {
+            self.points = Vec::new();
+            self.weights = Vec::new();
+            return;
+        }
+        let (dim, old_points, old_weights) = (self.dim, &self.points, &self.weights);
+        let mut points = Vec::with_capacity(left * dim);
+        let mut weights = Vec::with_capacity(if old_weights.is_empty() { 0 } else { left });
+        let mut keep = |from: usize, to: usize| {
+            points.extend_from_slice(&old_points[from * dim..to * dim]);
+            if !old_weights.is_empty() {
+                weights.extend_from_slice(&old_weights[from..to]);
+            }
+        };
+        let mut next = 0;
+        for &(_, row) in simulated {
+            keep(next, row);
+            next = row + 1;
+        }
+        keep(next, rows);
+        self.points = points;
+        self.weights = weights;
+    }
+
     /// Estimated heap footprint of the block's contents in bytes.
     pub fn bytes(&self) -> usize {
-        let inner: usize = self
-            .points
-            .iter()
-            .map(|p| p.capacity() * size_of::<f64>())
-            .sum();
-        self.points.capacity() * size_of::<Vec<f64>>()
-            + inner
-            + self.weights.capacity() * size_of::<f64>()
+        (self.points.capacity() + self.weights.capacity()) * size_of::<f64>()
             + self.outcomes.capacity() * size_of::<Option<f64>>()
     }
 }
@@ -489,6 +616,76 @@ pub fn design_key(x: &[f64]) -> u64 {
 mod tests {
     use super::*;
 
+    /// A block of `n` zero points of dimension `dim`, with unit weights.
+    pub(super) fn rows(n: usize, dim: usize) -> Block {
+        Block::new(
+            dim,
+            BlockPoints {
+                points: vec![0.0; n * dim],
+                weights: Vec::new(),
+            },
+        )
+    }
+
+    #[test]
+    fn record_compacts_into_an_exact_buffer_and_releases_it_when_complete() {
+        // Row `i` of the 5-sample block holds the values `10 i, 10 i + 1`.
+        let points: Vec<f64> = (0..5)
+            .flat_map(|i| [10.0 * i as f64, 10.0 * i as f64 + 1.0])
+            .collect();
+        let weights = vec![1.0, 0.5, 0.25, 2.0, 1.0];
+        let mut block = Block::new(2, BlockPoints { points, weights });
+        let outcomes_only = 5 * size_of::<Option<f64>>();
+        assert_eq!(block.bytes(), outcomes_only + (10 + 5) * size_of::<f64>());
+
+        // Samples 1 and 3 fail: their weights shape the stored outcome.
+        block.record(&[(1, 1), (3, 3)], &[0.0, 0.0]);
+        assert_eq!(block.outcomes(), &[None, Some(0.5), None, Some(-1.0), None]);
+        assert_eq!(block.row(0), &[0.0, 1.0]);
+        assert_eq!(block.row(1), &[20.0, 21.0]);
+        assert_eq!(block.row(2), &[40.0, 41.0]);
+        assert_eq!(block.bytes(), outcomes_only + (6 + 3) * size_of::<f64>());
+
+        // Pending rows are renumbered: sample 4 now sits in row 2.
+        block.record(&[(4, 2)], &[0.0]);
+        assert_eq!(block.outcomes()[4], Some(0.0));
+        assert_eq!(block.row(1), &[20.0, 21.0]);
+        assert_eq!(block.bytes(), outcomes_only + (4 + 2) * size_of::<f64>());
+
+        block.record(&[(0, 0), (2, 1)], &[1.0, 0.0]);
+        assert_eq!(block.outcomes()[2], Some(0.75));
+        assert_eq!(
+            block.bytes(),
+            outcomes_only,
+            "a complete block keeps outcomes only"
+        );
+    }
+
+    #[test]
+    fn pending_ranks_the_samples_without_outcomes() {
+        let mut block = rows(6, 1);
+        block.record(&[(1, 1), (4, 4)], &[1.0, 1.0]);
+        let mut pending = vec![(9, 9)];
+        block.pending(&[true, true, false, true, true, true], &mut pending);
+        assert_eq!(pending, [(0, 0), (3, 2), (5, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated twice")]
+    fn record_rejects_a_second_simulation() {
+        let mut block = rows(3, 1);
+        block.record(&[(1, 1)], &[1.0]);
+        block.record(&[(1, 0)], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in pending row")]
+    fn record_rejects_a_wrong_row() {
+        let mut block = rows(3, 1);
+        block.record(&[(1, 1)], &[1.0]);
+        block.record(&[(2, 2)], &[1.0]);
+    }
+
     #[test]
     fn design_key_is_stable_under_fp_noise() {
         let a = vec![10.0, 0.5, 130.0];
@@ -517,15 +714,15 @@ mod tests {
     fn block_roundtrip_and_clear() {
         let cache = SimCache::new();
         let key = design_key(&[1.0, 2.0]);
-        let b = cache.block(key, 0, 0, || Block::new(vec![vec![0.5, 0.5]; 4]));
+        let b = cache.block(key, 0, 0, || rows(4, 2));
         {
             let mut guard = b.lock().unwrap();
-            assert_eq!(guard.outcomes.len(), 4);
-            guard.outcomes[0] = Some(1.0);
+            assert_eq!(guard.outcomes().len(), 4);
+            guard.record(&[(0, 0)], &[1.0]);
         }
         // Second lookup returns the same block (the stored outcome survives).
         let b2 = cache.block(key, 0, 1, || panic!("must not rebuild"));
-        assert_eq!(b2.lock().unwrap().outcomes[0], Some(1.0));
+        assert_eq!(b2.lock().unwrap().outcomes()[0], Some(1.0));
         assert_eq!(cache.blocks(), 1);
         cache.clear();
         assert_eq!(cache.blocks(), 0);
@@ -561,7 +758,7 @@ mod tests {
         let baseline = cache.bytes();
         for i in 0..200u64 {
             let key = design_key(&[i as f64]);
-            let _ = cache.block(key, 0, i, || Block::new(vec![vec![0.5; 8]; 16]));
+            let _ = cache.block(key, 0, i, || rows(16, 8));
         }
         let filled = cache.bytes();
         assert!(
@@ -596,7 +793,7 @@ mod tests {
                 .sum()
         };
         for i in 0..500u64 {
-            let _ = cache.block(i, 0, i, || Block::new(Vec::new()));
+            let _ = cache.block(i, 0, i, || rows(0, 1));
         }
         assert!(
             cache.bytes() >= tables(&cache) + 500 * stamp,
@@ -618,7 +815,7 @@ mod tests {
         let cache = SimCache::new();
         let keys: Vec<u64> = (0..6).map(|i| design_key(&[i as f64])).collect();
         for (i, &key) in keys.iter().enumerate() {
-            let _ = cache.block(key, 0, i as u64, || Block::new(vec![vec![0.0]; 2]));
+            let _ = cache.block(key, 0, i as u64, || rows(2, 1));
         }
         // All entries are freshly referenced: the sweep reprieves everyone
         // (clearing the bits), then falls back to FIFO — the two oldest go.
@@ -627,13 +824,13 @@ mod tests {
         let mut rebuilt = false;
         let _ = cache.block(keys[0], 0, 10, || {
             rebuilt = true;
-            Block::new(vec![vec![0.0]; 2])
+            rows(2, 1)
         });
         assert!(rebuilt, "oldest entry was evicted");
         let mut rebuilt2 = false;
         let _ = cache.block(keys[2], 0, 11, || {
             rebuilt2 = true;
-            Block::new(vec![vec![0.0]; 2])
+            rows(2, 1)
         });
         assert!(!rebuilt2, "younger entry survived");
 
@@ -644,13 +841,13 @@ mod tests {
         let mut rebuilt3 = false;
         let _ = cache.block(keys[3], 0, 12, || {
             rebuilt3 = true;
-            Block::new(vec![vec![0.0]; 2])
+            rows(2, 1)
         });
         assert!(rebuilt3, "unreferenced FIFO-oldest entry was evicted");
         let mut rebuilt4 = false;
         let _ = cache.block(keys[2], 0, 13, || {
             rebuilt4 = true;
-            Block::new(vec![vec![0.0]; 2])
+            rows(2, 1)
         });
         assert!(!rebuilt4, "referenced entry got its second chance");
     }
@@ -659,9 +856,7 @@ mod tests {
     fn enforce_limit_zero_means_unbounded() {
         let cache = SimCache::new();
         for i in 0..10u64 {
-            let _ = cache.block(design_key(&[i as f64]), 0, i, || {
-                Block::new(vec![vec![0.0]; 1])
-            });
+            let _ = cache.block(design_key(&[i as f64]), 0, i, || rows(1, 1));
         }
         assert_eq!(cache.enforce_limit(0), 0);
         assert_eq!(cache.blocks(), 10);
@@ -672,7 +867,7 @@ mod tests {
         const N: u64 = 4096;
         let cache = SimCache::new();
         let add = |i: u64| {
-            let _ = cache.block(i, 0, i, || Block::new(Vec::new()));
+            let _ = cache.block(i, 0, i, || rows(0, 1));
         };
         (0..=N).for_each(add);
         // Every block is freshly referenced, so this one sweep has to clear
@@ -697,7 +892,7 @@ mod tests {
         let mut rebuilt = false;
         let _ = cache.block(2, 0, N + 4, || {
             rebuilt = true;
-            Block::new(Vec::new())
+            rows(0, 1)
         });
         assert!(rebuilt, "the reprieved FIFO head was evicted last");
 
@@ -709,6 +904,7 @@ mod tests {
     /// sort sweep it replaced, on seeded random cache histories.
     mod eviction_equivalence {
         use super::super::*;
+        use super::rows;
         use std::collections::BTreeSet;
 
         /// The previous implementation's bookkeeping and sweeps, kept only
@@ -835,7 +1031,7 @@ mod tests {
         fn insert_batch(cache: &SimCache, keys: &[BlockKey], batch: u64, threaded: bool) {
             let insert = |part: &[BlockKey]| {
                 for &(key, block) in part {
-                    let _ = cache.block(key, block, batch, || Block::new(vec![vec![0.0]; 1]));
+                    let _ = cache.block(key, block, batch, || rows(1, 1));
                 }
             };
             if threaded {

@@ -1,27 +1,30 @@
 //! The evaluation engine: dispatch over the shared block cache with
 //! deterministic per-block RNG streams.
 //!
-//! A batch of [`McRequest`]s is split into per-`(design, block)` tasks
-//! (deduplicated and merged, so one block is touched by exactly one task per
-//! batch), the tasks are executed — inline at one worker, on the
-//! work-stealing pool otherwise — and the outcomes are assembled back in
-//! request order. Because a block's unit points are a pure function of
-//! `(engine seed, quantized design, block index)` and outcomes are cached per
-//! sample index, the *values* returned and the *number of simulations
-//! executed* are identical regardless of execution order: every worker count
-//! gives bit-identical runs.
+//! A batch of [`McRequest`]s is cut into `(request, block)` spans, which are
+//! sorted and grouped into per-`(design, block)` tasks (so one block is
+//! touched by exactly one task per batch), the tasks are executed — inline at
+//! one worker, on the work-stealing pool otherwise — and the outcomes are
+//! assembled back in request order through the block handle each task
+//! fetched, so a batch looks each block up in the cache once. Because a
+//! block's unit points are a pure function of `(engine seed, quantized
+//! design, block index)` and outcomes are cached per sample index, the
+//! *values* returned and the *number of simulations executed* are identical
+//! regardless of execution order: every worker count gives bit-identical
+//! runs.
 
 use crate::cache::{design_key, Block, SimCache};
 use crate::model::{McRequest, SimulationModel};
 use crate::pool;
 use crate::stats::{EngineStats, EngineStatsSnapshot, EngineTiming};
 use moheco_sampling::{
-    splitmix64, weighted_outcome, EstimatedYield, EstimatorKind, RngStreams, SamplingPlan,
-    SimulationCounter, YieldEstimator,
+    splitmix64, EstimatedYield, EstimatorKind, RngStreams, SamplingPlan, SimulationCounter,
+    YieldEstimator,
 };
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Configuration of an [`Engine`].
@@ -248,21 +251,105 @@ fn block_ranges(
         })
 }
 
-/// One deduplicated unit of work: the requested sample ranges inside one
-/// block of one design's stream. Ranges are kept separate (not merged into
-/// their convex hull) so that disjoint requests never cause the gap between
-/// them to be simulated.
+/// The samples `lo..hi` (local to the block) that request `request` reads
+/// from block `block` of the stream cached under `cache_key`.
 ///
 /// `cache_key` mixes the active seed into the design key so blocks of
-/// different seeds never alias in a long-lived (reseeded) engine;
-/// `stream_key` is the plain design key, which together with the active seed
-/// derives the RNG stream exactly as before the campaign layer existed.
+/// different seeds never alias in a long-lived (reseeded) engine.
+struct Span {
+    cache_key: u64,
+    block: u64,
+    request: usize,
+    lo: usize,
+    hi: usize,
+    /// Position in request order (requests in turn, blocks ascending).
+    id: usize,
+}
+
+/// One deduplicated unit of work: every span of one block of one design's
+/// stream. The spans stay separate (not merged into their convex hull) so
+/// that disjoint requests never cause the gap between them to be simulated.
 struct BlockTask {
     cache_key: u64,
+    /// The plain design key, which together with the active seed derives
+    /// the block's RNG stream exactly as before the campaign layer existed.
     stream_key: u64,
     block: u64,
+    /// The first request reading the block; its design shapes the block and
+    /// is simulated.
     request_index: usize,
-    ranges: Vec<(usize, usize)>,
+    /// The task's run of [`Plan::spans`].
+    spans: Range<usize>,
+    /// The block, fetched from the cache by the task; assembly reads it
+    /// here instead of looking it up again.
+    entry: OnceLock<Arc<Mutex<Block>>>,
+}
+
+/// The tasks of one batch.
+struct Plan {
+    /// Every span, sorted by `(cache_key, block, request)`.
+    spans: Vec<Span>,
+    tasks: Vec<BlockTask>,
+    /// The task serving each span, indexed by [`Span::id`].
+    task_of: Vec<usize>,
+}
+
+/// Per-thread buffers of the task loop, reused from task to task so that a
+/// task allocates only when a block outgrows them.
+#[derive(Default)]
+struct TaskScratch {
+    /// Per sample of the block: whether a span of the task reads it.
+    want: Vec<bool>,
+    /// `(sample index, pending row)` of every sample to simulate, ascending.
+    pending: Vec<(usize, usize)>,
+    /// Copies of the pending rows, in the shape `simulate_block` takes.
+    rows: Vec<Vec<f64>>,
+    /// Raw outcomes of the pending samples.
+    raws: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<TaskScratch> = Cell::default();
+}
+
+impl TaskScratch {
+    /// Simulates the samples of `block` that `spans` read and that have no
+    /// outcome yet, each at most once however the spans overlap, in one
+    /// whole-block dispatch. Returns the number simulated.
+    fn simulate(
+        &mut self,
+        model: &dyn SimulationModel,
+        design: &[f64],
+        block: &mut Block,
+        spans: &[Span],
+    ) -> usize {
+        self.want.clear();
+        self.want.resize(block.outcomes().len(), false);
+        for span in spans {
+            self.want[span.lo..span.hi].fill(true);
+        }
+        block.pending(&self.want, &mut self.pending);
+        let m = self.pending.len();
+        if m == 0 {
+            return 0;
+        }
+        if self.rows.len() < m {
+            self.rows.resize_with(m, Vec::new);
+        }
+        for (view, &(_, row)) in self.rows.iter_mut().zip(&self.pending) {
+            view.clear();
+            view.extend_from_slice(block.row(row));
+        }
+        self.raws.clear();
+        self.raws.resize(m, 0.0);
+        // Models with a batched fast path amortise their per-design setup
+        // across the samples; the default implementation loops
+        // simulate_point, so outcomes are bit-identical either way (see
+        // SimulationModel).
+        model.simulate_block(design, &self.rows[..m], &mut self.raws);
+        block.record(&self.pending, &self.raws);
+        m
+    }
 }
 
 /// The evaluation engine. [`EngineConfig::workers`] is its only dispatch
@@ -343,38 +430,62 @@ impl Engine {
             self.config.plan,
             shift.as_deref(),
         );
-        Block::with_weights(generated.points, generated.weights)
+        Block::new(model.unit_dimension(), generated)
     }
 
-    /// Splits the requests into deduplicated per-(design, block) tasks.
-    fn plan_tasks(&self, requests: &[McRequest]) -> Vec<BlockTask> {
+    /// Cuts the requests into spans and groups them into deduplicated
+    /// per-(design, block) tasks, in `(cache_key, block)` order — a
+    /// deterministic dispatch order (it helps reproducible profiling; the
+    /// results never depend on it).
+    fn plan_tasks(&self, requests: &[McRequest]) -> Plan {
         let block_size = self.config.block_size;
         let seed = self.active_seed();
-        let mut needed: HashMap<(u64, u64), BlockTask> = HashMap::new();
-        for (request_index, request) in requests.iter().enumerate() {
-            if request.count == 0 {
+        let mut stream_keys = vec![0; requests.len()];
+        let mut spans = Vec::new();
+        for (request, r) in requests.iter().enumerate() {
+            if r.count == 0 {
                 continue;
             }
-            let stream_key = design_key(&request.design);
-            let cache_key = seeded_cache_key(stream_key, seed);
-            for (block, lo, hi) in block_ranges(request.start, request.count, block_size) {
-                needed
-                    .entry((cache_key, block))
-                    .and_modify(|t| t.ranges.push((lo, hi)))
-                    .or_insert(BlockTask {
-                        cache_key,
-                        stream_key,
-                        block,
-                        request_index,
-                        ranges: vec![(lo, hi)],
-                    });
+            stream_keys[request] = design_key(&r.design);
+            let cache_key = seeded_cache_key(stream_keys[request], seed);
+            for (block, lo, hi) in block_ranges(r.start, r.count, block_size) {
+                let id = spans.len();
+                spans.push(Span {
+                    cache_key,
+                    block,
+                    request,
+                    lo,
+                    hi,
+                    id,
+                });
             }
         }
-        let mut tasks: Vec<BlockTask> = needed.into_values().collect();
-        // Deterministic dispatch order (helps reproducible profiling; the
-        // results never depend on it).
-        tasks.sort_by_key(|t| (t.cache_key, t.block));
-        tasks
+        // A request reads a block at most once, so the key is unique and
+        // the first span of each group holds its lowest request index.
+        spans.sort_unstable_by_key(|s| (s.cache_key, s.block, s.request));
+        let mut tasks: Vec<BlockTask> = Vec::new();
+        let mut task_of = vec![0; spans.len()];
+        for (i, span) in spans.iter().enumerate() {
+            match tasks.last_mut() {
+                Some(task) if (task.cache_key, task.block) == (span.cache_key, span.block) => {
+                    task.spans.end = i + 1;
+                }
+                _ => tasks.push(BlockTask {
+                    cache_key: span.cache_key,
+                    stream_key: stream_keys[span.request],
+                    block: span.block,
+                    request_index: span.request,
+                    spans: i..i + 1,
+                    entry: OnceLock::new(),
+                }),
+            }
+            task_of[span.id] = tasks.len() - 1;
+        }
+        Plan {
+            spans,
+            tasks,
+            task_of,
+        }
     }
 }
 
@@ -397,85 +508,52 @@ impl EvalEngine for Engine {
     fn mc_outcomes(&self, model: &dyn SimulationModel, requests: &[McRequest]) -> Vec<Vec<f64>> {
         let start_time = Instant::now();
         let batch = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let tasks = self.plan_tasks(requests);
+        let plan = self.plan_tasks(requests);
         let executed = AtomicU64::new(0);
 
-        pool::run_tasks(&tasks, self.workers, |task| {
+        pool::run_tasks(&plan.tasks, self.workers, |task| {
             let design = &requests[task.request_index].design;
-            let block = self.cache.block(task.cache_key, task.block, batch, || {
-                self.make_block(model, design, task.stream_key, task.block)
+            let block = task.entry.get_or_init(|| {
+                self.cache.block(task.cache_key, task.block, batch, || {
+                    self.make_block(model, design, task.stream_key, task.block)
+                })
             });
             let mut guard = block.lock().expect("block poisoned");
-            // Gather the pending sample indices of this task. Overlapping
-            // ranges are harmless: the `is_none` guard plus the `queued`
-            // marker make every sample index simulate at most once. Each unit
-            // point is consumed (taken) by its simulation — a simulated index
-            // is never re-simulated, so the point is dead weight afterwards;
-            // this keeps even partially simulated blocks lean.
-            let mut pending: Vec<usize> = Vec::new();
-            {
-                let mut queued = vec![false; guard.outcomes.len()];
-                for &(lo, hi) in &task.ranges {
-                    #[allow(clippy::needless_range_loop)] // `i` indexes two slices
-                    for i in lo..hi {
-                        if guard.outcomes[i].is_none() && !queued[i] {
-                            queued[i] = true;
-                            pending.push(i);
-                        }
-                    }
-                }
-            }
-            let ran = pending.len() as u64;
+            // Taken out of the thread's slot rather than borrowed, so a model
+            // that re-enters an engine on this thread gets buffers of its own.
+            let mut scratch = SCRATCH.take();
+            let ran = scratch.simulate(model, design, &mut guard, &plan.spans[task.spans.clone()]);
+            SCRATCH.set(scratch);
             if ran > 0 {
-                // One whole-block dispatch: models with a batched fast path
-                // amortise their per-design setup across the samples; the
-                // default implementation loops simulate_point, so outcomes
-                // are bit-identical either way (see SimulationModel).
-                let points: Vec<Vec<f64>> = pending
-                    .iter()
-                    .map(|&i| std::mem::take(&mut guard.points[i]))
-                    .collect();
-                let mut raws = vec![0.0; points.len()];
-                model.simulate_block(design, &points, &mut raws);
-                for (&i, &raw) in pending.iter().zip(&raws) {
-                    // Stored outcomes are yield contributions: the raw
-                    // indicator under unit weights, `1 − w (1 − J)` for
-                    // importance-sampled blocks.
-                    let outcome = match guard.weights.get(i) {
-                        Some(&w) => weighted_outcome(w, raw),
-                        None => raw,
-                    };
-                    guard.outcomes[i] = Some(outcome);
-                }
-                // A fully simulated block never reads points or weights
-                // again; drop the (now all-empty) outer vectors too.
-                if guard.outcomes.iter().all(|o| o.is_some()) {
-                    guard.points = Vec::new();
-                    guard.weights = Vec::new();
-                }
-                executed.fetch_add(ran, Ordering::Relaxed);
+                executed.fetch_add(ran as u64, Ordering::Relaxed);
             }
         });
 
-        // Assemble in request order; every needed outcome now exists.
+        // Assemble in request order; every needed outcome now exists. The
+        // spans of each request were numbered in this same order.
         let block_size = self.config.block_size;
-        let seed = self.active_seed();
+        let mut span_id = 0;
         let results: Vec<Vec<f64>> = requests
             .iter()
             .map(|request| {
                 if request.count == 0 {
                     return Vec::new();
                 }
-                let key = seeded_cache_key(design_key(&request.design), seed);
                 let mut out = Vec::with_capacity(request.count);
-                for (block, lo, hi) in block_ranges(request.start, request.count, block_size) {
-                    let entry = self.cache.block(key, block, batch, || {
-                        unreachable!("block was materialised by its task")
-                    });
-                    let guard = entry.lock().expect("block poisoned");
-                    for i in lo..hi {
-                        out.push(guard.outcomes[i].expect("outcome computed by its task"));
-                    }
+                for (_, lo, hi) in block_ranges(request.start, request.count, block_size) {
+                    let task = &plan.tasks[plan.task_of[span_id]];
+                    span_id += 1;
+                    let guard = task
+                        .entry
+                        .get()
+                        .expect("every task fetched its block")
+                        .lock()
+                        .expect("block poisoned");
+                    out.extend(
+                        guard.outcomes()[lo..hi]
+                            .iter()
+                            .map(|o| o.expect("outcome computed by its task")),
+                    );
                 }
                 out
             })
@@ -487,12 +565,13 @@ impl EvalEngine for Engine {
         self.stats.record_cache_hits(served - ran);
         self.stats.record_mc_batch(
             served,
-            tasks.len() as u64,
+            plan.tasks.len() as u64,
             start_time.elapsed().as_nanos() as u64,
         );
-        // Bounded-memory engines sweep between batches, when no task holds a
-        // block handle (eviction mid-batch would break assembly). The sweep
-        // order is deterministic, so parallel == serial — counters included.
+        // Bounded-memory engines sweep between batches, once assembly is
+        // done (the plan's block handles keep evicted blocks alive until it
+        // drops on return). The sweep order is deterministic, so parallel ==
+        // serial — counters included.
         if self.config.max_cached_blocks > 0 {
             let evicted = self.cache.enforce_limit(self.config.max_cached_blocks);
             if evicted > 0 {
@@ -1021,6 +1100,85 @@ mod tests {
         // The unbounded engine never evicts and paid fewer re-simulations.
         assert_eq!(unbounded.stats().evicted_blocks, 0);
         assert!(unbounded.simulations() < bounded.simulations());
+    }
+
+    /// Three-dimensional threshold with an importance shift, so that
+    /// importance-sampled blocks carry weights.
+    struct WeightedThreshold;
+
+    impl SimulationModel for WeightedThreshold {
+        fn unit_dimension(&self) -> usize {
+            3
+        }
+
+        fn simulate_point(&self, _x: &[f64], u: &[f64]) -> f64 {
+            if u[0] + u[2] < 1.2 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+
+        fn nominal(&self, x: &[f64]) -> Vec<f64> {
+            x.to_vec()
+        }
+
+        fn importance_shift(&self, _x: &[f64]) -> Option<Vec<f64>> {
+            Some(vec![0.8, 0.0, 0.4])
+        }
+    }
+
+    #[test]
+    fn partial_reads_match_fresh_reads_and_compact_the_cache() {
+        // Out of order, overlapping and disjoint: one batch per entry.
+        let history: [&[(usize, usize)]; 3] =
+            [&[(30, 5)], &[(5, 5), (0, 3), (40, 10)], &[(0, 100)]];
+        let distinct = [5, 23, 100];
+        let x = vec![0.6, 0.1, 0.9];
+        let bits = |v: &[f64]| v.iter().map(|o| o.to_bits()).collect::<Vec<_>>();
+        for kind in EstimatorKind::ALL {
+            for workers in [1, 4] {
+                let config = EngineConfig::default()
+                    .with_seed(31)
+                    .with_estimator(kind)
+                    .with_workers(workers);
+                let engine = Engine::new(config);
+                let mut bytes = Vec::new();
+                for (batch, want) in history.iter().zip(distinct) {
+                    let requests: Vec<McRequest> = batch
+                        .iter()
+                        .map(|&(start, count)| McRequest::new(x.clone(), start, count))
+                        .collect();
+                    let got = engine.mc_outcomes(&WeightedThreshold, &requests);
+                    for (request, out) in requests.iter().zip(&got) {
+                        let fresh = Engine::new(config).mc_single(
+                            &WeightedThreshold,
+                            &x,
+                            request.start,
+                            request.count,
+                        );
+                        let ctx = format!("{kind:?} workers {workers} {request:?}");
+                        assert_eq!(bits(out), bits(&fresh), "{ctx}");
+                    }
+                    assert_eq!(engine.simulations(), want, "{kind:?} workers {workers}");
+                    bytes.push(engine.cache_bytes());
+                }
+                // The second batch simulated 18 more samples of block 0, and
+                // compaction released exactly their rows (and weights).
+                let weight = usize::from(kind == EstimatorKind::ImportanceSampling);
+                let row_bytes = (3 + weight) * std::mem::size_of::<f64>();
+                assert_eq!(
+                    bytes[0] - bytes[1],
+                    18 * row_bytes,
+                    "{kind:?} workers {workers}"
+                );
+                // Complete blocks keep their outcomes only, like those of an
+                // engine that read the same samples at once.
+                let whole = Engine::new(config);
+                let _ = whole.mc_single(&WeightedThreshold, &x, 0, 100);
+                assert_eq!(bytes[2], whole.cache_bytes(), "{kind:?} workers {workers}");
+            }
+        }
     }
 
     #[test]

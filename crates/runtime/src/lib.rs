@@ -32,14 +32,16 @@
 //!        │  batches of McRequest { design, start, count }
 //!        ▼
 //!  Engine (workers = 1: inline, otherwise: pool)
-//!        │  split into per-(design, block) tasks, deduplicated
+//!        │  (request, block) spans, sorted and grouped into one task
+//!        │  per (design, block)
 //!        ▼
 //!  SimCache ──hit──► outcomes already on file (free)
 //!        │ miss
 //!        ▼
-//!  block RNG stream ─► unit points ─► SimulationModel::simulate_block
-//!                                     (one call per task; the default
-//!                                      loops simulate_point)
+//!  block RNG stream ─► flat buffer of the ─► SimulationModel::simulate_block
+//!                      pending unit points   (one call per task; the default
+//!                      (compacted after       loops simulate_point)
+//!                       each task)
 //! ```
 //!
 //! # Example

@@ -20,23 +20,7 @@ use rand::Rng;
 ///
 /// Panics if `n == 0` or `dim == 0`.
 pub fn latin_hypercube<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize) -> Vec<Vec<f64>> {
-    assert!(n > 0, "sample count must be positive");
-    assert!(dim > 0, "dimension must be positive");
-    let mut points = vec![vec![0.0; dim]; n];
-    let mut perm: Vec<usize> = (0..n).collect();
-    for d in 0..dim {
-        // Fisher–Yates shuffle of the stratum indices for this dimension.
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
-        for (i, point) in points.iter_mut().enumerate() {
-            let stratum = perm[i] as f64;
-            let jitter: f64 = rng.gen();
-            point[d] = (stratum + jitter) / n as f64;
-        }
-    }
-    points
+    SamplingPlan::LatinHypercube.generate(rng, n, dim)
 }
 
 /// Generates `n` primitive Monte-Carlo (uniform i.i.d.) points in `[0, 1)^dim`.
@@ -45,10 +29,7 @@ pub fn latin_hypercube<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize) -> Ve
 ///
 /// Panics if `dim == 0`.
 pub fn primitive_monte_carlo<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize) -> Vec<Vec<f64>> {
-    assert!(dim > 0, "dimension must be positive");
-    (0..n)
-        .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
-        .collect()
+    SamplingPlan::PrimitiveMonteCarlo.generate(rng, n, dim)
 }
 
 /// Sampling plans available to the Monte-Carlo yield estimator.
@@ -62,11 +43,46 @@ pub enum SamplingPlan {
 }
 
 impl SamplingPlan {
-    /// Generates `n` unit-hypercube points of dimension `dim` according to the plan.
+    /// Generates `n` unit-hypercube points of dimension `dim` according to
+    /// the plan, one row per sample: the rows of [`Self::generate_flat`].
     pub fn generate<R: Rng + ?Sized>(self, rng: &mut R, n: usize, dim: usize) -> Vec<Vec<f64>> {
+        self.generate_flat(rng, n, dim)
+            .chunks_exact(dim)
+            .map(<[f64]>::to_vec)
+            .collect()
+    }
+
+    /// Generates `n` unit-hypercube points of dimension `dim` into one
+    /// row-major buffer: sample `i` is `out[i * dim..(i + 1) * dim]`.
+    ///
+    /// This is the one generator body; the draws happen in the plan's fixed
+    /// order, so a stream gives the same points whatever the layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`, or if `n == 0` under Latin-Hypercube sampling.
+    pub fn generate_flat<R: Rng + ?Sized>(self, rng: &mut R, n: usize, dim: usize) -> Vec<f64> {
+        assert!(dim > 0, "dimension must be positive");
         match self {
-            SamplingPlan::PrimitiveMonteCarlo => primitive_monte_carlo(rng, n, dim),
-            SamplingPlan::LatinHypercube => latin_hypercube(rng, n, dim),
+            SamplingPlan::PrimitiveMonteCarlo => (0..n * dim).map(|_| rng.gen::<f64>()).collect(),
+            SamplingPlan::LatinHypercube => {
+                assert!(n > 0, "sample count must be positive");
+                let mut out = vec![0.0; n * dim];
+                let mut perm: Vec<usize> = (0..n).collect();
+                for d in 0..dim {
+                    // Fisher–Yates shuffle of the stratum indices for this
+                    // dimension, continuing from the previous dimension's.
+                    for i in (1..n).rev() {
+                        let j = rng.gen_range(0..=i);
+                        perm.swap(i, j);
+                    }
+                    for (i, &stratum) in perm.iter().enumerate() {
+                        let jitter: f64 = rng.gen();
+                        out[i * dim + d] = (stratum as f64 + jitter) / n as f64;
+                    }
+                }
+                out
+            }
         }
     }
 }

@@ -116,8 +116,8 @@ where
     if n == 0 {
         return YieldEstimate::default();
     }
-    let points = plan.generate(rng, n, dim);
-    let passes = points.iter().filter(|p| indicator(p)).count();
+    let points = plan.generate_flat(rng, n, dim);
+    let passes = points.chunks_exact(dim).filter(|p| indicator(p)).count();
     YieldEstimate::new(passes, n)
 }
 
