@@ -182,9 +182,10 @@ impl SpecSet {
     }
 
     /// Returns `true` when every specification (and saturation, if required)
-    /// is met.
+    /// is met: the verdict of [`Self::margins`], without building them.
     pub fn all_met(&self, perf: &AmplifierPerformance) -> bool {
-        self.margins(perf).iter().all(|&m| m >= 0.0)
+        (!self.require_saturation || perf.all_saturated)
+            && self.specs.iter().all(|s| s.is_met(perf))
     }
 
     /// Aggregate constraint violation: the sum of negative margins, negated
@@ -271,6 +272,53 @@ mod tests {
         bad.all_saturated = false;
         assert!(!set.all_met(&bad));
         assert!(set.violation(&bad) > 0.0);
+    }
+
+    #[test]
+    fn all_met_is_the_verdict_of_the_margins() {
+        let nan_field = |mut p: AmplifierPerformance, k: usize| {
+            match k {
+                0 => p.a0_db = f64::NAN,
+                1 => p.gbw_hz = f64::NAN,
+                2 => p.power_w = f64::NAN,
+                _ => {}
+            }
+            p
+        };
+        let gbw = Specification::new("GBW", SpecTarget::GbwHz, SpecKind::AtLeast, 40e6, 10e6);
+        let specs = [gain_spec(), power_spec(), gbw];
+        // A bound met exactly gives a zero margin, which counts as met.
+        let mut edge = sample_perf();
+        edge.a0_db = 70.0;
+        let mut perfs = vec![AmplifierPerformance::failed(), edge];
+        for base in [sample_perf(), edge] {
+            for k in 0..4 {
+                for saturated in [true, false] {
+                    let mut p = nan_field(base, k);
+                    p.all_saturated = saturated;
+                    perfs.push(p);
+                    let mut low = p;
+                    low.a0_db -= 10.0;
+                    perfs.push(low);
+                }
+            }
+        }
+        for require_saturation in [true, false] {
+            for n_specs in 0..=specs.len() {
+                let set = SpecSet {
+                    specs: specs[..n_specs].to_vec(),
+                    require_saturation,
+                };
+                for (i, p) in perfs.iter().enumerate() {
+                    let want = set.margins(p).iter().all(|&m| m >= 0.0);
+                    assert_eq!(
+                        set.all_met(p),
+                        want,
+                        "perf {i}, {n_specs} specs, saturation required: {require_saturation}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,13 +32,40 @@
 //!   literally: `norm_sqr` pivoting, the `f == Complex::ZERO` elimination
 //!   skip (replicated with a per-lane mask and select, which also protects
 //!   skipped lanes from spurious updates), and Smith's complex division with
-//!   *both* branches evaluated per lane and the result selected on
-//!   `|re| >= |im|` (the `0/0` early-NaN return falls out of the not-taken
-//!   branch producing NaN through the same operations).
+//!   the `|re| >= |im|` branch selected per lane. The divisor-only half of
+//!   Smith's division is computed once per pivot (see `SmithDivisor`); the
+//!   scalar `0/0` early-NaN return needs no replica, since a zero pivot has
+//!   already marked its lane singular.
+//! * Entries never hold `-0.0` during elimination either: the eliminated
+//!   entry is stored as `+0.0`, and `t - u` is `-0.0` only for `t == -0.0`.
+//!   So an entry that is zero is `+0.0`, and per-row bit masks record the
+//!   entries known to be `+0.0` in every lane. They start from the stamp
+//!   pattern, move with row swaps, merge when the lanes pick different
+//!   pivot rows, and lose a bit when an update may fill it in. Three kinds
+//!   of work they prove to be no-ops are skipped:
+//!   - A row whose entry in the pivot column is zero in every lane, when
+//!     every lane's pivot is finite and nonzero. Smith's division of `±0`
+//!     by such a pivot is `±0`, so the scalar kernel takes its `f == 0`
+//!     skip in every lane. For the same reason the pivot search does not
+//!     read the row: `0` never beats the running maximum.
+//!   - An update column whose pivot-row entry is zero in every lane, when
+//!     the row's multiplier `f` is finite in every lane. `f * (+0.0)` is
+//!     `±0` and `t - (±0) == t` for every `t != -0.0`.
+//!   - Row-swap columns left of the pivot, which are eliminated and never
+//!     read again.
+//! * Back-substitution solves only the rows from the output unknown down:
+//!   row `i` reads rows `> i` alone, and the sweep reads only the output.
+//!   A ground output needs no back-substitution at all.
 //! * A lane whose pivot underflows is marked singular with the failing
 //!   elimination step and keeps computing garbage; lanes never interact, so
 //!   healthy lanes are unaffected and the first failing frequency reports the
 //!   identical [`SpiceError::SingularMatrix`] as the scalar sweep.
+//!
+//! A NaN result is the one exception to identical bits. Rust leaves the
+//! sign and payload of a NaN that arithmetic produces unspecified, so when
+//! NaN element values meet NaNs the sweep generates itself, the two paths
+//! may return NaNs that differ in those bits. Every non-NaN result, and
+//! every NaN bred from finite or infinite values alone, matches bit for bit.
 //!
 //! The inner kernel is compiled three times — generic, AVX2 and AVX-512F via
 //! `#[target_feature]` — and dispatched once per `FactorizedCircuit` from
@@ -185,15 +212,10 @@ pub struct FactorizedCircuit {
     // fills.
     re_bcast: Vec<f64>,
     rhs_bcast: Vec<f64>,
-    // Lane scratch: `dim*dim*LANES` matrix planes, `dim*LANES` vectors and a
-    // pivot-row copy that decouples source and destination rows during
-    // elimination.
-    a_re: Vec<f64>,
-    a_im: Vec<f64>,
-    x_re: Vec<f64>,
-    x_im: Vec<f64>,
-    prow_re: Vec<f64>,
-    prow_im: Vec<f64>,
+    /// Per-row masks of the entries no stamp program writes: bit `j` of row
+    /// `i` is set when `(i, j)` is `+0.0` in both planes of every sample.
+    zero_init: Vec<u64>,
+    lanes: LaneSystem,
     /// Output phasors of the last [`Self::sweep_loaded`].
     response: Vec<Complex>,
 }
@@ -203,6 +225,17 @@ impl FactorizedCircuit {
     /// pattern into flat index programs and sizes the lane scratch. The
     /// template's element values are irrelevant; only its topology is kept.
     pub fn new(circuit: &LinearCircuit) -> Self {
+        Self::new_on(circuit, Kernel::detect())
+    }
+
+    /// [`Self::new`] sweeping on an explicitly chosen compiled kernel — every
+    /// kernel returns the same bits; this exists so tests can cover each one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the running CPU does not support `kernel`.
+    pub fn new_on(circuit: &LinearCircuit, kernel: Kernel) -> Self {
+        assert!(kernel.is_supported(), "kernel {kernel:?} unsupported here");
         let n = circuit.num_nodes();
         let m = circuit.num_vsources();
         let dim = (n - 1) + m;
@@ -335,12 +368,24 @@ impl FactorizedCircuit {
             rhs_set.push((row, k));
         }
 
+        // Every entry starts known zero and each stamped one loses its bit.
+        let mut zero_init = vec![!0u64; dim];
+        for f in re_prog
+            .iter()
+            .map(|op| op.flat)
+            .chain(cap_prog.iter().map(|op| op.flat))
+        {
+            let (i, j) = (f / dim, f % dim);
+            if j < 64 {
+                zero_init[i] &= !(1 << j);
+            }
+        }
         let n_caps = cap_prog.len();
         Self {
             num_nodes: n,
             dim,
             sig: StructSig::of(circuit),
-            kernel: Kernel::detect(),
+            kernel,
             re_prog,
             cap_prog,
             rhs_add,
@@ -356,12 +401,8 @@ impl FactorizedCircuit {
             rhs_re: vec![0.0; dim],
             re_bcast: vec![0.0; dim * dim * LANES],
             rhs_bcast: vec![0.0; dim * LANES],
-            a_re: vec![0.0; dim * dim * LANES],
-            a_im: vec![0.0; dim * dim * LANES],
-            x_re: vec![0.0; dim * LANES],
-            x_im: vec![0.0; dim * LANES],
-            prow_re: vec![0.0; dim * LANES],
-            prow_im: vec![0.0; dim * LANES],
+            zero_init,
+            lanes: LaneSystem::new(dim),
             response: Vec::new(),
         }
     }
@@ -512,6 +553,9 @@ impl FactorizedCircuit {
         }
         debug_assert!(output < self.num_nodes, "output node out of range");
         let out_idx = if output == 0 { None } else { Some(output - 1) };
+        // Back-substitution solves rows `first_row..dim`, all the output
+        // unknown depends on; a ground output reads none of them.
+        let first_row = out_idx.unwrap_or(dim);
 
         let n_freqs = freqs.len();
         let mut start = 0;
@@ -527,62 +571,29 @@ impl FactorizedCircuit {
 
             // Broadcast the real plane and right-hand side into the lanes,
             // then accumulate the per-frequency imaginary plane.
-            self.a_re.copy_from_slice(&self.re_bcast);
-            self.a_im.iter_mut().for_each(|v| *v = 0.0);
+            let sys = &mut self.lanes;
+            sys.a_re.copy_from_slice(&self.re_bcast);
+            sys.a_im.iter_mut().for_each(|v| *v = 0.0);
             for &(fl, c) in &self.cap_vals {
-                let lanes = &mut self.a_im[fl * LANES..(fl + 1) * LANES];
+                let lanes = &mut sys.a_im[fl * LANES..(fl + 1) * LANES];
                 for (l, v) in lanes.iter_mut().enumerate() {
                     *v += omegas[l] * c;
                 }
             }
-            self.x_re.copy_from_slice(&self.rhs_bcast);
-            self.x_im.iter_mut().for_each(|v| *v = 0.0);
+            sys.x_re.copy_from_slice(&self.rhs_bcast);
+            sys.x_im.iter_mut().for_each(|v| *v = 0.0);
+            sys.zero.copy_from_slice(&self.zero_init);
 
             let mut sing = [NOT_SINGULAR; LANES];
             match self.kernel {
                 #[cfg(target_arch = "x86_64")]
-                Kernel::Avx512 => {
-                    // SAFETY: `detect_kernel` selected this variant only after
-                    // `is_x86_feature_detected!("avx512f")` returned true.
-                    unsafe {
-                        solve_lanes_avx512(
-                            dim,
-                            &mut self.a_re,
-                            &mut self.a_im,
-                            &mut self.x_re,
-                            &mut self.x_im,
-                            &mut self.prow_re,
-                            &mut self.prow_im,
-                            &mut sing,
-                        );
-                    }
-                }
+                // SAFETY: `new_on` accepted this variant only after
+                // `is_x86_feature_detected!("avx512f")` returned true.
+                Kernel::Avx512 => unsafe { solve_lanes_avx512(sys, first_row, &mut sing) },
                 #[cfg(target_arch = "x86_64")]
-                Kernel::Avx2 => {
-                    // SAFETY: gated on `is_x86_feature_detected!("avx2")`.
-                    unsafe {
-                        solve_lanes_avx2(
-                            dim,
-                            &mut self.a_re,
-                            &mut self.a_im,
-                            &mut self.x_re,
-                            &mut self.x_im,
-                            &mut self.prow_re,
-                            &mut self.prow_im,
-                            &mut sing,
-                        );
-                    }
-                }
-                Kernel::Generic => solve_lanes_impl(
-                    dim,
-                    &mut self.a_re,
-                    &mut self.a_im,
-                    &mut self.x_re,
-                    &mut self.x_im,
-                    &mut self.prow_re,
-                    &mut self.prow_im,
-                    &mut sing,
-                ),
+                // SAFETY: gated on `is_x86_feature_detected!("avx2")`.
+                Kernel::Avx2 => unsafe { solve_lanes_avx2(sys, first_row, &mut sing) },
+                Kernel::Generic => solve_lanes_impl(sys, first_row, &mut sing),
             }
 
             // Frequencies are processed in ascending order, so the first
@@ -593,12 +604,13 @@ impl FactorizedCircuit {
                     return Err(SpiceError::SingularMatrix { pivot: s });
                 }
             }
-            for l in 0..real_lanes {
-                let v = match out_idx {
-                    None => Complex::ZERO,
-                    Some(oi) => Complex::new(self.x_re[oi * LANES + l], self.x_im[oi * LANES + l]),
-                };
-                values.push(v);
+            match out_idx {
+                None => values.extend((0..real_lanes).map(|_| Complex::ZERO)),
+                Some(oi) => {
+                    let re = &self.lanes.x_re[oi * LANES..][..real_lanes];
+                    let im = &self.lanes.x_im[oi * LANES..][..real_lanes];
+                    values.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i)));
+                }
             }
             start += LANES;
         }
@@ -744,76 +756,184 @@ fn swap_blocks(s: &mut [f64], a: usize, b: usize) {
     store(s, b, &ta);
 }
 
-/// Smith's complex division with both branches evaluated per lane and the
-/// result selected on `|br| >= |bi|` — the branchless (and therefore
-/// vectorizable) replica of [`Complex`]'s `Div`. The scalar `0/0 -> NaN`
-/// early return is reproduced by the taken branch computing NaN through the
-/// identical operations.
+/// One flag per lane.
+type Mask = [bool; LANES];
+
+/// The lanes where `pred` holds.
 #[inline(always)]
-fn cdiv_lanes(ar: &Lane, ai: &Lane, br: &Lane, bi: &Lane) -> (Lane, Lane) {
-    let mut qr = [0.0f64; LANES];
-    let mut qi = [0.0f64; LANES];
-    let mut first = [false; LANES];
-    let mut n_first = 0usize;
-    for l in 0..LANES {
-        first[l] = br[l].abs() >= bi[l].abs();
-        n_first += usize::from(first[l]);
+fn lane_mask(pred: impl Fn(usize) -> bool) -> Mask {
+    let mut m = [false; LANES];
+    for (l, v) in m.iter_mut().enumerate() {
+        *v = pred(l);
     }
-    // The branch condition is usually uniform across a chunk of adjacent
-    // frequencies; computing only the taken branch halves the division count.
-    // Both fast paths produce the exact values the select path would pick.
-    if n_first == LANES {
-        for l in 0..LANES {
-            let r1 = bi[l] / br[l];
-            let d1 = br[l] + bi[l] * r1;
-            qr[l] = (ar[l] + ai[l] * r1) / d1;
-            qi[l] = (ai[l] - ar[l] * r1) / d1;
+    m
+}
+
+// Non-short-circuiting folds, which vectorize into mask reductions.
+#[inline(always)]
+fn all(m: &Mask) -> bool {
+    m.iter().fold(true, |a, &b| a & b)
+}
+
+#[inline(always)]
+fn any(m: &Mask) -> bool {
+    m.iter().fold(false, |a, &b| a | b)
+}
+
+/// One complex divisor per lane, prepared for Smith's division — the
+/// branchless (and therefore vectorizable) replica of [`Complex`]'s `Div`.
+///
+/// Smith's `|br| >= |bi|` branch divides `a` by `b` as
+/// `((ar + ai*r) / d, (ai - ar*r) / d)` with `r = bi/br`, `d = br + bi*r`,
+/// and the other branch as `((ar*r + ai) / d, (ai*r - ar) / d)` with
+/// `r = br/bi`, `d = br*r + bi`. Both are `((ar*ca + ai*cb) / d,
+/// (ai*ca - ar*cb) / d)` with `(ca, cb)` = `(1, r)` or `(r, 1)`, since
+/// multiplying by `1.0` is exact and IEEE addition commutes. `ca`, `cb` and
+/// `d` depend on the divisor alone, so one pivot's are computed once for all
+/// the rows it eliminates and for the back-substitution through its row.
+/// The scalar `0/0 -> NaN` early return needs no replica: a zero pivot marks
+/// its lane singular before any division result is used.
+#[derive(Debug, Clone, Copy)]
+struct SmithDivisor {
+    ca: Lane,
+    cb: Lane,
+    d: Lane,
+}
+
+impl SmithDivisor {
+    #[inline(always)]
+    fn new(br: &Lane, bi: &Lane) -> Self {
+        let first = lane_mask(|l| br[l].abs() >= bi[l].abs());
+        let mut s = Self {
+            ca: [1.0; LANES],
+            cb: [1.0; LANES],
+            d: [0.0; LANES],
+        };
+        // The branch is usually uniform across a chunk of adjacent
+        // frequencies; evaluating only the taken side halves the divisions
+        // and stores the bits the per-lane select would pick.
+        if all(&first) {
+            for l in 0..LANES {
+                let r = bi[l] / br[l];
+                s.cb[l] = r;
+                s.d[l] = br[l] + bi[l] * r;
+            }
+        } else if !any(&first) {
+            for l in 0..LANES {
+                let r = br[l] / bi[l];
+                s.ca[l] = r;
+                s.d[l] = br[l] * r + bi[l];
+            }
+        } else {
+            for l in 0..LANES {
+                let r1 = bi[l] / br[l];
+                let d1 = br[l] + bi[l] * r1;
+                let r2 = br[l] / bi[l];
+                let d2 = br[l] * r2 + bi[l];
+                s.ca[l] = if first[l] { 1.0 } else { r2 };
+                s.cb[l] = if first[l] { r1 } else { 1.0 };
+                s.d[l] = if first[l] { d1 } else { d2 };
+            }
         }
-    } else if n_first == 0 {
+        s
+    }
+
+    /// `(ar + i*ai) / divisor`, lane by lane.
+    #[inline(always)]
+    fn div(&self, ar: &Lane, ai: &Lane) -> (Lane, Lane) {
+        let mut qr = [0.0f64; LANES];
+        let mut qi = [0.0f64; LANES];
         for l in 0..LANES {
-            let r2 = br[l] / bi[l];
-            let d2 = br[l] * r2 + bi[l];
-            qr[l] = (ar[l] * r2 + ai[l]) / d2;
-            qi[l] = (ai[l] * r2 - ar[l]) / d2;
+            qr[l] = (ar[l] * self.ca[l] + ai[l] * self.cb[l]) / self.d[l];
+            qi[l] = (ai[l] * self.ca[l] - ar[l] * self.cb[l]) / self.d[l];
         }
-    } else {
-        for l in 0..LANES {
-            let r1 = bi[l] / br[l];
-            let d1 = br[l] + bi[l] * r1;
-            let q1r = (ar[l] + ai[l] * r1) / d1;
-            let q1i = (ai[l] - ar[l] * r1) / d1;
-            let r2 = br[l] / bi[l];
-            let d2 = br[l] * r2 + bi[l];
-            let q2r = (ar[l] * r2 + ai[l]) / d2;
-            let q2i = (ai[l] * r2 - ar[l]) / d2;
-            qr[l] = if first[l] { q1r } else { q2r };
-            qi[l] = if first[l] { q1i } else { q2i };
+        (qr, qi)
+    }
+}
+
+/// The lane scratch of one frequency chunk: `dim*dim*LANES` matrix planes,
+/// `dim*LANES` right-hand-side/solution planes, each step's prepared pivot
+/// divisor, and per-row masks of the entries known to be `+0.0` in every
+/// lane.
+#[derive(Debug, Clone)]
+struct LaneSystem {
+    n: usize,
+    a_re: Vec<f64>,
+    a_im: Vec<f64>,
+    x_re: Vec<f64>,
+    x_im: Vec<f64>,
+    pivots: Vec<SmithDivisor>,
+    /// Bit `j` of `zero[i]` set: entry `(i, j)` is `+0.0` in both planes of
+    /// every lane. Cleared bits claim nothing; columns `>= 64` have no bit.
+    zero: Vec<u64>,
+}
+
+impl LaneSystem {
+    fn new(n: usize) -> Self {
+        let none = SmithDivisor {
+            ca: [0.0; LANES],
+            cb: [0.0; LANES],
+            d: [0.0; LANES],
+        };
+        Self {
+            n,
+            a_re: vec![0.0; n * n * LANES],
+            a_im: vec![0.0; n * n * LANES],
+            x_re: vec![0.0; n * LANES],
+            x_im: vec![0.0; n * LANES],
+            pivots: vec![none; n],
+            zero: vec![0; n],
         }
     }
-    (qr, qi)
+}
+
+/// Whether `mask` records column `j` as zero in every lane.
+#[inline(always)]
+fn known_zero(mask: u64, j: usize) -> bool {
+    j < 64 && (mask >> j) & 1 == 1
 }
 
 /// Per-lane complex LU with partial pivoting: [`crate::linalg::clu_solve_in_place`]
 /// replicated over [`LANES`] independent systems in SoA layout
 /// (`plane[element * LANES + lane]`). Lanes never exchange data; a lane whose
 /// pivot underflows records the failing step in `sing` and keeps running on
-/// garbage, which cannot leak into other lanes.
-#[allow(clippy::too_many_arguments)]
+/// garbage, which cannot leak into other lanes. Work the zero masks prove a
+/// no-op is skipped, and back-substitution solves only rows `first_row..n`.
 #[inline(always)]
-fn solve_lanes_impl(
-    n: usize,
-    a_re: &mut [f64],
-    a_im: &mut [f64],
-    x_re: &mut [f64],
-    x_im: &mut [f64],
-    prow_re: &mut [f64],
-    prow_im: &mut [f64],
+fn solve_lanes_impl(sys: &mut LaneSystem, first_row: usize, sing: &mut [usize; LANES]) {
+    // A compile-time size unrolls the index arithmetic and drops most bounds
+    // checks. The two testbench half circuits have 5 and 6 unknowns; other
+    // sizes run the same body with the size read at run time.
+    match sys.n {
+        5 => solve_lanes_sized::<5>(sys, first_row, sing),
+        6 => solve_lanes_sized::<6>(sys, first_row, sing),
+        _ => solve_lanes_sized::<0>(sys, first_row, sing),
+    }
+}
+
+/// [`solve_lanes_impl`] for `N` unknowns, or `sys.n` unknowns when `N == 0`.
+#[inline(always)]
+fn solve_lanes_sized<const N: usize>(
+    sys: &mut LaneSystem,
+    first_row: usize,
     sing: &mut [usize; LANES],
 ) {
     const L: usize = LANES;
+    let n = if N == 0 { sys.n } else { N };
+    let LaneSystem {
+        a_re,
+        a_im,
+        x_re,
+        x_im,
+        pivots,
+        zero,
+        ..
+    } = sys;
     for k in 0..n {
         let d = (k * n + k) * L;
-        // Per-lane pivot search on |.|^2, exactly as the scalar kernel.
+        // Per-lane pivot search on |.|^2, exactly as the scalar kernel. A row
+        // whose entry is zero in every lane has |.|^2 == 0, which never
+        // beats `max` (a sum of squares, or NaN), so it is not read.
         let mut p = [k; L];
         let dr = load(a_re, d);
         let di = load(a_im, d);
@@ -821,7 +941,11 @@ fn solve_lanes_impl(
         for l in 0..L {
             max[l] = dr[l] * dr[l] + di[l] * di[l];
         }
+        #[allow(clippy::needless_range_loop)] // `i` also strides the planes
         for i in (k + 1)..n {
+            if known_zero(zero[i], k) {
+                continue;
+            }
             let er = load(a_re, (i * n + k) * L);
             let ei = load(a_im, (i * n + k) * L);
             for l in 0..L {
@@ -832,32 +956,36 @@ fn solve_lanes_impl(
             }
         }
         for l in 0..L {
-            if max[l] < 1e-300 && sing[l] == NOT_SINGULAR {
-                sing[l] = k;
-            }
+            let fails = (max[l] < 1e-300) & (sing[l] == NOT_SINGULAR);
+            sing[l] = if fails { k } else { sing[l] };
         }
         // Row swap. Adjacent frequencies almost always pick the same pivot
         // row, so a whole-lane-block swap is the common case; fall back to
-        // per-lane swaps when the lanes disagree.
-        let uniform_p = p.iter().all(|&v| v == p[0]);
-        if uniform_p {
+        // per-lane swaps when the lanes disagree. Columns `< k` of rows
+        // `>= k` are eliminated and never read again, so they are not moved.
+        if p.iter().fold(0, |acc, &v| acc | (v ^ p[0])) == 0 {
             let pl = p[0];
             if pl != k {
-                for j in 0..n {
+                for j in k..n {
                     let ko = (k * n + j) * L;
                     let po = (pl * n + j) * L;
                     swap_blocks(a_re, ko, po);
                     swap_blocks(a_im, ko, po);
                 }
-                swap_blocks(x_re, k * L, p[0] * L);
-                swap_blocks(x_im, k * L, p[0] * L);
+                swap_blocks(x_re, k * L, pl * L);
+                swap_blocks(x_im, k * L, pl * L);
+                zero.swap(k, pl);
             }
         } else {
+            // Every row touched now mixes lanes of row `k` and of the
+            // lanes' pivot rows: only a zero common to all of them stays.
+            let mut common = zero[k];
             #[allow(clippy::needless_range_loop)] // `l` also strides the planes
             for l in 0..L {
                 let pl = p[l];
+                common &= zero[pl];
                 if pl != k {
-                    for j in 0..n {
+                    for j in k..n {
                         a_re.swap((k * n + j) * L + l, (pl * n + j) * L + l);
                         a_im.swap((k * n + j) * L + l, (pl * n + j) * L + l);
                     }
@@ -865,47 +993,63 @@ fn solve_lanes_impl(
                     x_im.swap(k * L + l, pl * L + l);
                 }
             }
+            zero[k] = common;
+            for &pl in &p {
+                zero[pl] = common;
+            }
         }
         let piv_re = load(a_re, d);
         let piv_im = load(a_im, d);
-        // Copy the pivot row and x[k] so the update loops read disjoint
-        // buffers (helps the vectorizer's alias analysis).
-        for j in (k + 1)..n {
-            let s = (k * n + j) * L;
-            prow_re[j * L..(j + 1) * L].copy_from_slice(&a_re[s..s + L]);
-            prow_im[j * L..(j + 1) * L].copy_from_slice(&a_im[s..s + L]);
-        }
+        let piv = SmithDivisor::new(&piv_re, &piv_im);
+        pivots[k] = piv;
+        // With a finite, nonzero pivot in every lane, Smith's division of a
+        // zero entry yields `±0` in every lane: the scalar `f == 0` skip.
+        let piv_ok = all(&lane_mask(|l| {
+            piv_re[l].is_finite()
+                & piv_im[l].is_finite()
+                & ((piv_re[l] != 0.0) | (piv_im[l] != 0.0))
+        }));
+        let zk = zero[k];
         let xk_re = load(x_re, k * L);
         let xk_im = load(x_im, k * L);
 
+        #[allow(clippy::needless_range_loop)] // `i` also strides the planes
         for i in (k + 1)..n {
+            if piv_ok && known_zero(zero[i], k) {
+                continue;
+            }
             let e = (i * n + k) * L;
             let er = load(a_re, e);
             let ei = load(a_im, e);
-            let (f_re, f_im) = cdiv_lanes(&er, &ei, &piv_re, &piv_im);
-            // `skip[l]` replicates the scalar `f == Complex::ZERO` continue:
-            // skipped lanes keep their old values through the selects below.
-            let mut skip = [false; L];
-            for l in 0..L {
-                skip[l] = f_re[l] == 0.0 && f_im[l] == 0.0;
-            }
-            // MNA matrices are sparse: below-diagonal entries are usually
-            // structurally zero in every lane at once, making the whole row
-            // update a no-op (each select keeps the old value). Skipping it
-            // outright is the lane-parallel form of the scalar kernel's
-            // `f == 0 => continue` and changes no stored bit.
-            if skip.iter().all(|&s| s) {
+            let (f_re, f_im) = piv.div(&er, &ei);
+            // Lanes outside `live` replicate the scalar `f == Complex::ZERO`
+            // continue: they keep their old values through the selects below.
+            let live = lane_mask(|l| (f_re[l] != 0.0) | (f_im[l] != 0.0));
+            // MNA matrices are sparse: an all-lanes skip makes the whole row
+            // update a no-op (each select keeps the old value), so skipping
+            // it outright changes no stored bit.
+            if !any(&live) {
                 continue;
             }
-            if skip.iter().all(|&s| !s) {
+            // A finite `f` times a pivot-row zero is `±0`, and `t - (±0)` is
+            // `t` for every `t != -0.0`: such columns keep their bits and
+            // their zero bits. Other columns may fill in; a non-finite `f`
+            // may turn any column into NaN.
+            let f_finite = all(&lane_mask(|l| f_re[l].is_finite() & f_im[l].is_finite()));
+            let skip_col = |j: usize| f_finite && known_zero(zk, j);
+            zero[i] = if f_finite { zero[i] & zk } else { 0 };
+            if all(&live) {
                 // No lane skips (the common case for structurally non-zero
                 // entries): every select below would pick the freshly computed
                 // value, so the select-free loops store the identical bits.
                 store(a_re, e, &[0.0; L]);
                 store(a_im, e, &[0.0; L]);
                 for j in (k + 1)..n {
-                    let sr = load(prow_re, j * L);
-                    let si = load(prow_im, j * L);
+                    if skip_col(j) {
+                        continue;
+                    }
+                    let sr = load(a_re, (k * n + j) * L);
+                    let si = load(a_im, (k * n + j) * L);
                     let t = (i * n + j) * L;
                     let mut tr = load(a_re, t);
                     let mut ti = load(a_im, t);
@@ -930,14 +1074,17 @@ fn solve_lanes_impl(
             let mut zr = [0.0f64; L];
             let mut zi = [0.0f64; L];
             for l in 0..L {
-                zr[l] = if skip[l] { er[l] } else { 0.0 };
-                zi[l] = if skip[l] { ei[l] } else { 0.0 };
+                zr[l] = if !live[l] { er[l] } else { 0.0 };
+                zi[l] = if !live[l] { ei[l] } else { 0.0 };
             }
             store(a_re, e, &zr);
             store(a_im, e, &zi);
             for j in (k + 1)..n {
-                let sr = load(prow_re, j * L);
-                let si = load(prow_im, j * L);
+                if skip_col(j) {
+                    continue;
+                }
+                let sr = load(a_re, (k * n + j) * L);
+                let si = load(a_im, (k * n + j) * L);
                 let t = (i * n + j) * L;
                 let tr = load(a_re, t);
                 let ti = load(a_im, t);
@@ -948,8 +1095,8 @@ fn solve_lanes_impl(
                     let ui = f_re[l] * si[l] + f_im[l] * sr[l];
                     let nr = tr[l] - ur;
                     let ni = ti[l] - ui;
-                    or[l] = if skip[l] { tr[l] } else { nr };
-                    oi[l] = if skip[l] { ti[l] } else { ni };
+                    or[l] = if !live[l] { tr[l] } else { nr };
+                    oi[l] = if !live[l] { ti[l] } else { ni };
                 }
                 store(a_re, t, &or);
                 store(a_im, t, &oi);
@@ -964,15 +1111,17 @@ fn solve_lanes_impl(
                 let ui = f_re[l] * xk_im[l] + f_im[l] * xk_re[l];
                 let nr = tr[l] - ur;
                 let ni = ti[l] - ui;
-                or[l] = if skip[l] { tr[l] } else { nr };
-                oi[l] = if skip[l] { ti[l] } else { ni };
+                or[l] = if !live[l] { tr[l] } else { nr };
+                oi[l] = if !live[l] { ti[l] } else { ni };
             }
             store(x_re, t, &or);
             store(x_im, t, &oi);
         }
     }
-    // Back substitution, lane-parallel.
-    for i in (0..n).rev() {
+    // Back substitution, lane-parallel. Row `i` reads only rows `> i`, so
+    // the rows the caller reads need no row below `first_row`; row `i`'s
+    // diagonal is step `i`'s pivot, whose divisor is already prepared.
+    for i in (first_row..n).rev() {
         let mut acc_re = load(x_re, i * L);
         let mut acc_im = load(x_im, i * L);
         for j in (i + 1)..n {
@@ -987,44 +1136,22 @@ fn solve_lanes_impl(
                 acc_im[l] -= mi;
             }
         }
-        let dr = load(a_re, (i * n + i) * L);
-        let di = load(a_im, (i * n + i) * L);
-        let (qr, qi) = cdiv_lanes(&acc_re, &acc_im, &dr, &di);
+        let (qr, qi) = pivots[i].div(&acc_re, &acc_im);
         store(x_re, i * L, &qr);
         store(x_im, i * L, &qi);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn solve_lanes_avx512(
-    n: usize,
-    a_re: &mut [f64],
-    a_im: &mut [f64],
-    x_re: &mut [f64],
-    x_im: &mut [f64],
-    prow_re: &mut [f64],
-    prow_im: &mut [f64],
-    sing: &mut [usize; LANES],
-) {
-    solve_lanes_impl(n, a_re, a_im, x_re, x_im, prow_re, prow_im, sing);
+unsafe fn solve_lanes_avx512(sys: &mut LaneSystem, first_row: usize, sing: &mut [usize; LANES]) {
+    solve_lanes_impl(sys, first_row, sing);
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
-unsafe fn solve_lanes_avx2(
-    n: usize,
-    a_re: &mut [f64],
-    a_im: &mut [f64],
-    x_re: &mut [f64],
-    x_im: &mut [f64],
-    prow_re: &mut [f64],
-    prow_im: &mut [f64],
-    sing: &mut [usize; LANES],
-) {
-    solve_lanes_impl(n, a_re, a_im, x_re, x_im, prow_re, prow_im, sing);
+unsafe fn solve_lanes_avx2(sys: &mut LaneSystem, first_row: usize, sing: &mut [usize; LANES]) {
+    solve_lanes_impl(sys, first_row, sing);
 }
 
 #[cfg(test)]
