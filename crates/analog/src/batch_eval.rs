@@ -18,6 +18,9 @@
 //!   through a [`ValueWriter`](spicelite::batch::ValueWriter), sweeps over
 //!   SIMD lanes into a reused buffer, and extracts the figures of merit from
 //!   the prefix of the response they depend on ([`foms`]).
+//! * [`outcome_block_batched`] runs the same per-sample core (`BlockCore`)
+//!   for the pass/fail outcome alone, and skips the sweep and the figures
+//!   of merit of a sample an analytic specification already fails.
 //!
 //! Each replacement is bit-identical to what it replaces by construction
 //! (see `spicelite::batch` and `spicelite::mosfet`), so the two paths
@@ -27,6 +30,7 @@
 //! [`FrequencyResponse`]: spicelite::ac::FrequencyResponse
 
 use crate::specs::AmplifierPerformance;
+use crate::testbench::Testbench;
 use moheco_process::ProcessSample;
 use spicelite::ac::{foms, log_space, sweep};
 use spicelite::batch::FactorizedCircuit;
@@ -101,7 +105,7 @@ pub(crate) struct PreparedSample {
 
 impl PreparedSample {
     /// Combines the analytic figures with the AC figures of merit.
-    pub fn into_performance(self, a0_db: f64, gbw_hz: f64, pm_deg: f64) -> AmplifierPerformance {
+    pub fn performance(&self, a0_db: f64, gbw_hz: f64, pm_deg: f64) -> AmplifierPerformance {
         AmplifierPerformance {
             a0_db,
             gbw_hz,
@@ -149,7 +153,63 @@ pub(crate) fn evaluate_scalar<T: SampleCircuit>(
         (Ok(f), Ok(pm)) => (f, pm),
         _ => (0.0, 0.0),
     };
-    p.into_performance(a0_db, gbw_hz, pm_deg)
+    p.performance(a0_db, gbw_hz, pm_deg)
+}
+
+/// The per-sample core of both block paths: one design's samples in order,
+/// through the laned bias solve and one [`FactorizedCircuit`] template that
+/// the block's first sample builds and every later sample writes its
+/// element values into.
+struct BlockCore<'a, T> {
+    tb: &'a T,
+    x: &'a [f64],
+    fac: Option<FactorizedCircuit>,
+}
+
+impl<'a, T: SampleCircuit> BlockCore<'a, T> {
+    fn new(tb: &'a T, x: &'a [f64]) -> Self {
+        Self { tb, x, fac: None }
+    }
+
+    /// Prepares `xi` and loads its element values into the template. `None`
+    /// when preparation fails (bad geometry, no bias solution).
+    fn prepare(&mut self, xi: &ProcessSample) -> Option<PreparedSample> {
+        let (tb, x) = (self.tb, self.x);
+        let written = self.fac.as_mut().map(|f| {
+            let mut values = f.writer();
+            let p = tb.prepare(x, xi, BiasSolve::Laned, &mut values);
+            (p, values.finish())
+        });
+        match written {
+            Some((None, _)) => None,
+            Some((Some(p), true)) => Some(p),
+            // The block's first sample builds the template. A netlist whose
+            // structure departs from it (the gmb stamp is skipped when
+            // gmb <= 0) re-templates the same way.
+            _ => {
+                let mut ckt = LinearCircuit::new();
+                let p = tb.prepare(x, xi, BiasSolve::Laned, &mut ckt)?;
+                self.fac.insert(FactorizedCircuit::new(&ckt)).load(&ckt);
+                Some(p)
+            }
+        }
+    }
+
+    /// Sweeps the sample [`Self::prepare`] just loaded and combines its
+    /// figures of merit with `p`'s analytic figures. A singular matrix maps
+    /// to [`AmplifierPerformance::failed`].
+    fn sweep(&mut self, p: &PreparedSample) -> AmplifierPerformance {
+        let freqs = sweep_freqs();
+        let fac = self.fac.as_mut().expect("prepare installed the template");
+        match fac.sweep_loaded(p.out, freqs) {
+            Ok(values) => {
+                let foms = foms(freqs, values);
+                let (gbw_hz, pm_deg) = foms.crossing.unwrap_or((0.0, 0.0));
+                p.performance(foms.dc_gain_db, gbw_hz, pm_deg)
+            }
+            Err(_) => AmplifierPerformance::failed(),
+        }
+    }
 }
 
 /// Evaluates a block of process samples of one design through the laned
@@ -162,39 +222,197 @@ pub(crate) fn evaluate_block_batched<T: SampleCircuit>(
     x: &[f64],
     xis: &[ProcessSample],
 ) -> Vec<AmplifierPerformance> {
-    let freqs = sweep_freqs();
-    let mut fac: Option<FactorizedCircuit> = None;
+    let mut core = BlockCore::new(tb, x);
     xis.iter()
-        .map(|xi| {
-            let written = fac.as_mut().map(|f| {
-                let mut values = f.writer();
-                let p = tb.prepare(x, xi, BiasSolve::Laned, &mut values);
-                (p, values.finish())
-            });
-            let p = match written {
-                Some((None, _)) => return AmplifierPerformance::failed(),
-                Some((Some(p), true)) => p,
-                // The block's first sample builds the template. A netlist
-                // whose structure departs from it (the gmb stamp is skipped
-                // when gmb <= 0) re-templates the same way.
-                _ => {
-                    let mut ckt = LinearCircuit::new();
-                    let Some(p) = tb.prepare(x, xi, BiasSolve::Laned, &mut ckt) else {
-                        return AmplifierPerformance::failed();
-                    };
-                    fac.insert(FactorizedCircuit::new(&ckt)).load(&ckt);
-                    p
-                }
-            };
-            let fac = fac.as_mut().expect("factorized template installed above");
-            match fac.sweep_loaded(p.out, freqs) {
-                Ok(values) => {
-                    let foms = foms(freqs, values);
-                    let (gbw_hz, pm_deg) = foms.crossing.unwrap_or((0.0, 0.0));
-                    p.into_performance(foms.dc_gain_db, gbw_hz, pm_deg)
-                }
-                Err(_) => AmplifierPerformance::failed(),
-            }
+        .map(|xi| match core.prepare(xi) {
+            Some(p) => core.sweep(&p),
+            None => AmplifierPerformance::failed(),
         })
         .collect()
+}
+
+/// The pass/fail outcomes of [`evaluate_block_batched`] under `tb`'s specs,
+/// with the AC sweep skipped for every sample whose verdict is already
+/// decided.
+///
+/// `all_met` is a conjunction, and a prepared sample's performance carries
+/// its analytic figures unchanged, or is [`AmplifierPerformance::failed`]
+/// when the sweep fails. So when the analytic verdict
+/// ([`SpecSet::analytic_met`](crate::SpecSet::analytic_met)) fails on the
+/// prepared figures and `failed()` fails the specs too, the outcome is 0
+/// whatever the sweep would return. Every other sample is swept and judged
+/// in full.
+pub(crate) fn outcome_block_batched<T: SampleCircuit + Testbench>(
+    tb: &T,
+    x: &[f64],
+    xis: &[ProcessSample],
+    out: &mut [f64],
+) {
+    assert_eq!(xis.len(), out.len(), "outcome buffer must match the block");
+    let specs = tb.specs();
+    let failed_passes = specs.all_met(&AmplifierPerformance::failed());
+    let mut core = BlockCore::new(tb, x);
+    for (i, (o, xi)) in out.iter_mut().zip(xis).enumerate() {
+        let pass = match core.prepare(xi) {
+            None => failed_passes,
+            Some(p)
+                if !failed_passes
+                    && !specs.analytic_met(&p.performance(f64::NAN, f64::NAN, f64::NAN)) =>
+            {
+                skips::record(i);
+                false
+            }
+            Some(p) => specs.all_met(&core.sweep(&p)),
+        };
+        *o = if pass { 1.0 } else { 0.0 };
+    }
+}
+
+/// Which block indices [`outcome_block_batched`] decided without a sweep,
+/// on this thread. Recorded in test builds only.
+#[cfg(test)]
+mod skips {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static SKIPPED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub fn record(i: usize) {
+        SKIPPED.with(|s| s.borrow_mut().push(i));
+    }
+
+    /// The indices recorded since the last call.
+    pub fn take() -> Vec<usize> {
+        SKIPPED.with(|s| std::mem::take(&mut *s.borrow_mut()))
+    }
+}
+
+#[cfg(not(test))]
+mod skips {
+    #[inline(always)]
+    pub fn record(_: usize) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::specs::SpecTarget;
+    use crate::{FoldedCascode, TelescopicTwoStage};
+    use moheco_process::ProcessSampler;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// How often each way of failing turned up.
+    #[derive(Default, Debug)]
+    struct Coverage {
+        /// Samples failing each analytic target (`SpecTarget as usize`).
+        analytic: [usize; 7],
+        saturation: usize,
+        /// Samples whose only analytic failure is saturation.
+        saturation_alone: usize,
+        /// Prepared samples that fail only an A0/GBW/PM spec.
+        sweep_only: usize,
+        passed: usize,
+        unprepared: usize,
+    }
+
+    /// Runs `outcome_block` over seeded designs spread around the reference
+    /// and checks every outcome against `all_met(evaluate(..))`, and every
+    /// skip against the analytic verdict of the scalar path's preparation.
+    fn check_outcomes<T: SampleCircuit + Testbench>(tb: &T, seed: u64, spread: f64) -> Coverage {
+        let specs = tb.specs();
+        assert!(!specs.all_met(&AmplifierPerformance::failed()));
+        let sampler = ProcessSampler::new(tb.technology().clone(), tb.num_devices());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reference = tb.reference_design();
+        let mut cov = Coverage::default();
+        for d in 0..40 {
+            let x: Vec<f64> = if d == 0 {
+                reference.clone()
+            } else if d == 1 {
+                // A negative width fails preparation on every sample.
+                let mut x = reference.clone();
+                x[0] = -1.0;
+                x
+            } else {
+                reference
+                    .iter()
+                    .zip(tb.bounds())
+                    .map(|(&r, (lo, hi))| {
+                        (r * (1.0 + spread * (2.0 * rng.gen::<f64>() - 1.0))).clamp(lo, hi)
+                    })
+                    .collect()
+            };
+            let xis: Vec<_> = (0..13)
+                .map(|_| {
+                    let u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
+                    sampler.from_unit_point(&u)
+                })
+                .collect();
+            let mut out = vec![f64::NAN; xis.len()];
+            skips::take();
+            tb.outcome_block(&x, &xis, &mut out);
+            let skipped = skips::take();
+            for (i, xi) in xis.iter().enumerate() {
+                let perf = tb.evaluate(&x, xi);
+                let want = if specs.all_met(&perf) { 1.0 } else { 0.0 };
+                assert_eq!(out[i], want, "{} design {d} sample {i}", tb.name());
+                let prepared = tb.prepare(&x, xi, BiasSolve::Scalar, &mut LinearCircuit::new());
+                let Some(p) = prepared else {
+                    cov.unprepared += 1;
+                    assert!(!skipped.contains(&i), "design {d} sample {i}");
+                    continue;
+                };
+                // The analytic verdict, judged here spec by spec.
+                let figures = p.performance(f64::NAN, f64::NAN, f64::NAN);
+                let mut failing = 0;
+                for s in specs.specs.iter().filter(|s| !s.target.from_sweep()) {
+                    if !s.is_met(&figures) {
+                        cov.analytic[s.target as usize] += 1;
+                        failing += 1;
+                    }
+                }
+                let unsaturated = specs.require_saturation && !p.all_saturated;
+                cov.saturation += usize::from(unsaturated);
+                cov.saturation_alone += usize::from(unsaturated && failing == 0);
+                let analytic_fails = unsaturated || failing > 0;
+                assert_eq!(
+                    skipped.contains(&i),
+                    analytic_fails,
+                    "{} design {d} sample {i}: skip must follow the analytic verdict",
+                    tb.name()
+                );
+                cov.sweep_only += usize::from(!analytic_fails && want == 0.0);
+                cov.passed += usize::from(want == 1.0);
+            }
+        }
+        cov
+    }
+
+    #[test]
+    fn outcome_block_skips_exactly_the_analytically_failed_sweeps() {
+        // Between them the two circuits fail every analytic spec kind on
+        // some samples (the telescopic power bound is out of reach), and
+        // each has samples failing saturation alone and A0/GBW/PM alone.
+        let cov = check_outcomes(&TelescopicTwoStage::new(), 13, 0.4);
+        eprintln!("telescopic {cov:?}");
+        for target in [
+            SpecTarget::OutputSwingV,
+            SpecTarget::AreaUm2,
+            SpecTarget::OffsetV,
+        ] {
+            assert!(cov.analytic[target as usize] > 0, "no {target:?} failure");
+        }
+        assert!(cov.saturation_alone > 0 && cov.sweep_only > 0 && cov.passed > 0);
+        assert!(cov.unprepared > 0);
+        let cov = check_outcomes(&FoldedCascode::new(), 13, 0.4);
+        eprintln!("folded {cov:?}");
+        assert!(
+            cov.analytic[SpecTarget::PowerW as usize] > 0,
+            "no power failure"
+        );
+        assert!(cov.saturation_alone > 0 && cov.sweep_only > 0 && cov.passed > 0);
+        assert!(cov.unprepared > 0);
+    }
 }

@@ -17,7 +17,8 @@
 //!    the operating points.
 
 use crate::batch_eval::{
-    evaluate_block_batched, evaluate_scalar, BiasSolve, PreparedSample, SampleCircuit,
+    evaluate_block_batched, evaluate_scalar, outcome_block_batched, BiasSolve, PreparedSample,
+    SampleCircuit,
 };
 use crate::specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specification};
 use crate::testbench::{DesignVariable, Testbench};
@@ -167,6 +168,10 @@ impl Testbench for FoldedCascode {
 
     fn evaluate_block(&self, x: &[f64], xis: &[ProcessSample]) -> Vec<AmplifierPerformance> {
         evaluate_block_batched(self, x, xis)
+    }
+
+    fn outcome_block(&self, x: &[f64], xis: &[ProcessSample], out: &mut [f64]) {
+        outcome_block_batched(self, x, xis, out)
     }
 }
 

@@ -71,6 +71,17 @@ pub enum SpecTarget {
     OffsetV,
 }
 
+impl SpecTarget {
+    /// Whether the value comes out of the AC sweep (A0, GBW, PM) rather than
+    /// the analytic figures computed before it.
+    pub fn from_sweep(self) -> bool {
+        matches!(
+            self,
+            SpecTarget::GainDb | SpecTarget::GbwHz | SpecTarget::PhaseMarginDeg
+        )
+    }
+}
+
 /// One performance specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Specification {
@@ -186,6 +197,17 @@ impl SpecSet {
     pub fn all_met(&self, perf: &AmplifierPerformance) -> bool {
         (!self.require_saturation || perf.all_saturated)
             && self.specs.iter().all(|s| s.is_met(perf))
+    }
+
+    /// [`Self::all_met`] restricted to saturation and the specifications
+    /// whose target is not [from the sweep](SpecTarget::from_sweep); `perf`'s
+    /// A0, GBW and PM are not read. `all_met` implies it.
+    pub fn analytic_met(&self, perf: &AmplifierPerformance) -> bool {
+        (!self.require_saturation || perf.all_saturated)
+            && self
+                .specs
+                .iter()
+                .all(|s| s.target.from_sweep() || s.is_met(perf))
     }
 
     /// Aggregate constraint violation: the sum of negative margins, negated
@@ -316,6 +338,12 @@ mod tests {
                         want,
                         "perf {i}, {n_specs} specs, saturation required: {require_saturation}"
                     );
+                    // The analytic verdict is implied, and ignores the AC
+                    // figures.
+                    assert!(!want || set.analytic_met(p), "perf {i}");
+                    let mut no_ac = *p;
+                    (no_ac.a0_db, no_ac.gbw_hz, no_ac.pm_deg) = (f64::NAN, -1.0, -1.0);
+                    assert_eq!(set.analytic_met(&no_ac), set.analytic_met(p), "perf {i}");
                 }
             }
         }

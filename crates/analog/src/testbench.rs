@@ -86,6 +86,29 @@ pub trait Testbench: Send + Sync {
         xis.iter().map(|xi| self.evaluate(x, xi)).collect()
     }
 
+    /// Writes the pass/fail outcome of sizing `x` at every sample of a block:
+    /// `out[i]` is `1.0` when `self.specs().all_met(&self.evaluate(x,
+    /// &xis[i]))` holds and `0.0` otherwise, failed evaluations included.
+    ///
+    /// The default judges [`Self::evaluate_block`]. An override may skip work
+    /// the verdict cannot depend on (the benchmark circuits skip the AC sweep
+    /// of a sample an analytic specification already fails), but MUST keep
+    /// this contract exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != xis.len()`.
+    fn outcome_block(&self, x: &[f64], xis: &[ProcessSample], out: &mut [f64]) {
+        assert_eq!(xis.len(), out.len(), "outcome buffer must match the block");
+        for (o, perf) in out.iter_mut().zip(self.evaluate_block(x, xis)) {
+            *o = if self.specs().all_met(&perf) {
+                1.0
+            } else {
+                0.0
+            };
+        }
+    }
+
     /// Box bounds of the design space, in design-variable order.
     fn bounds(&self) -> Vec<(f64, f64)> {
         self.design_variables()

@@ -101,14 +101,7 @@ impl<T: Testbench> SimulationModel for CircuitBench<T> {
     fn simulate_block(&self, x: &[f64], us: &[Vec<f64>], out: &mut [f64]) {
         assert_eq!(us.len(), out.len(), "outcome buffer must match the block");
         let xis: Vec<_> = us.iter().map(|u| self.sampler.from_unit_point(u)).collect();
-        let perfs = self.testbench.evaluate_block(x, &xis);
-        for (o, perf) in out.iter_mut().zip(&perfs) {
-            *o = if self.testbench.specs().all_met(perf) {
-                1.0
-            } else {
-                0.0
-            };
-        }
+        self.testbench.outcome_block(x, &xis, out);
     }
 
     fn nominal(&self, x: &[f64]) -> Vec<f64> {
@@ -164,6 +157,51 @@ mod tests {
         let u = vec![0.5; bench.unit_dimension()];
         assert_eq!(bench.simulate_point(&x, &u), 1.0);
         assert!(bench.nominal(&x).iter().all(|&m| m >= 0.0));
+    }
+
+    #[test]
+    fn simulate_block_matches_simulate_point_on_both_circuits() {
+        use moheco_analog::TelescopicTwoStage;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn check<T: Testbench>(bench: &CircuitBench<T>, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference = bench.reference_design();
+            let mut outcomes = [0usize; 2];
+            for d in 0..30 {
+                let x: Vec<f64> = reference
+                    .iter()
+                    .zip(bench.bounds())
+                    .map(|(&r, (lo, hi))| {
+                        (r * (1.0 + 0.4 * (2.0 * rng.gen::<f64>() - 1.0))).clamp(lo, hi)
+                    })
+                    .collect();
+                let n = 1 + (d * 7) % 20;
+                let us: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..bench.unit_dimension())
+                            .map(|_| {
+                                if rng.gen::<f64>() < 0.05 {
+                                    0.5
+                                } else {
+                                    rng.gen()
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; n];
+                bench.simulate_block(&x, &us, &mut out);
+                for (i, u) in us.iter().enumerate() {
+                    let want = bench.simulate_point(&x, u);
+                    assert_eq!(out[i], want, "{} design {d} sample {i}", bench.name());
+                    outcomes[want as usize] += 1;
+                }
+            }
+            assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+        }
+        check(&CircuitBench::new(FoldedCascode::new()), 3);
+        check(&CircuitBench::new(TelescopicTwoStage::new()), 4);
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub struct Correlation {
     dim: usize,
     /// Lower-triangular Cholesky factor, row-major.
     chol: Vec<f64>,
+    /// Whether `chol` is exactly the identity, decided once at construction.
+    identity: bool,
 }
 
 impl Correlation {
@@ -67,7 +69,11 @@ impl Correlation {
         for i in 0..dim {
             chol[i * dim + i] = 1.0;
         }
-        Self { dim, chol }
+        Self {
+            dim,
+            chol,
+            identity: true,
+        }
     }
 
     /// Builds a correlation structure from a full correlation matrix given as
@@ -123,7 +129,17 @@ impl Correlation {
                 }
             }
         }
-        Ok(Self { dim, chol: l })
+        let identity = (0..dim).all(|i| {
+            let row = &l[i * dim..(i + 1) * dim];
+            row.iter()
+                .enumerate()
+                .all(|(j, &v)| v == if i == j { 1.0 } else { 0.0 })
+        });
+        Ok(Self {
+            dim,
+            chol: l,
+            identity,
+        })
     }
 
     /// Builds an exponential-decay correlation: `rho_{ij} = rho^{|i-j|}`.
@@ -156,6 +172,12 @@ impl Correlation {
         self.dim
     }
 
+    /// The lower-triangular Cholesky factor, row-major.
+    #[cfg(test)]
+    pub(crate) fn factor(&self) -> &[f64] {
+        &self.chol
+    }
+
     /// Transforms a vector of independent standard normals `z` into a vector
     /// of correlated standard normals `L z`.
     ///
@@ -163,16 +185,35 @@ impl Correlation {
     ///
     /// Panics if `z.len() != self.dim()`.
     pub fn correlate(&self, z: &[f64]) -> Vec<f64> {
+        let mut v = z.to_vec();
+        self.correlate_in_place(&mut v);
+        v
+    }
+
+    /// [`Self::correlate`] in place: overwrites `z` with `L z`, bit for bit.
+    ///
+    /// Row `i` reads only `z[..=i]`, so the rows are computed last to first.
+    /// An identity factor passes `z_i` through whenever the row sum would
+    /// give it exactly: every `z` finite (so each `0 * z_j` is a signed zero)
+    /// and `z_i != 0` (so the signs of those zeros cannot show). Otherwise
+    /// the row sum runs as written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != self.dim()`.
+    pub(crate) fn correlate_in_place(&self, z: &mut [f64]) {
         assert_eq!(z.len(), self.dim, "dimension mismatch in correlate");
-        (0..self.dim)
-            .map(|i| {
-                self.chol[i * self.dim..i * self.dim + i + 1]
-                    .iter()
-                    .zip(z)
-                    .map(|(&l, &zj)| l * zj)
-                    .sum()
-            })
-            .collect()
+        let finite = self.identity && z.iter().all(|v| v.is_finite());
+        for i in (0..self.dim).rev() {
+            if finite && z[i] != 0.0 {
+                continue;
+            }
+            z[i] = self.chol[i * self.dim..i * self.dim + i + 1]
+                .iter()
+                .zip(&*z)
+                .map(|(&l, &zj)| l * zj)
+                .sum();
+        }
     }
 }
 
@@ -194,6 +235,35 @@ mod tests {
         let z = vec![1.0, -2.0, 0.5];
         assert_eq!(c.correlate(&z), z);
         assert_eq!(c.dim(), 3);
+    }
+
+    #[test]
+    fn identity_passthrough_matches_the_row_sum() {
+        let row_sums = |c: &Correlation, z: &[f64]| -> Vec<f64> {
+            let (dim, l) = (c.dim(), c.factor());
+            (0..dim)
+                .map(|i| (0..=i).map(|j| l[i * dim + j] * z[j]).sum())
+                .collect()
+        };
+        let values = [1.5, -2.0, 0.0, -0.0, f64::NAN, f64::INFINITY, -1e-300];
+        for c in [
+            Correlation::identity(4),
+            Correlation::exponential(4, 0.0).unwrap(),
+        ] {
+            // Every 4-vector over `values`.
+            for code in 0..values.len().pow(4) {
+                let z: Vec<f64> = (0..4)
+                    .map(|k| values[code / values.len().pow(k) % values.len()])
+                    .collect();
+                let mut got = z.clone();
+                c.correlate_in_place(&mut got);
+                for (g, w) in got.iter().zip(row_sums(&c, &z)) {
+                    // NaN payloads are unspecified; a NaN only has to stay NaN.
+                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                    assert!(same, "z = {z:?}: {g} vs {w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! other design-of-experiment generators can be used unchanged.
 
 use crate::correlation::Correlation;
-use crate::distributions::{standard_normal, standard_normal_inverse_cdf};
+use crate::distributions::standard_normal;
 use crate::parameters::MISMATCH_COMPONENTS;
 use crate::technology::Technology;
+use moheco_sampling::oracle::standard_normal_quantiles;
 use rand::Rng;
 
 /// One realisation of all statistical process variables of a circuit.
@@ -159,34 +160,25 @@ impl ProcessSampler {
     /// Panics if `u.len() != self.dimension()`.
     pub fn from_unit_point(&self, u: &[f64]) -> ProcessSample {
         assert_eq!(u.len(), self.dimension(), "unit point has wrong dimension");
+        // The quantiles run in lanes straight into the sample, and the
+        // correlation in place, with the bits of the one-coordinate-at-a-time
+        // mapping.
         let n_inter = self.tech.num_inter_die();
-        let z: Vec<f64> = u[..n_inter]
-            .iter()
-            .map(|&ui| standard_normal_inverse_cdf(ui))
-            .collect();
-        let zc = self.correlation.correlate(&z);
-        let inter: Vec<f64> = zc
-            .iter()
-            .zip(&self.tech.inter_die)
-            .map(|(z, p)| z * p.sigma)
-            .collect();
-        let mut intra = Vec::with_capacity(self.num_devices);
-        for d in 0..self.num_devices {
-            let base = n_inter + d * MISMATCH_COMPONENTS;
-            intra.push([
-                standard_normal_inverse_cdf(u[base]),
-                standard_normal_inverse_cdf(u[base + 1]),
-                standard_normal_inverse_cdf(u[base + 2]),
-                standard_normal_inverse_cdf(u[base + 3]),
-            ]);
+        let mut xi = self.nominal();
+        standard_normal_quantiles(&u[..n_inter], &mut xi.inter);
+        self.correlation.correlate_in_place(&mut xi.inter);
+        for (v, p) in xi.inter.iter_mut().zip(&self.tech.inter_die) {
+            *v *= p.sigma;
         }
-        ProcessSample { inter, intra }
+        standard_normal_quantiles(&u[n_inter..], xi.intra.as_flattened_mut());
+        xi
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributions::standard_normal_inverse_cdf;
     use crate::technology::{tech_035um, tech_90nm};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -256,6 +248,84 @@ mod tests {
         u[1] = 0.999; // VTH0Rn high tail
         let s = sampler.from_unit_point(&u);
         assert!(s.inter[1] > 2.5 * 0.020, "tail value {}", s.inter[1]);
+    }
+
+    /// The one-coordinate-at-a-time mapping `from_unit_point` replaced: the
+    /// reference for the laned, in-place one.
+    fn reference_from_unit_point(
+        tech: &Technology,
+        num_devices: usize,
+        correlation: &Correlation,
+        u: &[f64],
+    ) -> ProcessSample {
+        let n_inter = tech.num_inter_die();
+        let z: Vec<f64> = u[..n_inter]
+            .iter()
+            .map(|&ui| standard_normal_inverse_cdf(ui))
+            .collect();
+        let dim = correlation.dim();
+        let chol = correlation.factor();
+        let zc: Vec<f64> = (0..dim)
+            .map(|i| {
+                chol[i * dim..i * dim + i + 1]
+                    .iter()
+                    .zip(&z)
+                    .map(|(&l, &zj)| l * zj)
+                    .sum()
+            })
+            .collect();
+        let inter = zc
+            .iter()
+            .zip(&tech.inter_die)
+            .map(|(z, p)| z * p.sigma)
+            .collect();
+        let intra = (0..num_devices)
+            .map(|d| {
+                let base = n_inter + d * MISMATCH_COMPONENTS;
+                std::array::from_fn(|k| standard_normal_inverse_cdf(u[base + k]))
+            })
+            .collect();
+        ProcessSample { inter, intra }
+    }
+
+    #[test]
+    fn unit_point_mapping_matches_the_scalar_reference_bit_for_bit() {
+        use rand::Rng;
+        let specials = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0];
+        for (tech, devices) in [(tech_035um(), 15), (tech_90nm(), 19)] {
+            let n_inter = tech.num_inter_die();
+            let correlations = [
+                Correlation::identity(n_inter),
+                Correlation::exponential(n_inter, 0.5).unwrap(),
+                Correlation::exponential(n_inter, 0.0).unwrap(),
+            ];
+            for corr in correlations {
+                let sampler = ProcessSampler::with_correlation(tech.clone(), devices, corr.clone());
+                let mut rng = StdRng::seed_from_u64(5);
+                for case in 0..60 {
+                    let mut u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
+                    // Sprinkle exact centres (z = +0.0, the row-sum fallback)
+                    // and, in later cases, non-finite inputs over the point.
+                    let sprinkle = if case < 20 { 1 } else { specials.len() };
+                    for _ in 0..case % 12 {
+                        let k = rng.gen_range(0..u.len());
+                        u[k] = specials[rng.gen_range(0..sprinkle)];
+                    }
+                    if case == 1 {
+                        u.iter_mut().for_each(|v| *v = 0.5);
+                    }
+                    let want = reference_from_unit_point(&tech, devices, &corr, &u);
+                    let got = sampler.from_unit_point(&u);
+                    assert_eq!(got.inter.len(), want.inter.len());
+                    assert_eq!(got.intra.len(), want.intra.len());
+                    for (g, w) in got.to_flat_vec().iter().zip(want.to_flat_vec()) {
+                        // NaN payloads are unspecified; NaN must map to NaN.
+                        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                        assert!(same, "case {case}: {g} vs {w}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

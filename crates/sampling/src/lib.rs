@@ -50,7 +50,8 @@ pub use estimator::{
 };
 pub use lhs::{latin_hypercube, primitive_monte_carlo, SamplingPlan};
 pub use oracle::{
-    gaussian_margin_yield, independent_margins_yield, standard_normal_cdf, standard_normal_quantile,
+    gaussian_margin_yield, independent_margins_yield, standard_normal_cdf,
+    standard_normal_quantile, standard_normal_quantiles,
 };
 pub use stream::{splitmix64, RngStreams, SimulationCounter};
 pub use yield_est::{deviation_pp, estimate_yield, YieldEstimate};

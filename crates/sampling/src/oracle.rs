@@ -52,6 +52,42 @@ pub fn standard_normal_cdf(x: f64) -> f64 {
     }
 }
 
+// Acklam's coefficients: `A`/`B` for the central region, `C`/`D` for the
+// tails.
+const A: [f64; 6] = [
+    -3.969683028665376e+01,
+    2.209460984245205e+02,
+    -2.759285104469687e+02,
+    1.38357751867269e+02,
+    -3.066479806614716e+01,
+    2.506628277459239e+00,
+];
+const B: [f64; 5] = [
+    -5.447609879822406e+01,
+    1.615858368580409e+02,
+    -1.556989798598866e+02,
+    6.680131188771972e+01,
+    -1.328068155288572e+01,
+];
+const C: [f64; 6] = [
+    -7.784894002430293e-03,
+    -3.223964580411365e-01,
+    -2.400758277161838e+00,
+    -2.549732539343734e+00,
+    4.374664141464968e+00,
+    2.938163982698783e+00,
+];
+const D: [f64; 4] = [
+    7.784695709041462e-03,
+    3.224671290700398e-01,
+    2.445134137142996e+00,
+    3.754408661907416e+00,
+];
+/// Lower edge of the central region.
+const P_LOW: f64 = 0.02425;
+/// Upper edge of the central region.
+const P_HIGH: f64 = 1.0 - P_LOW;
+
 /// Inverse CDF (quantile function) of the standard normal distribution.
 ///
 /// Acklam's rational approximation, accurate to about `1.15e-9` over the
@@ -68,52 +104,77 @@ pub fn standard_normal_cdf(x: f64) -> f64 {
 /// ```
 pub fn standard_normal_quantile(p: f64) -> f64 {
     let p = p.clamp(1e-15, 1.0 - 1e-15);
-
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
     if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+        central_quantile(p)
     } else {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    }
+}
+
+/// Acklam's central branch, exact for `P_LOW <= p <= P_HIGH` (where the
+/// clamp of [`standard_normal_quantile`] is the identity).
+#[inline(always)]
+fn central_quantile(p: f64) -> f64 {
+    let q = p - 0.5;
+    let r = q * q;
+    (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+        / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+}
+
+/// Number of values [`standard_normal_quantiles`] evaluates together.
+const QUANTILE_LANES: usize = 8;
+
+/// [`standard_normal_quantile`] of every `ps[i]`, written to `out[i]`, bit
+/// for bit.
+///
+/// Values are taken [`QUANTILE_LANES`] at a time: every lane runs the central
+/// branch with the scalar's exact operation sequence (Rust never contracts or
+/// reassociates floats, so the vectorised lanes round identically), and a
+/// lane in either tail, or NaN, is then overwritten by the scalar function.
+///
+/// # Panics
+///
+/// Panics if `ps.len() != out.len()`.
+pub fn standard_normal_quantiles(ps: &[f64], out: &mut [f64]) {
+    assert_eq!(ps.len(), out.len(), "quantile output must match the input");
+    let mut p_chunks = ps.chunks_exact(QUANTILE_LANES);
+    let mut o_chunks = out.chunks_exact_mut(QUANTILE_LANES);
+    for (p, o) in (&mut p_chunks).zip(&mut o_chunks) {
+        quantile_lanes(
+            p.try_into().expect("exact chunk"),
+            o.try_into().expect("exact chunk"),
+        );
+    }
+    let rest = p_chunks.remainder();
+    if !rest.is_empty() {
+        // Pad with the centre; the padding lanes are discarded.
+        let mut p = [0.5; QUANTILE_LANES];
+        let mut o = [0.0; QUANTILE_LANES];
+        p[..rest.len()].copy_from_slice(rest);
+        quantile_lanes(&p, &mut o);
+        o_chunks.into_remainder().copy_from_slice(&o[..rest.len()]);
+    }
+}
+
+#[inline(always)]
+fn quantile_lanes(p: &[f64; QUANTILE_LANES], out: &mut [f64; QUANTILE_LANES]) {
+    let mut any_tail = false;
+    for k in 0..QUANTILE_LANES {
+        out[k] = central_quantile(p[k]);
+        any_tail |= !(P_LOW <= p[k] && p[k] <= P_HIGH);
+    }
+    if any_tail {
+        for k in 0..QUANTILE_LANES {
+            if !(P_LOW <= p[k] && p[k] <= P_HIGH) {
+                out[k] = standard_normal_quantile(p[k]);
+            }
+        }
     }
 }
 
@@ -189,6 +250,48 @@ mod tests {
             assert!((lo + hi).abs() < 1e-8, "asymmetry at p = {p}");
         }
         assert!(standard_normal_quantile(0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn laned_quantile_matches_the_scalar_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let down = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut pool = vec![
+            0.0,
+            1e-16,
+            1e-15,
+            down(P_LOW),
+            P_LOW,
+            up(P_LOW),
+            down(P_HIGH),
+            P_HIGH,
+            up(P_HIGH),
+            0.5,
+            1.0 - 1e-15,
+            1.0,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..64 {
+            pool.push(rng.gen::<f64>());
+        }
+        // Every length 0..=17 at every rotation of the pool, so each special
+        // value lands in every lane and in the padded remainder.
+        for len in 0..=17 {
+            for start in 0..pool.len() {
+                let ps: Vec<f64> = (0..len).map(|i| pool[(start + i) % pool.len()]).collect();
+                let mut got = vec![0.0; len];
+                standard_normal_quantiles(&ps, &mut got);
+                for (p, g) in ps.iter().zip(&got) {
+                    let want = standard_normal_quantile(*p);
+                    // NaN payloads are unspecified; NaN must map to NaN.
+                    let same = g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan());
+                    assert!(same, "p = {p:e}: {g} vs {want}");
+                }
+            }
+        }
     }
 
     #[test]
