@@ -117,114 +117,9 @@ pub fn allocate(means: &[f64], variances: &[f64], total: usize) -> Result<Vec<us
             variances: variances.len(),
         });
     }
-    if means.len() < 2 {
-        return Err(OcbaError::TooFewDesigns { got: means.len() });
-    }
-    if total == 0 {
-        return Err(OcbaError::ZeroBudget);
-    }
-    for (i, &v) in variances.iter().enumerate() {
-        if v < 0.0 || !v.is_finite() {
-            return Err(OcbaError::InvalidVariance { index: i, value: v });
-        }
-    }
-
-    let s = means.len();
-    // Best design: highest mean. Non-finite means (NaN from a degenerate
-    // estimate, infinities from an overflowed one) are treated as
-    // worst-possible, so a poisoned design can never be selected as `b` and
-    // contaminate every delta below.
-    let sane: Vec<f64> = means.iter().map(|&m| finite_or_worst(m)).collect();
-    let b = sane
-        .iter()
-        .enumerate()
-        .max_by(|a, c| a.1.partial_cmp(c.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-
-    // Regularisation floors.
-    let var_floor = variances
-        .iter()
-        .cloned()
-        .filter(|v| *v > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    let var_floor = if var_floor.is_finite() {
-        var_floor * 1e-3
-    } else {
-        1e-12
-    };
-    let mut deltas: Vec<f64> = sane.iter().map(|&m| sane[b] - m).collect();
-    let delta_floor = deltas
-        .iter()
-        .cloned()
-        .filter(|d| *d > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    let delta_floor = if delta_floor.is_finite() {
-        delta_floor * 1e-2
-    } else {
-        1e-6
-    };
-    for (i, d) in deltas.iter_mut().enumerate() {
-        if i != b && *d <= 0.0 {
-            *d = delta_floor;
-        }
-    }
-
-    // Relative ratios w_i = (sigma_i / delta_i)^2 for i != b, w_ref for the
-    // first non-best design as reference.
-    let sigma = |i: usize| variances[i].max(var_floor).sqrt();
-    let mut weights = vec![0.0; s];
-    for i in 0..s {
-        if i == b {
-            continue;
-        }
-        let w = (sigma(i) / deltas[i]).powi(2);
-        weights[i] = w;
-    }
-    // n_b proportional to sigma_b * sqrt(sum_i (w_i / sigma_i)^2 * sigma_i^2)
-    //  = sigma_b * sqrt(sum_i w_i^2 / sigma_i^2)
-    let sum_sq: f64 = (0..s)
-        .filter(|&i| i != b)
-        .map(|i| (weights[i] * weights[i]) / variances[i].max(var_floor))
-        .sum();
-    weights[b] = sigma(b) * sum_sq.sqrt();
-
-    let weight_sum: f64 = weights.iter().sum();
-    if weight_sum <= 0.0 || !weight_sum.is_finite() {
-        // Fall back to uniform allocation.
-        let each = total / s;
-        let mut out = vec![each; s];
-        let mut rem = total - each * s;
-        let mut i = 0;
-        while rem > 0 {
-            out[i] += 1;
-            rem -= 1;
-            i = (i + 1) % s;
-        }
-        return Ok(out);
-    }
-
-    // Convert ratios to integer allocations summing to `total` (largest
-    // remainder method).
-    let raw: Vec<f64> = weights
-        .iter()
-        .map(|w| w / weight_sum * total as f64)
-        .collect();
-    let mut alloc: Vec<usize> = raw.iter().map(|r| r.floor() as usize).collect();
-    let mut assigned: usize = alloc.iter().sum();
-    let mut remainders: Vec<(usize, f64)> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i, r - r.floor()))
-        .collect();
-    remainders.sort_by(|a, c| c.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let mut k = 0;
-    while assigned < total {
-        alloc[remainders[k % s].0] += 1;
-        assigned += 1;
-        k += 1;
-    }
-    Ok(alloc)
+    let mut scratch = AllocScratch::default();
+    scratch.targets(means.len(), |i| means[i], |i| variances[i], total)?;
+    Ok(scratch.target)
 }
 
 /// Computes the incremental allocation given already-spent samples.
@@ -241,52 +136,250 @@ pub fn allocate(means: &[f64], variances: &[f64], total: usize) -> Result<Vec<us
 ///
 /// Propagates the errors of [`allocate`].
 pub fn allocate_incremental(stats: &[DesignStats], delta: usize) -> Result<Vec<usize>, OcbaError> {
-    let means: Vec<f64> = stats.iter().map(|s| s.mean).collect();
-    let variances: Vec<f64> = stats.iter().map(|s| s.variance).collect();
-    let spent: usize = stats.iter().map(|s| s.samples).sum();
-    let total = spent + delta;
-    let target = allocate(&means, &variances, total)?;
-    // Additional samples: shortfall wrt target, then renormalise to `delta`.
-    let shortfall: Vec<usize> = target
-        .iter()
-        .zip(stats)
-        .map(|(&t, s)| t.saturating_sub(s.samples))
-        .collect();
-    let short_total: usize = shortfall.iter().sum();
-    if short_total == 0 {
-        // Everyone is at or above target; spread uniformly.
-        let s = stats.len();
-        let each = delta / s;
-        let mut out = vec![each; s];
-        let mut rem = delta - each * s;
-        let mut i = 0;
-        while rem > 0 {
-            out[i] += 1;
-            rem -= 1;
-            i = (i + 1) % s;
-        }
-        return Ok(out);
-    }
-    let mut out: Vec<usize> = shortfall
-        .iter()
-        .map(|&sf| ((sf as f64 / short_total as f64) * delta as f64).floor() as usize)
-        .collect();
-    let mut assigned: usize = out.iter().sum();
-    // Distribute the remainder to the designs with the largest shortfall.
-    // Only designs that are actually under their OCBA target may receive
-    // remainder units: cycling through the full design list would hand
-    // increments to already-over-target designs whenever the remainder
-    // exceeds the number of underfunded ones (possible through floating-point
-    // rounding of the proportional split at large deltas).
-    let mut order: Vec<usize> = (0..stats.len()).filter(|&i| shortfall[i] > 0).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(shortfall[i]));
-    let mut k = 0;
-    while assigned < delta {
-        out[order[k % order.len()]] += 1;
-        assigned += 1;
-        k += 1;
-    }
+    let mut out = Vec::new();
+    AllocScratch::default().increment(
+        stats.len(),
+        |i| stats[i].mean,
+        |i| stats[i].variance,
+        |i| stats[i].samples,
+        delta,
+        &mut out,
+    )?;
     Ok(out)
+}
+
+/// `2^53`: below it every non-negative integer is an `f64`, so an integer
+/// part read back through `u64` is exact.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// Ascending order on these keys is "score descending, then index
+/// ascending" — the order a stable sort by descending score leaves behind.
+/// `score_bits` must be monotone in the score (the bits of a non-negative
+/// `f64`, or an integer).
+fn rank_key(score_bits: u64, index: usize) -> u128 {
+    (u128::from(!score_bits) << 64) | index as u128
+}
+
+/// Hands `extra` units round-robin over the indices in `keys`, visited in
+/// key order, as `while extra > 0 { out[order[k % len]] += 1; k += 1 }`
+/// would. That loop gives every index `extra / len` units plus one more to
+/// the first `extra % len` in order, so only the *set* of those first ones
+/// matters: a selection picks it without sorting. Keys are distinct (they
+/// carry the index), so the set is the same one a stable sort's prefix
+/// holds.
+fn round_robin(keys: &mut [u128], extra: usize, out: &mut [usize]) {
+    let len = keys.len();
+    let (laps, top) = (extra / len, extra % len);
+    if top > 0 {
+        keys.select_nth_unstable(top - 1);
+    }
+    for (rank, &key) in keys.iter().enumerate() {
+        out[key as u64 as usize] += laps + usize::from(rank < top);
+    }
+}
+
+/// Working memory of the allocation rule, reusable across calls so that a
+/// sequential loop runs its rounds without allocating.
+///
+/// The rule has this one body; [`allocate`], [`allocate_incremental`] and
+/// [`crate::allocate_arm_increment`] are wrappers that hand it fresh
+/// buffers. It reproduces the historical rule bit for bit: every float
+/// expression and summation order is unchanged, the two stable sorts became
+/// selections of the same sets (see [`round_robin`]), and `floor` became a
+/// truncating cast only where the two provably agree.
+#[derive(Debug, Default)]
+pub(crate) struct AllocScratch {
+    /// Regularised means, then the mean differences to the best design.
+    deltas: Vec<f64>,
+    weights: Vec<f64>,
+    keys: Vec<u128>,
+    /// Cumulative targets, then the shortfalls against them.
+    target: Vec<usize>,
+}
+
+impl AllocScratch {
+    /// The body of [`allocate`] over `s` designs (lengths already agree):
+    /// writes the cumulative targets into `self.target`.
+    pub(crate) fn targets(
+        &mut self,
+        s: usize,
+        mean: impl Fn(usize) -> f64,
+        variance: impl Fn(usize) -> f64,
+        total: usize,
+    ) -> Result<(), OcbaError> {
+        if s < 2 {
+            return Err(OcbaError::TooFewDesigns { got: s });
+        }
+        if total == 0 {
+            return Err(OcbaError::ZeroBudget);
+        }
+        // One pass validates the variances (the first bad index is reported,
+        // as before), takes their positive minimum, and picks the best
+        // design: the *last* highest mean, as `max_by` picks. Non-finite
+        // means (NaN from a degenerate estimate, infinities from an
+        // overflowed one) are treated as worst-possible, so a poisoned
+        // design can never be selected as `b` and contaminate every delta.
+        let sane = &mut self.deltas;
+        sane.clear();
+        let (mut b, mut best) = (0, f64::NEG_INFINITY);
+        let mut var_min = f64::INFINITY;
+        for i in 0..s {
+            let v = variance(i);
+            if v < 0.0 || !v.is_finite() {
+                return Err(OcbaError::InvalidVariance { index: i, value: v });
+            }
+            if v > 0.0 {
+                var_min = var_min.min(v);
+            }
+            let m = finite_or_worst(mean(i));
+            if m >= best {
+                (b, best) = (i, m);
+            }
+            sane.push(m);
+        }
+
+        // Regularisation floors.
+        let var_floor = if var_min.is_finite() {
+            var_min * 1e-3
+        } else {
+            1e-12
+        };
+        let deltas = sane;
+        let mut delta_min = f64::INFINITY;
+        for d in deltas.iter_mut() {
+            *d = best - *d;
+            if *d > 0.0 {
+                delta_min = delta_min.min(*d);
+            }
+        }
+        let delta_floor = if delta_min.is_finite() {
+            delta_min * 1e-2
+        } else {
+            1e-6
+        };
+
+        // Relative ratios w_i = (sigma_i / delta_i)^2 for i != b.
+        let sigma = |i: usize| variance(i).max(var_floor).sqrt();
+        let weights = &mut self.weights;
+        weights.clear();
+        for (i, d) in deltas.iter_mut().enumerate() {
+            if i == b {
+                weights.push(0.0);
+                continue;
+            }
+            if *d <= 0.0 {
+                *d = delta_floor;
+            }
+            weights.push((sigma(i) / *d).powi(2));
+        }
+        // n_b proportional to sigma_b * sqrt(sum_i (w_i / sigma_i)^2 * sigma_i^2)
+        //  = sigma_b * sqrt(sum_i w_i^2 / sigma_i^2)
+        let sum_sq: f64 = (0..s)
+            .filter(|&i| i != b)
+            .map(|i| (weights[i] * weights[i]) / variance(i).max(var_floor))
+            .sum();
+        weights[b] = sigma(b) * sum_sq.sqrt();
+
+        let weight_sum: f64 = weights.iter().sum();
+        let target = &mut self.target;
+        target.clear();
+        if weight_sum <= 0.0 || !weight_sum.is_finite() {
+            // Fall back to uniform allocation.
+            let each = total / s;
+            target.resize(s, each);
+            for t in &mut target[..total - each * s] {
+                *t += 1;
+            }
+            return Ok(());
+        }
+
+        // Convert ratios to integer allocations summing to `total` (largest
+        // remainder method). Here `weight_sum` is positive and finite, so
+        // every weight is finite and non-negative and each share `r` is
+        // finite with `+0.0 <= r`. For such `r`, `r as usize` truncates
+        // toward zero, which equals `floor` on non-negative values, and
+        // saturates exactly as `r.floor() as usize` does. Below 2^53 the
+        // integer part read back through `u64` is exactly `r.floor()`, so
+        // the fractional part is the same `f64` too; at or above 2^53 the
+        // `floor` is kept. The fraction is never `-0.0` (`x - x` is `+0.0`),
+        // so its bits order it like its value.
+        let keys = &mut self.keys;
+        keys.clear();
+        for (i, w) in weights.iter().enumerate() {
+            let r = w / weight_sum * total as f64;
+            target.push(r as usize);
+            let frac = if r < EXACT_INT_BOUND {
+                r - (r as u64) as f64
+            } else {
+                r - r.floor()
+            };
+            keys.push(rank_key(frac.to_bits(), i));
+        }
+        let assigned: usize = target.iter().sum();
+        if assigned < total {
+            round_robin(keys, total - assigned, target);
+        }
+        Ok(())
+    }
+
+    /// The body of [`allocate_incremental`] over `s` designs: writes the
+    /// additional simulations per design into `out`.
+    pub(crate) fn increment(
+        &mut self,
+        s: usize,
+        mean: impl Fn(usize) -> f64,
+        variance: impl Fn(usize) -> f64,
+        count: impl Fn(usize) -> usize,
+        delta: usize,
+        out: &mut Vec<usize>,
+    ) -> Result<(), OcbaError> {
+        let spent: usize = (0..s).map(&count).sum();
+        let total = spent + delta;
+        self.targets(s, mean, variance, total)?;
+        // Additional samples: shortfall wrt target, then renormalise to `delta`.
+        let shortfall = &mut self.target;
+        for (i, t) in shortfall.iter_mut().enumerate() {
+            *t = t.saturating_sub(count(i));
+        }
+        let short_total: usize = shortfall.iter().sum();
+        out.clear();
+        if short_total == 0 {
+            // Everyone is at or above target; spread uniformly.
+            let each = delta / s;
+            out.resize(s, each);
+            for o in &mut out[..delta - each * s] {
+                *o += 1;
+            }
+            return Ok(());
+        }
+        // The proportional share is non-negative, so the truncating cast is
+        // its `floor` (see `targets`).
+        out.extend(
+            shortfall
+                .iter()
+                .map(|&sf| ((sf as f64 / short_total as f64) * delta as f64) as usize),
+        );
+        let assigned: usize = out.iter().sum();
+        // Distribute the remainder to the designs with the largest shortfall.
+        // Only designs that are actually under their OCBA target may receive
+        // remainder units: cycling through the full design list would hand
+        // increments to already-over-target designs whenever the remainder
+        // exceeds the number of underfunded ones (possible through floating-point
+        // rounding of the proportional split at large deltas).
+        if assigned < delta {
+            let keys = &mut self.keys;
+            keys.clear();
+            keys.extend(
+                shortfall
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &sf)| sf > 0)
+                    .map(|(i, &sf)| rank_key(sf as u64, i)),
+            );
+            round_robin(keys, delta - assigned, out);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

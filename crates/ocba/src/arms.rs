@@ -8,13 +8,13 @@
 //! campaign cells and a "replication" is a whole seeded optimization run.
 //! [`Arm`] is that four-number abstraction, and [`allocate_arm_increment`]
 //! is the capped incremental allocation every consumer (the sequential
-//! design loop, the campaign scheduler) routes through: it reuses
+//! design loop, the campaign scheduler) routes through: it runs
 //! [`crate::allocate_incremental`]'s shortfall split (including the
 //! remainder-to-underfunded-only and NaN-ranking fixes) and owns the
 //! cap-clamp-then-redistribute step that used to live inline in
 //! [`crate::run_sequential_batched`].
 
-use crate::allocation::{allocate_incremental, DesignStats, OcbaError};
+use crate::allocation::{AllocScratch, OcbaError};
 
 /// One competitor in an abstract OCBA allocation: anything with an observed
 /// mean, an observed variance, a replication count, and (optionally) a hard
@@ -71,25 +71,42 @@ impl Arm {
 /// [`crate::allocate_incremental`]'s input validation (e.g. a negative or
 /// non-finite variance).
 pub fn allocate_arm_increment(arms: &[Arm], delta: usize) -> Result<Vec<usize>, OcbaError> {
+    let mut granted = Vec::new();
+    arm_increment(arms, delta, &mut AllocScratch::default(), &mut granted)?;
+    Ok(granted)
+}
+
+/// The body of [`allocate_arm_increment`], writing the grants into
+/// `granted` and working in `scratch`, so a caller that keeps both across
+/// rounds allocates nothing.
+pub(crate) fn arm_increment(
+    arms: &[Arm],
+    delta: usize,
+    scratch: &mut AllocScratch,
+    granted: &mut Vec<usize>,
+) -> Result<(), OcbaError> {
     if arms.is_empty() {
         return Err(OcbaError::TooFewDesigns { got: 0 });
     }
     if delta == 0 {
         return Err(OcbaError::ZeroBudget);
     }
-    let mut granted: Vec<usize> = if arms.len() == 1 {
-        vec![delta.min(arms[0].room())]
+    if arms.len() == 1 {
+        granted.clear();
+        granted.push(delta.min(arms[0].room()));
     } else {
-        let stats: Vec<DesignStats> = arms
-            .iter()
-            .map(|a| DesignStats::new(a.mean, a.variance, a.count))
-            .collect();
-        let add = allocate_incremental(&stats, delta)?;
-        add.iter()
-            .zip(arms)
-            .map(|(&n, arm)| n.min(arm.room()))
-            .collect()
-    };
+        scratch.increment(
+            arms.len(),
+            |i| arms[i].mean,
+            |i| arms[i].variance,
+            |i| arms[i].count,
+            delta,
+            granted,
+        )?;
+        for (g, arm) in granted.iter_mut().zip(arms) {
+            *g = (*g).min(arm.room());
+        }
+    }
     // Redistribute what the caps swallowed: one replication per arm per lap,
     // in index order, to arms still below their cap. Deterministic, and
     // identical to the redistribution the sequential design loop always ran.
@@ -110,7 +127,7 @@ pub fn allocate_arm_increment(arms: &[Arm], delta: usize) -> Result<Vec<usize>, 
             break; // every arm is at its cap
         }
     }
-    Ok(granted)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //! returning the outcomes of `n` fresh replications of the given design (in
 //! MOHECO, Bernoulli pass/fail outcomes of Monte-Carlo yield samples).
 
-use crate::allocation::{DesignStats, OcbaError};
-use crate::arms::{allocate_arm_increment, Arm};
+use crate::allocation::{AllocScratch, DesignStats, OcbaError};
+use crate::arms::{arm_increment, Arm};
 
 /// Running statistics of one design maintained with Welford's algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -190,13 +190,13 @@ where
     };
 
     // Phase 1: n0 replications each (bounded by the cap), as one round.
-    let initial: Vec<(usize, usize)> = (0..num_designs)
+    let mut round: Vec<(usize, usize)> = (0..num_designs)
         .filter_map(|d| {
             let n = config.n0.min(cap);
             (n > 0).then_some((d, n))
         })
         .collect();
-    run_round(&initial, &mut stats, &mut spent, &mut total_spent);
+    run_round(&round, &mut stats, &mut spent, &mut total_spent);
 
     // Phase 2: incremental OCBA rounds. Each design is an abstract arm with
     // the per-design cap; the arm layer clamps every grant to its cap room
@@ -204,27 +204,34 @@ where
     // have room. Without that redistribution, a round whose funded designs
     // are all at `per_design_cap` comes back empty and the loop stops —
     // stranding budget even though other designs are below their cap.
+    // The arms, grants, round and the rule's scratch live across rounds, so
+    // a round allocates nothing on this side of `simulate_round`.
+    let mut arms = vec![
+        Arm {
+            mean: 0.0,
+            variance: 0.0,
+            count: 0,
+            cap: config.per_design_cap,
+        };
+        num_designs
+    ];
+    let mut scratch = AllocScratch::default();
+    let mut granted = Vec::with_capacity(num_designs);
     let mut rounds = 0usize;
     while total_spent < config.total_budget {
         let remaining = config.total_budget - total_spent;
         let delta = config.delta.min(remaining).max(1);
-        let arms: Vec<Arm> = stats
-            .iter()
-            .zip(&spent)
-            .map(|(s, &n)| {
-                let mut arm = Arm::new(s.mean, s.variance(), n);
-                if let Some(c) = config.per_design_cap {
-                    arm = arm.with_cap(c);
-                }
-                arm
-            })
-            .collect();
-        let granted = allocate_arm_increment(&arms, delta)?;
-        let round: Vec<(usize, usize)> = granted
-            .iter()
-            .enumerate()
-            .filter_map(|(d, &n)| (n > 0).then_some((d, n)))
-            .collect();
+        for ((arm, s), &n) in arms.iter_mut().zip(&stats).zip(&spent) {
+            (arm.mean, arm.variance, arm.count) = (s.mean, s.variance(), n);
+        }
+        arm_increment(&arms, delta, &mut scratch, &mut granted)?;
+        round.clear();
+        round.extend(
+            granted
+                .iter()
+                .enumerate()
+                .filter_map(|(d, &n)| (n > 0).then_some((d, n))),
+        );
         let progressed = run_round(&round, &mut stats, &mut spent, &mut total_spent);
         rounds += 1;
         if !progressed {

@@ -84,10 +84,10 @@ impl MarginForm {
                 threshold,
             } => {
                 let d = center.len();
-                let dx: Vec<f64> = x.iter().zip(center).map(|(&xi, &ci)| xi - ci).collect();
+                let dx = x.iter().zip(center).map(|(&xi, &ci)| xi - ci);
                 let mut q = 0.0;
-                for (i, &dxi) in dx.iter().enumerate() {
-                    for (j, &dxj) in dx.iter().enumerate() {
+                for (i, dxi) in dx.clone().enumerate() {
+                    for (j, dxj) in dx.clone().enumerate() {
                         q += dxi * matrix[i * d + j] * dxj;
                     }
                 }
@@ -202,6 +202,24 @@ impl SyntheticBench {
             .collect();
         independent_margins_yield(&terms)
     }
+
+    /// The pass/fail outcome at unit point `u`, given spec `j`'s nominal
+    /// margin as `margin(j)`: 0.0 at the first spec whose margin plus noise
+    /// is negative, 1.0 when none is.
+    fn outcome(&self, u: &[f64], margin: impl Fn(usize) -> f64) -> f64 {
+        for (j, spec) in self.specs.iter().enumerate() {
+            let noise: f64 = spec
+                .noise_weights
+                .iter()
+                .enumerate()
+                .map(|(k, &w)| w * standard_normal_quantile(u[spec.noise_offset + k]))
+                .sum();
+            if margin(j) + noise < 0.0 {
+                return 0.0;
+            }
+        }
+        1.0
+    }
 }
 
 impl SimulationModel for SyntheticBench {
@@ -210,18 +228,18 @@ impl SimulationModel for SyntheticBench {
     }
 
     fn simulate_point(&self, x: &[f64], u: &[f64]) -> f64 {
-        for spec in &self.specs {
-            let noise: f64 = spec
-                .noise_weights
-                .iter()
-                .enumerate()
-                .map(|(k, &w)| w * standard_normal_quantile(u[spec.noise_offset + k]))
-                .sum();
-            if spec.form.margin(x) + noise < 0.0 {
-                return 0.0;
-            }
+        self.outcome(u, |j| self.specs[j].form.margin(x))
+    }
+
+    fn simulate_block(&self, x: &[f64], us: &[Vec<f64>], out: &mut [f64]) {
+        assert_eq!(us.len(), out.len(), "outcome buffer must match the block");
+        // A margin depends on the design alone, so one evaluation per spec
+        // serves the whole block with the value `simulate_point` computes
+        // for each sample.
+        let margins: Vec<f64> = self.specs.iter().map(|s| s.form.margin(x)).collect();
+        for (o, u) in out.iter_mut().zip(us) {
+            *o = self.outcome(u, |j| margins[j]);
         }
-        1.0
     }
 
     fn nominal(&self, x: &[f64]) -> Vec<f64> {
@@ -434,6 +452,63 @@ mod tests {
         // Nominally infeasible designs get no shift.
         let infeasible = b.importance_shift(&[2.0, 0.0, 0.0]);
         assert!(infeasible.is_none());
+    }
+
+    #[test]
+    fn simulate_block_matches_simulate_point_on_every_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let oracles: Vec<_> = crate::all_scenarios()
+            .into_iter()
+            .filter(|s| s.has_true_yield())
+            .map(|s| s.bench())
+            .collect();
+        assert_eq!(oracles.len(), 5, "the registry ships five oracles");
+        let mut rng = StdRng::seed_from_u64(0x0AC1E);
+        for bench in &oracles {
+            let mut outcomes = [0usize; 2];
+            for d in 0..40 {
+                let x: Vec<f64> = if d == 0 {
+                    bench.reference_design()
+                } else {
+                    bench
+                        .bounds()
+                        .iter()
+                        .map(|&(lo, hi)| rng.gen_range(lo..=hi))
+                        .collect()
+                };
+                let n = 1 + (d * 7) % 25;
+                let us: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..bench.unit_dimension())
+                            .map(|_| match rng.gen_range(0..12) {
+                                0 => rng.gen_range(0.0..1e-9),
+                                1 => 1.0 - rng.gen_range(0.0..1e-9),
+                                2 => [0.0, 0.5, 1.0][rng.gen_range(0..3)],
+                                _ => rng.gen(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; n];
+                bench.simulate_block(&x, &us, &mut out);
+                for (i, u) in us.iter().enumerate() {
+                    let want = bench.simulate_point(&x, u);
+                    assert_eq!(
+                        out[i].to_bits(),
+                        want.to_bits(),
+                        "{} design {d} sample {i}",
+                        bench.name()
+                    );
+                    outcomes[want as usize] += 1;
+                }
+            }
+            assert!(
+                outcomes[0] > 0 && outcomes[1] > 0,
+                "{}: both outcomes must occur: {outcomes:?}",
+                bench.name()
+            );
+        }
     }
 
     #[test]
