@@ -2,9 +2,9 @@
 //! multi-seed campaigns and the schema-v4 aggregate gate.
 //!
 //! ```text
-//! moheco-campaign [--scenario <name>|all] [--algo de|memetic|two-stage]
+//! moheco-campaign [--scenario <name>|all] [--algo fixed|memetic|two-stage]
 //!                 [--budget tiny|small|paper] [--estimator mc|lhs|antithetic|is]
-//!                 [--prescreen off|rsb] [--seeds N] [--parallel]
+//!                 [--seeds N] [--parallel]
 //!                 [--schedule fixed|ocba]
 //!                 [--engine-reuse reset|shared-cache] [--max-cached-blocks N]
 //!                 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR]
@@ -36,11 +36,12 @@
 //! format. Tracing never touches the search RNG, so rows and aggregates are
 //! bit-identical with observability on or off.
 
-use moheco::PrescreenKind;
 use moheco_bench::campaign::run_campaign_traced;
 use moheco_bench::jobspec::seed_count;
 use moheco_bench::results::compare_aggregates;
-use moheco_bench::{Algo, BudgetClass, CliArgs, EngineKind, EngineReuse, JobSpec, ScheduleKind};
+use moheco_bench::{
+    Algo, BudgetClass, CliArgs, EngineKind, EngineReuse, JobSpec, PrescreenKind, ScheduleKind,
+};
 use moheco_obs::{JsonlCollector, Tracer};
 use moheco_runtime::{render_pool_cache, render_prometheus};
 use moheco_sampling::EstimatorKind;
@@ -50,8 +51,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: moheco-campaign [--scenario <name>|all] \
-[--algo de|memetic|two-stage] [--budget tiny|small|paper] \
-[--estimator mc|lhs|antithetic|is] [--prescreen off|rsb] [--seeds N] \
+[--algo fixed|memetic|two-stage] [--budget tiny|small|paper] \
+[--estimator mc|lhs|antithetic|is] [--seeds N] \
 [--parallel] [--schedule fixed|ocba] \
 [--engine-reuse reset|shared-cache] [--max-cached-blocks N] \
 [--jsonl FILE] [--out-dir DIR] [--baseline-dir DIR] [--obs off|jsonl:FILE] \
@@ -91,11 +92,7 @@ fn invocation(args: &CliArgs) -> Result<Invocation, String> {
             EstimatorKind::default(),
             EstimatorKind::parse,
         )?,
-        prescreen: args.parsed_or(
-            "--prescreen",
-            PrescreenKind::default(),
-            PrescreenKind::parse,
-        )?,
+        prescreen: PrescreenKind::Off,
         reuse: args.parsed_or("--engine-reuse", EngineReuse::default(), EngineReuse::parse)?,
         max_cached_blocks: args.u64_of("--max-cached-blocks", 0)? as usize,
         schedule: args.parsed_or("--schedule", ScheduleKind::default(), ScheduleKind::parse)?,
@@ -143,7 +140,6 @@ fn main() -> ExitCode {
             "--algo",
             "--budget",
             "--estimator",
-            "--prescreen",
             "--seeds",
             "--schedule",
             "--engine-reuse",
@@ -189,14 +185,13 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e),
     };
     eprintln!(
-        "moheco-campaign: {} cell(s) ({} scenario(s) x {} x {} seed(s)), budget {}, estimator {}, prescreen {}, {} engine, reuse {}, schedule {}{}",
+        "moheco-campaign: {} cell(s) ({} scenario(s) x {} x {} seed(s)), budget {}, estimator {}, {} engine, reuse {}, schedule {}{}",
         spec.cells(),
         spec.scenarios.len(),
         spec.algos[0].label(),
         spec.seeds.len(),
         spec.budget.label(),
         spec.estimator.label(),
-        spec.prescreen.label(),
         spec.engine.label(),
         spec.reuse.label(),
         spec.schedule.label(),
@@ -301,7 +296,7 @@ fn main() -> ExitCode {
                     Err(e) => {
                         // The hint must carry every identity flag of this
                         // invocation — a regenerated baseline with a
-                        // different estimator/prescreen/engine would fail
+                        // different estimator/engine would fail
                         // the identity gate forever.
                         let mut hint = format!(
                             "moheco-campaign --scenario {} --algo {} --budget {} --seeds {}",
@@ -312,9 +307,6 @@ fn main() -> ExitCode {
                         );
                         if spec.estimator != EstimatorKind::default() {
                             hint.push_str(&format!(" --estimator {}", spec.estimator.label()));
-                        }
-                        if spec.prescreen != PrescreenKind::default() {
-                            hint.push_str(&format!(" --prescreen {}", spec.prescreen.label()));
                         }
                         if spec.engine == EngineKind::Parallel {
                             hint.push_str(" --parallel");

@@ -265,7 +265,7 @@ fn main() -> ExitCode {
     let scenarios_equal = rows.iter().filter(|r| r.median_equal).count();
     let pass = oracle_savings_pct >= SAVINGS_GATE_PCT && scenarios_equal == scenarios_total;
 
-    // Flat JSON record, same writer conventions as BENCH_prescreen.json.
+    // Flat JSON record, same writer conventions as the result aggregates.
     let mut json = JsonWriter::pretty();
     json.bare("schema_version", 3)
         .str("schedule", ScheduleKind::Ocba.label())

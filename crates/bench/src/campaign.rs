@@ -2,8 +2,7 @@
 //! process.
 //!
 //! Every verdict this repository used to produce — the CI yield gate, the
-//! prescreen study's recorded regressions, the estimator cost tables — was a
-//! *single-seed point estimate*, so a pass/fail could be pure seed noise.
+//! estimator cost tables — was a *single-seed point estimate*, so a pass/fail could be pure seed noise.
 //! [`run_campaign`] executes the full grid of a [`JobSpec`] and moves the
 //! trust boundary to statistics over repeated runs:
 //!
@@ -11,7 +10,7 @@
 //!   campaign. In the default [`EngineReuse::Reset`] mode it is reseeded and
 //!   fully reset before each cell, so every row is bit-identical to a
 //!   standalone [`RunSpec::execute`] of the same
-//!   `(scenario, algo, budget, seed, estimator, prescreen)`. The opt-in
+//!   `(scenario, algo, budget, seed, estimator)`. The opt-in
 //!   [`EngineReuse::SharedCache`] mode keeps the cache warm across cells:
 //!   sample streams are seed-keyed, so every *yield* is still bit-identical —
 //!   only the executed-simulation counters shrink (cache hits replace
@@ -454,7 +453,6 @@ pub fn run_campaign_traced(
             .seed(cell.seed)
             .engine(engine)
             .engine_label(spec.engine.label())
-            .prescreen(spec.prescreen)
             .tracer(tracer)
             .execute())
     };
@@ -550,8 +548,7 @@ pub fn run_campaign_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algo, BudgetClass};
-    use moheco::PrescreenKind;
+    use crate::{Algo, BudgetClass, PrescreenKind};
 
     fn tiny_spec(scenario: &str) -> JobSpec {
         JobSpec {

@@ -11,29 +11,23 @@
 //!     .execute()
 //! ```
 //!
-//! Three algorithms are exposed:
+//! The three algorithms are the paper's three methods, all run by the one
+//! [`YieldOptimizer`] DE/best/1 loop with Deb's selection rules:
 //!
 //! * `memetic` — full MOHECO (two-stage OO estimation + DE/NM search);
 //! * `two-stage` — OO + AS + LHS without the memetic operator;
-//! * `de` — plain Differential Evolution over a fixed-budget yield
-//!   objective (the `AS + LHS` baseline family), routed through the same
-//!   engine so cache hits and simulation counts stay comparable.
+//! * `fixed` — AS + LHS with [`BudgetClass::fixed_sims`] simulations per
+//!   feasible candidate ([`MohecoConfig::as_fixed_budget`]), no memetic
+//!   operator.
 
 use crate::results::{trace_digest, ScenarioResult};
 use crate::EngineKind;
-use moheco::{
-    Benchmark, MohecoConfig, PrescreenConfig, PrescreenKind, YieldOptimizer, YieldProblem,
-    YieldStrategy,
-};
+use moheco::{MohecoConfig, YieldOptimizer, YieldStrategy};
 use moheco_obs::json::fmt_f64;
 use moheco_obs::{Span, Tracer};
-use moheco_optim::de::{DeConfig, DifferentialEvolution};
-use moheco_optim::filter::{AdmitAll, TrialFilter};
-use moheco_optim::problem::{Evaluation, Problem};
 use moheco_runtime::EvalEngine;
 use moheco_sampling::{EstimatorKind, Z_95};
 use moheco_scenarios::Scenario;
-use moheco_surrogate::{PrescreenModel, RsbPrescreen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -42,8 +36,8 @@ use std::time::Instant;
 /// The algorithms `moheco-campaign --algo` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algo {
-    /// Plain DE over a fixed-budget yield objective.
-    De,
+    /// AS + LHS with a fixed per-candidate budget, no memetic operator.
+    Fixed,
     /// Full MOHECO (two-stage OO + memetic DE/NM).
     #[default]
     Memetic,
@@ -55,7 +49,7 @@ impl Algo {
     /// Parses a `--algo` value.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "de" => Some(Self::De),
+            "fixed" => Some(Self::Fixed),
             "memetic" => Some(Self::Memetic),
             "two-stage" => Some(Self::TwoStage),
             _ => None,
@@ -65,7 +59,7 @@ impl Algo {
     /// The stable label used in results and file names.
     pub fn label(&self) -> &'static str {
         match self {
-            Self::De => "de",
+            Self::Fixed => "fixed",
             Self::Memetic => "memetic",
             Self::TwoStage => "two-stage",
         }
@@ -134,7 +128,8 @@ impl BudgetClass {
         }
     }
 
-    /// Samples per feasible candidate for the fixed-budget `de` objective (the mid-range `AS + LHS` baseline of this scale).
+    /// Samples per feasible candidate of the `fixed` algorithm (the
+    /// mid-range `AS + LHS` baseline of this scale).
     pub fn fixed_sims(&self) -> usize {
         match self {
             Self::Tiny => 20,
@@ -144,112 +139,25 @@ impl BudgetClass {
     }
 }
 
-/// A fixed-budget yield-maximisation objective over a [`YieldProblem`],
-/// exposed through the `moheco-optim` [`Problem`] trait so the plain DE
-/// engine can run on any registered scenario.
-struct YieldSearchProblem<'a> {
-    problem: &'a YieldProblem<dyn Benchmark>,
-    samples: usize,
+/// The `prescreen` identity of a run. Only [`PrescreenKind::Off`] exists:
+/// the online surrogate prescreen was removed, and the value survives as the
+/// constant `prescreen` row field of results schema v5.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PrescreenKind {
+    /// No prescreening: every feasible candidate is estimated.
+    #[default]
+    Off,
 }
 
-impl Problem for YieldSearchProblem<'_> {
-    fn dimension(&self) -> usize {
-        self.problem.dimension()
+impl PrescreenKind {
+    /// Parses a `"prescreen"` job-spec value (`off` only).
+    pub fn parse(s: &str) -> Option<Self> {
+        (s == "off").then_some(Self::Off)
     }
 
-    fn bounds(&self) -> Vec<(f64, f64)> {
-        self.problem.bounds()
-    }
-
-    fn evaluate(&mut self, x: &[f64]) -> Evaluation {
-        self.evaluate_batch(std::slice::from_ref(&x.to_vec()))
-            .pop()
-            .expect("one design yields one evaluation")
-    }
-
-    fn evaluate_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        let reports = self.problem.feasibility_batch(xs);
-        xs.iter()
-            .zip(reports)
-            .map(|(x, rep)| {
-                if rep.is_feasible() {
-                    let est = self.problem.estimate_yield(x, self.samples, rep.decision);
-                    Evaluation::feasible(-est.value())
-                } else {
-                    Evaluation::new(f64::INFINITY, rep.violation.max(1e-12))
-                }
-            })
-            .collect()
-    }
-}
-
-/// A [`TrialFilter`] over a yield-search problem backed by an online
-/// surrogate: trial candidates predicted far below the incumbent yield are
-/// rejected before their fixed-budget Monte-Carlo estimate is paid.
-///
-/// This is the DE counterpart of the two-stage prescreen in
-/// `moheco::prescreen` and follows the same policy: observations come only
-/// from *measured* evaluations, the screen stays inactive until the model
-/// has trained, and every `explore_every`-th generation bypasses it.
-struct SurrogateTrialFilter {
-    model: Box<dyn PrescreenModel>,
-    margin: f64,
-    explore_every: usize,
-    refit_every: usize,
-    incumbent: f64,
-    skips: u64,
-}
-
-impl SurrogateTrialFilter {
-    fn new(config: &PrescreenConfig) -> Self {
-        config.validate();
-        Self {
-            model: Box::new(
-                RsbPrescreen::new(config.seed).with_min_observations(config.min_observations),
-            ),
-            margin: config.margin,
-            explore_every: config.explore_every,
-            refit_every: config.refit_every,
-            incumbent: 0.0,
-            skips: 0,
-        }
-    }
-}
-
-impl TrialFilter for SurrogateTrialFilter {
-    fn admit(&mut self, generation: usize, trials: &[Vec<f64>]) -> Vec<bool> {
-        // admit() is called exactly once per generation, so the refit
-        // cadence mirrors Prescreener::absorb.
-        if generation.is_multiple_of(self.refit_every) {
-            self.model.refit();
-        }
-        if generation.is_multiple_of(self.explore_every) || !self.model.ready() {
-            return vec![true; trials.len()];
-        }
-        let threshold = self.incumbent - self.margin;
-        trials
-            .iter()
-            .map(|x| {
-                let keep = match self.model.predict(x) {
-                    Some(pred) => pred >= threshold,
-                    None => true,
-                };
-                if !keep {
-                    self.skips += 1;
-                }
-                keep
-            })
-            .collect()
-    }
-
-    fn observe(&mut self, x: &[f64], eval: &Evaluation) {
-        if eval.is_feasible() {
-            let y = (-eval.objective).clamp(0.0, 1.0);
-            self.model.observe(x, y);
-            if y > self.incumbent {
-                self.incumbent = y;
-            }
-        }
+    /// The stable label used in results.
+    pub fn label(&self) -> &'static str {
+        "off"
     }
 }
 
@@ -258,7 +166,7 @@ impl TrialFilter for SurrogateTrialFilter {
 /// job server drive runs through.
 ///
 /// Defaults: [`BudgetClass::Small`], seed 1, serial engine, plain
-/// Monte-Carlo estimator, no prescreen, disabled tracer.
+/// Monte-Carlo estimator, disabled tracer.
 ///
 /// Two engine modes:
 ///
@@ -281,15 +189,14 @@ pub struct RunSpec<'a> {
     seed: u64,
     engine_kind: EngineKind,
     estimator: EstimatorKind,
-    prescreen: PrescreenKind,
     tracer: Tracer,
     engine: Option<Arc<dyn EvalEngine>>,
     engine_label: Option<String>,
 }
 
 impl<'a> RunSpec<'a> {
-    /// Starts a run specification with the default budget, seed, engine,
-    /// estimator and prescreen.
+    /// Starts a run specification with the default budget, seed, engine and
+    /// estimator.
     pub fn new(scenario: &'a dyn Scenario, algo: Algo) -> Self {
         Self {
             scenario,
@@ -298,7 +205,6 @@ impl<'a> RunSpec<'a> {
             seed: 1,
             engine_kind: EngineKind::default(),
             estimator: EstimatorKind::default(),
-            prescreen: PrescreenKind::default(),
             tracer: Tracer::disabled(),
             engine: None,
             engine_label: None,
@@ -311,7 +217,7 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Sets the run seed (search RNG, engine streams and prescreen model).
+    /// Sets the run seed (search RNG and engine streams).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -332,9 +238,9 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Sets the surrogate prescreen mode.
-    pub fn prescreen(mut self, prescreen: PrescreenKind) -> Self {
-        self.prescreen = prescreen;
+    /// Accepts the `prescreen` identity of a job spec. It is always
+    /// [`PrescreenKind::Off`], which every row records.
+    pub fn prescreen(self, _prescreen: PrescreenKind) -> Self {
         self
     }
 
@@ -367,15 +273,8 @@ impl<'a> RunSpec<'a> {
 
     /// Executes the run and condenses it into the machine-readable result
     /// record (including the estimator's 95 % CI half-width for the final
-    /// yield estimate).
-    ///
-    /// With a prescreen, the `memetic` / `two-stage` algorithms demote
-    /// predicted-poor candidates out of the stage-1 OCBA round (see
-    /// `moheco::prescreen`), while `de` gates its trial vectors
-    /// through a [`TrialFilter`] so rejected trials never buy their fixed
-    /// Monte-Carlo budget. The surrogate is seeded from the run seed, so
-    /// results stay deterministic in
-    /// `(scenario, algo, budget, seed, estimator, prescreen)`.
+    /// yield estimate). Results are deterministic in `(scenario, algo,
+    /// budget, seed, estimator)`.
     ///
     /// # Panics
     ///
@@ -389,7 +288,6 @@ impl<'a> RunSpec<'a> {
             seed,
             engine_kind,
             estimator,
-            prescreen,
             tracer,
             engine,
             engine_label,
@@ -419,108 +317,31 @@ impl<'a> RunSpec<'a> {
         moheco_runtime::attach_engine_probe(tracer, &engine);
         let run_span = Span::enter(tracer, "run");
         let problem = scenario.build(engine).with_tracer(tracer.clone());
-        let config = budget.config();
-        let prescreen_config = PrescreenConfig {
-            seed,
-            ..PrescreenConfig::of_kind(prescreen)
+        let config = match algo {
+            Algo::Memetic => MohecoConfig {
+                memetic_enabled: true,
+                strategy: YieldStrategy::TwoStageOo,
+                ..budget.config()
+            },
+            Algo::TwoStage => budget.config().as_oo_without_memetic(),
+            Algo::Fixed => budget.config().as_fixed_budget(budget.fixed_sims()),
         };
         let started = Instant::now();
-
-        let (
-            best_x,
-            best_yield,
-            ci_half_width,
-            feasible,
-            generations,
-            local_searches,
-            prescreen_skips,
-            digest,
-        ) = match algo {
-            Algo::Memetic | Algo::TwoStage => {
-                let config = if algo == Algo::Memetic {
-                    MohecoConfig {
-                        memetic_enabled: true,
-                        strategy: YieldStrategy::TwoStageOo,
-                        ..config
-                    }
-                } else {
-                    config.as_oo_without_memetic()
-                };
-                let config = config.with_prescreen(prescreen_config);
-                let optimizer = YieldOptimizer::new(config);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let result = optimizer.run_from(&problem, &scenario.warm_start(), &mut rng);
-                let digest = trace_digest(
-                    result
-                        .trace
-                        .records
-                        .iter()
-                        .flat_map(|r| [r.best_yield, r.simulations_so_far as f64]),
-                );
-                let feasible = problem.feasibility(&result.best_x).is_feasible();
-                (
-                    result.best_x,
-                    result.reported_yield,
-                    result.best_report.half_width(Z_95),
-                    feasible,
-                    result.generations,
-                    result.local_searches,
-                    result.prescreen_stats.screened_out,
-                    digest,
-                )
-            }
-            Algo::De => {
-                let mut search = YieldSearchProblem {
-                    problem: &problem,
-                    samples: budget.fixed_sims(),
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut filter: Option<SurrogateTrialFilter> = match prescreen {
-                    PrescreenKind::Off => None,
-                    PrescreenKind::Rsb => Some(SurrogateTrialFilter::new(&prescreen_config)),
-                };
-                let de = DifferentialEvolution::new(DeConfig {
-                    population_size: config.population_size,
-                    f: config.de_f,
-                    cr: config.de_cr,
-                    max_generations: config.max_generations,
-                    stagnation_limit: Some(config.stop_stagnation),
-                    target_objective: None,
-                    ..DeConfig::default()
-                });
-                let result = match filter.as_mut() {
-                    Some(f) => de.run_traced_filtered(&mut search, f, tracer, &mut rng),
-                    None => de.run_traced_filtered(&mut search, &mut AdmitAll, tracer, &mut rng),
-                };
-                let digest = trace_digest(result.history.iter().copied());
-                let best_x = result.best.x.clone();
-                // Final report at the accurate n_max budget, like the MOHECO
-                // variants (served partly from the engine cache).
-                let report_span = Span::enter(tracer, "final_report");
-                let rep = problem.feasibility(&best_x);
-                let (best_yield, ci, feasible) = if rep.is_feasible() {
-                    let est = problem.estimate_with_ci(&best_x, config.n_max, rep.decision);
-                    (est.value, est.half_width(Z_95), true)
-                } else {
-                    (0.0, 0.0, false)
-                };
-                drop(report_span);
-                (
-                    best_x,
-                    best_yield,
-                    ci,
-                    feasible,
-                    result.generations,
-                    0,
-                    filter.map(|f| f.skips).unwrap_or(0),
-                    digest,
-                )
-            }
-        };
-
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result =
+            YieldOptimizer::new(config).run_from(&problem, &scenario.warm_start(), &mut rng);
+        let digest = trace_digest(
+            result
+                .trace
+                .records
+                .iter()
+                .flat_map(|r| [r.best_yield, r.simulations_so_far as f64]),
+        );
+        let feasible = problem.feasibility(&result.best_x).is_feasible();
+        let best_yield = result.reported_yield;
         drop(run_span);
         let wall_time_ms = started.elapsed().as_secs_f64() * 1e3;
-        let true_yield = problem.true_yield(&best_x);
+        let true_yield = problem.true_yield(&result.best_x);
         let bench = scenario.bench();
         let engine_stats = problem.engine_stats();
         if tracer.is_enabled() {
@@ -544,19 +365,19 @@ impl<'a> RunSpec<'a> {
             budget: budget.label().to_string(),
             engine: engine_label,
             estimator: estimator.label().to_string(),
-            prescreen: prescreen.label().to_string(),
+            prescreen: PrescreenKind::Off.label().to_string(),
             seed,
             dimension: bench.dimension() as u64,
             statistical_dimension: bench.unit_dimension() as u64,
             feasible,
             best_yield,
-            ci_half_width,
+            ci_half_width: result.best_report.half_width(Z_95),
             true_yield,
             true_yield_abs_error: true_yield.map(|t| (best_yield - t).abs()),
             simulations: problem.simulations(),
-            generations: generations as u64,
-            local_searches: local_searches as u64,
-            prescreen_skips,
+            generations: result.generations as u64,
+            local_searches: result.local_searches as u64,
+            prescreen_skips: 0,
             trace_digest: digest,
             wall_time_ms,
             engine_stats,
@@ -572,12 +393,13 @@ mod tests {
     use moheco_scenarios::find_scenario;
 
     #[test]
-    fn algo_and_budget_labels_roundtrip() {
-        for algo in [Algo::De, Algo::Memetic, Algo::TwoStage] {
+    fn algo_budget_and_prescreen_labels_roundtrip() {
+        for algo in [Algo::Fixed, Algo::Memetic, Algo::TwoStage] {
             assert_eq!(Algo::parse(algo.label()), Some(algo));
         }
-        // `ga` was an algorithm once; it is rejected like any other name.
-        for unknown in ["bogus", "ga"] {
+        // `ga` and `de` were algorithms once; they are rejected like any
+        // other name.
+        for unknown in ["bogus", "ga", "de"] {
             assert_eq!(Algo::parse(unknown), None);
         }
         for budget in [BudgetClass::Tiny, BudgetClass::Small, BudgetClass::Paper] {
@@ -585,6 +407,12 @@ mod tests {
             budget.config().validate();
         }
         assert_eq!(BudgetClass::parse("huge"), None);
+        // `off` is the one prescreen left; the removed `rsb` is rejected.
+        assert_eq!(
+            PrescreenKind::parse(PrescreenKind::Off.label()),
+            Some(PrescreenKind::Off)
+        );
+        assert_eq!(PrescreenKind::parse("rsb"), None);
     }
 
     #[test]
@@ -624,18 +452,32 @@ mod tests {
     }
 
     #[test]
-    fn de_reports_an_accurate_final_estimate() {
+    fn fixed_row_is_the_fixed_budget_optimizer_run() {
         let scenario = find_scenario("margin_wall").expect("registered");
-        let r = RunSpec::new(scenario.as_ref(), Algo::De)
-            .budget(BudgetClass::Tiny)
+        let budget = BudgetClass::Tiny;
+        let r = RunSpec::new(scenario.as_ref(), Algo::Fixed)
+            .budget(budget)
             .seed(2)
             .execute();
-        assert_eq!(r.algo, "de");
-        assert!(r.simulations > 0);
+        assert_eq!(r.algo, "fixed");
         assert_eq!(r.local_searches, 0);
-        if r.feasible {
-            let err = r.true_yield_abs_error.expect("synthetic truth");
-            assert!(err < 0.35, "error {err}");
-        }
+
+        let engine = EngineKind::default().build_configured(2, EstimatorKind::default());
+        let problem = scenario.build(engine);
+        let config = budget.config().as_fixed_budget(budget.fixed_sims());
+        let mut rng = StdRng::seed_from_u64(2);
+        let direct =
+            YieldOptimizer::new(config).run_from(&problem, &scenario.warm_start(), &mut rng);
+        let digest = trace_digest(
+            direct
+                .trace
+                .records
+                .iter()
+                .flat_map(|g| [g.best_yield, g.simulations_so_far as f64]),
+        );
+        assert_eq!(r.trace_digest, digest);
+        assert_eq!(r.best_yield.to_bits(), direct.reported_yield.to_bits());
+        assert_eq!(r.simulations, problem.simulations());
+        assert_eq!(direct.local_searches, 0);
     }
 }

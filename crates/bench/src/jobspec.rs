@@ -10,9 +10,9 @@
 //! the CLI and the HTTP server can never drift apart on what "the same
 //! campaign" means.
 
+use crate::harness::PrescreenKind;
 use crate::results::SCHEMA_VERSION;
 use crate::{Algo, BudgetClass, EngineKind};
-use moheco::PrescreenKind;
 use moheco_obs::json::{parse_flat_json, JsonWriter};
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::{find_scenario, Scenario};
@@ -146,7 +146,8 @@ pub struct JobSpec {
     pub engine: EngineKind,
     /// Variance-reduction estimator shared by every cell.
     pub estimator: EstimatorKind,
-    /// Surrogate prescreen shared by every cell.
+    /// Prescreen identity, always [`PrescreenKind::Off`]; the `prescreen`
+    /// key of the wire format parses `off` only.
     pub prescreen: PrescreenKind,
     /// Engine preparation mode between cells.
     pub reuse: EngineReuse,
@@ -432,7 +433,7 @@ mod tests {
     fn sample() -> JobSpec {
         JobSpec {
             scenarios: vec!["margin_wall".into(), "quadratic_feasibility".into()],
-            algos: vec![Algo::TwoStage, Algo::De],
+            algos: vec![Algo::TwoStage, Algo::Fixed],
             budget: BudgetClass::Tiny,
             seeds: vec![1, 2, 3],
             engine: EngineKind::Serial,
@@ -472,12 +473,21 @@ mod tests {
             JobSpec::parse("{\"budget\": \"tiny\"}").is_err(),
             "scenarios required"
         );
-        // `ga` was an algorithm once; an old spec naming it fails closed.
-        for unknown in ["warp", "ga"] {
+        // `ga` and `de` were algorithms once; an old spec naming one fails
+        // closed.
+        for unknown in ["warp", "ga", "de"] {
             let body = format!("{{\"scenarios\": \"margin_wall\", \"algos\": \"{unknown}\"}}");
             let err = JobSpec::parse(&body).expect_err("unknown algo");
             assert_eq!(err, format!("unknown algo {unknown:?}"));
         }
+        // So does the removed `rsb` prescreen; `off` is the only value left.
+        let body = "{\"scenarios\": \"margin_wall\", \"prescreen\": \"rsb\"}";
+        assert_eq!(
+            JobSpec::parse(body).expect_err("unknown prescreen"),
+            "unknown prescreen \"rsb\""
+        );
+        let body = "{\"scenarios\": \"margin_wall\", \"prescreen\": \"off\"}";
+        assert_eq!(JobSpec::parse(body).unwrap().prescreen, PrescreenKind::Off);
         assert!(JobSpec::parse("{\"scenarios\": \"margin_wall\", \"seeds\": 0}").is_err());
         // A count expands only up to the cap, so 1e15 is an error, not an
         // aborted allocation.
@@ -497,7 +507,7 @@ mod tests {
         assert!(empty.validate().is_err());
         for repeat in [
             |s: &mut JobSpec| s.seeds = vec![1, 1],
-            |s: &mut JobSpec| s.algos = vec![Algo::De, Algo::Memetic, Algo::De],
+            |s: &mut JobSpec| s.algos = vec![Algo::Fixed, Algo::Memetic, Algo::Fixed],
             |s: &mut JobSpec| s.scenarios.push("margin_wall".into()),
         ] {
             let mut dup = sample();
@@ -601,10 +611,10 @@ mod tests {
         assert_eq!(
             ocba.to_json(),
             "{\"schema_version\": 5, \"scenarios\": \"margin_wall,quadratic_feasibility\", \
-             \"algos\": \"two-stage,de\", \"budget\": \"tiny\", \"seeds\": \"1,2,3\", \"engine\": \"serial\", \
+             \"algos\": \"two-stage,fixed\", \"budget\": \"tiny\", \"seeds\": \"1,2,3\", \"engine\": \"serial\", \
              \"estimator\": \"mc\", \"prescreen\": \"off\", \"engine_reuse\": \"shared-cache\", \
              \"max_cached_blocks\": 64, \"schedule\": \"ocba\"}"
         );
-        assert_eq!(ocba.job_id("acme"), "df314c8063411960");
+        assert_eq!(ocba.job_id("acme"), "8d1a56c53acd0a85");
     }
 }

@@ -19,7 +19,7 @@ pub mod schedule;
 pub use campaign::{run_campaign, CampaignEngines, CampaignReport, CellWriter};
 pub use cli::CliArgs;
 pub use exec::{drive_schedule, CellOutcome, ExecutionCore};
-pub use harness::{Algo, BudgetClass, RunSpec};
+pub use harness::{Algo, BudgetClass, PrescreenKind, RunSpec};
 pub use jobspec::{EngineReuse, JobSpec, ScheduleKind};
 pub use schedule::{
     scheduler_for, CampaignScheduler, Cell, FixedGrid, GroupOutcome, OcbaSchedule, ScheduleOutcome,

@@ -53,7 +53,9 @@ use std::collections::BTreeMap;
 /// [`moheco_runtime::EngineTiming`] struct, out of the counter snapshot,
 /// and a traced run carries its [`ScenarioResult::phase_breakdown`] (never
 /// in JSONL rows; the full span stream lives in the `--obs jsonl:` event
-/// file read by `moheco-profile`).
+/// file read by `moheco-profile`). The online prescreen is gone, but v5
+/// keeps its two fields as constants: `prescreen` is always `off` and
+/// `prescreen_skips` always 0.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Maximum allowed absolute deviation of `best_yield` from the committed
@@ -65,7 +67,7 @@ pub const YIELD_TOLERANCE: f64 = 0.05;
 pub struct ScenarioResult {
     /// Registry name of the scenario.
     pub scenario: String,
-    /// Algorithm label (`de`, `memetic`, `two-stage`).
+    /// Algorithm label (`fixed`, `memetic`, `two-stage`).
     pub algo: String,
     /// Budget-class label (`tiny`, `small`, `paper`).
     pub budget: String,
@@ -73,7 +75,7 @@ pub struct ScenarioResult {
     pub engine: String,
     /// Variance-reduction estimator label (`mc`, `lhs`, `antithetic`, `is`).
     pub estimator: String,
-    /// Surrogate-prescreen label (`off`, `rsb`).
+    /// Prescreen label, always `off` (a constant field of schema v5).
     pub prescreen: String,
     /// Master seed of the run.
     pub seed: u64,
@@ -99,10 +101,8 @@ pub struct ScenarioResult {
     pub generations: u64,
     /// Nelder-Mead local searches triggered (memetic runs).
     pub local_searches: u64,
-    /// Candidates the surrogate prescreen vetoed (0 when prescreening is
-    /// off). For `memetic` / `two-stage` runs these are candidates demoted
-    /// from their stage-1 OCBA seat to the probe budget; for `de` runs
-    /// they are trial vectors discarded without any evaluation.
+    /// Always 0: the prescreen that vetoed candidates was removed, and the
+    /// field stays as a constant of schema v5.
     pub prescreen_skips: u64,
     /// FNV-1a digest of the per-generation trace (yield history + spend).
     pub trace_digest: String,
@@ -120,8 +120,8 @@ impl ScenarioResult {
     /// Serializes the *deterministic* fields as a single JSONL line
     /// (newline included) in schema order: the campaign row format.
     /// `wall_time_ms` and the phase breakdown are excluded, so the row is a
-    /// pure function of `(scenario, algo, budget, seed, engine, estimator,
-    /// prescreen)`: two runs of the same cell — standalone, inside a
+    /// pure function of `(scenario, algo, budget, seed, engine, estimator)`:
+    /// two runs of the same cell — standalone, inside a
     /// campaign, or after a campaign resume — produce byte-identical rows.
     pub fn to_jsonl_row(&self) -> String {
         let mut row = JsonWriter::inline();
@@ -209,7 +209,7 @@ pub struct AggregateResult {
     pub simulations: moheco::RunSummary,
     /// Mean generation count.
     pub generations_mean: f64,
-    /// Total prescreen vetoes across seeds.
+    /// Total prescreen vetoes across seeds (always 0).
     pub prescreen_skips_total: u64,
     /// Mean engine cache hit-rate across seeds.
     pub cache_hit_rate_mean: f64,
@@ -585,8 +585,8 @@ mod tests {
         assert_eq!(a.file_name(), "RESULTS_margin_wall.json");
         // Non-default algorithms get a qualified file name.
         let mut other = a.clone();
-        other.algo = "de".into();
-        assert_eq!(other.file_name(), "RESULTS_margin_wall.de.json");
+        other.algo = "fixed".into();
+        assert_eq!(other.file_name(), "RESULTS_margin_wall.fixed.json");
         // The serialized aggregate round-trips through the flat parser.
         let parsed = parse_flat_json(&a.to_json()).expect("aggregate parses");
         assert_eq!(parsed.num("best_yield_median"), Some(0.90));

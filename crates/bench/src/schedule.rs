@@ -456,7 +456,7 @@ mod tests {
     fn grid_spec() -> JobSpec {
         JobSpec {
             scenarios: vec!["a".into(), "b".into()],
-            algos: vec![Algo::TwoStage, Algo::De],
+            algos: vec![Algo::TwoStage, Algo::Fixed],
             budget: BudgetClass::Tiny,
             seeds: vec![1, 2, 3],
             ..JobSpec::default()
@@ -491,7 +491,7 @@ mod tests {
                 round[3].algo.as_str(),
                 round[3].seed
             ),
-            ("a", "de", 1)
+            ("a", "fixed", 1)
         );
         assert_eq!(
             (

@@ -2,7 +2,7 @@
 //!
 //! * A campaign's per-seed rows are **bit-identical** to standalone
 //!   [`RunSpec::execute`] runs of the same
-//!   `(scenario, algo, budget, seed, estimator, prescreen)` — engine reuse
+//!   `(scenario, algo, budget, seed, estimator)` — engine reuse
 //!   with a per-cell reset changes nothing.
 //! * A **killed-and-resumed** campaign (including one killed mid-row-write)
 //!   produces byte-identical JSONL and aggregate output to an uninterrupted
@@ -13,14 +13,17 @@
 //! * **Eviction** under `max_cached_blocks` preserves yields, and a bounded
 //!   parallel engine matches a bounded serial engine bit-for-bit, trace
 //!   digests and counters included.
+//! * Fresh `memetic` runs reproduce the committed `baselines/` aggregate
+//!   of `margin_wall` seed for seed.
 
-use moheco::PrescreenKind;
 use moheco_bench::campaign::run_campaign;
 use moheco_bench::results::parse_flat_json;
-use moheco_bench::{Algo, BudgetClass, EngineKind, EngineReuse, JobSpec, RunSpec, ScheduleKind};
+use moheco_bench::{
+    Algo, BudgetClass, EngineKind, EngineReuse, JobSpec, PrescreenKind, RunSpec, ScheduleKind,
+};
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::find_scenario;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn spec(reuse: EngineReuse, engine_kind: EngineKind, max_cached_blocks: usize) -> JobSpec {
     JobSpec {
@@ -62,7 +65,6 @@ fn campaign_rows_are_bit_identical_to_standalone_runs() {
                 .seed(seed)
                 .engine_kind(EngineKind::Serial)
                 .estimator(EstimatorKind::default())
-                .prescreen(PrescreenKind::Off)
                 .execute();
             let expected = standalone.to_jsonl_row();
             let row = lines.next().expect("one row per cell");
@@ -210,4 +212,45 @@ fn bounded_cache_campaign_preserves_yields_and_parallel_matches_serial() {
             "bounded parallel row diverged from serial"
         );
     }
+}
+
+#[test]
+fn memetic_runs_reproduce_the_committed_baseline_bit_for_bit() {
+    // The committed baseline is a 3-seed aggregate; fresh runs must
+    // reproduce every per-seed trace digest bit-for-bit, the pooled
+    // simulation count, and land inside the observed yield range.
+    let baseline_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/RESULTS_margin_wall.json");
+    let baseline = parse_flat_json(&std::fs::read_to_string(baseline_path).expect("baseline"))
+        .expect("well-formed baseline");
+    assert_eq!(baseline.str("algo"), Some("memetic"));
+    assert_eq!(baseline.str("seeds"), Some("1,2,3"), "3-seed aggregate");
+    let digests: Vec<&str> = baseline
+        .str("trace_digests")
+        .expect("per-seed digests")
+        .split(',')
+        .collect();
+    assert_eq!(digests.len(), 3);
+    let lo = baseline.num("best_yield_min").expect("min");
+    let hi = baseline.num("best_yield_max").expect("max");
+    let scenario = find_scenario("margin_wall").expect("registered");
+    let mut simulations = 0;
+    for (seed, digest) in (1..=3).zip(digests) {
+        let fresh = RunSpec::new(scenario.as_ref(), Algo::Memetic)
+            .budget(BudgetClass::Small)
+            .seed(seed)
+            .engine_kind(EngineKind::Serial)
+            .execute();
+        assert_eq!(
+            fresh.trace_digest, digest,
+            "seed-{seed} trace digest drifted from the committed baseline"
+        );
+        assert!(
+            (lo..=hi).contains(&fresh.best_yield),
+            "seed-{seed} yield {} outside the committed range [{lo}, {hi}]",
+            fresh.best_yield
+        );
+        simulations += fresh.simulations;
+    }
+    assert_eq!(Some(simulations as f64), baseline.num("simulations_total"));
 }

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A valid spec with every key present, so each one gets mutated.
-const VALID: &str = r#"{"schema_version": 5, "scenarios": "margin_wall,two_basin", "algos": "memetic,de", "budget": "tiny", "seeds": "1,2,3", "engine": "parallel", "estimator": "mc", "prescreen": "off", "engine_reuse": "shared-cache", "max_cached_blocks": 64, "schedule": "ocba"}"#;
+const VALID: &str = r#"{"schema_version": 5, "scenarios": "margin_wall,two_basin", "algos": "memetic,fixed", "budget": "tiny", "seeds": "1,2,3", "engine": "parallel", "estimator": "mc", "prescreen": "off", "engine_reuse": "shared-cache", "max_cached_blocks": 64, "schedule": "ocba"}"#;
 
 /// Runs both parsers and fails the test, naming the input, on a panic.
 fn parses_without_panic(text: &str) -> Result<JobSpec, String> {
@@ -115,7 +115,7 @@ fn parse_and_validate(text: &str) -> (Result<(), String>, std::time::Duration) {
 fn many_unknown_names_over_a_huge_grid_are_rejected_quickly() {
     let names: Vec<String> = (0..50).map(|i| format!("s{i}")).collect();
     let text = format!(
-        r#"{{"scenarios": "{}", "algos": "de,memetic,two-stage", "seeds": {MAX_SEED_COUNT}}}"#,
+        r#"{{"scenarios": "{}", "algos": "fixed,memetic,two-stage", "seeds": {MAX_SEED_COUNT}}}"#,
         names.join(",")
     );
     let (outcome, elapsed) = parse_and_validate(&text);
@@ -128,7 +128,7 @@ fn many_unknown_names_over_a_huge_grid_are_rejected_quickly() {
 #[test]
 fn grids_over_the_cell_cap_are_rejected() {
     let text = format!(
-        r#"{{"scenarios": "margin_wall,two_basin", "algos": "de,memetic", "seeds": {MAX_SEED_COUNT}}}"#
+        r#"{{"scenarios": "margin_wall,two_basin", "algos": "fixed,memetic", "seeds": {MAX_SEED_COUNT}}}"#
     );
     let (outcome, elapsed) = parse_and_validate(&text);
     let err = outcome.expect_err("over the cell cap");

@@ -2,7 +2,6 @@
 //! no-op bit-identity, serial/parallel attribution equality, and
 //! `moheco-profile` reading back what `JsonlCollector` writes.
 
-use moheco::PrescreenKind;
 use moheco_bench::{Algo, BudgetClass, EngineKind, RunSpec};
 use moheco_obs::{Collector, JsonlCollector, MemoryCollector, SpanEvent, Tracer};
 use moheco_sampling::EstimatorKind;
@@ -24,7 +23,6 @@ fn traced(
     .seed(seed)
     .engine_kind(engine)
     .estimator(EstimatorKind::default())
-    .prescreen(PrescreenKind::Off)
     .tracer(tracer)
     .execute()
 }
@@ -93,7 +91,6 @@ fn disabled_and_enabled_tracing_are_bit_identical_to_an_untraced_run() {
     .seed(1)
     .engine_kind(EngineKind::Serial)
     .estimator(EstimatorKind::default())
-    .prescreen(PrescreenKind::Off)
     .execute();
     let collector = Arc::new(MemoryCollector::new());
     let enabled = traced(

@@ -17,10 +17,9 @@
 use crate::benchmark::Benchmark;
 use crate::candidate::{best_candidate_index, Candidate};
 use crate::config::{MohecoConfig, YieldStrategy};
-use crate::prescreen::{PrescreenStats, Prescreener};
 use crate::problem::YieldProblem;
 use crate::trace::{GenerationRecord, Trace};
-use crate::two_stage::{estimate_fixed_budget, estimate_two_stage_prescreened, AllocationRecord};
+use crate::two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};
 use moheco_obs::{PhaseBreakdown, Span};
 use moheco_optim::de::{de_crossover, de_mutant, DeConfig, DeStrategy};
 use moheco_optim::memetic::StagnationTracker;
@@ -54,8 +53,6 @@ pub struct RunResult {
     /// Evaluation-engine instrumentation for the run (simulations run,
     /// cache hits, batch sizes, busy time).
     pub engine_stats: EngineStatsSnapshot,
-    /// Surrogate-prescreen counters (all zero when prescreening is off).
-    pub prescreen_stats: PrescreenStats,
     /// Per-phase budget attribution for the run, aggregated from the
     /// problem's tracer. Empty when tracing is disabled (the default); with
     /// an aggregating or collecting tracer attached via
@@ -151,11 +148,7 @@ impl YieldOptimizer {
             )
             .collect();
         let mut population = self.screen_batch(problem, initial_xs);
-        // The surrogate prescreen is per-run state: it accumulates the
-        // (design, estimated yield) pairs of every generation below. `None`
-        // when prescreening is off (the default).
-        let mut prescreener = Prescreener::from_config(&cfg.prescreen);
-        let init_alloc = self.estimate_generation(problem, &mut population, prescreener.as_mut());
+        let init_alloc = self.estimate_generation(problem, &mut population);
 
         let mut trace = Trace::new();
         let mut best = population[best_candidate_index(&population).expect("non-empty")].clone();
@@ -193,7 +186,7 @@ impl YieldOptimizer {
             let mut trials = self.screen_batch(problem, trial_xs);
 
             // Steps 4-7: yield estimation of the trial candidates.
-            let alloc = self.estimate_generation(problem, &mut trials, prescreener.as_mut());
+            let alloc = self.estimate_generation(problem, &mut trials);
 
             // Step 8: one-to-one selection.
             for (parent, trial) in population.iter_mut().zip(trials) {
@@ -284,7 +277,6 @@ impl YieldOptimizer {
             local_searches,
             trace,
             engine_stats: problem.engine_stats(),
-            prescreen_stats: prescreener.map(|p| p.stats()).unwrap_or_default(),
             phase_breakdown: tracer.breakdown(),
         }
     }
@@ -315,13 +307,10 @@ impl YieldOptimizer {
         &self,
         problem: &YieldProblem<B>,
         candidates: &mut [Candidate],
-        prescreener: Option<&mut Prescreener>,
     ) -> AllocationRecord {
         let _span = Span::enter(problem.tracer(), "estimation");
         match self.config.strategy {
-            YieldStrategy::TwoStageOo => {
-                estimate_two_stage_prescreened(problem, candidates, &self.config, prescreener)
-            }
+            YieldStrategy::TwoStageOo => estimate_two_stage(problem, candidates, &self.config),
             YieldStrategy::FixedBudget { sims_per_candidate } => {
                 estimate_fixed_budget(problem, candidates, sims_per_candidate)
             }

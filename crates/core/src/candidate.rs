@@ -70,7 +70,7 @@ impl Candidate {
     ///
     /// Ties between feasible candidates go to `self` (DE's greedy
     /// replacement) — except when `self` carries no measured samples at all
-    /// (e.g. it was vetoed by the surrogate prescreen): an unmeasured
+    /// (e.g. the acceptance-sampling screen rejected it unsampled): an unmeasured
     /// candidate must not displace a measured competitor on the
     /// `0.0 == 0.0` tie.
     pub fn beats(&self, other: &Candidate) -> bool {
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn unmeasured_candidate_never_displaces_a_measured_one_on_a_tie() {
         // Both report 0.0 yield, but the parent paid for its estimate while
-        // the trial was never sampled (prescreen veto): the parent survives.
+        // the trial was never sampled: the parent survives.
         let measured_zero = feasible_with_yield(0, 14);
         let unmeasured = Candidate::feasible(vec![0.0], AsDecision::FullSampling);
         assert!(!unmeasured.beats(&measured_zero));

@@ -1,6 +1,5 @@
 //! Configuration of the MOHECO algorithm and its baselines.
 
-use crate::prescreen::PrescreenConfig;
 use moheco_sampling::SamplingPlan;
 
 /// Which yield-estimation strategy a run uses.
@@ -56,11 +55,6 @@ pub struct MohecoConfig {
     pub stop_stagnation: usize,
     /// Hard cap on the number of generations.
     pub max_generations: usize,
-    /// Surrogate prescreening of each generation's candidates (off by
-    /// default; see [`crate::prescreen`]). Only the two-stage OO strategy
-    /// consults it — the fixed-budget baselines and the Nelder–Mead stage-2
-    /// refinement never prescreen.
-    pub prescreen: PrescreenConfig,
 }
 
 impl Default for MohecoConfig {
@@ -90,7 +84,6 @@ impl MohecoConfig {
             target_yield: 1.0,
             stop_stagnation: 20,
             max_generations: 100,
-            prescreen: PrescreenConfig::default(),
         }
     }
 
@@ -152,13 +145,6 @@ impl MohecoConfig {
         if let YieldStrategy::FixedBudget { sims_per_candidate } = self.strategy {
             assert!(sims_per_candidate >= 1, "fixed budget must be >= 1");
         }
-        self.prescreen.validate();
-    }
-
-    /// This configuration with the given prescreening stage.
-    pub fn with_prescreen(mut self, prescreen: PrescreenConfig) -> Self {
-        self.prescreen = prescreen;
-        self
     }
 }
 

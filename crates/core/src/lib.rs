@@ -54,7 +54,6 @@ pub mod algorithm;
 pub mod benchmark;
 pub mod candidate;
 pub mod config;
-pub mod prescreen;
 pub mod problem;
 pub mod stats;
 pub mod trace;
@@ -66,10 +65,7 @@ pub use algorithm::{RunResult, YieldOptimizer};
 pub use benchmark::{Benchmark, CircuitBench};
 pub use candidate::{best_candidate_index, Candidate, Stage};
 pub use config::{MohecoConfig, YieldStrategy};
-pub use prescreen::{PrescreenConfig, PrescreenKind, PrescreenStats, Prescreener};
 pub use problem::{FeasibilityReport, YieldProblem};
 pub use stats::{table_row, RunSummary};
 pub use trace::{GenerationRecord, Trace};
-pub use two_stage::{
-    estimate_fixed_budget, estimate_two_stage, estimate_two_stage_prescreened, AllocationRecord,
-};
+pub use two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};

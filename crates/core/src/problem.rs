@@ -68,7 +68,7 @@ impl<T: Testbench> YieldProblem<CircuitBench<T>> {
 
     /// [`Self::new`] with an explicit variance-reduction estimator: the
     /// fresh engine's sample streams are shaped by `estimator` and
-    /// [`Self::estimate_with_ci`] condenses them with its variance formula.
+    /// [`Self::report_first`] condenses them with its variance formula.
     /// The default kind ([`EstimatorKind::MonteCarlo`]) is bit-identical to
     /// [`Self::new`].
     pub fn with_estimator(testbench: T, plan: SamplingPlan, estimator: EstimatorKind) -> Self {
@@ -235,7 +235,7 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
     /// the returned estimate is unbiased under every configured estimator
     /// (including importance sampling, whose raw pass fraction would be
     /// biased). For an estimate with an uncertainty interval, see
-    /// [`Self::estimate_with_ci`].
+    /// [`Self::report_first`].
     pub fn estimate_yield(&self, x: &[f64], n: usize, decision: AsDecision) -> YieldEstimate {
         let budget = self.acceptance.budget_for(decision, n);
         if budget == 0 {
@@ -243,15 +243,6 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
         }
         let outcomes = self.outcomes(x, 0, budget);
         YieldEstimate::from_sum(outcomes.iter().sum(), outcomes.len())
-    }
-
-    /// Estimates the yield of design `x` with the configured estimator's own
-    /// variance formula, returning the point estimate *and* its standard
-    /// error (see [`EstimatedYield::half_width`] for the CI half-width). The
-    /// acceptance-sampling screen applies exactly as in
-    /// [`Self::estimate_yield`].
-    pub fn estimate_with_ci(&self, x: &[f64], n: usize, decision: AsDecision) -> EstimatedYield {
-        self.report_first(x, self.acceptance.budget_for(decision, n))
     }
 
     /// Condenses outcome values `0 .. n` of design `x`'s stream with the
@@ -411,7 +402,7 @@ mod tests {
         let x = p.testbench().reference_design();
         let rep = p.feasibility(&x);
         let est = p.estimate_yield(&x, 60, rep.decision);
-        let ci = p.estimate_with_ci(&x, 60, rep.decision);
+        let ci = p.report_first(&x, est.samples);
         // Same samples, same value; the CI report adds only the uncertainty.
         assert_eq!(ci.samples, est.samples);
         assert!((ci.value - est.value()).abs() < 1e-12);
@@ -434,8 +425,7 @@ mod tests {
         );
         assert_eq!(p.estimator(), EstimatorKind::Antithetic);
         let x = p.testbench().reference_design();
-        let rep = p.feasibility(&x);
-        let ci = p.estimate_with_ci(&x, 100, rep.decision);
+        let ci = p.report_first(&x, 100);
         assert_eq!(ci.kind, EstimatorKind::Antithetic);
         assert!(ci.samples > 0);
         assert!((0.0..=1.0).contains(&ci.value));

@@ -24,7 +24,6 @@
 use crate::benchmark::Benchmark;
 use crate::candidate::{Candidate, Stage};
 use crate::config::MohecoConfig;
-use crate::prescreen::Prescreener;
 use crate::problem::YieldProblem;
 use moheco_obs::Span;
 use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
@@ -57,27 +56,6 @@ pub fn estimate_two_stage<B: Benchmark + ?Sized>(
     candidates: &mut [Candidate],
     config: &MohecoConfig,
 ) -> AllocationRecord {
-    estimate_two_stage_prescreened(problem, candidates, config, None)
-}
-
-/// [`estimate_two_stage`] with an optional surrogate prescreen.
-///
-/// When a [`Prescreener`] is supplied (and active), feasible candidates it
-/// predicts far below the incumbent lose their stage-1 OCBA seat: they
-/// receive only the small probe budget of
-/// [`crate::prescreen::PrescreenConfig::probe_samples`] Monte-Carlo samples,
-/// and the OCBA ranking budget `sim_ave × N` is sized by the number of
-/// *kept* candidates. Stage-2 promotion still considers every feasible
-/// candidate on its measured estimate, so a screened-out candidate whose
-/// probe samples all pass is immediately re-measured in full — predictions
-/// gate budget, never the reported yields. With `None` (or an inactive
-/// prescreener) the behaviour is bit-identical to [`estimate_two_stage`].
-pub fn estimate_two_stage_prescreened<B: Benchmark + ?Sized>(
-    problem: &YieldProblem<B>,
-    candidates: &mut [Candidate],
-    config: &MohecoConfig,
-    mut prescreener: Option<&mut Prescreener>,
-) -> AllocationRecord {
     let feasible_idx: Vec<usize> = candidates
         .iter()
         .enumerate()
@@ -91,64 +69,14 @@ pub fn estimate_two_stage_prescreened<B: Benchmark + ?Sized>(
         total: 0,
     };
 
-    // Partition the feasible candidates into OCBA-ranked and probe-only
-    // sets. Without an (active) prescreener everything is ranked, which is
-    // exactly the historical path.
-    let (ranked_idx, probed_idx): (Vec<usize>, Vec<usize>) = match prescreener.as_deref_mut() {
-        Some(p) => {
-            let verdicts = p.verdicts(candidates, &feasible_idx);
-            let mut ranked = Vec::new();
-            let mut probed = Vec::new();
-            for (&i, keep) in feasible_idx.iter().zip(&verdicts) {
-                if *keep {
-                    ranked.push(i);
-                } else {
-                    probed.push(i);
-                }
-            }
-            (ranked, probed)
-        }
-        None => (feasible_idx.clone(), Vec::new()),
-    };
-
-    // Probe batch: screened-out candidates get their reduced budget in one
-    // engine batch, so they still carry a (coarse) measured estimate into
-    // the DE selection and the stage-2 promotion check below.
-    if !probed_idx.is_empty() {
-        let _probe_span = Span::enter(problem.tracer(), "prescreen_probe");
-        let probe = prescreener
-            .as_deref()
-            .map(|p| p.config().probe_samples)
-            .unwrap_or(0);
-        let requests: Vec<(usize, McRequest)> = probed_idx
-            .iter()
-            .filter_map(|&i| {
-                let start = candidates[i].estimate.samples;
-                let take = probe.min(config.n_max.saturating_sub(start));
-                (take > 0).then(|| (i, McRequest::new(candidates[i].x.clone(), start, take)))
-            })
-            .collect();
-        if !requests.is_empty() {
-            let outcomes = problem
-                .outcomes_batch(&requests.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-            for ((i, _), out) in requests.iter().zip(&outcomes) {
-                candidates[*i].estimate = candidates[*i]
-                    .estimate
-                    .merge(&YieldEstimate::from_sum(out.iter().sum(), out.len()));
-                record.samples[*i] += out.len();
-                record.total += out.len();
-            }
-        }
-    }
-
-    match ranked_idx.len() {
+    match feasible_idx.len() {
         0 => {}
         1 => {
-            // A single ranked candidate: no ranking problem to solve, just
+            // A single feasible candidate: no ranking problem to solve, just
             // give it the average budget (clamped so prior samples plus this
             // allocation never exceed the n_max ceiling).
             let _span = Span::enter(problem.tracer(), "stage1/single");
-            let i = ranked_idx[0];
+            let i = feasible_idx[0];
             let start = candidates[i].estimate.samples;
             let take = config.sim_ave.min(config.n_max.saturating_sub(start));
             let outcomes = problem.outcomes(&candidates[i].x, start, take);
@@ -160,25 +88,27 @@ pub fn estimate_two_stage_prescreened<B: Benchmark + ?Sized>(
             record.total += outcomes.len();
         }
         _ => {
-            // Sequential OCBA over the ranked subset; every round becomes
+            // Sequential OCBA over the feasible candidates; every round becomes
             // one engine batch. Per-design cursors track how many samples of
             // each design's stream have been consumed so far.
             let _stage1_span = Span::enter(problem.tracer(), "stage1");
-            let total_budget = config.sim_ave * ranked_idx.len();
+            let total_budget = config.sim_ave * feasible_idx.len();
             let seq = SequentialConfig {
                 n0: config.n0,
                 delta: config.delta,
                 total_budget,
                 per_design_cap: Some(config.n_max),
             };
-            let xs: Vec<Vec<f64>> = ranked_idx
+            let xs: Vec<Vec<f64>> = feasible_idx
                 .iter()
                 .map(|&i| candidates[i].x.clone())
                 .collect();
-            let prior: Vec<YieldEstimate> =
-                ranked_idx.iter().map(|&i| candidates[i].estimate).collect();
+            let prior: Vec<YieldEstimate> = feasible_idx
+                .iter()
+                .map(|&i| candidates[i].estimate)
+                .collect();
             let mut cursors: Vec<usize> = prior.iter().map(|e| e.samples).collect();
-            let outcome = run_sequential_batched(ranked_idx.len(), seq, |round| {
+            let outcome = run_sequential_batched(feasible_idx.len(), seq, |round| {
                 // Each OCBA round is one engine batch and one span
                 // occurrence: the per-round spans aggregate under
                 // `.../stage1/ocba_round` in the phase breakdown.
@@ -207,7 +137,7 @@ pub fn estimate_two_stage_prescreened<B: Benchmark + ?Sized>(
             // pre-estimator behaviour); weighted estimators keep the raw
             // fractional sum of their likelihood-weighted contributions.
             let weighted = problem.estimator().weighted_outcomes();
-            for (k, &i) in ranked_idx.iter().enumerate() {
+            for (k, &i) in feasible_idx.iter().enumerate() {
                 let stats = &outcome.stats[k];
                 let product = stats.mean * stats.count as f64;
                 let sum = if weighted { product } else { product.round() };
@@ -257,11 +187,6 @@ pub fn estimate_two_stage_prescreened<B: Benchmark + ?Sized>(
 
     for (i, c) in candidates.iter().enumerate() {
         record.yields[i] = c.yield_value();
-    }
-    // Feed the fully estimated generation back into the surrogate (and
-    // advance its generation counter / refit cadence).
-    if let Some(p) = prescreener {
-        p.absorb(candidates);
     }
     record
 }

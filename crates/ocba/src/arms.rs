@@ -110,22 +110,41 @@ pub(crate) fn arm_increment(
     // Redistribute what the caps swallowed: one replication per arm per lap,
     // in index order, to arms still below their cap. Deterministic, and
     // identical to the redistribution the sequential design loop always ran.
+    // Whole laps are granted arithmetically: while `k` arms have room, each
+    // lap gives each of them one unit, so `min(leftover / k, smallest room)`
+    // laps in one step change no outcome. Every step either ends the loop or
+    // fills an arm, so it runs at most `arms.len()` times.
     let mut leftover = delta - granted.iter().sum::<usize>();
     while leftover > 0 {
-        let mut placed = false;
-        for (g, arm) in granted.iter_mut().zip(arms) {
-            if leftover == 0 {
-                break;
-            }
-            if *g < arm.room() {
-                *g += 1;
-                leftover -= 1;
-                placed = true;
-            }
-        }
-        if !placed {
+        let (with_room, min_room) = granted
+            .iter()
+            .zip(arms)
+            .map(|(&g, arm)| arm.room() - g)
+            .filter(|&room| room > 0)
+            .fold((0, usize::MAX), |(k, min), room| (k + 1, min.min(room)));
+        if with_room == 0 {
             break; // every arm is at its cap
         }
+        let laps = (leftover / with_room).min(min_room);
+        if laps == 0 {
+            // Fewer units than arms with room: one partial lap ends it.
+            for (g, arm) in granted.iter_mut().zip(arms) {
+                if leftover == 0 {
+                    break;
+                }
+                if *g < arm.room() {
+                    *g += 1;
+                    leftover -= 1;
+                }
+            }
+            break;
+        }
+        for (g, arm) in granted.iter_mut().zip(arms) {
+            if *g < arm.room() {
+                *g += laps;
+            }
+        }
+        leftover -= laps * with_room;
     }
     Ok(())
 }

@@ -503,13 +503,7 @@ fn allocate_arm_increment_matches_the_reference_rule() {
         let v = variances(&mut rng, s);
         let n = counts(&mut rng, s);
         let d = delta(&mut rng);
-        // Capped arms take back what the caps swallow one unit per lap, so
-        // a huge delta only meets arms that are all capped or all uncapped.
-        let cap_mode = if d > 1_000 {
-            rng.gen_range(0..3)
-        } else {
-            rng.gen_range(0..5)
-        };
+        let cap_mode = rng.gen_range(0..5);
         let arms: Vec<Arm> = (0..s)
             .map(|i| {
                 let arm = Arm::new(m[i], v[i], n[i]);
@@ -527,12 +521,32 @@ fn allocate_arm_increment_matches_the_reference_rule() {
                 }
             })
             .collect();
-        let want = reference_allocate_arm_increment(&arms, d);
         let got = allocate_arm_increment(&arms, d);
-        assert!(
-            same(&got, &want),
-            "case {case}: arms {arms:?} delta {d}: got {got:?}, want {want:?}"
-        );
+        if let Ok(grants) = &got {
+            // Whatever the reference says, the grants fill the delta up to
+            // the total cap room and respect every cap.
+            let room: u128 = arms.iter().map(|a| a.room() as u128).sum();
+            let sum: u128 = grants.iter().map(|&g| g as u128).sum();
+            assert_eq!(
+                sum,
+                room.min(d as u128),
+                "case {case}: arms {arms:?} delta {d}"
+            );
+            assert!(
+                grants.iter().zip(&arms).all(|(&g, a)| g <= a.room()),
+                "case {case}: arms {arms:?} delta {d}: cap broken by {grants:?}"
+            );
+        }
+        // The reference hands out leftover units one per arm per lap, so it
+        // is checked only where that loop is bounded: a delta up to 1e5, or
+        // no uncapped arm (mode 0 leaves nothing over, modes 1-2 little room).
+        if d <= 100_000 || cap_mode < 3 {
+            let want = reference_allocate_arm_increment(&arms, d);
+            assert!(
+                same(&got, &want),
+                "case {case}: arms {arms:?} delta {d}: got {got:?}, want {want:?}"
+            );
+        }
     }
 }
 

@@ -11,11 +11,9 @@
 //! yield estimation) can reuse exactly the same operators.
 
 use crate::constraints::is_better_or_equal;
-use crate::filter::{AdmitAll, TrialFilter};
 use crate::population::{Individual, Population};
 use crate::problem::{clamp_to_bounds, Problem};
 use crate::result::OptimizationResult;
-use moheco_obs::{Span, Tracer};
 use rand::Rng;
 
 /// Base-vector selection strategy of the DE mutation operator.
@@ -160,64 +158,15 @@ impl DifferentialEvolution {
         problem: &mut P,
         rng: &mut R,
     ) -> OptimizationResult {
-        self.run_filtered(problem, &mut AdmitAll, rng)
-    }
-
-    /// [`Self::run`] with a [`TrialFilter`] gating each generation's trial
-    /// vectors: rejected trials are discarded unevaluated and their parents
-    /// keep their slots. Under [`AdmitAll`] this is bit-identical to
-    /// [`Self::run`] (the filter never touches the RNG stream).
-    pub fn run_filtered<P: Problem + ?Sized, T: TrialFilter + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        filter: &mut T,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, filter, &Tracer::disabled(), rng)
-    }
-
-    /// [`Self::run`] under an observability [`Tracer`]: the whole run becomes
-    /// a `"de"` span with one `"generation"` child span per generation, so a
-    /// probe-equipped tracer attributes every evaluation to the generation
-    /// that spent it. With [`Tracer::disabled`] (what [`Self::run`] passes)
-    /// the spans are inert and the run is bit-identical to [`Self::run`].
-    pub fn run_traced<P: Problem + ?Sized, R: Rng + ?Sized>(
-        &self,
-        problem: &mut P,
-        tracer: &Tracer,
-        rng: &mut R,
-    ) -> OptimizationResult {
-        self.run_traced_filtered(problem, &mut AdmitAll, tracer, rng)
-    }
-
-    /// The fully general entry point: [`Self::run_filtered`] plus the span
-    /// instrumentation of [`Self::run_traced`].
-    pub fn run_traced_filtered<P, T, R>(
-        &self,
-        problem: &mut P,
-        filter: &mut T,
-        tracer: &Tracer,
-        rng: &mut R,
-    ) -> OptimizationResult
-    where
-        P: Problem + ?Sized,
-        T: TrialFilter + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let _run_span = Span::enter(tracer, "de");
         let bounds = problem.bounds();
         let mut population = Population::random(problem, self.config.population_size, rng);
-        for m in &population.members {
-            filter.observe(&m.x, &m.eval);
-        }
         let mut evaluations = population.len();
         let mut history = Vec::new();
         let mut best_so_far = population.best().cloned();
         let mut stagnation = 0usize;
         let mut generations = 0usize;
 
-        for gen in 0..self.config.max_generations {
-            let _gen_span = Span::enter(tracer, "generation");
+        for _ in 0..self.config.max_generations {
             generations += 1;
             let mut improved = false;
             // Synchronous (generational) DE: all trial vectors derive from the
@@ -230,29 +179,9 @@ impl DifferentialEvolution {
                     de_crossover(&population.members[i].x, &mutant, self.config.cr, rng)
                 })
                 .collect();
-            let admits = filter.admit(gen, &trials);
-            debug_assert_eq!(admits.len(), trials.len(), "one verdict per trial");
-            // Fast path when nothing was rejected (always the case under
-            // [`AdmitAll`]): evaluate the trials in place, no copies.
-            let selected_evals = if admits.iter().all(|&keep| keep) {
-                problem.evaluate_batch(&trials)
-            } else {
-                let selected: Vec<Vec<f64>> = trials
-                    .iter()
-                    .zip(&admits)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(t, _)| t.clone())
-                    .collect();
-                problem.evaluate_batch(&selected)
-            };
-            evaluations += selected_evals.len();
-            let mut eval_iter = selected_evals.into_iter();
-            for (i, (trial_x, keep)) in trials.into_iter().zip(admits).enumerate() {
-                if !keep {
-                    continue;
-                }
-                let trial_eval = eval_iter.next().expect("one evaluation per admitted trial");
-                filter.observe(&trial_x, &trial_eval);
+            let trial_evals = problem.evaluate_batch(&trials);
+            evaluations += trial_evals.len();
+            for (i, (trial_x, trial_eval)) in trials.into_iter().zip(trial_evals).enumerate() {
                 if is_better_or_equal(&trial_eval, &population.members[i].eval) {
                     population.members[i] = Individual::new(trial_x, trial_eval);
                 }
@@ -477,58 +406,6 @@ mod tests {
         });
         let result = de.run(&mut problem, &mut rng);
         assert!(result.best_objective() < 1e-2);
-    }
-
-    #[test]
-    fn admit_all_filter_matches_unfiltered_run() {
-        let run = |filtered: bool| {
-            let mut problem = sphere(4);
-            let mut rng = StdRng::seed_from_u64(21);
-            let de = DifferentialEvolution::new(DeConfig {
-                population_size: 12,
-                max_generations: 20,
-                ..DeConfig::default()
-            });
-            if filtered {
-                de.run_filtered(&mut problem, &mut AdmitAll, &mut rng)
-            } else {
-                de.run(&mut problem, &mut rng)
-            }
-        };
-        let (a, b) = (run(false), run(true));
-        assert_eq!(a.best.x, b.best.x);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.history, b.history);
-    }
-
-    #[test]
-    fn rejected_trials_are_not_evaluated() {
-        struct RejectAfterFirst {
-            observed: usize,
-        }
-        impl TrialFilter for RejectAfterFirst {
-            fn admit(&mut self, generation: usize, trials: &[Vec<f64>]) -> Vec<bool> {
-                vec![generation == 0; trials.len()]
-            }
-            fn observe(&mut self, _x: &[f64], _eval: &Evaluation) {
-                self.observed += 1;
-            }
-        }
-        let mut problem = sphere(3);
-        let mut rng = StdRng::seed_from_u64(22);
-        let de = DifferentialEvolution::new(DeConfig {
-            population_size: 10,
-            max_generations: 6,
-            stagnation_limit: None,
-            ..DeConfig::default()
-        });
-        let mut filter = RejectAfterFirst { observed: 0 };
-        let result = de.run_filtered(&mut problem, &mut filter, &mut rng);
-        // Initial population + one admitted generation; the five rejected
-        // generations cost nothing.
-        assert_eq!(result.evaluations, 10 + 10);
-        assert_eq!(filter.observed, 20);
-        assert_eq!(result.generations, 6);
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! * [`nelder_mead`](mod@nelder_mead) — the derivative-free simplex local search used as the
 //!   memetic exploitation operator.
 //! * [`constraints`] — Deb's selection-based feasibility rules.
-//! * [`memetic`] — the adaptive DE + Nelder–Mead coupling (local search only
-//!   on the best member, only after 5 stagnant generations).
-//! * [`penalty`] — the penalty-function baseline the paper compares
-//!   against.
+//! * [`memetic`] — the stagnation trigger of the adaptive DE + Nelder–Mead
+//!   coupling (local search only on the best member, only after 5 stagnant
+//!   generations).
+//!
+//! `moheco::YieldOptimizer` drives its own generation loop from these
+//! operators; [`DifferentialEvolution`] is the stand-alone loop behind the
+//! nominal-sizing experiment.
 //!
 //! # Example
 //!
@@ -36,20 +39,16 @@
 
 pub mod constraints;
 pub mod de;
-pub mod filter;
 pub mod memetic;
 pub mod nelder_mead;
-pub mod penalty;
 pub mod population;
 pub mod problem;
 pub mod result;
 
 pub use constraints::{aggregate_violations, best_index, feasibility_compare, is_better_or_equal};
 pub use de::{de_crossover, de_mutant, DeConfig, DeStrategy, DifferentialEvolution};
-pub use filter::{AdmitAll, TrialFilter};
-pub use memetic::{MemeticConfig, MemeticOptimizer, StagnationTracker};
+pub use memetic::StagnationTracker;
 pub use nelder_mead::{nelder_mead, NelderMeadConfig, NelderMeadResult};
-pub use penalty::PenaltyProblem;
 pub use population::{Individual, Population};
 pub use problem::{clamp_to_bounds, random_point, Evaluation, FnProblem, Problem};
 pub use result::OptimizationResult;

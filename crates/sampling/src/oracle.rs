@@ -133,7 +133,7 @@ const QUANTILE_LANES: usize = 8;
 /// [`standard_normal_quantile`] of every `ps[i]`, written to `out[i]`, bit
 /// for bit.
 ///
-/// Values are taken [`QUANTILE_LANES`] at a time: every lane runs the central
+/// Values are taken `QUANTILE_LANES` (8) at a time: every lane runs the central
 /// branch with the scalar's exact operation sequence (Rust never contracts or
 /// reassociates floats, so the vectorised lanes round identically), and a
 /// lane in either tail, or NaN, is then overwritten by the scalar function.

@@ -412,7 +412,6 @@ impl ActiveJob {
                         .seed(cell.seed)
                         .engine(lease.engine.clone())
                         .engine_label(spec.engine.label())
-                        .prescreen(spec.prescreen)
                         .execute()
                     // lease drops here, before quota enforcement — never
                     // hold one slot while locking others.

@@ -115,8 +115,8 @@ fn basic_routes_and_errors() {
     assert_eq!(garbage.status, 400);
     let empty_grid = request(addr, "POST", "/jobs", &[], b"{\"scenarios\": \"\"}").expect("400");
     assert_eq!(empty_grid.status, 400);
-    // A retired schedule or algorithm fails closed rather than running
-    // another one.
+    // A retired schedule, algorithm or prescreen fails closed rather than
+    // running another one.
     for (key, name, error) in [
         (
             "schedule",
@@ -124,6 +124,8 @@ fn basic_routes_and_errors() {
             "unknown schedule \"ocba-shrink\"",
         ),
         ("algos", "ga", "unknown algo \"ga\""),
+        ("algos", "de", "unknown algo \"de\""),
+        ("prescreen", "rsb", "unknown prescreen \"rsb\""),
     ] {
         let body = format!("{{\"scenarios\": \"margin_wall\", \"{key}\": \"{name}\"}}");
         let retired = request(addr, "POST", "/jobs", &[], body.as_bytes()).expect("400");

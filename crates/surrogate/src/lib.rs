@@ -10,10 +10,10 @@
 //! * [`pswcd`] — the performance-specific worst-case design screen, used to
 //!   reproduce the over-design discussion (a design with high Monte-Carlo
 //!   yield is rejected when each spec is checked at its own worst case).
-//! * [`prescreen`] — the *online* face of the response surface: the
-//!   [`PrescreenModel`] trait and its [`RsbPrescreen`] implementation,
-//!   which the optimization loop trains incrementally and consults to rank
-//!   candidates before spending Monte-Carlo budget on them.
+//!
+//! The response surface is an *offline* model only: §3.4 argues it is too
+//! inaccurate to stand in for Monte-Carlo estimates inside the optimization
+//! loop, so no optimizer consults it.
 //!
 //! # Example
 //!
@@ -37,12 +37,10 @@
 
 pub mod levenberg_marquardt;
 pub mod mlp;
-pub mod prescreen;
 pub mod pswcd;
 pub mod rsb;
 
 pub use levenberg_marquardt::{sse, train, LmConfig, LmReport};
 pub use mlp::Mlp;
-pub use prescreen::{PrescreenModel, RsbPrescreen};
 pub use pswcd::{overdesign_comparison, pswcd_analyze, PswcdConfig, PswcdReport};
 pub use rsb::{RsbError, RsbYieldModel};
