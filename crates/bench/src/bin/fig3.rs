@@ -7,12 +7,15 @@
 //! (30 % of the population) receive 13 %, and the total is ~11 % of the
 //! budget the `AS + LHS` flow with a fixed 500-sample budget would spend.
 //!
-//! Run with `--paper` for the paper-scale population (50 candidates,
-//! `sim_ave = 35`, fixed budget 500).
+//! The settings are the `memetic` configuration of the budget class and its
+//! `fixed_sims`. Run with `--paper` for the paper-scale population
+//! (50 candidates, `sim_ave = 35`, fixed budget 500).
 
 use moheco::{estimate_fixed_budget, estimate_two_stage, Candidate, MohecoConfig, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
+use moheco_bench::Algo;
 use moheco_optim::problem::random_point;
+use moheco_sampling::EstimatorKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,14 +29,17 @@ fn screen(problem: &YieldProblem<moheco::CircuitBench<FoldedCascode>>, x: Vec<f6
 }
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
+    let (budget, engine) = moheco_bench::cli::figure_binary_scale();
     let config = MohecoConfig {
         stage2_threshold: 1.1, // keep everything in stage 1 for this figure
-        ..scale.config
+        ..Algo::Memetic.config(budget)
     };
-    let fixed_budget = scale.fixed_budgets()[1];
-    let problem =
-        YieldProblem::with_engine(FoldedCascode::new(), scale.engine.build_seeded(0xF163));
+    let fixed_budget = budget.fixed_sims();
+    let fresh_problem = || {
+        let engine = engine.build_configured(0xF163, EstimatorKind::default());
+        YieldProblem::with_engine(FoldedCascode::new(), engine)
+    };
+    let problem = fresh_problem();
     let mut rng = StdRng::seed_from_u64(0xF163);
     let bounds = problem.bounds();
     let reference = problem.testbench().reference_design();
@@ -58,6 +64,7 @@ fn main() {
         };
         candidates.push(screen(&problem, x));
     }
+    let mut fixed_candidates = candidates.clone();
 
     let before = problem.simulations();
     let record = estimate_two_stage(&problem, &mut candidates, &config);
@@ -102,18 +109,7 @@ fn main() {
     // Compare against the fixed-budget flow on the same population. A fresh
     // problem (fresh engine cache) keeps the comparison honest: the
     // fixed-budget flow must not be served from the OO run's sample cache.
-    let problem_fixed =
-        YieldProblem::with_engine(FoldedCascode::new(), scale.engine.build_seeded(0xF163));
-    let mut fixed_candidates: Vec<Candidate> = candidates
-        .iter()
-        .map(|c| {
-            if c.feasible {
-                Candidate::feasible(c.x.clone(), c.decision)
-            } else {
-                Candidate::infeasible(c.x.clone(), c.violation)
-            }
-        })
-        .collect();
+    let problem_fixed = fresh_problem();
     let before = problem_fixed.simulations();
     let _ = estimate_fixed_budget(&problem_fixed, &mut fixed_candidates, fixed_budget);
     let fixed_sims = problem_fixed.simulations() - before;

@@ -8,8 +8,9 @@
 //! Run with `--paper` for larger populations and generation budgets.
 
 use moheco_analog::{FoldedCascode, TelescopicTwoStage, Testbench};
-use moheco_bench::{EngineKind, NominalSizingProblem};
+use moheco_bench::{BudgetClass, EngineKind, NominalSizingProblem};
 use moheco_optim::de::{DeConfig, DifferentialEvolution};
+use moheco_runtime::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +42,7 @@ fn run_sbde<T: Testbench>(
         ..DeConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(0x51E1);
-    let mut p = NominalSizingProblem::with_engine(tb, engine.build());
+    let mut p = NominalSizingProblem::with_engine(tb, engine.build_with(EngineConfig::default()));
     let result = DifferentialEvolution::new(de_cfg).run(&mut p, &mut rng);
     // The objective is the negated worst normalised spec margin once feasible;
     // "gens to feasible" is the generation at which a feasible sizing first
@@ -59,8 +60,8 @@ fn run_sbde<T: Testbench>(
 }
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
-    let (population, gens_easy, gens_hard) = if scale.reference_samples >= 50_000 {
+    let (budget, engine) = moheco_bench::cli::figure_binary_scale();
+    let (population, gens_easy, gens_hard) = if budget == BudgetClass::Paper {
         (60, 120, 300)
     } else {
         (24, 40, 80)
@@ -70,14 +71,14 @@ fn main() {
         FoldedCascode::new(),
         population,
         gens_easy,
-        scale.engine,
+        engine,
     );
     let hard = run_sbde(
         "example 2 (telescopic two-stage, severe specs)",
         TelescopicTwoStage::new(),
         population,
         gens_hard,
-        scale.engine,
+        engine,
     );
     println!("\nPaper observation: example 1 converges in 20-30 generations while example 2's");
     println!("severe specifications need 200-300.");

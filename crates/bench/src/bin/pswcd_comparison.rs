@@ -7,25 +7,20 @@
 //! yield that PSWCD rejects illustrate the over-design the paper describes.
 
 use moheco_analog::{FoldedCascode, Testbench};
+use moheco_bench::BudgetClass;
 use moheco_surrogate::{overdesign_comparison, PswcdConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
+    // Runs no engine: `--parallel` is accepted and ignored.
+    let (budget, _) = moheco_bench::cli::figure_binary_scale();
+    let paper = budget == BudgetClass::Paper;
     let tb = FoldedCascode::new();
-    let mc_samples = if scale.reference_samples >= 50_000 {
-        2_000
-    } else {
-        400
-    };
+    let mc_samples = if paper { 2_000 } else { 400 };
     let config = PswcdConfig {
         k_sigma: 3.0,
-        probes: if scale.reference_samples >= 50_000 {
-            200
-        } else {
-            60
-        },
+        probes: if paper { 200 } else { 60 },
     };
 
     // Designs of decreasing robustness: the reference sizing, a power-tight

@@ -7,19 +7,31 @@
 //! even with 50 generations of training data — too inaccurate for a surrogate
 //! to replace Monte Carlo in the loop.
 //!
-//! Run with `--paper` for paper-scale settings.
+//! The MOHECO run is the `folded_cascode` `memetic` campaign cell of seed 1
+//! (same configuration, warm start and sample streams); the binary runs it
+//! through [`YieldOptimizer`] directly because it needs the per-generation
+//! trace, which result rows do not carry. Run with `--paper` for
+//! paper-scale settings.
 
-use moheco_analog::FoldedCascode;
-use moheco_bench::run_single_with_engine;
+use moheco::YieldOptimizer;
+use moheco_bench::Algo;
+use moheco_sampling::EstimatorKind;
+use moheco_scenarios::find_scenario;
 use moheco_surrogate::{LmConfig, RsbYieldModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
+    let (budget, engine) = moheco_bench::cli::figure_binary_scale();
+    let scenario = find_scenario("folded_cascode").expect("registered scenario");
     eprintln!("running MOHECO on example 1 to collect trajectory data ...");
-    let (result, _problem) =
-        run_single_with_engine(FoldedCascode::new(), scale.config, 0x35B4, scale.engine);
+    let seed = 1;
+    let problem = scenario.build(engine.build_configured(seed, EstimatorKind::default()));
+    let result = YieldOptimizer::new(Algo::Memetic.config(budget)).run_from(
+        &problem,
+        &scenario.warm_start(),
+        &mut StdRng::seed_from_u64(seed),
+    );
     let trace = &result.trace;
     println!(
         "MOHECO converged to a reported yield of {:.1}% in {} generations ({} simulations)",

@@ -3,56 +3,38 @@
 //! amplifier (example 1), comparing the fixed-budget `AS + LHS` baselines,
 //! `OO + AS + LHS` and full MOHECO.
 //!
-//! Run with `--paper` for the full-scale settings (10 runs, population 50,
-//! 50 000-sample reference yields); the default settings are scaled down so
-//! the binary finishes in a few minutes.
+//! Every table cell is the `folded_cascode` campaign cell of its method
+//! (`fixed` at three budgets, `two-stage`, `memetic`) and seed. Run with
+//! `--paper` for `BudgetClass::Paper` (10 runs, population 50, 50 000-sample
+//! reference yields); the default, `BudgetClass::Small`, finishes in
+//! seconds.
 
-use moheco_analog::FoldedCascode;
-use moheco_bench::{
-    print_deviation_table, print_fig6_csv, print_simulation_table, run_method, Method,
-};
+use moheco_bench::{print_fig6_csv, print_tables, Algo, MethodRows};
+use moheco_scenarios::find_scenario;
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
+    let (budget, engine) = moheco_bench::cli::figure_binary_scale();
+    let scenario = find_scenario("folded_cascode").expect("registered scenario");
     println!(
         "Example 1 (folded cascode, 0.35um): {} runs per method, reference yield from {} samples",
-        scale.runs, scale.reference_samples
+        budget.table_runs(),
+        budget.reference_samples()
     );
 
-    let budgets = scale.fixed_budgets();
-    let mut methods: Vec<Method> = budgets.iter().map(|&b| Method::FixedBudget(b)).collect();
-    methods.push(Method::OoOnly);
-    methods.push(Method::Moheco);
-
-    let outcomes: Vec<_> = methods
-        .iter()
-        .map(|&m| {
-            eprintln!("running {} ...", m.label());
-            (m, run_method(FoldedCascode::new, m, &scale, 0xE1A1))
-        })
-        .collect();
-    let rows: Vec<_> = outcomes.iter().map(|(m, o)| (*m, o)).collect();
-
-    print_deviation_table(
-        "Table 1: deviation of the reported yield from the reference yield (example 1)",
-        &rows,
-    );
-    print_simulation_table("Table 2: total number of simulations (example 1)", &rows);
-    print_fig6_csv(&rows);
+    let [low, mid, high] = budget.fixed_budgets();
+    let groups: Vec<MethodRows> = [
+        (Algo::Fixed, Some(low)),
+        (Algo::Fixed, Some(mid)),
+        (Algo::Fixed, Some(high)),
+        (Algo::TwoStage, None),
+        (Algo::Memetic, None),
+    ]
+    .into_iter()
+    .map(|(algo, sims)| MethodRows::run(scenario.as_ref(), algo, sims, budget, engine))
+    .collect();
 
     // Headline ratio of the paper: MOHECO uses ~1/7 of the simulations of the
     // AS+LHS-500 flow (the middle fixed budget here).
-    let mid_fixed = rows[1].1.simulation_summary();
-    let moheco = rows
-        .last()
-        .expect("methods non-empty")
-        .1
-        .simulation_summary();
-    if mid_fixed.mean > 0.0 {
-        println!(
-            "\nMOHECO uses {:.1}% of the simulations of the {} baseline (paper: ~14%)",
-            100.0 * moheco.mean / mid_fixed.mean,
-            rows[1].0.label()
-        );
-    }
+    print_tables(1, "example 1", "~14%", &groups);
+    print_fig6_csv(&groups);
 }

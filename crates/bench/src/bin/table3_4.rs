@@ -3,49 +3,32 @@
 //! in 90 nm (example 2), comparing the fixed-budget `AS + LHS` baselines and
 //! MOHECO.
 //!
-//! Run with `--paper` for the full-scale settings.
+//! Every table cell is the `telescopic` campaign cell of its method and
+//! seed. Run with `--paper` for `BudgetClass::Paper`.
 
-use moheco_analog::TelescopicTwoStage;
-use moheco_bench::{print_deviation_table, print_simulation_table, run_method, Method};
+use moheco_bench::{print_tables, Algo, MethodRows};
+use moheco_scenarios::find_scenario;
 
 fn main() {
-    let scale = moheco_bench::cli::figure_binary_scale();
+    let (budget, engine) = moheco_bench::cli::figure_binary_scale();
+    let scenario = find_scenario("telescopic").expect("registered scenario");
     println!(
         "Example 2 (two-stage telescopic cascode, 90nm): {} runs per method, reference yield from {} samples",
-        scale.runs, scale.reference_samples
+        budget.table_runs(),
+        budget.reference_samples()
     );
 
-    let budgets = scale.fixed_budgets();
     // The paper's Table 3/4 compares the 300- and 500-simulation baselines
     // against MOHECO for this (more expensive) circuit.
-    let methods = [
-        Method::FixedBudget(budgets[0]),
-        Method::FixedBudget(budgets[1]),
-        Method::Moheco,
-    ];
+    let [low, mid, _] = budget.fixed_budgets();
+    let groups: Vec<MethodRows> = [
+        (Algo::Fixed, Some(low)),
+        (Algo::Fixed, Some(mid)),
+        (Algo::Memetic, None),
+    ]
+    .into_iter()
+    .map(|(algo, sims)| MethodRows::run(scenario.as_ref(), algo, sims, budget, engine))
+    .collect();
 
-    let outcomes: Vec<_> = methods
-        .iter()
-        .map(|&m| {
-            eprintln!("running {} ...", m.label());
-            (m, run_method(TelescopicTwoStage::new, m, &scale, 0xE2A2))
-        })
-        .collect();
-    let rows: Vec<_> = outcomes.iter().map(|(m, o)| (*m, o)).collect();
-
-    print_deviation_table(
-        "Table 3: deviation of the reported yield from the reference yield (example 2)",
-        &rows,
-    );
-    print_simulation_table("Table 4: total number of simulations (example 2)", &rows);
-
-    let fixed = rows[1].1.simulation_summary();
-    let moheco = rows[2].1.simulation_summary();
-    if fixed.mean > 0.0 {
-        println!(
-            "\nMOHECO uses {:.1}% of the simulations of the {} baseline (paper: 14.16%)",
-            100.0 * moheco.mean / fixed.mean,
-            rows[1].0.label()
-        );
-    }
+    print_tables(3, "example 2", "14.16%", &groups);
 }

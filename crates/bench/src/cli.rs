@@ -5,9 +5,9 @@
 //! It understands boolean flags (`--paper`, `--parallel`) and valued flags
 //! (`--seed 7`, `--scenario all`), validates that every argument is a flag
 //! the caller declared, and exposes the two derived settings
-//! ([`EngineKind`], [`ExperimentScale`]) the per-figure binaries share.
+//! ([`BudgetClass`], [`EngineKind`]) the per-figure binaries share.
 
-use crate::{EngineKind, ExperimentScale};
+use crate::{BudgetClass, EngineKind};
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone)]
@@ -113,30 +113,29 @@ impl CliArgs {
             EngineKind::Serial
         }
     }
-
-    /// The experiment scale shared by the per-figure binaries (`--paper`
-    /// selects the paper-scale settings, `--parallel` the parallel engine).
-    pub fn scale(&self) -> ExperimentScale {
-        let mut scale = if self.has("--paper") {
-            ExperimentScale::paper()
-        } else {
-            ExperimentScale::fast()
-        };
-        scale.engine = self.engine_kind();
-        scale
-    }
 }
 
 /// Parses and validates the figure-binary command line (`--paper`,
 /// `--parallel` only), exiting with a usage message on anything else.
-pub fn figure_binary_scale() -> ExperimentScale {
+/// `--paper` selects [`BudgetClass::Paper`] (default
+/// [`BudgetClass::Small`]), `--parallel` the parallel engine.
+pub fn figure_binary_scale() -> (BudgetClass, EngineKind) {
     let args = CliArgs::parse();
     if let Err(e) = args.expect_only(&["--paper", "--parallel"], &[]) {
         eprintln!("error: {e}");
         eprintln!("usage: [--paper] [--parallel]");
         std::process::exit(2);
     }
-    args.scale()
+    figure_settings(&args)
+}
+
+fn figure_settings(args: &CliArgs) -> (BudgetClass, EngineKind) {
+    let budget = if args.has("--paper") {
+        BudgetClass::Paper
+    } else {
+        BudgetClass::Small
+    };
+    (budget, args.engine_kind())
 }
 
 #[cfg(test)]
@@ -195,9 +194,13 @@ mod tests {
     fn derived_settings() {
         assert_eq!(args(&["--parallel"]).engine_kind(), EngineKind::Parallel);
         assert_eq!(args(&[]).engine_kind(), EngineKind::Serial);
-        let s = args(&["--paper", "--parallel"]).scale();
-        assert_eq!(s.runs, ExperimentScale::paper().runs);
-        assert_eq!(s.engine, EngineKind::Parallel);
-        assert_eq!(args(&[]).scale().runs, ExperimentScale::fast().runs);
+        assert_eq!(
+            figure_settings(&args(&["--paper", "--parallel"])),
+            (BudgetClass::Paper, EngineKind::Parallel)
+        );
+        assert_eq!(
+            figure_settings(&args(&[])),
+            (BudgetClass::Small, EngineKind::Serial)
+        );
     }
 }

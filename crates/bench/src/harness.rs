@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! RunSpec::new(scenario, algo)
-//!     .budget(..).seed(..).estimator(..).prescreen(..)
+//!     .budget(..).fixed_sims(..).seed(..).estimator(..).prescreen(..)
 //!     .tracer(..).engine(..)        // all optional
 //!     .execute()
 //! ```
@@ -16,9 +16,11 @@
 //!
 //! * `memetic` — full MOHECO (two-stage OO estimation + DE/NM search);
 //! * `two-stage` — OO + AS + LHS without the memetic operator;
-//! * `fixed` — AS + LHS with [`BudgetClass::fixed_sims`] simulations per
-//!   feasible candidate ([`MohecoConfig::as_fixed_budget`]), no memetic
-//!   operator.
+//! * `fixed` — AS + LHS with [`BudgetClass::fixed_sims`] (or
+//!   [`RunSpec::fixed_sims`]) simulations per feasible candidate
+//!   ([`MohecoConfig::as_fixed_budget`]), no memetic operator.
+//!
+//! [`Algo::config`] is the one place an algorithm's configuration is built.
 
 use crate::results::{trace_digest, ScenarioResult};
 use crate::EngineKind;
@@ -62,6 +64,20 @@ impl Algo {
             Self::Fixed => "fixed",
             Self::Memetic => "memetic",
             Self::TwoStage => "two-stage",
+        }
+    }
+
+    /// The optimizer configuration of this algorithm at `budget` (`fixed`
+    /// spends [`BudgetClass::fixed_sims`] per feasible candidate).
+    pub fn config(&self, budget: BudgetClass) -> MohecoConfig {
+        match self {
+            Self::Memetic => MohecoConfig {
+                memetic_enabled: true,
+                strategy: YieldStrategy::TwoStageOo,
+                ..budget.config()
+            },
+            Self::TwoStage => budget.config().as_oo_without_memetic(),
+            Self::Fixed => budget.config().as_fixed_budget(budget.fixed_sims()),
         }
     }
 }
@@ -128,13 +144,39 @@ impl BudgetClass {
         }
     }
 
-    /// Samples per feasible candidate of the `fixed` algorithm (the
-    /// mid-range `AS + LHS` baseline of this scale).
+    /// Samples per feasible candidate of the `fixed` algorithm: the middle
+    /// of [`Self::fixed_budgets`].
     pub fn fixed_sims(&self) -> usize {
+        self.fixed_budgets()[1]
+    }
+
+    /// The three `AS + LHS` per-candidate budgets the paper tables compare
+    /// (the paper's 300 / 500 / 700 at paper scale).
+    pub fn fixed_budgets(&self) -> [usize; 3] {
         match self {
-            Self::Tiny => 20,
-            Self::Small => 40,
-            Self::Paper => 500,
+            Self::Tiny => [10, 20, 30],
+            Self::Small => [20, 40, 60],
+            Self::Paper => [300, 500, 700],
+        }
+    }
+
+    /// Independent runs (seeds `1..=table_runs`) per method of a paper
+    /// table.
+    pub fn table_runs(&self) -> u64 {
+        match self {
+            Self::Tiny => 2,
+            Self::Small => 3,
+            Self::Paper => 10,
+        }
+    }
+
+    /// Monte-Carlo samples of the reference yield a paper table measures
+    /// each reported yield against (the paper's 50 000 at paper scale).
+    pub fn reference_samples(&self) -> usize {
+        match self {
+            Self::Tiny => 1_000,
+            Self::Small => 4_000,
+            Self::Paper => 50_000,
         }
     }
 }
@@ -166,7 +208,8 @@ impl PrescreenKind {
 /// job server drive runs through.
 ///
 /// Defaults: [`BudgetClass::Small`], seed 1, serial engine, plain
-/// Monte-Carlo estimator, disabled tracer.
+/// Monte-Carlo estimator, disabled tracer, and `fixed` runs at
+/// [`BudgetClass::fixed_sims`].
 ///
 /// Two engine modes:
 ///
@@ -186,6 +229,7 @@ pub struct RunSpec<'a> {
     scenario: &'a dyn Scenario,
     algo: Algo,
     budget: BudgetClass,
+    fixed_sims: Option<usize>,
     seed: u64,
     engine_kind: EngineKind,
     estimator: EstimatorKind,
@@ -202,6 +246,7 @@ impl<'a> RunSpec<'a> {
             scenario,
             algo,
             budget: BudgetClass::default(),
+            fixed_sims: None,
             seed: 1,
             engine_kind: EngineKind::default(),
             estimator: EstimatorKind::default(),
@@ -214,6 +259,14 @@ impl<'a> RunSpec<'a> {
     /// Sets the budget class.
     pub fn budget(mut self, budget: BudgetClass) -> Self {
         self.budget = budget;
+        self
+    }
+
+    /// Sets the per-candidate budget of an [`Algo::Fixed`] run, in place of
+    /// the budget class's [`BudgetClass::fixed_sims`] (other algorithms
+    /// ignore it). The paper tables compare three such budgets.
+    pub fn fixed_sims(mut self, sims: usize) -> Self {
+        self.fixed_sims = Some(sims);
         self
     }
 
@@ -285,6 +338,7 @@ impl<'a> RunSpec<'a> {
             scenario,
             algo,
             budget,
+            fixed_sims,
             seed,
             engine_kind,
             estimator,
@@ -317,14 +371,9 @@ impl<'a> RunSpec<'a> {
         moheco_runtime::attach_engine_probe(tracer, &engine);
         let run_span = Span::enter(tracer, "run");
         let problem = scenario.build(engine).with_tracer(tracer.clone());
-        let config = match algo {
-            Algo::Memetic => MohecoConfig {
-                memetic_enabled: true,
-                strategy: YieldStrategy::TwoStageOo,
-                ..budget.config()
-            },
-            Algo::TwoStage => budget.config().as_oo_without_memetic(),
-            Algo::Fixed => budget.config().as_fixed_budget(budget.fixed_sims()),
+        let config = match (algo, fixed_sims) {
+            (Algo::Fixed, Some(sims)) => budget.config().as_fixed_budget(sims),
+            _ => algo.config(budget),
         };
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -379,6 +428,7 @@ impl<'a> RunSpec<'a> {
             local_searches: result.local_searches as u64,
             prescreen_skips: 0,
             trace_digest: digest,
+            best_x: result.best_x,
             wall_time_ms,
             engine_stats,
             phase_breakdown: tracer.breakdown(),
@@ -453,31 +503,52 @@ mod tests {
 
     #[test]
     fn fixed_row_is_the_fixed_budget_optimizer_run() {
+        for budget in [BudgetClass::Tiny, BudgetClass::Small, BudgetClass::Paper] {
+            assert_eq!(budget.fixed_sims(), budget.fixed_budgets()[1]);
+        }
         let scenario = find_scenario("margin_wall").expect("registered");
         let budget = BudgetClass::Tiny;
-        let r = RunSpec::new(scenario.as_ref(), Algo::Fixed)
-            .budget(budget)
-            .seed(2)
-            .execute();
+        let fixed = || {
+            RunSpec::new(scenario.as_ref(), Algo::Fixed)
+                .budget(budget)
+                .seed(2)
+        };
+        // The same run outside the harness: `YieldOptimizer` with the
+        // fixed-budget config, from the warm start, on a seed-2 engine.
+        let direct = |sims: usize| {
+            let engine = EngineKind::default().build_configured(2, EstimatorKind::default());
+            let problem = scenario.build(engine);
+            let config = budget.config().as_fixed_budget(sims);
+            let mut rng = StdRng::seed_from_u64(2);
+            let run =
+                YieldOptimizer::new(config).run_from(&problem, &scenario.warm_start(), &mut rng);
+            let digest = trace_digest(
+                run.trace
+                    .records
+                    .iter()
+                    .flat_map(|g| [g.best_yield, g.simulations_so_far as f64]),
+            );
+            (run, digest, problem.simulations())
+        };
+
+        let r = fixed().execute();
         assert_eq!(r.algo, "fixed");
         assert_eq!(r.local_searches, 0);
-
-        let engine = EngineKind::default().build_configured(2, EstimatorKind::default());
-        let problem = scenario.build(engine);
-        let config = budget.config().as_fixed_budget(budget.fixed_sims());
-        let mut rng = StdRng::seed_from_u64(2);
-        let direct =
-            YieldOptimizer::new(config).run_from(&problem, &scenario.warm_start(), &mut rng);
-        let digest = trace_digest(
-            direct
-                .trace
-                .records
-                .iter()
-                .flat_map(|g| [g.best_yield, g.simulations_so_far as f64]),
-        );
+        let (run, digest, simulations) = direct(budget.fixed_sims());
         assert_eq!(r.trace_digest, digest);
-        assert_eq!(r.best_yield.to_bits(), direct.reported_yield.to_bits());
-        assert_eq!(r.simulations, problem.simulations());
-        assert_eq!(direct.local_searches, 0);
+        assert_eq!(r.best_yield.to_bits(), run.reported_yield.to_bits());
+        assert_eq!(r.simulations, simulations);
+        assert_eq!(run.local_searches, 0);
+
+        // `fixed_sims` at the class default is the default row; any other
+        // value is the direct run at that budget.
+        let default = fixed().fixed_sims(budget.fixed_sims()).execute();
+        assert_eq!(default.to_jsonl_row(), r.to_jsonl_row());
+        let sims = budget.fixed_budgets()[2];
+        let other = fixed().fixed_sims(sims).execute();
+        let (run, digest, _) = direct(sims);
+        assert_eq!(other.trace_digest, digest);
+        assert_eq!(other.best_yield.to_bits(), run.reported_yield.to_bits());
+        assert_ne!(other.trace_digest, r.trace_digest, "the override is live");
     }
 }

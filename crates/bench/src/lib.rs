@@ -1,10 +1,10 @@
 //! `moheco-bench` — experiment harness shared by the table/figure binaries,
 //! the campaign runner and the `engine_throughput` benchmark.
 //!
-//! Every figure binary accepts `--paper` to switch from the fast,
-//! scaled-down default settings to the paper's full-scale settings
-//! (population 50, `n_max = 500`, 10 independent runs, 50 000-sample
-//! reference yields).
+//! Every figure binary runs at [`BudgetClass::Small`] by default and at
+//! [`BudgetClass::Paper`] with `--paper` (population 50, `n_max = 500`,
+//! 10 independent runs, 50 000-sample reference yields). The paper tables
+//! are campaign cells ([`tables`]).
 
 #![warn(missing_docs)]
 
@@ -15,6 +15,7 @@ pub mod harness;
 pub mod jobspec;
 pub mod results;
 pub mod schedule;
+pub mod tables;
 
 pub use campaign::{run_campaign, CampaignEngines, CampaignReport, CellWriter};
 pub use cli::CliArgs;
@@ -24,14 +25,12 @@ pub use jobspec::{EngineReuse, JobSpec, ScheduleKind};
 pub use schedule::{
     scheduler_for, CampaignScheduler, Cell, FixedGrid, GroupOutcome, OcbaSchedule, ScheduleOutcome,
 };
+pub use tables::{print_fig6_csv, print_tables, MethodRows};
 
-use moheco::{CircuitBench, MohecoConfig, RunResult, RunSummary, YieldOptimizer, YieldProblem};
 use moheco_analog::Testbench;
 use moheco_optim::problem::{Evaluation, Problem};
 use moheco_runtime::{Engine, EngineConfig, EvalEngine, SimulationModel};
 use moheco_sampling::{EstimatorKind, SamplingPlan};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Which evaluation engine the experiment binaries dispatch simulations
@@ -48,23 +47,12 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Builds a fresh engine of this kind with the default configuration
-    /// (LHS sampling, default master seed, plain Monte-Carlo estimator).
-    pub fn build(self) -> Arc<dyn EvalEngine> {
-        self.build_seeded(EngineConfig::default().seed)
-    }
-
-    /// Builds a fresh engine of this kind with an explicit master seed.
+    /// Builds a fresh LHS engine of this kind with a master seed and a
+    /// variance-reduction estimator (`moheco-campaign --estimator`).
     ///
     /// Independent experiment repetitions must use distinct seeds so their
     /// Monte-Carlo sample streams are independent — otherwise the multi-run
     /// statistics of Tables 1-4 would understate the estimator variance.
-    pub fn build_seeded(self, seed: u64) -> Arc<dyn EvalEngine> {
-        self.build_configured(seed, EstimatorKind::default())
-    }
-
-    /// [`Self::build_seeded`] with an explicit variance-reduction estimator
-    /// (`moheco-campaign --estimator`).
     pub fn build_configured(self, seed: u64, estimator: EstimatorKind) -> Arc<dyn EvalEngine> {
         self.build_with(EngineConfig {
             plan: SamplingPlan::LatinHypercube,
@@ -92,228 +80,6 @@ impl EngineKind {
             Self::Serial => "serial",
             Self::Parallel => "parallel",
         }
-    }
-}
-
-/// The methods compared in Tables 1–4 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// `AS + LHS` with a fixed number of simulations per feasible candidate.
-    FixedBudget(usize),
-    /// `OO + AS + LHS`: two-stage estimation without the memetic operator.
-    OoOnly,
-    /// Full MOHECO: two-stage estimation plus the memetic DE/NM engine.
-    Moheco,
-}
-
-impl Method {
-    /// Table label of the method.
-    pub fn label(&self) -> String {
-        match self {
-            Method::FixedBudget(n) => format!("{n} simulations (AS+LHS)"),
-            Method::OoOnly => "OO+AS+LHS".to_string(),
-            Method::Moheco => "MOHECO".to_string(),
-        }
-    }
-
-    /// Builds the optimizer configuration of this method from a base config.
-    pub fn config(&self, base: MohecoConfig) -> MohecoConfig {
-        match self {
-            Method::FixedBudget(n) => base.as_fixed_budget(*n),
-            Method::OoOnly => base.as_oo_without_memetic(),
-            Method::Moheco => MohecoConfig {
-                memetic_enabled: true,
-                strategy: moheco::YieldStrategy::TwoStageOo,
-                ..base
-            },
-        }
-    }
-}
-
-/// Scale of an experiment: fast (default) or paper-scale (`--paper`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentScale {
-    /// Number of independent optimization runs per method.
-    pub runs: usize,
-    /// Base optimizer configuration.
-    pub config: MohecoConfig,
-    /// Number of Monte-Carlo samples for the reference ("true") yield.
-    pub reference_samples: usize,
-    /// Which evaluation engine dispatches the simulations.
-    pub engine: EngineKind,
-}
-
-impl ExperimentScale {
-    /// Fast settings used by default so the binaries finish in minutes.
-    pub fn fast() -> Self {
-        Self {
-            runs: 3,
-            config: MohecoConfig::fast(),
-            reference_samples: 4_000,
-            engine: EngineKind::Serial,
-        }
-    }
-
-    /// The paper's full-scale settings (10 runs, population 50, 50 000-sample
-    /// reference yields).
-    pub fn paper() -> Self {
-        Self {
-            runs: 10,
-            config: MohecoConfig::paper(),
-            reference_samples: 50_000,
-            engine: EngineKind::Serial,
-        }
-    }
-
-    /// Fixed per-candidate budgets that remain meaningful at this scale: the
-    /// paper's 300/500/700 at paper scale, smaller values at fast scale.
-    pub fn fixed_budgets(&self) -> Vec<usize> {
-        if self.reference_samples >= 50_000 {
-            vec![300, 500, 700]
-        } else {
-            vec![60, 100, 140]
-        }
-    }
-}
-
-/// Per-method outcome over the independent runs.
-#[derive(Debug, Clone, Default)]
-pub struct MethodOutcome {
-    /// Deviation (percentage points) between each run's reported yield and
-    /// the reference yield of its final design.
-    pub deviations_pp: Vec<f64>,
-    /// Total simulation count of each run.
-    pub simulations: Vec<f64>,
-    /// Reported yield of each run.
-    pub reported_yields: Vec<f64>,
-    /// Number of generations of each run.
-    pub generations: Vec<f64>,
-}
-
-impl MethodOutcome {
-    /// Summary of the deviations (Tables 1 and 3).
-    pub fn deviation_summary(&self) -> RunSummary {
-        RunSummary::of(&self.deviations_pp)
-    }
-
-    /// Summary of the simulation counts (Tables 2 and 4).
-    pub fn simulation_summary(&self) -> RunSummary {
-        RunSummary::of(&self.simulations)
-    }
-}
-
-/// Runs one method `scale.runs` times on `testbench` and collects the table
-/// statistics. Seeds are derived from `master_seed` so that every method sees
-/// the same sequence of run seeds (paired comparison).
-pub fn run_method<T, F>(
-    make_testbench: F,
-    method: Method,
-    scale: &ExperimentScale,
-    master_seed: u64,
-) -> MethodOutcome
-where
-    T: Testbench,
-    F: Fn() -> T,
-{
-    let mut outcome = MethodOutcome::default();
-    for run in 0..scale.runs {
-        let engine_seed = master_seed ^ (run as u64).wrapping_mul(0xD135_2F2D_0785_6A21);
-        let problem =
-            YieldProblem::with_engine(make_testbench(), scale.engine.build_seeded(engine_seed));
-        let optimizer = YieldOptimizer::new(method.config(scale.config));
-        let mut rng = StdRng::seed_from_u64(master_seed ^ (run as u64).wrapping_mul(0x9E37_79B9));
-        let result = optimizer.run(&problem, &mut rng);
-        let mut ref_rng =
-            StdRng::seed_from_u64(0xACC0_0000 ^ master_seed ^ (run as u64).wrapping_mul(31));
-        let reference =
-            problem.reference_yield(&result.best_x, scale.reference_samples, &mut ref_rng);
-        outcome
-            .deviations_pp
-            .push((result.reported_yield - reference).abs() * 100.0);
-        outcome.simulations.push(result.total_simulations as f64);
-        outcome.reported_yields.push(result.reported_yield);
-        outcome.generations.push(result.generations as f64);
-    }
-    outcome
-}
-
-/// Runs a single optimization (used by the Fig. 3 and §3.4 binaries that need
-/// a trace rather than multi-run statistics).
-pub fn run_single<T: Testbench>(
-    testbench: T,
-    config: MohecoConfig,
-    seed: u64,
-) -> (RunResult, YieldProblem<CircuitBench<T>>) {
-    run_single_with_engine(testbench, config, seed, EngineKind::Serial)
-}
-
-/// [`run_single`] with an explicit engine choice. The run seed also seeds
-/// the engine, so different seeds get independent Monte-Carlo sample
-/// streams, not just different search trajectories.
-pub fn run_single_with_engine<T: Testbench>(
-    testbench: T,
-    config: MohecoConfig,
-    seed: u64,
-    engine: EngineKind,
-) -> (RunResult, YieldProblem<CircuitBench<T>>) {
-    let problem = YieldProblem::with_engine(testbench, engine.build_seeded(seed));
-    let optimizer = YieldOptimizer::new(config);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let result = optimizer.run(&problem, &mut rng);
-    (result, problem)
-}
-
-/// Prints a deviation table (Tables 1 / 3) for the given methods.
-pub fn print_deviation_table(title: &str, rows: &[(Method, &MethodOutcome)]) {
-    println!("\n{title}");
-    println!(
-        "{:<28} {:>12} {:>12} {:>12} {:>12}",
-        "method", "best", "worst", "average", "variance"
-    );
-    for (method, outcome) in rows {
-        let s = outcome.deviation_summary();
-        println!(
-            "{:<28} {:>11.3}% {:>11.3}% {:>11.3}% {:>12.3e}",
-            method.label(),
-            s.min,
-            s.max,
-            s.mean,
-            s.variance
-        );
-    }
-}
-
-/// Prints a simulation-count table (Tables 2 / 4) for the given methods.
-pub fn print_simulation_table(title: &str, rows: &[(Method, &MethodOutcome)]) {
-    println!("\n{title}");
-    println!(
-        "{:<28} {:>12} {:>12} {:>12} {:>12}",
-        "method", "best", "worst", "average", "variance"
-    );
-    for (method, outcome) in rows {
-        let s = outcome.simulation_summary();
-        println!(
-            "{:<28} {:>12.0} {:>12.0} {:>12.0} {:>12.3e}",
-            method.label(),
-            s.min,
-            s.max,
-            s.mean,
-            s.variance
-        );
-    }
-}
-
-/// Prints the Fig. 6 series (average deviation and average simulation count
-/// per method) as CSV so it can be plotted directly.
-pub fn print_fig6_csv(rows: &[(Method, &MethodOutcome)]) {
-    println!("\n# Fig. 6 series (CSV): method, avg_deviation_pp, avg_simulations");
-    for (method, outcome) in rows {
-        println!(
-            "{},{:.4},{:.0}",
-            method.label(),
-            outcome.deviation_summary().mean,
-            outcome.simulation_summary().mean
-        );
     }
 }
 
@@ -352,11 +118,6 @@ pub struct NominalSizingProblem<T> {
 }
 
 impl<T: Testbench> NominalSizingProblem<T> {
-    /// Wraps a testbench, dispatching through a fresh serial engine.
-    pub fn new(testbench: T) -> Self {
-        Self::with_engine(testbench, EngineKind::Serial.build())
-    }
-
     /// Wraps a testbench with an explicit engine.
     pub fn with_engine(testbench: T, engine: Arc<dyn EvalEngine>) -> Self {
         Self {
@@ -414,29 +175,9 @@ mod tests {
     use moheco_analog::FoldedCascode;
 
     #[test]
-    fn method_labels_and_configs() {
-        assert!(Method::FixedBudget(500).label().contains("500"));
-        assert_eq!(Method::Moheco.label(), "MOHECO");
-        let base = MohecoConfig::fast();
-        assert!(!Method::FixedBudget(100).config(base).memetic_enabled);
-        assert!(!Method::OoOnly.config(base).memetic_enabled);
-        assert!(Method::Moheco.config(base).memetic_enabled);
-    }
-
-    #[test]
-    fn scales_are_valid() {
-        ExperimentScale::fast().config.validate();
-        ExperimentScale::paper().config.validate();
-        assert_eq!(
-            ExperimentScale::paper().fixed_budgets(),
-            vec![300, 500, 700]
-        );
-        assert_eq!(ExperimentScale::fast().fixed_budgets().len(), 3);
-    }
-
-    #[test]
     fn nominal_sizing_problem_reports_feasibility() {
-        let mut p = NominalSizingProblem::new(FoldedCascode::new());
+        let engine = EngineKind::Serial.build_with(EngineConfig::default());
+        let mut p = NominalSizingProblem::with_engine(FoldedCascode::new(), engine);
         let good = p.evaluate(&FoldedCascode::new().reference_design());
         assert!(good.is_feasible());
         let bounds = p.bounds();

@@ -106,6 +106,9 @@ pub struct ScenarioResult {
     pub prescreen_skips: u64,
     /// FNV-1a digest of the per-generation trace (yield history + spend).
     pub trace_digest: String,
+    /// The best design found. Like the timing fields it never appears in
+    /// JSONL rows; the paper tables measure its reference yield.
+    pub best_x: Vec<f64>,
     /// Wall-clock time of the run in milliseconds (reported, never gated).
     pub wall_time_ms: f64,
     /// Engine instrumentation snapshot (deterministic counters only).
@@ -119,7 +122,7 @@ pub struct ScenarioResult {
 impl ScenarioResult {
     /// Serializes the *deterministic* fields as a single JSONL line
     /// (newline included) in schema order: the campaign row format.
-    /// `wall_time_ms` and the phase breakdown are excluded, so the row is a
+    /// `best_x`, `wall_time_ms` and the phase breakdown are excluded, so the row is a
     /// pure function of `(scenario, algo, budget, seed, engine, estimator)`:
     /// two runs of the same cell — standalone, inside a
     /// campaign, or after a campaign resume — produce byte-identical rows.
@@ -499,6 +502,7 @@ mod tests {
             local_searches: 1,
             prescreen_skips: 0,
             trace_digest: "00ff00ff00ff00ff".into(),
+            best_x: vec![0.5; 4],
             wall_time_ms: 12.5,
             engine_stats: EngineStatsSnapshot::default(),
             phase_breakdown: PhaseBreakdown::default(),
@@ -546,7 +550,12 @@ mod tests {
             Some(&JsonValue::Num(0.0))
         );
         assert_eq!(parsed.str("trace_digest"), Some("00ff00ff00ff00ff"));
-        for timing in ["wall_time_ms", "engine_busy_nanos", "phase_breakdown"] {
+        for timing in [
+            "wall_time_ms",
+            "engine_busy_nanos",
+            "phase_breakdown",
+            "best_x",
+        ] {
             assert!(!parsed.values.contains_key(timing), "{timing} excluded");
         }
 

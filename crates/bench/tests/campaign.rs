@@ -3,7 +3,8 @@
 //! * A campaign's per-seed rows are **bit-identical** to standalone
 //!   [`RunSpec::execute`] runs of the same
 //!   `(scenario, algo, budget, seed, estimator)` — engine reuse
-//!   with a per-cell reset changes nothing.
+//!   with a per-cell reset changes nothing — so the paper tables'
+//!   cells are campaign rows.
 //! * A **killed-and-resumed** campaign (including one killed mid-row-write)
 //!   produces byte-identical JSONL and aggregate output to an uninterrupted
 //!   one.
@@ -19,7 +20,8 @@
 use moheco_bench::campaign::run_campaign;
 use moheco_bench::results::parse_flat_json;
 use moheco_bench::{
-    Algo, BudgetClass, EngineKind, EngineReuse, JobSpec, PrescreenKind, RunSpec, ScheduleKind,
+    Algo, BudgetClass, EngineKind, EngineReuse, JobSpec, MethodRows, PrescreenKind, RunSpec,
+    ScheduleKind,
 };
 use moheco_sampling::EstimatorKind;
 use moheco_scenarios::find_scenario;
@@ -51,28 +53,40 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn campaign_rows_are_bit_identical_to_standalone_runs() {
-    let path = temp_path("standalone");
-    let spec = spec(EngineReuse::Reset, EngineKind::Serial, 0);
+fn paper_table_cells_are_campaign_rows() {
+    // A paper table's method runs standalone `RunSpec` cells; its
+    // `memetic`, `two-stage` and middle-`fixed` rows must be the rows a
+    // campaign over the same scenarios, algos, budget and seeds writes.
+    let budget = BudgetClass::Tiny;
+    let algos = [Algo::Memetic, Algo::TwoStage, Algo::Fixed];
+    let spec = JobSpec {
+        scenarios: ["margin_wall", "quadratic_feasibility", "folded_cascode"]
+            .map(String::from)
+            .to_vec(),
+        algos: algos.to_vec(),
+        seeds: (1..=budget.table_runs()).collect(),
+        ..spec(EngineReuse::Reset, EngineKind::Serial, 0)
+    };
+    let path = temp_path("paper-tables");
     run_campaign(&spec, &path, |_| {}).expect("campaign runs");
     let text = std::fs::read_to_string(&path).expect("rows on disk");
     let mut lines = text.lines();
-    for scenario_name in &spec.scenarios {
-        let scenario = find_scenario(scenario_name).expect("registered");
-        for &seed in &spec.seeds {
-            let standalone = RunSpec::new(scenario.as_ref(), Algo::TwoStage)
-                .budget(BudgetClass::Tiny)
-                .seed(seed)
-                .engine_kind(EngineKind::Serial)
-                .estimator(EstimatorKind::default())
-                .execute();
-            let expected = standalone.to_jsonl_row();
-            let row = lines.next().expect("one row per cell");
-            assert_eq!(
-                format!("{row}\n"),
-                expected,
-                "{scenario_name}/seed {seed}: campaign row differs from the standalone run"
-            );
+    for name in &spec.scenarios {
+        let scenario = find_scenario(name).expect("registered");
+        for algo in algos {
+            let sims = (algo == Algo::Fixed).then(|| budget.fixed_budgets()[1]);
+            let table = MethodRows::run(scenario.as_ref(), algo, sims, budget, EngineKind::Serial);
+            assert_eq!(table.deviations_pp.len() as u64, budget.table_runs());
+            for result in &table.results {
+                let row = lines.next().expect("one row per cell");
+                assert_eq!(
+                    format!("{row}\n"),
+                    result.to_jsonl_row(),
+                    "{name}/{}/seed {}: table cell differs from the campaign row",
+                    algo.label(),
+                    result.seed
+                );
+            }
         }
     }
     assert!(lines.next().is_none(), "no extra rows");

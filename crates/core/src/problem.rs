@@ -263,21 +263,26 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
     /// The samples spent here are *not* charged to the engine's counter and
     /// bypass its cache: they belong to the experimental methodology (an
     /// independent measurement with its own RNG), not to the method under
-    /// test.
+    /// test. Each chunk of samples runs as one `simulate_block` call, whose
+    /// outcomes are bit-identical to a `simulate_point` loop.
     pub fn reference_yield<R: Rng + ?Sized>(&self, x: &[f64], n: usize, rng: &mut R) -> f64 {
         let dim = self.bench.unit_dimension();
         let plan = self.engine.config().plan;
         let mut passes = 0usize;
+        let mut outcomes = Vec::new();
         // Generate in chunks to bound the memory of the LHS permutation.
         let chunk = 2000;
         let mut remaining = n;
         while remaining > 0 {
             let m = remaining.min(chunk);
-            for u in plan.generate_flat(rng, m, dim).chunks_exact(dim) {
-                if self.bench.simulate_point(x, u) > 0.5 {
-                    passes += 1;
-                }
-            }
+            let us: Vec<Vec<f64>> = plan
+                .generate_flat(rng, m, dim)
+                .chunks_exact(dim)
+                .map(<[f64]>::to_vec)
+                .collect();
+            outcomes.resize(m, 0.0);
+            self.bench.simulate_block(x, &us, &mut outcomes);
+            passes += outcomes.iter().filter(|&&o| o > 0.5).count();
             remaining -= m;
         }
         passes as f64 / n as f64

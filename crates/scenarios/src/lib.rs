@@ -153,6 +153,57 @@ mod tests {
         assert!(without >= 4, "need >= 4 circuit scenarios");
     }
 
+    /// `YieldProblem::reference_yield` runs each 2 000-sample chunk as one
+    /// `simulate_block` call; it must count exactly the passes of the
+    /// scalar `simulate_point` loop over the same stream. 2 500 samples
+    /// make one full chunk and one partial chunk.
+    #[test]
+    fn reference_yield_matches_the_scalar_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: usize = 2_500;
+        let scalar = |problem: &YieldProblem<dyn Benchmark>, x: &[f64], seed: u64| {
+            let (dim, plan) = (
+                problem.bench().unit_dimension(),
+                problem.engine().config().plan,
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let passes: usize = [2_000, N - 2_000]
+                .into_iter()
+                .flat_map(|m| plan.generate_flat(&mut rng, m, dim))
+                .collect::<Vec<f64>>()
+                .chunks_exact(dim)
+                .filter(|u| problem.bench().as_model().simulate_point(x, u) > 0.5)
+                .count();
+            passes as f64 / N as f64
+        };
+        let mut design_rng = StdRng::seed_from_u64(11);
+        for name in ["folded_cascode", "telescopic", "margin_wall"] {
+            let problem = find_scenario(name).unwrap().build(serial());
+            let reference = problem.bench().reference_design();
+            let perturbed: Vec<f64> = (reference.iter().zip(problem.bounds()))
+                .map(|(&r, (lo, hi))| {
+                    (r * (1.0 + 0.4 * (design_rng.gen::<f64>() - 0.5))).clamp(lo, hi)
+                })
+                .collect();
+            for (i, x) in [reference, perturbed].iter().enumerate() {
+                let seed = 0xACC0 + i as u64;
+                let block = problem.reference_yield(x, N, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    block.to_bits(),
+                    scalar(&problem, x, seed).to_bits(),
+                    "{name} {i}"
+                );
+                assert!(0.0 < block && block < 1.0, "{name} design {i}: {block}");
+            }
+            assert_eq!(
+                problem.simulations(),
+                0,
+                "{name}: reference MC is uncounted"
+            );
+        }
+    }
+
     #[test]
     fn corner_scenarios_share_structure_with_their_nominal_circuit() {
         let nominal = find_scenario("folded_cascode").unwrap();
