@@ -6,10 +6,12 @@
 //! [`run_campaign`] executes the full grid of a [`JobSpec`] and moves the
 //! trust boundary to statistics over repeated runs:
 //!
-//! * **Engine reuse** — one engine per scenario lives for the whole
-//!   campaign. In the default [`EngineReuse::Reset`] mode it is reseeded and
-//!   fully reset before each cell, so every row is bit-identical to a
-//!   standalone [`RunSpec::execute`] of the same
+//! * **Engine reuse** — every cell runs through the one
+//!   [`CellRunner`] on an engine leased from an [`EnginePool`] (quota-free,
+//!   one tenant named `campaign`), so one engine per scenario lives for the
+//!   whole campaign. In the default [`EngineReuse::Reset`] mode it is
+//!   reseeded and fully reset before each cell, so every row is
+//!   bit-identical to a standalone [`crate::RunSpec::execute`] of the same
 //!   `(scenario, algo, budget, seed, estimator)`. The opt-in
 //!   [`EngineReuse::SharedCache`] mode keeps the cache warm across cells:
 //!   sample streams are seed-keyed, so every *yield* is still bit-identical —
@@ -38,21 +40,22 @@
 
 pub use crate::jobspec::{EngineReuse, JobSpec};
 
-use crate::exec::{drive_schedule, CellOutcome};
-use crate::harness::{Algo, RunSpec};
+use crate::exec::{drive_schedule, CellOutcome, CellRunner};
+use crate::pool::EnginePool;
 use crate::results::{aggregate_rows, AggregateResult, ScenarioResult};
 use crate::schedule::{Cell, ScheduleOutcome};
-use crate::EngineKind;
 use moheco_obs::json::{fmt_f64, parse_flat_json, JsonRecord};
 use moheco_obs::Tracer;
-use moheco_runtime::{EngineCacheUsage, EngineConfig, EngineStatsSnapshot, EvalEngine};
-use moheco_sampling::{EstimatorKind, SamplingPlan};
-use moheco_scenarios::Scenario;
+use moheco_runtime::{EngineCacheUsage, EngineStatsSnapshot};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The tenant a campaign's cells lease their engines under (the campaign
+/// runs on its own quota-free [`EnginePool`]).
+const CAMPAIGN_TENANT: &str = "campaign";
 
 /// Cost accounting of one cell executed in this invocation (resumed cells
 /// ran in an earlier process and consumed nothing here).
@@ -105,97 +108,6 @@ impl CampaignReport {
             total.absorb(&cell.engine_stats);
         }
         total
-    }
-}
-
-/// Long-lived per-scenario engines with the between-cell preparation policy.
-///
-/// One engine must never be shared across *scenarios*: the cache keys blocks
-/// by the design point, and two scenarios of equal dimension could alias the
-/// same key to different simulation models. Scenario name → engine is the
-/// safe granularity (the estimator and bound are fixed per campaign).
-pub struct CampaignEngines {
-    kind: EngineKind,
-    estimator: EstimatorKind,
-    max_cached_blocks: usize,
-    reuse: EngineReuse,
-    engines: HashMap<String, Arc<dyn EvalEngine>>,
-}
-
-impl CampaignEngines {
-    /// Creates the (empty) engine pool.
-    pub fn new(
-        kind: EngineKind,
-        estimator: EstimatorKind,
-        max_cached_blocks: usize,
-        reuse: EngineReuse,
-    ) -> Self {
-        Self {
-            kind,
-            estimator,
-            max_cached_blocks,
-            reuse,
-            engines: HashMap::new(),
-        }
-    }
-
-    /// The engine pool matching a job's engine settings.
-    pub fn for_spec(spec: &JobSpec) -> Self {
-        Self::new(
-            spec.engine,
-            spec.estimator,
-            spec.max_cached_blocks,
-            spec.reuse,
-        )
-    }
-
-    /// Returns the scenario's engine, prepared for a cell with `seed`:
-    /// reseeded, and reset according to the reuse policy.
-    pub fn prepare(&mut self, scenario: &str, seed: u64) -> Arc<dyn EvalEngine> {
-        let engine = self
-            .engines
-            .entry(scenario.to_string())
-            .or_insert_with(|| {
-                self.kind.build_with(EngineConfig {
-                    plan: SamplingPlan::LatinHypercube,
-                    seed,
-                    estimator: self.estimator,
-                    max_cached_blocks: self.max_cached_blocks,
-                    ..EngineConfig::default()
-                })
-            })
-            .clone();
-        engine.reseed(seed);
-        match self.reuse {
-            EngineReuse::Reset => engine.reset(),
-            EngineReuse::SharedCache => engine.reset_counters(),
-        }
-        engine
-    }
-
-    /// Total cache memory currently retained across all engines (bytes).
-    pub fn cache_bytes(&self) -> usize {
-        self.engines.values().map(|e| e.cache_bytes()).sum()
-    }
-
-    /// Total cache blocks currently retained across all engines.
-    pub fn cache_blocks(&self) -> usize {
-        self.engines.values().map(|e| e.cache_blocks()).sum()
-    }
-
-    /// Per-engine cache footprint, sorted by scenario name (deterministic).
-    pub fn usage(&self) -> Vec<EngineCacheUsage> {
-        let mut usage: Vec<EngineCacheUsage> = self
-            .engines
-            .iter()
-            .map(|(name, e)| EngineCacheUsage {
-                label: name.clone(),
-                blocks: e.cache_blocks(),
-                bytes: e.cache_bytes(),
-            })
-            .collect();
-        usage.sort_by(|a, b| a.label.cmp(&b.label));
-        usage
     }
 }
 
@@ -428,34 +340,15 @@ pub fn run_campaign_traced(
     tracer: &Tracer,
     mut progress: impl FnMut(&str),
 ) -> Result<CampaignReport, String> {
-    spec.validate()?;
-    let scenarios = spec.resolve_scenarios()?;
-    let by_name: HashMap<&str, &Arc<dyn Scenario>> =
-        scenarios.iter().map(|s| (s.name(), s)).collect();
-    let algo_by_label: HashMap<&str, Algo> = spec.algos.iter().map(|a| (a.label(), *a)).collect();
+    let pool = Arc::new(EnginePool::new(0));
+    let runner = CellRunner::new(spec, pool.clone(), CAMPAIGN_TENANT)?;
     let writer = CellWriter::open(jsonl_path, spec)?;
     // The scheduler driver resolves every cell through two closures that
-    // share the engine pool, the cost log, and the progress sink — hence
-    // the `RefCell`s (the driver itself is single-threaded).
-    let engines = RefCell::new(CampaignEngines::for_spec(spec));
+    // share the cost log and the progress sink — hence the `RefCell`s (the
+    // driver itself is single-threaded).
     let cell_costs: RefCell<Vec<CellCost>> = RefCell::new(Vec::new());
     let progress = RefCell::new(&mut progress);
-    let execute = |cell: &Cell| -> Result<ScenarioResult, String> {
-        let scenario = by_name
-            .get(cell.scenario.as_str())
-            .ok_or_else(|| format!("scheduler produced unknown scenario {:?}", cell.scenario))?;
-        let algo = *algo_by_label
-            .get(cell.algo.as_str())
-            .ok_or_else(|| format!("scheduler produced unknown algo {:?}", cell.algo))?;
-        let engine = engines.borrow_mut().prepare(scenario.name(), cell.seed);
-        Ok(RunSpec::new(scenario.as_ref(), algo)
-            .budget(cell.budget)
-            .seed(cell.seed)
-            .engine(engine)
-            .engine_label(spec.engine.label())
-            .tracer(tracer)
-            .execute())
-    };
+    let execute = |cell: &Cell| runner.run(cell, tracer);
     let on_cell = |cell: &Cell, outcome: CellOutcome| -> Result<(), String> {
         match outcome {
             CellOutcome::Resumed { .. } => (progress.borrow_mut())(&format!(
@@ -483,7 +376,10 @@ pub fn run_campaign_traced(
                         ("wall_time_ms", fmt_f64(result.wall_time_ms)),
                     ],
                 );
-                let engines = engines.borrow();
+                let (blocks, bytes) = pool
+                    .usage()
+                    .iter()
+                    .fold((0, 0), |(n, b), u| (n + u.blocks, b + u.bytes));
                 (progress.borrow_mut())(&format!(
                     "{}/{}/seed {}: yield {:.4} sims {} ({:.0} ms, cache {} blocks / {:.1} MiB)",
                     cell.scenario,
@@ -492,8 +388,8 @@ pub fn run_campaign_traced(
                     result.best_yield,
                     result.simulations,
                     result.wall_time_ms,
-                    engines.cache_blocks(),
-                    engines.cache_bytes() as f64 / (1024.0 * 1024.0),
+                    blocks,
+                    bytes as f64 / (1024.0 * 1024.0),
                 ));
             }
         }
@@ -503,7 +399,6 @@ pub fn run_campaign_traced(
     let resumed = schedule.resumed;
     let executed = schedule.executed;
     let cell_costs = cell_costs.into_inner();
-    let engines = engines.into_inner();
     let progress = progress.into_inner();
 
     // Aggregates are computed from the rows on disk — the same source a
@@ -523,9 +418,10 @@ pub fn run_campaign_traced(
     let rows: Vec<JsonRecord> = rows
         .into_iter()
         .filter(|row| {
-            by_name.contains_key(row.str("scenario").unwrap_or_default())
-                && algo_by_label.contains_key(row.str("algo").unwrap_or_default())
-                && seeds.contains(&(row.num("seed").unwrap_or(-1.0) as u64))
+            runner.covers(
+                row.str("scenario").unwrap_or_default(),
+                row.str("algo").unwrap_or_default(),
+            ) && seeds.contains(&(row.num("seed").unwrap_or(-1.0) as u64))
         })
         .collect();
     if rows.len() < total_rows {
@@ -540,7 +436,7 @@ pub fn run_campaign_traced(
         executed,
         aggregates,
         cell_costs,
-        engine_cache: engines.usage(),
+        engine_cache: pool.usage(),
         schedule,
     })
 }
@@ -548,7 +444,8 @@ pub fn run_campaign_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algo, BudgetClass, PrescreenKind};
+    use crate::{Algo, BudgetClass, EngineKind, PrescreenKind};
+    use moheco_sampling::EstimatorKind;
 
     fn tiny_spec(scenario: &str) -> JobSpec {
         JobSpec {
@@ -581,9 +478,10 @@ mod tests {
         assert_eq!(agg.seeds, vec![1, 2, 3]);
         assert_eq!(agg.best_yield.runs, 3);
         assert!(agg.best_yield.std_dev() >= 0.0);
-        // The final pool breakdown names the scenario's engine.
+        // The final pool breakdown names the scenario's engine as
+        // `tenant/scenario/estimator`.
         assert_eq!(report.engine_cache.len(), 1);
-        assert_eq!(report.engine_cache[0].label, "margin_wall");
+        assert_eq!(report.engine_cache[0].label, "campaign/margin_wall/mc");
         // Rows are on disk, one complete line per cell.
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3);

@@ -36,14 +36,22 @@
 //!   mode used by the service: any number of workers pull claims from one
 //!   allocation loop, coordinated by a condvar; panics in `execute` are
 //!   caught and surfaced as job errors.
+//!
+//! [`CellRunner`] is the one `execute` body of `moheco-campaign` and
+//! `moheco-serve`: a cell's [`RunSpec`] on an engine leased from an
+//! [`EnginePool`].
 
 use crate::campaign::CellWriter;
+use crate::harness::{Algo, RunSpec};
 use crate::jobspec::JobSpec;
+use crate::pool::EnginePool;
 use crate::results::ScenarioResult;
 use crate::schedule::{scheduler_for, CampaignScheduler, CampaignState, Cell, ScheduleOutcome};
 use moheco_obs::{Span, Tracer};
+use moheco_scenarios::Scenario;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 const POISONED: &str = "execution core poisoned by a panicking commit callback";
@@ -409,4 +417,84 @@ pub fn drive_schedule(
     on_cell: impl FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
 ) -> Result<ScheduleOutcome, String> {
     ExecutionCore::new(spec, writer, tracer.clone(), execute, on_cell)?.run_to_completion()
+}
+
+/// The one cell executor of `moheco-campaign` and `moheco-serve`: runs a
+/// scheduled [`Cell`] of one [`JobSpec`] as a [`RunSpec`] on an engine
+/// leased from an [`EnginePool`] under one tenant.
+pub struct CellRunner {
+    spec: JobSpec,
+    scenarios: HashMap<String, Arc<dyn Scenario>>,
+    algos: HashMap<String, Algo>,
+    pool: Arc<EnginePool>,
+    tenant: String,
+}
+
+impl CellRunner {
+    /// Validates `spec` and resolves its scenarios and algorithms once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an invalid spec or an unknown scenario.
+    pub fn new(spec: &JobSpec, pool: Arc<EnginePool>, tenant: &str) -> Result<Self, String> {
+        spec.validate()?;
+        let scenarios = spec
+            .resolve_scenarios()?
+            .into_iter()
+            .map(|s| (s.name().to_string(), s))
+            .collect();
+        let algos = spec
+            .algos
+            .iter()
+            .map(|a| (a.label().to_string(), *a))
+            .collect();
+        Ok(Self {
+            spec: spec.clone(),
+            scenarios,
+            algos,
+            pool,
+            tenant: tenant.to_string(),
+        })
+    }
+
+    /// Whether `(scenario, algo)` lies on the spec's scenario and algorithm
+    /// axes.
+    pub fn covers(&self, scenario: &str, algo: &str) -> bool {
+        self.scenarios.contains_key(scenario) && self.algos.contains_key(algo)
+    }
+
+    /// Runs one cell: leases the scenario's engine (prepared for the cell's
+    /// seed), executes the run under `tracer`, drops the lease, then
+    /// enforces the tenant's cache quota (a no-op in a quota-free pool).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the cell names a scenario or algorithm that
+    /// is not in the spec.
+    pub fn run(&self, cell: &Cell, tracer: &Tracer) -> Result<ScenarioResult, String> {
+        let scenario = self
+            .scenarios
+            .get(&cell.scenario)
+            .ok_or_else(|| format!("scheduler produced unknown scenario {:?}", cell.scenario))?;
+        let algo = *self
+            .algos
+            .get(&cell.algo)
+            .ok_or_else(|| format!("scheduler produced unknown algo {:?}", cell.algo))?;
+        let result = {
+            let lease = self
+                .pool
+                .checkout(&self.tenant, &cell.scenario, &self.spec, cell.seed);
+            RunSpec::new(scenario.as_ref(), algo)
+                .budget(cell.budget)
+                .seed(cell.seed)
+                .engine(lease.engine.clone())
+                .engine_label(self.spec.engine.label())
+                .tracer(tracer)
+                .execute()
+            // The lease drops here, before quota enforcement: never hold
+            // one slot while locking others.
+        };
+        self.pool.enforce_tenant_quota(&self.tenant);
+        Ok(result)
+    }
 }

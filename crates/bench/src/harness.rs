@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! RunSpec::new(scenario, algo)
-//!     .budget(..).fixed_sims(..).seed(..).estimator(..).prescreen(..)
-//!     .tracer(..).engine(..)        // all optional
+//!     .budget(..).fixed_sims(..).seed(..).prescreen(..)
+//!     .tracer(..).engine(..).engine_label(..)   // all optional
 //!     .execute()
 //! ```
 //!
@@ -207,40 +207,33 @@ impl PrescreenKind {
 /// with [`RunSpec::execute`] — the one entry point every binary, test and the
 /// job server drive runs through.
 ///
-/// Defaults: [`BudgetClass::Small`], seed 1, serial engine, plain
-/// Monte-Carlo estimator, disabled tracer, and `fixed` runs at
-/// [`BudgetClass::fixed_sims`].
+/// Defaults: [`BudgetClass::Small`], seed 1, disabled tracer, `fixed` runs
+/// at [`BudgetClass::fixed_sims`], and a fresh one-worker engine with the
+/// plain Monte-Carlo estimator, seeded with the run seed.
 ///
-/// Two engine modes:
-///
-/// * **Owned** (default): `execute()` builds a fresh engine of
-///   [`RunSpec::engine_kind`] seeded with the run seed and configured with
-///   the requested estimator.
-/// * **Pooled** ([`RunSpec::engine`]): the run executes on a caller-provided
-///   long-lived engine (the campaign/server pools). The caller is
-///   responsible for the engine's state between runs
-///   ([`moheco_runtime::EvalEngine::reseed`] plus `reset()` or
-///   `reset_counters()`); `execute()` only checks that the engine's active
-///   seed matches the run seed, because a mismatch would silently produce
-///   the wrong sample streams. In this mode the estimator is read from the
-///   engine's configuration (the estimator shapes the cached sample blocks,
-///   so it cannot differ from what the pool built).
+/// [`RunSpec::engine`] runs on a caller-provided engine instead: a fresh one
+/// of another kind or estimator
+/// ([`EngineKind::build_configured`]`(seed, estimator)`), or a long-lived one
+/// leased from an [`crate::EnginePool`]. The caller is responsible for the
+/// engine's state between runs ([`moheco_runtime::EvalEngine::reseed`] plus
+/// `reset()` or `reset_counters()`, which [`crate::EnginePool::checkout`]
+/// does); `execute()` only checks that the engine's active seed matches the
+/// run seed, because a mismatch would silently produce the wrong sample
+/// streams. The row's estimator is read from the engine's configuration
+/// (the estimator shapes the cached sample blocks).
 pub struct RunSpec<'a> {
     scenario: &'a dyn Scenario,
     algo: Algo,
     budget: BudgetClass,
     fixed_sims: Option<usize>,
     seed: u64,
-    engine_kind: EngineKind,
-    estimator: EstimatorKind,
     tracer: Tracer,
     engine: Option<Arc<dyn EvalEngine>>,
     engine_label: Option<String>,
 }
 
 impl<'a> RunSpec<'a> {
-    /// Starts a run specification with the default budget, seed, engine and
-    /// estimator.
+    /// Starts a run specification with the default budget, seed and engine.
     pub fn new(scenario: &'a dyn Scenario, algo: Algo) -> Self {
         Self {
             scenario,
@@ -248,8 +241,6 @@ impl<'a> RunSpec<'a> {
             budget: BudgetClass::default(),
             fixed_sims: None,
             seed: 1,
-            engine_kind: EngineKind::default(),
-            estimator: EstimatorKind::default(),
             tracer: Tracer::disabled(),
             engine: None,
             engine_label: None,
@@ -276,21 +267,6 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Selects the engine implementation built by `execute()` (ignored when
-    /// a prebuilt engine is supplied via [`RunSpec::engine`]).
-    pub fn engine_kind(mut self, kind: EngineKind) -> Self {
-        self.engine_kind = kind;
-        self
-    }
-
-    /// Sets the variance-reduction estimator (ignored when a prebuilt
-    /// engine is supplied — the engine's configured estimator wins, because
-    /// it already shaped the cached sample blocks).
-    pub fn estimator(mut self, estimator: EstimatorKind) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
     /// Accepts the `prescreen` identity of a job spec. It is always
     /// [`PrescreenKind::Off`], which every row records.
     pub fn prescreen(self, _prescreen: PrescreenKind) -> Self {
@@ -309,8 +285,9 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Runs on a *prebuilt* long-lived engine (the campaign/server pools)
-    /// instead of a fresh one. The result's `engine` label defaults to
+    /// Runs on a prebuilt engine (a fresh one of another kind or
+    /// estimator, or one leased from an [`crate::EnginePool`]) instead of
+    /// the default one. The result's `engine` label defaults to
     /// [`moheco_runtime::EvalEngine::name`]; override it with
     /// [`RunSpec::engine_label`].
     pub fn engine(mut self, engine: Arc<dyn EvalEngine>) -> Self {
@@ -331,8 +308,7 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a prebuilt engine was supplied whose
-    /// `active_seed()` does not match the run seed.
+    /// Panics if the engine's `active_seed()` does not match the run seed.
     pub fn execute(self) -> ScenarioResult {
         let Self {
             scenario,
@@ -340,30 +316,21 @@ impl<'a> RunSpec<'a> {
             budget,
             fixed_sims,
             seed,
-            engine_kind,
-            estimator,
             tracer,
             engine,
             engine_label,
         } = self;
         let tracer = &tracer;
-        let (engine, estimator, engine_label) = match engine {
-            Some(engine) => {
-                assert_eq!(
-                    engine.active_seed(),
-                    seed,
-                    "engine active seed does not match the run seed"
-                );
-                let estimator = engine.config().estimator;
-                let label = engine_label.unwrap_or_else(|| engine.name().to_string());
-                (engine, estimator, label)
-            }
-            None => {
-                let engine = engine_kind.build_configured(seed, estimator);
-                let label = engine_label.unwrap_or_else(|| engine_kind.label().to_string());
-                (engine, estimator, label)
-            }
-        };
+        let engine = engine.unwrap_or_else(|| {
+            EngineKind::default().build_configured(seed, EstimatorKind::default())
+        });
+        assert_eq!(
+            engine.active_seed(),
+            seed,
+            "engine active seed does not match the run seed"
+        );
+        let estimator = engine.config().estimator;
+        let engine_label = engine_label.unwrap_or_else(|| engine.name().to_string());
         // The probe must be wired before the root span opens so the counter
         // baseline predates every attribution boundary; scenario
         // construction runs no simulations, so the root span still covers

@@ -13,15 +13,17 @@ pub mod cli;
 pub mod exec;
 pub mod harness;
 pub mod jobspec;
+pub mod pool;
 pub mod results;
 pub mod schedule;
 pub mod tables;
 
-pub use campaign::{run_campaign, CampaignEngines, CampaignReport, CellWriter};
+pub use campaign::{run_campaign, CampaignReport, CellWriter};
 pub use cli::CliArgs;
-pub use exec::{drive_schedule, CellOutcome, ExecutionCore};
+pub use exec::{drive_schedule, CellOutcome, CellRunner, ExecutionCore};
 pub use harness::{Algo, BudgetClass, PrescreenKind, RunSpec};
 pub use jobspec::{EngineReuse, JobSpec, ScheduleKind};
+pub use pool::{EngineLease, EnginePool};
 pub use schedule::{
     scheduler_for, CampaignScheduler, Cell, FixedGrid, GroupOutcome, OcbaSchedule, ScheduleOutcome,
 };
@@ -30,7 +32,7 @@ pub use tables::{print_fig6_csv, print_tables, MethodRows};
 use moheco_analog::Testbench;
 use moheco_optim::problem::{Evaluation, Problem};
 use moheco_runtime::{Engine, EngineConfig, EvalEngine, SimulationModel};
-use moheco_sampling::{EstimatorKind, SamplingPlan};
+use moheco_sampling::EstimatorKind;
 use std::sync::Arc;
 
 /// Which evaluation engine the experiment binaries dispatch simulations
@@ -55,7 +57,6 @@ impl EngineKind {
     /// statistics of Tables 1-4 would understate the estimator variance.
     pub fn build_configured(self, seed: u64, estimator: EstimatorKind) -> Arc<dyn EvalEngine> {
         self.build_with(EngineConfig {
-            plan: SamplingPlan::LatinHypercube,
             seed,
             estimator,
             ..EngineConfig::default()
@@ -63,9 +64,10 @@ impl EngineKind {
     }
 
     /// Builds a fresh engine of this kind from an explicit configuration
-    /// (the campaign layer threads `max_cached_blocks` through this).
-    /// `Serial` forces `workers = 1`, whatever the configuration says, so it
-    /// never spawns a thread; `Parallel` keeps the configured worker count.
+    /// ([`EnginePool::checkout`] threads a job's estimator and
+    /// `max_cached_blocks` through this). `Serial` forces `workers = 1`,
+    /// whatever the configuration says, so it never spawns a thread;
+    /// `Parallel` keeps the configured worker count.
     pub fn build_with(self, config: EngineConfig) -> Arc<dyn EvalEngine> {
         let config = match self {
             Self::Serial => config.with_workers(1),

@@ -1,36 +1,38 @@
-//! The shared, bounded, tenant-partitioned engine pool behind the job
-//! server.
+//! The one engine pool behind every campaign cell: `moheco-campaign` leases
+//! from a quota-free pool under one fixed tenant, `moheco-serve` from a
+//! shared, bounded, tenant-partitioned one.
 //!
 //! One engine lives per `(tenant, scenario, engine kind, estimator, cache
-//! bound)` — the same "never share an engine across scenarios" rule the
-//! campaign layer follows (cache keys could alias across simulation
-//! models), extended by a tenant dimension so one tenant's jobs can never
-//! read from or evict another tenant's warm cache. Engines persist across
-//! jobs, which is the whole point of a long-lived service: a tenant
-//! resubmitting a related spec hits its own warm blocks.
+//! bound)`. An engine is never shared across scenarios: the cache keys
+//! blocks by the design point, and two scenarios of equal dimension could
+//! alias the same key to different simulation models. The tenant dimension
+//! keeps one tenant's jobs from reading or evicting another tenant's warm
+//! cache. Engines persist across cells and jobs, so a tenant resubmitting a
+//! related spec hits its own warm blocks.
 //!
 //! Engines are stateful (active seed, cache, counters), so a slot is leased
-//! to exactly one job cell at a time: [`EnginePool::checkout`] blocks until
-//! the slot is free and returns an RAII [`EngineLease`] that prepares the
-//! engine (reseed + reset per the reuse mode) and releases the slot on drop.
-//! Under the shared execution core, several workers may execute cells of
-//! the *same* job concurrently; cells of one `(job, scenario)` pair map to
-//! the same slot and therefore serialize on its lease, while cells of
-//! different scenarios proceed in parallel. That serialization is a
-//! throughput cost only — result bytes are pinned by the core's in-order
-//! commit, not by which worker held a lease when.
+//! to exactly one cell at a time: [`EnginePool::checkout`] blocks until the
+//! slot is free and returns an RAII [`EngineLease`] on an engine prepared
+//! for the cell (reseeded, then reset per the spec's [`EngineReuse`] mode);
+//! dropping the lease frees the slot. Under the shared execution core,
+//! several workers may execute cells of the *same* job concurrently; cells
+//! of one `(job, scenario)` pair map to the same slot and therefore
+//! serialize on its lease, while cells of different scenarios proceed in
+//! parallel. That serialization is a throughput cost only — result bytes
+//! are pinned by the core's in-order commit, not by which worker held a
+//! lease when.
 //!
 //! Per-tenant cache quotas sit *on top of* each engine's own
 //! `max_cached_blocks`: after a cell completes (and its lease is dropped),
-//! the job runner calls [`EnginePool::enforce_tenant_quota`], which trims
-//! the tenant's idle engines to an equal share of the quota. Busy engines
-//! are skipped — never evict under a running batch — and get trimmed when
-//! their own cell finishes, so enforcement is eventually consistent but
-//! deadlock-free (no lease is ever held while waiting for another).
+//! [`crate::CellRunner`] calls [`EnginePool::enforce_tenant_quota`], which
+//! trims the tenant's idle engines to an equal share of the quota. Busy
+//! engines are skipped — never evict under a running batch — and get
+//! trimmed when their own cell finishes, so enforcement is eventually
+//! consistent but deadlock-free (no lease is ever held while waiting for
+//! another).
 
-use moheco_bench::jobspec::{EngineReuse, JobSpec};
+use crate::jobspec::{EngineReuse, JobSpec};
 use moheco_runtime::{EngineCacheUsage, EngineConfig, EvalEngine};
-use moheco_sampling::SamplingPlan;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -76,8 +78,11 @@ impl EnginePool {
     }
 
     /// Leases the tenant's engine for one cell of `spec` on `scenario`,
-    /// blocking while another cell holds it. The engine comes back prepared:
-    /// reseeded to `seed` and reset according to the spec's reuse mode.
+    /// blocking while another cell holds it. The first checkout of a slot
+    /// builds its engine from the spec's engine kind, estimator and cache
+    /// bound. The engine comes back prepared: reseeded to `seed` and reset
+    /// according to the spec's reuse mode (`Reset` empties the cache,
+    /// `SharedCache` keeps it and zeroes only the counters).
     pub fn checkout(
         &self,
         tenant: &str,
@@ -95,7 +100,12 @@ impl EnginePool {
         let mut inner = self.inner.lock().expect("pool lock");
         loop {
             let slot = inner.entry(key.clone()).or_insert_with(|| Slot {
-                engine: build_engine(spec),
+                engine: spec.engine.build_with(EngineConfig {
+                    seed,
+                    estimator: spec.estimator,
+                    max_cached_blocks: spec.max_cached_blocks,
+                    ..EngineConfig::default()
+                }),
                 busy: false,
             });
             if !slot.busy {
@@ -183,16 +193,6 @@ impl EnginePool {
     }
 }
 
-fn build_engine(spec: &JobSpec) -> Arc<dyn EvalEngine> {
-    spec.engine.build_with(EngineConfig {
-        plan: SamplingPlan::LatinHypercube,
-        seed: spec.seeds.first().copied().unwrap_or(1),
-        estimator: spec.estimator,
-        max_cached_blocks: spec.max_cached_blocks,
-        ..EngineConfig::default()
-    })
-}
-
 /// An exclusive lease on one pool slot; dropping it frees the slot and
 /// wakes one waiting [`EnginePool::checkout`].
 pub struct EngineLease<'a> {
@@ -215,7 +215,7 @@ impl Drop for EngineLease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moheco_bench::{Algo, EngineKind};
+    use crate::{Algo, EngineKind};
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -244,6 +244,36 @@ mod tests {
         assert!(!contender.is_finished(), "contender must block on the slot");
         drop(lease);
         assert_eq!(contender.join().expect("contender"), 8);
+    }
+
+    #[test]
+    fn checkout_prepares_the_engine_per_reuse_mode() {
+        let scenario = moheco_scenarios::find_scenario("margin_wall").expect("registered");
+        for reuse in [EngineReuse::Reset, EngineReuse::SharedCache] {
+            let spec = JobSpec { reuse, ..spec() };
+            let pool = EnginePool::new(0);
+            let warmed = {
+                let lease = pool.checkout("acme", "margin_wall", &spec, 3);
+                crate::RunSpec::new(scenario.as_ref(), Algo::TwoStage)
+                    .budget(crate::BudgetClass::Tiny)
+                    .seed(3)
+                    .engine(lease.engine.clone())
+                    .execute();
+                assert!(lease.engine.simulations() > 0);
+                lease.engine.cache_blocks()
+            };
+            assert!(warmed > 0, "the cell must leave cached blocks");
+            let lease = pool.checkout("acme", "margin_wall", &spec, 5);
+            let engine = &lease.engine;
+            assert_eq!(engine.active_seed(), 5, "{reuse:?}");
+            assert_eq!(engine.simulations(), 0, "{reuse:?}");
+            assert_eq!(engine.stats().cache_hits, 0, "{reuse:?}");
+            let kept = match reuse {
+                EngineReuse::Reset => 0,
+                EngineReuse::SharedCache => warmed,
+            };
+            assert_eq!(engine.cache_blocks(), kept, "{reuse:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::results::ScenarioResult;
 use crate::{Algo, BudgetClass, EngineKind, RunSpec};
 use moheco::RunSummary;
 use moheco_runtime::EngineConfig;
+use moheco_sampling::EstimatorKind;
 use moheco_scenarios::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +76,7 @@ impl MethodRows {
                     .budget(budget)
                     .fixed_sims(sims)
                     .seed(seed)
-                    .engine_kind(engine)
+                    .engine(engine.build_configured(seed, EstimatorKind::default()))
                     .execute()
             })
             .collect();

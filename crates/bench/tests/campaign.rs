@@ -253,7 +253,7 @@ fn memetic_runs_reproduce_the_committed_baseline_bit_for_bit() {
         let fresh = RunSpec::new(scenario.as_ref(), Algo::Memetic)
             .budget(BudgetClass::Small)
             .seed(seed)
-            .engine_kind(EngineKind::Serial)
+            .engine(EngineKind::Serial.build_configured(seed, EstimatorKind::default()))
             .execute();
         assert_eq!(
             fresh.trace_digest, digest,

@@ -21,8 +21,7 @@ fn traced(
     )
     .budget(budget)
     .seed(seed)
-    .engine_kind(engine)
-    .estimator(EstimatorKind::default())
+    .engine(engine.build_configured(seed, EstimatorKind::default()))
     .tracer(tracer)
     .execute()
 }
@@ -89,8 +88,7 @@ fn disabled_and_enabled_tracing_are_bit_identical_to_an_untraced_run() {
     )
     .budget(BudgetClass::Tiny)
     .seed(1)
-    .engine_kind(EngineKind::Serial)
-    .estimator(EstimatorKind::default())
+    .engine(EngineKind::Serial.build_configured(1, EstimatorKind::default()))
     .execute();
     let collector = Arc::new(MemoryCollector::new());
     let enabled = traced(

@@ -409,7 +409,6 @@ fn candidate_population(candidates: &[Candidate]) -> Population {
 mod tests {
     use super::*;
     use moheco_analog::{FoldedCascode, Testbench};
-    use moheco_sampling::SamplingPlan;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -429,7 +428,7 @@ mod tests {
 
     #[test]
     fn moheco_run_produces_a_feasible_design_with_decent_yield() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let optimizer = YieldOptimizer::new(tiny_config());
         let mut rng = StdRng::seed_from_u64(1);
         let result = optimizer.run(&problem, &mut rng);
@@ -446,12 +445,12 @@ mod tests {
         let mut sims_fixed = 0;
         let mut sims_oo = 0;
         for seed in 0..2u64 {
-            let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+            let problem = YieldProblem::new(FoldedCascode::new());
             let fixed = YieldOptimizer::new(tiny_config().as_fixed_budget(60))
                 .run(&problem, &mut StdRng::seed_from_u64(seed));
             sims_fixed += fixed.total_simulations;
 
-            let problem2 = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+            let problem2 = YieldProblem::new(FoldedCascode::new());
             let oo = YieldOptimizer::new(tiny_config().as_oo_without_memetic())
                 .run(&problem2, &mut StdRng::seed_from_u64(seed));
             sims_oo += oo.total_simulations;
@@ -464,7 +463,7 @@ mod tests {
 
     #[test]
     fn trace_contains_training_data() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let optimizer = YieldOptimizer::new(tiny_config());
         // Seed chosen so the tiny 8-member / 6-generation budget actually
         // finds feasible candidates (some seeds legitimately do not).
@@ -480,7 +479,7 @@ mod tests {
 
     #[test]
     fn warm_started_run_keeps_the_seed_design_in_play() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let optimizer = YieldOptimizer::new(tiny_config());
         let reference = problem.testbench().reference_design();
         // Seed deliberately outside the bounds on one axis: it must be
@@ -502,7 +501,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn warm_start_with_wrong_dimension_panics() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let optimizer = YieldOptimizer::new(tiny_config());
         let mut rng = StdRng::seed_from_u64(3);
         let _ = optimizer.run_from(&problem, &[vec![1.0; 3]], &mut rng);
@@ -511,7 +510,7 @@ mod tests {
     #[test]
     fn seeded_runs_are_reproducible() {
         let run = |seed: u64| {
-            let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+            let problem = YieldProblem::new(FoldedCascode::new());
             let optimizer = YieldOptimizer::new(tiny_config());
             let mut rng = StdRng::seed_from_u64(seed);
             let r = optimizer.run(&problem, &mut rng);

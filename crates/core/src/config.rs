@@ -1,7 +1,5 @@
 //! Configuration of the MOHECO algorithm and its baselines.
 
-use moheco_sampling::SamplingPlan;
-
 /// Which yield-estimation strategy a run uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum YieldStrategy {
@@ -45,8 +43,6 @@ pub struct MohecoConfig {
     pub nm_iterations: usize,
     /// Yield-estimation strategy.
     pub strategy: YieldStrategy,
-    /// Sampling plan used inside every Monte-Carlo estimate (paper: LHS).
-    pub sampling_plan: SamplingPlan,
     /// Stop when the best stage-2 yield estimate reaches this value
     /// (paper: 1.0, i.e. a reported 100 % yield).
     pub target_yield: f64,
@@ -65,7 +61,8 @@ impl Default for MohecoConfig {
 
 impl MohecoConfig {
     /// The paper's parameter settings (population 50, `n0 = 15`,
-    /// `sim_ave = 35`, `n_max = 500`, CR = F = 0.8, LHS sampling).
+    /// `sim_ave = 35`, `n_max = 500`, CR = F = 0.8). The paper's LHS sampling
+    /// is the engines' sampling plan (`EngineConfig::plan`).
     pub fn paper() -> Self {
         Self {
             population_size: 50,
@@ -80,7 +77,6 @@ impl MohecoConfig {
             memetic_enabled: true,
             nm_iterations: 10,
             strategy: YieldStrategy::TwoStageOo,
-            sampling_plan: SamplingPlan::LatinHypercube,
             target_yield: 1.0,
             stop_stagnation: 20,
             max_generations: 100,

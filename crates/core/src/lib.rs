@@ -34,10 +34,9 @@
 //! ```no_run
 //! use moheco::{MohecoConfig, YieldOptimizer, YieldProblem};
 //! use moheco_analog::FoldedCascode;
-//! use moheco_sampling::SamplingPlan;
 //! use rand::SeedableRng;
 //!
-//! let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+//! let problem = YieldProblem::new(FoldedCascode::new());
 //! let optimizer = YieldOptimizer::new(MohecoConfig::fast());
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let result = optimizer.run(&problem, &mut rng);

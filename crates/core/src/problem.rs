@@ -24,11 +24,9 @@
 
 use crate::benchmark::{Benchmark, CircuitBench};
 use moheco_analog::Testbench;
-use moheco_process::ProcessSampler;
 use moheco_runtime::{Engine, EngineConfig, EvalEngine, McRequest};
 use moheco_sampling::{
-    AcceptanceSampler, AsDecision, EstimatedYield, EstimatorKind, SamplingPlan, SimulationCounter,
-    YieldEstimate,
+    AcceptanceSampler, AsDecision, EstimatedYield, EstimatorKind, SimulationCounter, YieldEstimate,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -60,10 +58,11 @@ pub struct YieldProblem<B: Benchmark + ?Sized> {
 }
 
 impl<T: Testbench> YieldProblem<CircuitBench<T>> {
-    /// Creates the yield problem for a circuit `testbench` with the given
-    /// sampling plan, dispatching through a fresh one-worker [`Engine`].
-    pub fn new(testbench: T, plan: SamplingPlan) -> Self {
-        Self::with_estimator(testbench, plan, EstimatorKind::default())
+    /// Creates the yield problem for a circuit `testbench`, dispatching
+    /// through a fresh one-worker [`Engine`] (Latin-Hypercube sample
+    /// streams, the default estimator).
+    pub fn new(testbench: T) -> Self {
+        Self::with_estimator(testbench, EstimatorKind::default())
     }
 
     /// [`Self::new`] with an explicit variance-reduction estimator: the
@@ -71,9 +70,8 @@ impl<T: Testbench> YieldProblem<CircuitBench<T>> {
     /// [`Self::report_first`] condenses them with its variance formula.
     /// The default kind ([`EstimatorKind::MonteCarlo`]) is bit-identical to
     /// [`Self::new`].
-    pub fn with_estimator(testbench: T, plan: SamplingPlan, estimator: EstimatorKind) -> Self {
+    pub fn with_estimator(testbench: T, estimator: EstimatorKind) -> Self {
         let engine = Arc::new(Engine::new(EngineConfig {
-            plan,
             estimator,
             workers: 1,
             ..EngineConfig::default()
@@ -91,11 +89,6 @@ impl<T: Testbench> YieldProblem<CircuitBench<T>> {
     /// The underlying testbench.
     pub fn testbench(&self) -> &T {
         self.bench.testbench()
-    }
-
-    /// The process sampler matched to the testbench.
-    pub fn process_sampler(&self) -> &ProcessSampler {
-        self.bench.sampler()
     }
 }
 
@@ -297,7 +290,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn problem() -> YieldProblem<CircuitBench<FoldedCascode>> {
-        YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube)
+        YieldProblem::new(FoldedCascode::new())
     }
 
     #[test]
@@ -423,11 +416,7 @@ mod tests {
     #[test]
     fn estimator_choice_threads_through_the_problem() {
         use moheco_sampling::EstimatorKind;
-        let p = YieldProblem::with_estimator(
-            FoldedCascode::new(),
-            SamplingPlan::LatinHypercube,
-            EstimatorKind::Antithetic,
-        );
+        let p = YieldProblem::with_estimator(FoldedCascode::new(), EstimatorKind::Antithetic);
         assert_eq!(p.estimator(), EstimatorKind::Antithetic);
         let x = p.testbench().reference_design();
         let ci = p.report_first(&x, 100);

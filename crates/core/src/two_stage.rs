@@ -225,7 +225,6 @@ mod tests {
     use super::*;
     use crate::config::MohecoConfig;
     use moheco_analog::{FoldedCascode, Testbench};
-    use moheco_sampling::SamplingPlan;
 
     fn make_candidates(
         problem: &YieldProblem<crate::CircuitBench<FoldedCascode>>,
@@ -252,7 +251,7 @@ mod tests {
 
     #[test]
     fn two_stage_allocates_only_to_feasible_candidates() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let mut candidates = make_candidates(&problem);
         let config = MohecoConfig {
             n0: 6,
@@ -277,7 +276,7 @@ mod tests {
 
     #[test]
     fn promotion_tops_up_to_n_max() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let mut candidates = make_candidates(&problem);
         let config = MohecoConfig {
             n0: 6,
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn single_feasible_candidate_gets_average_budget() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let reference = problem.testbench().reference_design();
         let mut starved = reference.clone();
         starved[8] = 55.0;
@@ -329,7 +328,7 @@ mod tests {
 
     #[test]
     fn fixed_budget_gives_every_feasible_candidate_the_same_samples() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let mut candidates = make_candidates(&problem);
         let record = estimate_fixed_budget(&problem, &mut candidates, 40);
         for (c, &s) in candidates.iter().zip(&record.samples) {
@@ -344,7 +343,7 @@ mod tests {
     #[test]
     fn ocba_spends_more_on_better_candidates_on_average() {
         // This is the mechanism behind Fig. 3 of the paper.
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let reference = problem.testbench().reference_design();
         // Construct several feasible candidates of varying quality by pushing
         // the tail current towards the power limit (lower yield).
@@ -401,7 +400,7 @@ mod tests {
         // Candidates may enter with prior samples (their estimates merge and
         // their stream cursors continue); the per-design ceiling must hold
         // for the *total* sample count, not just this call's allocation.
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let mut candidates = make_candidates(&problem);
         let config = MohecoConfig {
             n0: 6,
@@ -431,7 +430,7 @@ mod tests {
 
     #[test]
     fn repeated_estimation_of_the_same_generation_is_cached() {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let template = make_candidates(&problem);
         let config = MohecoConfig {
             n0: 6,

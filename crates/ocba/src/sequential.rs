@@ -13,7 +13,7 @@
 //! returning the outcomes of `n` fresh replications of the given design (in
 //! MOHECO, Bernoulli pass/fail outcomes of Monte-Carlo yield samples).
 
-use crate::allocation::{AllocScratch, DesignStats, OcbaError};
+use crate::allocation::{AllocScratch, OcbaError};
 use crate::arms::{arm_increment, Arm};
 
 /// Running statistics of one design maintained with Welford's algorithm.
@@ -64,11 +64,6 @@ impl RunningStats {
         } else {
             (self.variance() / self.count as f64).sqrt()
         }
-    }
-
-    /// Converts to the [`DesignStats`] consumed by the allocation rule.
-    pub fn to_design_stats(self) -> DesignStats {
-        DesignStats::new(self.mean, self.variance(), self.count)
     }
 }
 

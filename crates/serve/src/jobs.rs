@@ -8,14 +8,14 @@
 //! *before* anything is registered or written, so a 429 response means "the
 //! server holds nothing of yours — retry later", never a silent drop.
 
-use crate::pool::EnginePool;
 use moheco_bench::jobspec::JobSpec;
 use moheco_bench::results::ScenarioResult;
-use moheco_bench::{Algo, Cell, CellOutcome, CellWriter, ExecutionCore, RunSpec, ScheduleOutcome};
+use moheco_bench::{
+    Cell, CellOutcome, CellRunner, CellWriter, EnginePool, ExecutionCore, ScheduleOutcome,
+};
 use moheco_obs::json::JsonWriter;
 use moheco_obs::Tracer;
 use moheco_runtime::EngineStatsSnapshot;
-use moheco_scenarios::Scenario;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -370,9 +370,9 @@ pub struct ActiveJob {
 
 impl ActiveJob {
     /// Opens the job's row file (resuming from whatever rows it holds) and
-    /// builds the execution core over it. Engine-pool leases keep their
-    /// one-cell-per-slot discipline: `execute` checks a lease out per cell
-    /// and drops it before tenant-quota enforcement.
+    /// builds the execution core over it. Cells run through the tenant's
+    /// [`CellRunner`], which leases one pool slot per cell and drops it
+    /// before tenant-quota enforcement.
     pub fn open(
         registry: &Arc<Registry>,
         pool: &Arc<EnginePool>,
@@ -381,45 +381,10 @@ impl ActiveJob {
         tenant: &str,
         spec: &JobSpec,
     ) -> Result<Self, String> {
-        spec.validate()?;
-        let scenarios = spec.resolve_scenarios()?;
-        let by_name: HashMap<String, Arc<dyn Scenario>> = scenarios
-            .iter()
-            .map(|s| (s.name().to_string(), s.clone()))
-            .collect();
-        let algo_by_label: HashMap<String, Algo> = spec
-            .algos
-            .iter()
-            .map(|a| (a.label().to_string(), *a))
-            .collect();
+        let runner = CellRunner::new(spec, pool.clone(), tenant)?;
         let writer = CellWriter::open(&job_path(data_dir, tenant, id), spec)?;
         registry.record_resumed(id, writer.resumed_rows());
-        let execute: ExecuteFn = {
-            let pool = pool.clone();
-            let tenant = tenant.to_string();
-            let spec = spec.clone();
-            Box::new(move |cell: &Cell| {
-                let scenario = by_name.get(cell.scenario.as_str()).ok_or_else(|| {
-                    format!("scheduler produced unknown scenario {:?}", cell.scenario)
-                })?;
-                let algo = *algo_by_label
-                    .get(cell.algo.as_str())
-                    .ok_or_else(|| format!("scheduler produced unknown algo {:?}", cell.algo))?;
-                let result = {
-                    let lease = pool.checkout(&tenant, scenario.name(), &spec, cell.seed);
-                    RunSpec::new(scenario.as_ref(), algo)
-                        .budget(cell.budget)
-                        .seed(cell.seed)
-                        .engine(lease.engine.clone())
-                        .engine_label(spec.engine.label())
-                        .execute()
-                    // lease drops here, before quota enforcement — never
-                    // hold one slot while locking others.
-                };
-                pool.enforce_tenant_quota(&tenant);
-                Ok(result)
-            })
-        };
+        let execute: ExecuteFn = Box::new(move |cell: &Cell| runner.run(cell, &Tracer::disabled()));
         let commit: CommitFn = {
             let registry = registry.clone();
             let id = id.to_string();

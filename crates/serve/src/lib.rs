@@ -6,7 +6,8 @@
 //! ([`moheco_bench::JobSpec`] — the same type `moheco-campaign` runs), queues
 //! them FIFO behind a bounded queue (429 on overflow, never a silent drop),
 //! executes them on a fixed pool of worker threads against a shared
-//! tenant-partitioned [`pool::EnginePool`], and streams each job's JSONL
+//! tenant-partitioned [`moheco_bench::EnginePool`] (the pool
+//! `moheco-campaign` runs on too), and streams each job's JSONL
 //! rows back live via chunked transfer. Jobs are identified by their spec
 //! fingerprint, so a killed job resubmitted to a fresh server over the same
 //! data directory resumes from the rows already on disk — byte-identically,
@@ -21,12 +22,10 @@
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod pool;
 pub mod server;
 
 pub use client::{request, request_observed, Response};
 pub use jobs::{
     job_path, ActiveJob, JobRecord, JobState, NextJob, Registry, ServiceCounters, Submit,
 };
-pub use pool::{EngineLease, EnginePool};
 pub use server::{Server, ServerConfig};

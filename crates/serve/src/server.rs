@@ -14,8 +14,8 @@
 
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use crate::jobs::{job_path, ActiveJob, NextJob, Registry, Submit};
-use crate::pool::EnginePool;
 use moheco_bench::jobspec::JobSpec;
+use moheco_bench::EnginePool;
 use moheco_obs::json::JsonWriter;
 use moheco_obs::prometheus::{push_header, push_sample};
 use moheco_obs::PhaseBreakdown;

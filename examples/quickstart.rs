@@ -6,7 +6,6 @@
 
 use moheco::{MohecoConfig, YieldOptimizer, YieldProblem};
 use moheco_analog::{FoldedCascode, Testbench};
-use moheco_sampling::SamplingPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,7 +25,7 @@ fn main() {
 
     // 2. Wrap it into a yield problem (Latin Hypercube sampling, acceptance
     //    sampling screen and a shared simulation counter).
-    let problem = YieldProblem::new(testbench, SamplingPlan::LatinHypercube);
+    let problem = YieldProblem::new(testbench);
 
     // 3. Run MOHECO with scaled-down settings so this example finishes in
     //    seconds; `MohecoConfig::paper()` gives the paper's full settings.

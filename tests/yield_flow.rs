@@ -4,7 +4,6 @@
 
 use moheco::{MohecoConfig, YieldOptimizer, YieldProblem};
 use moheco_analog::{FoldedCascode, TelescopicTwoStage, Testbench};
-use moheco_sampling::SamplingPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,7 +23,7 @@ fn tiny() -> MohecoConfig {
 
 #[test]
 fn moheco_end_to_end_on_example_1() {
-    let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+    let problem = YieldProblem::new(FoldedCascode::new());
     let optimizer = YieldOptimizer::new(tiny());
     let mut rng = StdRng::seed_from_u64(101);
     let result = optimizer.run(&problem, &mut rng);
@@ -59,12 +58,12 @@ fn moheco_uses_fewer_simulations_than_fixed_budget_for_similar_quality() {
     let mut moheco_yield = 0.0;
     let mut fixed_yield = 0.0;
     for &seed in &seeds {
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let result = YieldOptimizer::new(tiny()).run(&problem, &mut StdRng::seed_from_u64(seed));
         moheco_sims += result.total_simulations as f64;
         moheco_yield += result.reported_yield;
 
-        let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+        let problem = YieldProblem::new(FoldedCascode::new());
         let result = YieldOptimizer::new(tiny().as_fixed_budget(40))
             .run(&problem, &mut StdRng::seed_from_u64(seed));
         fixed_sims += result.total_simulations as f64;
@@ -86,7 +85,7 @@ fn moheco_uses_fewer_simulations_than_fixed_budget_for_similar_quality() {
 
 #[test]
 fn optimizer_runs_on_example_2_as_well() {
-    let problem = YieldProblem::new(TelescopicTwoStage::new(), SamplingPlan::LatinHypercube);
+    let problem = YieldProblem::new(TelescopicTwoStage::new());
     let optimizer = YieldOptimizer::new(MohecoConfig {
         max_generations: 3,
         ..tiny()
@@ -100,7 +99,7 @@ fn optimizer_runs_on_example_2_as_well() {
 
 #[test]
 fn optimization_improves_over_the_initial_population() {
-    let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+    let problem = YieldProblem::new(FoldedCascode::new());
     let optimizer = YieldOptimizer::new(MohecoConfig {
         max_generations: 8,
         ..tiny()
@@ -122,7 +121,7 @@ fn reference_design_beats_random_designs_on_yield() {
     // Sanity link between the testbench and the yield problem: the
     // hand-crafted reference design has a much better yield than a random
     // corner of the design space.
-    let problem = YieldProblem::new(FoldedCascode::new(), SamplingPlan::LatinHypercube);
+    let problem = YieldProblem::new(FoldedCascode::new());
     let tb = problem.testbench();
     let reference = tb.reference_design();
     let lows: Vec<f64> = tb.bounds().iter().map(|b| b.0).collect();
