@@ -47,7 +47,6 @@ use crate::schedule::{Cell, ScheduleOutcome};
 use moheco_obs::json::{fmt_f64, parse_flat_json, JsonRecord};
 use moheco_obs::Tracer;
 use moheco_runtime::{EngineCacheUsage, EngineStatsSnapshot};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -343,20 +342,16 @@ pub fn run_campaign_traced(
     let pool = Arc::new(EnginePool::new(0));
     let runner = CellRunner::new(spec, pool.clone(), CAMPAIGN_TENANT)?;
     let writer = CellWriter::open(jsonl_path, spec)?;
-    // The scheduler driver resolves every cell through two closures that
-    // share the cost log and the progress sink — hence the `RefCell`s (the
-    // driver itself is single-threaded).
-    let cell_costs: RefCell<Vec<CellCost>> = RefCell::new(Vec::new());
-    let progress = RefCell::new(&mut progress);
+    let mut cell_costs: Vec<CellCost> = Vec::new();
     let execute = |cell: &Cell| runner.run(cell, tracer);
     let on_cell = |cell: &Cell, outcome: CellOutcome| -> Result<(), String> {
         match outcome {
-            CellOutcome::Resumed { .. } => (progress.borrow_mut())(&format!(
+            CellOutcome::Resumed { .. } => progress(&format!(
                 "{}/{}/seed {}: already on disk, skipped",
                 cell.scenario, cell.algo, cell.seed
             )),
             CellOutcome::Executed(result) => {
-                cell_costs.borrow_mut().push(CellCost {
+                cell_costs.push(CellCost {
                     scenario: cell.scenario.clone(),
                     algo: cell.algo.clone(),
                     seed: cell.seed,
@@ -380,7 +375,7 @@ pub fn run_campaign_traced(
                     .usage()
                     .iter()
                     .fold((0, 0), |(n, b), u| (n + u.blocks, b + u.bytes));
-                (progress.borrow_mut())(&format!(
+                progress(&format!(
                     "{}/{}/seed {}: yield {:.4} sims {} ({:.0} ms, cache {} blocks / {:.1} MiB)",
                     cell.scenario,
                     cell.algo,
@@ -398,8 +393,6 @@ pub fn run_campaign_traced(
     let schedule = drive_schedule(spec, writer, tracer, execute, on_cell)?;
     let resumed = schedule.resumed;
     let executed = schedule.executed;
-    let cell_costs = cell_costs.into_inner();
-    let progress = progress.into_inner();
 
     // Aggregates are computed from the rows on disk — the same source a
     // resumed campaign sees — so fresh and resumed runs emit byte-identical

@@ -1,43 +1,38 @@
-//! The unified execution core: one scheduler-driven driver shared by
-//! `moheco-campaign`, the `moheco-serve` workers, and `schedule-study`.
+//! The unified execution core: one scheduler-driven state machine shared
+//! by `moheco-campaign`, the `moheco-serve` workers, and `schedule-study`.
 //!
 //! [`ExecutionCore`] owns the whole replay protocol described in
 //! [`crate::schedule`]: it cuts allocation rounds from the scheduler,
 //! resolves each cell either from rows already on disk or by running it,
 //! and commits completions — row append, scheduler-state update, caller
-//! callback — **in schedule order**, regardless of how many workers are
-//! executing cells concurrently.
+//! callback — **in schedule order**, however many workers execute cells.
 //!
 //! # In-flight semantics
 //!
 //! A round is cut **once**, from the committed state, and its cells become
-//! slots. Workers claim pending slots in order, execute outside the lock,
-//! and post results back; a commit pointer advances over the longest
-//! done-prefix, so rows land in the file in the exact order a single-worker
-//! run would produce. The next round is cut only when the current round is
-//! fully committed (a barrier): scheduler decisions therefore depend only
-//! on fully-ordered completions, never on which worker finished first.
+//! slots. [`ExecutionCore::claim`] hands out pending slots in order, the
+//! caller runs each cell wherever it likes, and [`ExecutionCore::complete`]
+//! posts the result; a commit pointer advances over the longest done-prefix,
+//! so rows land in the file in the exact order a single-worker run would
+//! produce. The next round is cut only when the current round is fully
+//! committed (a barrier, where `claim` returns `None` before the core is
+//! finished): scheduler decisions depend only on fully-ordered completions.
 //!
-//! This gives the multi-worker byte-identity guarantee: under
-//! [`crate::EngineReuse::Reset`] each cell's row is a pure function of the
-//! cell identity, the round sequence is a pure function of the committed
-//! rows, and commits happen in schedule order — so N workers produce the
-//! byte-identical JSONL a single worker would. (Under
-//! [`crate::EngineReuse::SharedCache`] yields are still identical, but
-//! cache-warmth counters depend on execution order, so byte-identity is
-//! only guaranteed with one worker.)
+//! So under [`crate::EngineReuse::Reset`], where each cell's row is a pure
+//! function of the cell identity, N workers produce the byte-identical JSONL
+//! a single worker would. (Under [`crate::EngineReuse::SharedCache`] yields
+//! are still identical, but cache-warmth counters depend on execution
+//! order, so byte-identity is only guaranteed with one worker.)
 //!
-//! Two driving modes share the same core:
+//! The core is a plain `&mut self` state machine: no lock, no waiting, no
+//! stored closure — the commit callback is passed to each call that may
+//! commit. [`drive_schedule`] runs it on the calling thread; the service
+//! keeps its cores under the job registry's one mutex and condvar. The
+//! first error fails the core for good, and every [`Claim`] carries the
+//! epoch of the core that issued it, so a result posted to a failed core or
+//! to a newer core of the same job is dropped, never written.
 //!
-//! * [`ExecutionCore::run_to_completion`] — the sequential in-process mode
-//!   used by [`drive_schedule`]: no locking overhead beyond uncontended
-//!   `Mutex::get_mut`, errors propagate verbatim.
-//! * [`ExecutionCore::drive`] / [`ExecutionCore::help`] — the concurrent
-//!   mode used by the service: any number of workers pull claims from one
-//!   allocation loop, coordinated by a condvar; panics in `execute` are
-//!   caught and surfaced as job errors.
-//!
-//! [`CellRunner`] is the one `execute` body of `moheco-campaign` and
+//! [`CellRunner`] is the one cell executor of `moheco-campaign` and
 //! `moheco-serve`: a cell's [`RunSpec`] on an engine leased from an
 //! [`EnginePool`].
 
@@ -50,11 +45,8 @@ use crate::schedule::{scheduler_for, CampaignScheduler, CampaignState, Cell, Sch
 use moheco_obs::{Span, Tracer};
 use moheco_scenarios::Scenario;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-const POISONED: &str = "execution core poisoned by a panicking commit callback";
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How the core resolved one scheduled cell, for the caller's per-cell
 /// accounting (progress lines, cost records, quota enforcement).
@@ -87,12 +79,28 @@ enum Slot {
     Done(Resolution),
 }
 
-/// Everything the lock protects: scheduler state, the row writer, the
-/// caller's commit callback, and the current round's slots.
-struct CoreInner<C> {
+/// The source of core epochs: every core gets a number no other core of
+/// this process has, so a claim can never complete a core it did not come
+/// from.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+/// The right to post one cell's result back to the core that issued it
+/// ([`ExecutionCore::claim`] / [`ExecutionCore::complete`]). Not `Clone`:
+/// each claim completes at most once.
+#[derive(Debug)]
+pub struct Claim {
+    epoch: u64,
+    index: usize,
+}
+
+/// A scheduler-driven campaign execution: rounds are cut from observed
+/// state, cells execute (possibly concurrently), completions commit in
+/// schedule order. See the module docs for the full contract.
+pub struct ExecutionCore {
+    scheduler: Box<dyn CampaignScheduler + Send + Sync>,
+    epoch: u64,
     state: CampaignState,
     writer: CellWriter,
-    commit: C,
     tracer: Tracer,
     outcome: ScheduleOutcome,
     round: Vec<Cell>,
@@ -102,293 +110,220 @@ struct CoreInner<C> {
     error: Option<String>,
 }
 
-/// A scheduler-driven campaign execution: rounds are cut from observed
-/// state, cells execute (possibly concurrently), completions commit in
-/// schedule order. See the module docs for the full contract.
-pub struct ExecutionCore<E, C> {
-    scheduler: Box<dyn CampaignScheduler + Send + Sync>,
-    execute: E,
-    inner: Mutex<CoreInner<C>>,
-    progress: Condvar,
-}
-
-/// Advances the commit pointer over the longest done-prefix of the round:
-/// each committed cell appends its row (if executed), feeds the scheduler
-/// state, and fires the caller's commit callback — the exact order the
-/// historical sequential driver used.
-fn advance_commit<C>(inner: &mut CoreInner<C>) -> Result<(), String>
-where
-    C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
-{
-    while inner.committed < inner.slots.len()
-        && matches!(inner.slots[inner.committed], Slot::Done(_))
-    {
-        let slot = std::mem::replace(&mut inner.slots[inner.committed], Slot::Claimed);
-        let Slot::Done(resolution) = slot else {
-            unreachable!("the matches! guard admits only done slots");
-        };
-        let cell = inner.round[inner.committed].clone();
-        match resolution {
-            Resolution::Resumed {
-                best_yield,
-                simulations,
-            } => {
-                inner.outcome.resumed += 1;
-                inner.state.record(&cell, best_yield, simulations);
-                (inner.commit)(&cell, CellOutcome::Resumed { best_yield })?;
-            }
-            Resolution::Executed(result) => {
-                inner.writer.append(&result)?;
-                inner.outcome.executed += 1;
-                inner
-                    .state
-                    .record(&cell, result.best_yield, result.simulations as f64);
-                (inner.commit)(&cell, CellOutcome::Executed(&result))?;
-            }
-        }
-        inner.committed += 1;
-    }
-    Ok(())
-}
-
-/// Cuts rounds until one has work left to execute (or the schedule ends):
-/// asks the scheduler for the next round, pre-resolves every cell whose
-/// row is already on disk, and commits the resolved prefix. A round that
-/// resolves entirely from disk commits in full and the loop cuts the next
-/// one — so a resumed campaign fast-forwards through its consumed prefix
-/// without ever blocking on a worker.
-fn cut_rounds<C>(inner: &mut CoreInner<C>, scheduler: &dyn CampaignScheduler) -> Result<(), String>
-where
-    C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
-{
-    loop {
-        let round = {
-            let _span = Span::enter(&inner.tracer, "campaign/schedule");
-            scheduler.next_cells(&inner.state)
-        };
-        if round.is_empty() {
-            inner.finished = true;
-            inner.outcome.finalize(&inner.state);
-            return Ok(());
-        }
-        inner.outcome.rounds += 1;
-        inner.outcome.scheduled += round.len();
-        inner.tracer.emit(
-            "campaign_schedule",
-            &[
-                ("schedule", scheduler.label().to_string()),
-                ("round", inner.outcome.rounds.to_string()),
-                ("cells", round.len().to_string()),
-            ],
-        );
-        let mut slots = Vec::with_capacity(round.len());
-        for cell in &round {
-            let on_disk = inner
-                .writer
-                .row_stats(&cell.scenario, &cell.algo, cell.seed);
-            slots.push(match on_disk {
-                Some((best_yield, simulations)) => Slot::Done(Resolution::Resumed {
-                    best_yield,
-                    simulations,
-                }),
-                None => Slot::Pending,
-            });
-        }
-        inner.round = round;
-        inner.slots = slots;
-        inner.committed = 0;
-        advance_commit(inner)?;
-        if inner.committed < inner.slots.len() {
-            return Ok(());
-        }
-    }
-}
-
-/// Claims the first pending slot at or after the commit pointer.
-fn claim<C>(inner: &mut CoreInner<C>) -> Option<(usize, Cell)> {
-    for index in inner.committed..inner.slots.len() {
-        if matches!(inner.slots[index], Slot::Pending) {
-            inner.slots[index] = Slot::Claimed;
-            return Some((index, inner.round[index].clone()));
-        }
-    }
-    None
-}
-
-impl<E, C> ExecutionCore<E, C> {
-    /// The scheduler's stable label (`fixed`, `ocba`).
-    pub fn label(&self) -> &'static str {
-        self.scheduler.label()
-    }
-
-    fn lock(&self) -> Result<MutexGuard<'_, CoreInner<C>>, String> {
-        self.inner.lock().map_err(|_| POISONED.to_string())
-    }
-}
-
-impl<E, C> ExecutionCore<E, C>
-where
-    C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
-{
+impl ExecutionCore {
     /// Builds the core for `spec`'s campaign and fast-forwards through the
     /// rows `writer` already holds: when this returns, the current round
     /// is ready for claims (or the campaign is already finished, if every
     /// scheduled cell was on disk).
     ///
-    /// `execute` runs one cell and returns its result; `commit` observes
-    /// every completed cell (resumed or executed), in schedule order.
+    /// `commit` observes every cell resolved from disk here; later
+    /// completions are observed by the callback passed to
+    /// [`ExecutionCore::complete`]. Together they see every scheduled cell,
+    /// in schedule order.
     ///
     /// # Errors
     ///
     /// Propagates `commit` errors and writer I/O errors verbatim.
-    pub fn new(
+    pub fn new<C>(
         spec: &JobSpec,
         writer: CellWriter,
         tracer: Tracer,
-        execute: E,
-        commit: C,
-    ) -> Result<Self, String> {
+        commit: &mut C,
+    ) -> Result<Self, String>
+    where
+        C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
+    {
         let scheduler = scheduler_for(spec.schedule);
-        let mut inner = CoreInner {
+        let mut core = Self {
+            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             state: CampaignState::new(spec),
             writer,
-            commit,
             tracer,
             outcome: ScheduleOutcome::new(scheduler.label()),
+            scheduler,
             round: Vec::new(),
             slots: Vec::new(),
             committed: 0,
             finished: false,
             error: None,
         };
-        cut_rounds(&mut inner, scheduler.as_ref())?;
-        Ok(Self {
-            scheduler,
-            execute,
-            inner: Mutex::new(inner),
-            progress: Condvar::new(),
-        })
+        core.cut_rounds(commit)?;
+        Ok(core)
     }
-}
 
-impl<E, C> ExecutionCore<E, C>
-where
-    E: FnMut(&Cell) -> Result<ScenarioResult, String>,
-    C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
-{
-    /// Runs the whole campaign on the calling thread — the sequential mode
-    /// behind [`drive_schedule`]. Errors (and panics) from `execute`
-    /// propagate verbatim, exactly like the historical driver.
-    pub fn run_to_completion(mut self) -> Result<ScheduleOutcome, String> {
-        loop {
-            let inner = self.inner.get_mut().map_err(|_| POISONED.to_string())?;
-            if inner.finished {
-                return Ok(inner.outcome.clone());
-            }
-            let (index, cell) = claim(inner)
-                .ok_or_else(|| "scheduler cut a round with no pending cells".to_string())?;
-            let result = (self.execute)(&cell)?;
-            let inner = self.inner.get_mut().map_err(|_| POISONED.to_string())?;
-            inner.slots[index] = Slot::Done(Resolution::Executed(Box::new(result)));
-            advance_commit(inner)?;
-            if inner.committed == inner.slots.len() {
-                cut_rounds(inner, self.scheduler.as_ref())?;
-            }
-        }
+    /// This core's epoch: unique among the cores of this process, and
+    /// carried by every [`Claim`] the core issues.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
-}
 
-impl<E, C> ExecutionCore<E, C>
-where
-    E: Fn(&Cell) -> Result<ScenarioResult, String> + Sync,
-    C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String> + Send,
-{
-    /// Drives the campaign to completion, executing cells on the calling
-    /// thread whenever one is claimable and waiting on the round barrier
-    /// otherwise. Any number of threads may call `drive` (and
-    /// [`ExecutionCore::help`]) on the same core; the first error wins and
-    /// every driver returns it.
-    pub fn drive(&self) -> Result<ScheduleOutcome, String> {
-        let mut inner = self.lock()?;
-        loop {
-            if let Some(err) = &inner.error {
-                return Err(err.clone());
-            }
-            if inner.finished {
-                return Ok(inner.outcome.clone());
-            }
-            if let Some((index, cell)) = claim(&mut inner) {
-                drop(inner);
-                self.execute_claimed(index, &cell);
-                inner = self.lock()?;
-            } else {
-                inner = self
-                    .progress
-                    .wait(inner)
-                    .map_err(|_| POISONED.to_string())?;
-            }
+    /// Whether the core has stopped for good: every scheduled cell is
+    /// committed, or a completion failed it.
+    pub fn is_finished(&self) -> bool {
+        self.finished || self.error.is_some()
+    }
+
+    /// The campaign's savings accounting once every scheduled cell is
+    /// committed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error that failed the core, or a message while cells
+    /// are still outstanding.
+    pub fn outcome(&self) -> Result<ScheduleOutcome, String> {
+        match &self.error {
+            Some(err) => Err(err.clone()),
+            None if self.finished => Ok(self.outcome.clone()),
+            None => Err("the campaign has cells outstanding".to_string()),
         }
     }
 
-    /// Executes at most one claimable cell — the idle-worker mode: a
-    /// worker with no job of its own lends a hand to another job's core.
-    /// Waits up to `patience` for a claim to appear before giving up.
-    /// Returns whether a cell was executed.
-    pub fn help(&self, patience: Duration) -> Result<bool, String> {
-        let mut inner = self.lock()?;
-        for attempt in 0..2 {
-            if inner.finished || inner.error.is_some() {
-                return Ok(false);
-            }
-            if let Some((index, cell)) = claim(&mut inner) {
-                drop(inner);
-                self.execute_claimed(index, &cell);
-                return Ok(true);
-            }
-            if attempt == 0 {
-                inner = self
-                    .progress
-                    .wait_timeout(inner, patience)
-                    .map_err(|_| POISONED.to_string())?
-                    .0;
-            }
+    /// Claims the first pending cell of the current round. `None` at a
+    /// round barrier (every cell of the round is claimed, some are not yet
+    /// completed) and once the core is finished.
+    pub fn claim(&mut self) -> Option<(Claim, Cell)> {
+        if self.is_finished() {
+            return None;
         }
-        Ok(false)
-    }
-
-    /// Executes one claimed cell outside the lock, posts the result (or
-    /// the first error) back, advances the commit pointer, and wakes every
-    /// waiting worker.
-    fn execute_claimed(&self, index: usize, cell: &Cell) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.execute)(cell)));
-        let Ok(mut inner) = self.inner.lock() else {
-            // A commit callback panicked in another worker; the job is
-            // already dead and every driver will report the poison.
-            return;
+        let index = (self.committed..self.slots.len())
+            .find(|&index| matches!(self.slots[index], Slot::Pending))?;
+        self.slots[index] = Slot::Claimed;
+        let claim = Claim {
+            epoch: self.epoch,
+            index,
         };
-        match result {
-            Ok(Ok(result)) => {
-                inner.slots[index] = Slot::Done(Resolution::Executed(Box::new(result)));
-                let mut step = advance_commit(&mut inner);
-                if step.is_ok() && inner.committed == inner.slots.len() && !inner.finished {
-                    step = cut_rounds(&mut inner, self.scheduler.as_ref());
+        Some((claim, self.round[index].clone()))
+    }
+
+    /// Posts a claimed cell's result: commits the longest done-prefix of
+    /// the round (row append, state update, `commit`), and cuts the next
+    /// round once the current one is fully committed.
+    ///
+    /// A claim issued by another core (a stale epoch) is dropped. A result
+    /// posted to a failed core is dropped too, and returns the error that
+    /// failed it.
+    ///
+    /// # Errors
+    ///
+    /// The first error wins: an `Err` result, a `commit` error or a writer
+    /// I/O error fails the core, and this and every later completion
+    /// return it.
+    pub fn complete<C>(
+        &mut self,
+        claim: Claim,
+        result: Result<ScenarioResult, String>,
+        commit: &mut C,
+    ) -> Result<(), String>
+    where
+        C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
+    {
+        if claim.epoch != self.epoch {
+            return Ok(());
+        }
+        if let Some(err) = &self.error {
+            return Err(err.clone());
+        }
+        let step = result.and_then(|result| {
+            self.slots[claim.index] = Slot::Done(Resolution::Executed(Box::new(result)));
+            self.advance_commit(commit)?;
+            if self.committed == self.slots.len() {
+                self.cut_rounds(commit)?;
+            }
+            Ok(())
+        });
+        if let Err(err) = &step {
+            self.error = Some(err.clone());
+        }
+        step
+    }
+
+    /// Advances the commit pointer over the longest done-prefix of the
+    /// round: each committed cell appends its row (if executed), feeds the
+    /// scheduler state, and fires the caller's commit callback — the exact
+    /// order the historical sequential driver used.
+    fn advance_commit<C>(&mut self, commit: &mut C) -> Result<(), String>
+    where
+        C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
+    {
+        while self.committed < self.slots.len()
+            && matches!(self.slots[self.committed], Slot::Done(_))
+        {
+            let slot = std::mem::replace(&mut self.slots[self.committed], Slot::Claimed);
+            let Slot::Done(resolution) = slot else {
+                unreachable!("the matches! guard admits only done slots");
+            };
+            let cell = &self.round[self.committed];
+            match resolution {
+                Resolution::Resumed {
+                    best_yield,
+                    simulations,
+                } => {
+                    self.outcome.resumed += 1;
+                    self.state.record(cell, best_yield, simulations);
+                    commit(cell, CellOutcome::Resumed { best_yield })?;
                 }
-                if let Err(err) = step {
-                    inner.error.get_or_insert(err);
+                Resolution::Executed(result) => {
+                    self.writer.append(&result)?;
+                    self.outcome.executed += 1;
+                    self.state
+                        .record(cell, result.best_yield, result.simulations as f64);
+                    commit(cell, CellOutcome::Executed(&result))?;
                 }
             }
-            Ok(Err(err)) => {
-                inner.error.get_or_insert(err);
+            self.committed += 1;
+        }
+        Ok(())
+    }
+
+    /// Cuts rounds until one has work left to execute (or the schedule
+    /// ends): asks the scheduler for the next round, pre-resolves every
+    /// cell whose row is already on disk, and commits the resolved prefix.
+    /// A round that resolves entirely from disk commits in full and the
+    /// loop cuts the next one — so a resumed campaign fast-forwards through
+    /// its consumed prefix without handing out a single claim.
+    fn cut_rounds<C>(&mut self, commit: &mut C) -> Result<(), String>
+    where
+        C: FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
+    {
+        loop {
+            let round = {
+                let _span = Span::enter(&self.tracer, "campaign/schedule");
+                self.scheduler.next_cells(&self.state)
+            };
+            if round.is_empty() {
+                self.finished = true;
+                self.outcome.finalize(&self.state);
+                return Ok(());
             }
-            Err(_) => {
-                inner.error.get_or_insert(format!(
-                    "{}/{}/seed {}: cell execution panicked",
-                    cell.scenario, cell.algo, cell.seed
-                ));
+            self.outcome.rounds += 1;
+            self.outcome.scheduled += round.len();
+            self.tracer.emit(
+                "campaign_schedule",
+                &[
+                    ("schedule", self.scheduler.label().to_string()),
+                    ("round", self.outcome.rounds.to_string()),
+                    ("cells", round.len().to_string()),
+                ],
+            );
+            self.slots = round
+                .iter()
+                .map(
+                    |cell| match self.writer.row_stats(&cell.scenario, &cell.algo, cell.seed) {
+                        Some((best_yield, simulations)) => Slot::Done(Resolution::Resumed {
+                            best_yield,
+                            simulations,
+                        }),
+                        None => Slot::Pending,
+                    },
+                )
+                .collect();
+            self.round = round;
+            self.committed = 0;
+            self.advance_commit(commit)?;
+            if self.committed < self.slots.len() {
+                return Ok(());
             }
         }
-        drop(inner);
-        self.progress.notify_all();
     }
 }
 
@@ -408,15 +343,21 @@ where
 ///
 /// # Errors
 ///
-/// Propagates `execute`/`on_cell` errors and writer I/O errors verbatim.
+/// Propagates `execute`/`on_cell` errors and writer I/O errors verbatim;
+/// panics in `execute` propagate too.
 pub fn drive_schedule(
     spec: &JobSpec,
     writer: CellWriter,
     tracer: &Tracer,
-    execute: impl FnMut(&Cell) -> Result<ScenarioResult, String>,
-    on_cell: impl FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
+    mut execute: impl FnMut(&Cell) -> Result<ScenarioResult, String>,
+    mut on_cell: impl FnMut(&Cell, CellOutcome<'_>) -> Result<(), String>,
 ) -> Result<ScheduleOutcome, String> {
-    ExecutionCore::new(spec, writer, tracer.clone(), execute, on_cell)?.run_to_completion()
+    let mut core = ExecutionCore::new(spec, writer, tracer.clone(), &mut on_cell)?;
+    while let Some((claim, cell)) = core.claim() {
+        let result = execute(&cell)?;
+        core.complete(claim, Ok(result), &mut on_cell)?;
+    }
+    core.outcome()
 }
 
 /// The one cell executor of `moheco-campaign` and `moheco-serve`: runs a
@@ -496,5 +437,132 @@ impl CellRunner {
         };
         self.pool.enforce_tenant_quota(&self.tenant);
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobspec::ScheduleKind;
+    use crate::{BudgetClass, EngineReuse};
+    use std::path::{Path, PathBuf};
+
+    fn ocba_spec() -> JobSpec {
+        JobSpec {
+            scenarios: vec!["margin_wall".into()],
+            algos: vec![Algo::TwoStage, Algo::Fixed],
+            budget: BudgetClass::Tiny,
+            seeds: (1..=6).collect(),
+            reuse: EngineReuse::Reset,
+            schedule: ScheduleKind::Ocba,
+            ..JobSpec::default()
+        }
+    }
+
+    fn fresh_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("moheco-exec-test-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir.join("campaign.jsonl")
+    }
+
+    fn runner(spec: &JobSpec) -> CellRunner {
+        CellRunner::new(spec, Arc::new(EnginePool::new(0)), "test").expect("valid spec")
+    }
+
+    fn open_core(spec: &JobSpec, path: &Path) -> ExecutionCore {
+        let writer = CellWriter::open(path, spec).expect("writer");
+        ExecutionCore::new(spec, writer, Tracer::disabled(), &mut no_commit).expect("core")
+    }
+
+    fn no_commit(_: &Cell, _: CellOutcome<'_>) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Runs the whole campaign with [`drive_schedule`].
+    fn run_sequentially(spec: &JobSpec, path: &Path) {
+        let runner = runner(spec);
+        let writer = CellWriter::open(path, spec).expect("writer");
+        let tracer = Tracer::disabled();
+        let execute = |cell: &Cell| runner.run(cell, &tracer);
+        drive_schedule(spec, writer, &tracer, execute, no_commit).expect("sequential run");
+    }
+
+    #[test]
+    fn out_of_order_completions_commit_in_schedule_order() {
+        let spec = ocba_spec();
+        let reference = fresh_path("reference");
+        run_sequentially(&spec, &reference);
+
+        let path = fresh_path("out-of-order");
+        let runner = runner(&spec);
+        let mut core = open_core(&spec, &path);
+        let (mut rounds, mut widest) = (0, 0);
+        while !core.is_finished() {
+            // Claim the whole round, then post the results newest first.
+            let claimed: Vec<_> = std::iter::from_fn(|| core.claim()).collect();
+            rounds += 1;
+            widest = widest.max(claimed.len());
+            for (claim, cell) in claimed.into_iter().rev() {
+                let result = runner.run(&cell, &Tracer::disabled());
+                core.complete(claim, result, &mut no_commit)
+                    .expect("complete");
+            }
+        }
+        assert!(rounds > 1 && widest > 1, "{rounds} rounds, widest {widest}");
+        assert!(core.outcome().expect("finished").executed > 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&reference).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_failed_core_writes_nothing_more() {
+        let spec = ocba_spec();
+        let path = fresh_path("failed");
+        let mut core = open_core(&spec, &path);
+        let (first, first_cell) = core.claim().expect("first cell");
+        let (second, _) = core.claim().expect("second cell");
+        core.complete(second, Err("boom".into()), &mut no_commit)
+            .expect_err("an Err completion fails the core");
+        assert!(core.is_finished());
+        assert_eq!(core.outcome().unwrap_err(), "boom");
+        assert!(core.claim().is_none());
+        // The first cell heads the commit prefix; it must not land.
+        let result = runner(&spec).run(&first_cell, &Tracer::disabled());
+        let err = core
+            .complete(first, result, &mut no_commit)
+            .expect_err("the first error wins");
+        assert_eq!(err, "boom");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_stale_epoch_completion_is_dropped() {
+        let spec = ocba_spec();
+        let mut old = open_core(&spec, &fresh_path("stale-old"));
+        let path = fresh_path("stale-new");
+        let mut new = open_core(&spec, &path);
+        assert_ne!(old.epoch(), new.epoch());
+        let (stale, cell) = old.claim().expect("a cell");
+        let result = runner(&spec).run(&cell, &Tracer::disabled());
+        new.complete(stale, result, &mut no_commit)
+            .expect("a stale claim is dropped, not an error");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        // The newer core still hands out the cell the stale claim named.
+        let (_, first) = new.claim().expect("untouched slot");
+        assert_eq!((first.algo, first.seed), (cell.algo, cell.seed));
+    }
+
+    #[test]
+    fn a_campaign_on_disk_is_finished_at_new() {
+        let spec = ocba_spec();
+        let path = fresh_path("on-disk");
+        run_sequentially(&spec, &path);
+        let mut core = open_core(&spec, &path);
+        assert!(core.is_finished());
+        assert!(core.claim().is_none());
+        let outcome = core.outcome().expect("finished");
+        assert_eq!((outcome.executed, outcome.resumed), (0, outcome.scheduled));
     }
 }

@@ -20,7 +20,7 @@ pub mod tables;
 
 pub use campaign::{run_campaign, CampaignReport, CellWriter};
 pub use cli::CliArgs;
-pub use exec::{drive_schedule, CellOutcome, CellRunner, ExecutionCore};
+pub use exec::{drive_schedule, CellOutcome, CellRunner, Claim, ExecutionCore};
 pub use harness::{Algo, BudgetClass, PrescreenKind, RunSpec};
 pub use jobspec::{EngineReuse, JobSpec, ScheduleKind};
 pub use pool::{EngineLease, EnginePool};

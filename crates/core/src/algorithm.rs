@@ -21,7 +21,7 @@ use crate::problem::YieldProblem;
 use crate::trace::{GenerationRecord, Trace};
 use crate::two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};
 use moheco_obs::{PhaseBreakdown, Span};
-use moheco_optim::de::{de_crossover, de_mutant, DeConfig, DeStrategy};
+use moheco_optim::de::{de_crossover, de_mutant, DeConfig};
 use moheco_optim::memetic::StagnationTracker;
 use moheco_optim::nelder_mead::{nelder_mead, NelderMeadConfig};
 use moheco_optim::population::{Individual, Population};
@@ -174,7 +174,6 @@ impl YieldOptimizer {
                 population_size: cfg.population_size,
                 f: cfg.de_f,
                 cr: cfg.de_cr,
-                strategy: DeStrategy::Best1,
                 ..DeConfig::default()
             };
             let trial_xs: Vec<Vec<f64>> = (0..population.len())

@@ -39,37 +39,6 @@ pub fn is_better_or_equal(a: &Evaluation, b: &Evaluation) -> bool {
     feasibility_compare(a, b) != Ordering::Greater
 }
 
-/// Returns the index of the best evaluation in a slice under the feasibility
-/// rules, or `None` for an empty slice.
-pub fn best_index(evals: &[Evaluation]) -> Option<usize> {
-    if evals.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for i in 1..evals.len() {
-        if feasibility_compare(&evals[i], &evals[best]) == Ordering::Less {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Aggregates a set of individual constraint violations (each non-negative,
-/// 0 = satisfied) into the scalar violation used by the comparator.
-///
-/// Violations are summed; any NaN is treated as an infinite violation so a
-/// failed simulation can never look feasible.
-pub fn aggregate_violations<I: IntoIterator<Item = f64>>(violations: I) -> f64 {
-    let mut total = 0.0;
-    for v in violations {
-        if v.is_nan() {
-            return f64::INFINITY;
-        }
-        total += v.max(0.0);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,35 +74,5 @@ mod tests {
     fn equal_evaluations_accepted_by_selection() {
         let a = Evaluation::feasible(3.0);
         assert!(is_better_or_equal(&a, &a));
-    }
-
-    #[test]
-    fn best_index_picks_feasible_minimum() {
-        let evals = vec![
-            Evaluation::infeasible(0.1),
-            Evaluation::feasible(5.0),
-            Evaluation::feasible(2.0),
-            Evaluation::infeasible(0.001),
-        ];
-        assert_eq!(best_index(&evals), Some(2));
-        assert_eq!(best_index(&[]), None);
-    }
-
-    #[test]
-    fn best_index_among_all_infeasible() {
-        let evals = vec![
-            Evaluation::infeasible(3.0),
-            Evaluation::infeasible(0.5),
-            Evaluation::infeasible(1.0),
-        ];
-        assert_eq!(best_index(&evals), Some(1));
-    }
-
-    #[test]
-    fn aggregation_sums_positive_parts() {
-        assert_eq!(aggregate_violations([0.0, 1.0, 2.0]), 3.0);
-        assert_eq!(aggregate_violations([-5.0, 0.0]), 0.0);
-        assert!(aggregate_violations([1.0, f64::NAN]).is_infinite());
-        assert_eq!(aggregate_violations(std::iter::empty::<f64>()), 0.0);
     }
 }

@@ -16,16 +16,6 @@ use crate::problem::{clamp_to_bounds, Problem};
 use crate::result::OptimizationResult;
 use rand::Rng;
 
-/// Base-vector selection strategy of the DE mutation operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeStrategy {
-    /// `DE/rand/1`: the base vector is a random population member.
-    Rand1,
-    /// `DE/best/1`: the base vector is the current best member (the variant
-    /// the paper's "select base vector" step uses to propagate good schemata).
-    Best1,
-}
-
 /// Configuration of the DE engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeConfig {
@@ -35,8 +25,6 @@ pub struct DeConfig {
     pub f: f64,
     /// Crossover rate `CR` (paper: 0.8).
     pub cr: f64,
-    /// Base-vector strategy.
-    pub strategy: DeStrategy,
     /// Maximum number of generations.
     pub max_generations: usize,
     /// Stop when the best objective has not improved for this many
@@ -52,7 +40,6 @@ impl Default for DeConfig {
             population_size: 50,
             f: 0.8,
             cr: 0.8,
-            strategy: DeStrategy::Best1,
             max_generations: 200,
             stagnation_limit: Some(20),
             target_objective: None,
@@ -60,7 +47,10 @@ impl Default for DeConfig {
     }
 }
 
-/// Generates the DE mutant (donor) vector for target index `i`.
+/// Generates the `DE/best/1` mutant (donor) vector for target index `i`:
+/// the current best member plus `F` times the difference of two random
+/// members (the paper's "select base vector" step, which propagates good
+/// schemata).
 ///
 /// # Panics
 ///
@@ -88,13 +78,7 @@ pub fn de_mutant<R: Rng + ?Sized>(
     while r3 == r1 || r3 == r2 {
         r3 = pick();
     }
-    let base: &[f64] = match config.strategy {
-        DeStrategy::Rand1 => &population.members[r1].x,
-        DeStrategy::Best1 => {
-            let b = population.best_index().unwrap_or(r1);
-            &population.members[b].x
-        }
-    };
+    let base = &population.members[population.best_index().unwrap_or(r1)].x;
     let a = &population.members[r2].x;
     let b = &population.members[r3].x;
     let mut mutant: Vec<f64> = base
@@ -391,21 +375,6 @@ mod tests {
         let result = de.run(&mut problem, &mut rng);
         assert!(result.best_objective() <= 0.5);
         assert!(result.generations < 500);
-    }
-
-    #[test]
-    fn rand1_strategy_also_converges() {
-        let mut problem = sphere(4);
-        let mut rng = StdRng::seed_from_u64(16);
-        let de = DifferentialEvolution::new(DeConfig {
-            population_size: 30,
-            strategy: DeStrategy::Rand1,
-            max_generations: 200,
-            stagnation_limit: None,
-            ..DeConfig::default()
-        });
-        let result = de.run(&mut problem, &mut rng);
-        assert!(result.best_objective() < 1e-2);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! which is provided (and unit-tested) here independently of the yield
 //! problem so they can be reused and benchmarked on analytic test functions:
 //!
-//! * [`de`] — Differential Evolution (`DE/best/1/bin` and `DE/rand/1/bin`)
-//!   with the paper's parameters (population 50, `F = CR = 0.8`). The
-//!   mutation and crossover operators are exposed as free functions so the
-//!   MOHECO core can drive its own generation loop.
+//! * [`de`] — Differential Evolution (`DE/best/1/bin`) with the paper's
+//!   parameters (population 50, `F = CR = 0.8`). The mutation and crossover
+//!   operators are exposed as free functions so the MOHECO core can drive
+//!   its own generation loop.
 //! * [`nelder_mead`](mod@nelder_mead) — the derivative-free simplex local search used as the
 //!   memetic exploitation operator.
 //! * [`constraints`] — Deb's selection-based feasibility rules.
@@ -45,8 +45,8 @@ pub mod population;
 pub mod problem;
 pub mod result;
 
-pub use constraints::{aggregate_violations, best_index, feasibility_compare, is_better_or_equal};
-pub use de::{de_crossover, de_mutant, DeConfig, DeStrategy, DifferentialEvolution};
+pub use constraints::{feasibility_compare, is_better_or_equal};
+pub use de::{de_crossover, de_mutant, DeConfig, DifferentialEvolution};
 pub use memetic::StagnationTracker;
 pub use nelder_mead::{nelder_mead, NelderMeadConfig, NelderMeadResult};
 pub use population::{Individual, Population};

@@ -324,10 +324,13 @@ impl Block {
     }
 }
 
-/// The nominal evaluations and their trim order, under one lock.
+/// The nominal evaluations and their trim order, under one lock. The map
+/// hashes with [`KeyHasher`], like the shards: a randomly seeded hasher
+/// would make its capacity after trims, and so [`SimCache::bytes`], differ
+/// from process to process.
 #[derive(Default)]
 struct NominalCache {
-    map: HashMap<u64, Arc<Vec<f64>>>,
+    map: HashMap<u64, Arc<Vec<f64>>, BuildHasherDefault<KeyHasher>>,
     order: EvictionOrder<u64>,
 }
 
@@ -750,6 +753,22 @@ mod tests {
         assert!(cache.nominal(design_key(&[0.0])).is_none(), "oldest went");
         assert!(cache.nominal(design_key(&[1.0])).is_none());
         assert!(cache.nominal(design_key(&[4.0])).is_some(), "newest stays");
+    }
+
+    #[test]
+    fn nominal_bytes_are_a_function_of_the_history() {
+        let fill = || {
+            let cache = SimCache::new();
+            for i in 0..2_000u64 {
+                cache.store_nominal(design_key(&[i as f64]), Arc::new(vec![i as f64]), i);
+                if i % 50 == 49 {
+                    cache.enforce_nominal_limit(64);
+                }
+            }
+            cache.bytes()
+        };
+        let first = fill();
+        assert!((0..5).all(|_| fill() == first));
     }
 
     #[test]

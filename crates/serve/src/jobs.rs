@@ -1,5 +1,5 @@
 //! Job lifecycle: the FIFO queue with depth-limited backpressure, per-job
-//! status, and the cell executor the worker threads run.
+//! status, and the one place the worker threads wait.
 //!
 //! A job is `(tenant, JobSpec)`; its identity is
 //! [`JobSpec::job_id`], so resubmitting the same spec collapses onto the
@@ -7,19 +7,25 @@
 //! strictly bounded: a submission that would exceed the depth is rejected
 //! *before* anything is registered or written, so a 429 response means "the
 //! server holds nothing of yours — retry later", never a silent drop.
+//!
+//! The [`Registry`] also holds every opened job's [`ExecutionCore`], in
+//! activation order, under its one mutex, and each worker thread lives in
+//! [`Registry::work`]: under the lock it decides its next step — open a
+//! dequeued job, claim one cell, or exit — and otherwise blocks on the
+//! registry's one condvar. Opening and running cells happen outside the
+//! lock; each result comes back under it, commits in schedule order, and
+//! wakes every waiting worker.
 
 use moheco_bench::jobspec::JobSpec;
 use moheco_bench::results::ScenarioResult;
-use moheco_bench::{
-    Cell, CellOutcome, CellRunner, CellWriter, EnginePool, ExecutionCore, ScheduleOutcome,
-};
+use moheco_bench::{Cell, CellOutcome, CellRunner, CellWriter, Claim, EnginePool, ExecutionCore};
 use moheco_obs::json::JsonWriter;
 use moheco_obs::Tracer;
 use moheco_runtime::EngineStatsSnapshot;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,9 +109,52 @@ pub enum Submit {
     QueueFull,
 }
 
+/// What a worker does next ([`Inner::next_work`]).
+enum Work {
+    /// Open this dequeued job, already marked running: `(id, tenant, spec)`.
+    Open(String, String, JobSpec),
+    /// Run this claimed cell outside the lock: `(job id, claim, cell, runner)`.
+    Cell(String, Claim, Cell, Arc<CellRunner>),
+    /// The server is stopping and the worker has no job of its own.
+    Exit,
+}
+
+/// An opened job: its execution core and the executor its cells run on.
+struct ActiveCore {
+    id: String,
+    core: ExecutionCore,
+    runner: Arc<CellRunner>,
+}
+
+impl ActiveCore {
+    /// Opens a dequeued job: the tenant's [`CellRunner`], its row file and
+    /// the execution core over them. Returns the job and the number of rows
+    /// already on disk. Rows go through the campaign [`CellWriter`] (same
+    /// fingerprint check, torn-tail truncation and append-per-cell commit
+    /// point), which is why a killed job resumes byte-identically.
+    fn open(
+        pool: &Arc<EnginePool>,
+        data_dir: &Path,
+        id: &str,
+        tenant: &str,
+        spec: &JobSpec,
+    ) -> Result<(Self, usize), String> {
+        let runner = Arc::new(CellRunner::new(spec, pool.clone(), tenant)?);
+        let writer = CellWriter::open(&job_path(data_dir, tenant, id), spec)?;
+        let resumed = writer.resumed_rows();
+        let core = ExecutionCore::new(spec, writer, Tracer::disabled(), &mut |_, _| Ok(()))?;
+        let id = id.to_string();
+        Ok((Self { id, core, runner }, resumed))
+    }
+}
+
 struct Inner {
     jobs: HashMap<String, JobRecord>,
     queue: VecDeque<String>,
+    /// Opened jobs with cells outstanding, in activation order.
+    active: Vec<ActiveCore>,
+    /// Where an idle worker's round-robin scan of `active` starts.
+    next_help: usize,
     running: usize,
     shutdown: bool,
     // Service counters for /metrics.
@@ -115,8 +164,102 @@ struct Inner {
     rejected: u64,
 }
 
-/// The shared job table + FIFO queue. Workers block on
-/// [`Registry::next_job`]; everything else is non-blocking.
+impl Inner {
+    /// The worker policy. A worker whose `home` job (the epoch of the core
+    /// it opened) is still active claims only from that job. A worker with
+    /// no home job exits on shutdown, else takes the next queued job, else
+    /// claims one cell from the active jobs round-robin. `None` means
+    /// wait; a home job that has finished clears `home`.
+    fn next_work(&mut self, home: &mut Option<u64>) -> Option<Work> {
+        if let Some(epoch) = *home {
+            match self.active.iter().position(|a| a.core.epoch() == epoch) {
+                Some(index) => return self.claim(index),
+                None => *home = None,
+            }
+        }
+        if self.shutdown {
+            return Some(Work::Exit);
+        }
+        if let Some(id) = self.queue.pop_front() {
+            self.running += 1;
+            let job = self.jobs.get_mut(&id).expect("queued job is registered");
+            job.state = JobState::Running;
+            let (tenant, spec) = (job.tenant.clone(), job.spec.clone());
+            return Some(Work::Open(id, tenant, spec));
+        }
+        let (jobs, start) = (self.active.len(), self.next_help);
+        (0..jobs).map(|k| (start + k) % jobs).find_map(|index| {
+            let work = self.claim(index)?;
+            self.next_help = index + 1;
+            Some(work)
+        })
+    }
+
+    /// Claims one cell of the active job at `index`.
+    fn claim(&mut self, index: usize) -> Option<Work> {
+        let active = &mut self.active[index];
+        let (claim, cell) = active.core.claim()?;
+        let runner = active.runner.clone();
+        Some(Work::Cell(active.id.clone(), claim, cell, runner))
+    }
+
+    /// Posts a cell's result to its job: commits in schedule order
+    /// (recording each executed cell's counters against the job), and
+    /// finishes the job once its core stops. A result for a job that has
+    /// already failed, or for an older core of a reopened job, is dropped
+    /// and never written.
+    fn complete(&mut self, job: &str, claim: Claim, result: Result<ScenarioResult, String>) {
+        let Some(index) = self.active.iter().position(|a| a.id == job) else {
+            return;
+        };
+        let jobs = &mut self.jobs;
+        let mut record = |_: &Cell, outcome: CellOutcome<'_>| {
+            if let (CellOutcome::Executed(result), Some(record)) = (outcome, jobs.get_mut(job)) {
+                record.executed += 1;
+                record.stats.absorb(&result.engine_stats);
+            }
+            Ok(())
+        };
+        // A failure stays in the core, which reports it as its outcome. A
+        // panic (in the scheduler, say) must not poison the registry: it
+        // fails the job instead.
+        let core = &mut self.active[index].core;
+        let committed = catch_unwind(AssertUnwindSafe(|| {
+            core.complete(claim, result, &mut record)
+        }));
+        if committed.is_ok() && !core.is_finished() {
+            return;
+        }
+        let done = self.active.remove(index);
+        let outcome = match committed {
+            Ok(_) => done.core.outcome().map(|o| o.seeds_saved),
+            Err(panic) => Err(panic_message(panic)),
+        };
+        self.finish(&done.id, outcome);
+    }
+
+    /// Marks a running job finished: its state, its savings accounting
+    /// (`Ok(seeds_saved)`) and the service counters.
+    fn finish(&mut self, id: &str, outcome: Result<usize, String>) {
+        self.running = self.running.saturating_sub(1);
+        match &outcome {
+            Ok(_) => self.completed += 1,
+            Err(_) => self.failed += 1,
+        }
+        if let Some(job) = self.jobs.get_mut(id) {
+            job.state = match outcome {
+                Ok(seeds_saved) => {
+                    job.seeds_saved = seeds_saved;
+                    JobState::Completed
+                }
+                Err(e) => JobState::Failed(e),
+            };
+        }
+    }
+}
+
+/// The shared job table, FIFO queue and opened jobs. Workers live in
+/// [`Registry::work`]; everything else is non-blocking.
 pub struct Registry {
     queue_depth: usize,
     inner: Mutex<Inner>,
@@ -148,6 +291,8 @@ impl Registry {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 queue: VecDeque::new(),
+                active: Vec::new(),
+                next_help: 0,
                 running: 0,
                 shutdown: false,
                 submitted: 0,
@@ -159,10 +304,14 @@ impl Registry {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("registry lock")
+    }
+
     /// Submits a job. The spec must already be validated.
     pub fn submit(&self, tenant: &str, spec: JobSpec) -> Submit {
         let id = spec.job_id(tenant);
-        let mut inner = self.inner.lock().expect("registry lock");
+        let mut inner = self.lock();
         match inner.jobs.get(&id).map(|j| j.state.clone()) {
             Some(JobState::Failed(_)) | None => {}
             Some(_) => return Submit::Existing(id),
@@ -187,106 +336,76 @@ impl Registry {
         );
         inner.queue.push_back(id.clone());
         inner.submitted += 1;
-        self.wake.notify_one();
+        drop(inner);
+        self.wake.notify_all();
         Submit::Accepted(id)
     }
 
-    /// Blocks for the next queued job; `None` means shutdown.
-    pub fn next_job(&self) -> Option<(String, String, JobSpec)> {
-        let mut inner = self.inner.lock().expect("registry lock");
+    /// One worker thread's whole life: does what the worker policy hands
+    /// out until the server stops. Waits only on the registry's condvar;
+    /// the open step and each cell run outside the lock, under
+    /// `catch_unwind`, so a panic fails the job, not the worker. Every
+    /// open, completion, submission and shutdown wakes all waiting workers.
+    pub fn work(&self, pool: &Arc<EnginePool>, data_dir: &Path) {
+        let mut home = None;
+        let mut inner = self.lock();
         loop {
-            if inner.shutdown {
-                return None;
-            }
-            if let Some(job) = take_next(&mut inner) {
-                return Some(job);
-            }
-            inner = self.wake.wait(inner).expect("registry lock");
-        }
-    }
-
-    /// Waits up to `timeout` for a queued job. [`NextJob::Idle`] tells the
-    /// worker nothing is queued right now — the moment to lend a hand to
-    /// another worker's in-flight job instead of sleeping.
-    pub fn next_job_timeout(&self, timeout: Duration) -> NextJob {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("registry lock");
-        loop {
-            if inner.shutdown {
-                return NextJob::Shutdown;
-            }
-            if let Some((id, tenant, spec)) = take_next(&mut inner) {
-                return NextJob::Job(id, tenant, spec);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return NextJob::Idle;
-            }
-            inner = self
-                .wake
-                .wait_timeout(inner, deadline - now)
-                .expect("registry lock")
-                .0;
-        }
-    }
-
-    /// Records one executed cell's counters against a running job.
-    pub fn record_cell(&self, id: &str, stats: &EngineStatsSnapshot) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(job) = inner.jobs.get_mut(id) {
-            job.executed += 1;
-            job.stats.absorb(stats);
-        }
-    }
-
-    /// Records how many cells a starting job found already on disk.
-    pub fn record_resumed(&self, id: &str, resumed: usize) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(job) = inner.jobs.get_mut(id) {
-            job.resumed = resumed;
-        }
-    }
-
-    /// Records the finished schedule's savings accounting against the job.
-    pub fn record_outcome(&self, id: &str, outcome: &ScheduleOutcome) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(job) = inner.jobs.get_mut(id) {
-            job.seeds_saved = outcome.seeds_saved;
-        }
-    }
-
-    /// Marks a running job finished (successfully or not).
-    pub fn finish(&self, id: &str, outcome: Result<(), String>) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.running = inner.running.saturating_sub(1);
-        match &outcome {
-            Ok(()) => inner.completed += 1,
-            Err(_) => inner.failed += 1,
-        }
-        if let Some(job) = inner.jobs.get_mut(id) {
-            job.state = match outcome {
-                Ok(()) => JobState::Completed,
-                Err(e) => JobState::Failed(e),
+            let Some(work) = inner.next_work(&mut home) else {
+                inner = self.wake.wait(inner).expect("registry lock");
+                continue;
             };
+            match work {
+                Work::Exit => return,
+                Work::Open(id, tenant, spec) => {
+                    drop(inner);
+                    let opened = catch_unwind(AssertUnwindSafe(|| {
+                        ActiveCore::open(pool, data_dir, &id, &tenant, &spec)
+                    }))
+                    .unwrap_or_else(|panic| Err(panic_message(panic)));
+                    inner = self.lock();
+                    match opened {
+                        Ok((active, resumed)) => {
+                            home = Some(active.core.epoch());
+                            if let Some(job) = inner.jobs.get_mut(&id) {
+                                job.resumed = resumed;
+                            }
+                            // Every row may already be on disk.
+                            if active.core.is_finished() {
+                                inner.finish(&id, active.core.outcome().map(|o| o.seeds_saved));
+                            } else {
+                                inner.active.push(active);
+                            }
+                        }
+                        Err(e) => inner.finish(&id, Err(e)),
+                    }
+                }
+                Work::Cell(job, claim, cell, runner) => {
+                    drop(inner);
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| runner.run(&cell, &Tracer::disabled())))
+                            .unwrap_or_else(|_| {
+                                Err(format!(
+                                    "{}/{}/seed {}: cell execution panicked",
+                                    cell.scenario, cell.algo, cell.seed
+                                ))
+                            });
+                    inner = self.lock();
+                    inner.complete(&job, claim, result);
+                }
+            }
+            self.wake.notify_all();
         }
     }
 
     /// A copy of the job's record, if registered.
     pub fn get(&self, id: &str) -> Option<JobRecord> {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .jobs
-            .get(id)
-            .cloned()
+        self.lock().jobs.get(id).cloned()
     }
 
     /// Whether the job has reached a terminal state (streamers use this to
     /// decide when the file can have no further appends).
     pub fn is_finished(&self, id: &str) -> Option<bool> {
-        self.inner
-            .lock()
-            .expect("registry lock")
+        self.lock()
             .jobs
             .get(id)
             .map(|j| matches!(j.state, JobState::Completed | JobState::Failed(_)))
@@ -294,7 +413,7 @@ impl Registry {
 
     /// Engine counters summed over every job the server has executed.
     pub fn total_stats(&self) -> EngineStatsSnapshot {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.lock();
         let mut total = EngineStatsSnapshot::default();
         for job in inner.jobs.values() {
             total.absorb(&job.stats);
@@ -304,7 +423,7 @@ impl Registry {
 
     /// Service counters for the metrics endpoint.
     pub fn counters(&self) -> ServiceCounters {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.lock();
         ServiceCounters {
             submitted: inner.submitted,
             completed: inner.completed,
@@ -315,31 +434,12 @@ impl Registry {
         }
     }
 
-    /// Wakes every worker with "no more jobs".
+    /// Stops handing out queued jobs: idle workers exit, and a worker
+    /// driving a job exits once that job finishes.
     pub fn shutdown(&self) {
-        self.inner.lock().expect("registry lock").shutdown = true;
+        self.lock().shutdown = true;
         self.wake.notify_all();
     }
-}
-
-/// Pops the queue head and marks it running. Call with the registry lock.
-fn take_next(inner: &mut Inner) -> Option<(String, String, JobSpec)> {
-    let id = inner.queue.pop_front()?;
-    inner.running += 1;
-    let job = inner.jobs.get_mut(&id).expect("queued job is registered");
-    job.state = JobState::Running;
-    Some((id.clone(), job.tenant.clone(), job.spec.clone()))
-}
-
-/// Outcome of a bounded wait for queue work ([`Registry::next_job_timeout`]).
-#[derive(Debug)]
-pub enum NextJob {
-    /// A job was dequeued and marked running: `(id, tenant, spec)`.
-    Job(String, String, JobSpec),
-    /// Nothing was queued within the timeout.
-    Idle,
-    /// The server is stopping; the worker should exit.
-    Shutdown,
 }
 
 /// The JSONL file of a job: `<data_dir>/<tenant>/job-<id>.jsonl` (its
@@ -349,68 +449,13 @@ pub fn job_path(data_dir: &Path, tenant: &str, id: &str) -> PathBuf {
     data_dir.join(tenant).join(format!("job-{id}.jsonl"))
 }
 
-type ExecuteFn = Box<dyn Fn(&Cell) -> Result<ScenarioResult, String> + Send + Sync>;
-type CommitFn = Box<dyn FnMut(&Cell, CellOutcome<'_>) -> Result<(), String> + Send>;
-
-/// One job opened for execution: the shared scheduler-driven
-/// [`ExecutionCore`] wired to the engine pool and the registry.
-///
-/// The worker that dequeued the job calls [`ActiveJob::drive`]; any idle
-/// worker may call [`ActiveJob::help`] on the same job concurrently — the
-/// core hands each of them cells from one `next_cells` allocation loop and
-/// commits completions in schedule order, so the job's JSONL stays
-/// byte-identical to a single-worker run (under `reuse: reset`; see the
-/// core's docs for the shared-cache caveat). Rows stream through the
-/// campaign [`CellWriter`] — same fingerprint check, same torn-tail
-/// truncation, same append-per-cell commit point — which is exactly why a
-/// killed-and-resumed HTTP job reproduces byte-identical JSONL.
-pub struct ActiveJob {
-    core: ExecutionCore<ExecuteFn, CommitFn>,
-}
-
-impl ActiveJob {
-    /// Opens the job's row file (resuming from whatever rows it holds) and
-    /// builds the execution core over it. Cells run through the tenant's
-    /// [`CellRunner`], which leases one pool slot per cell and drops it
-    /// before tenant-quota enforcement.
-    pub fn open(
-        registry: &Arc<Registry>,
-        pool: &Arc<EnginePool>,
-        data_dir: &Path,
-        id: &str,
-        tenant: &str,
-        spec: &JobSpec,
-    ) -> Result<Self, String> {
-        let runner = CellRunner::new(spec, pool.clone(), tenant)?;
-        let writer = CellWriter::open(&job_path(data_dir, tenant, id), spec)?;
-        registry.record_resumed(id, writer.resumed_rows());
-        let execute: ExecuteFn = Box::new(move |cell: &Cell| runner.run(cell, &Tracer::disabled()));
-        let commit: CommitFn = {
-            let registry = registry.clone();
-            let id = id.to_string();
-            Box::new(move |_cell: &Cell, outcome: CellOutcome<'_>| {
-                if let CellOutcome::Executed(result) = outcome {
-                    registry.record_cell(&id, &result.engine_stats);
-                }
-                Ok(())
-            })
-        };
-        Ok(Self {
-            core: ExecutionCore::new(spec, writer, Tracer::disabled(), execute, commit)?,
-        })
-    }
-
-    /// Drives the job to completion (the dequeuing worker's call). Safe to
-    /// call while helpers run cells; the first error wins.
-    pub fn drive(&self) -> Result<ScheduleOutcome, String> {
-        self.core.drive()
-    }
-
-    /// Executes at most one of the job's claimable cells (an idle worker's
-    /// call), waiting up to `patience` for one to appear. Returns whether a
-    /// cell was executed; errors surface through [`ActiveJob::drive`] too.
-    pub fn help(&self, patience: Duration) -> Result<bool, String> {
-        self.core.help(patience)
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    match panic.downcast_ref::<&str>() {
+        Some(msg) => format!("worker panicked: {msg}"),
+        None => match panic.downcast_ref::<String>() {
+            Some(msg) => format!("worker panicked: {msg}"),
+            None => "worker panicked".to_string(),
+        },
     }
 }
 
@@ -460,9 +505,11 @@ mod tests {
             Submit::Accepted(_)
         ));
         // Take + fail the job: the next submission re-queues it.
-        let (taken, _, _) = registry.next_job().expect("job queued");
+        let Some(Work::Open(taken, _, _)) = registry.lock().next_work(&mut None) else {
+            panic!("expected the queued job");
+        };
         assert_eq!(taken, id);
-        registry.finish(&id, Err("boom".into()));
+        registry.lock().finish(&id, Err("boom".into()));
         assert_eq!(
             registry.get(&id).unwrap().state,
             JobState::Failed("boom".into())
@@ -478,11 +525,12 @@ mod tests {
         let registry = std::sync::Arc::new(Registry::new(4));
         let worker = {
             let registry = registry.clone();
-            std::thread::spawn(move || registry.next_job())
+            let pool = Arc::new(EnginePool::new(0));
+            std::thread::spawn(move || registry.work(&pool, Path::new("unused")))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         registry.shutdown();
-        assert!(worker.join().expect("worker").is_none());
+        worker.join().expect("worker exits");
     }
 
     #[test]
@@ -494,7 +542,7 @@ mod tests {
             Submit::Accepted(id) => id,
             other => panic!("expected acceptance, got {other:?}"),
         };
-        registry.finish(&id, Err(message.into()));
+        registry.lock().finish(&id, Err(message.into()));
         let body = registry.get(&id).expect("registered").to_json(&id);
         assert_eq!(body.lines().count(), 1, "{body:?}");
         assert!(body.ends_with("}\n"));

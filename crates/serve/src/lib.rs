@@ -13,11 +13,16 @@
 //! data directory resumes from the rows already on disk — byte-identically,
 //! via the exact `.spec` sidecar protocol the campaign runner uses.
 //!
+//! The workers wait in one place: the job [`Registry`]'s mutex and condvar,
+//! which also hold every running job's [`moheco_bench::ExecutionCore`]. A
+//! worker drives the job it dequeued and, with none, opens the next queued
+//! job or runs one cell of a running job; cells run outside the lock.
+//!
 //! Everything is `std`: `TcpListener`, hand-rolled HTTP parsing
-//! ([`http`]), `Mutex`/`Condvar` queues. The build environment is offline,
-//! so there is no tokio, hyper, or serde — and at this service's scale
-//! (long-running simulation jobs, not microsecond request churn) blocking
-//! threads are the simpler and entirely adequate model.
+//! ([`http`]), one `Mutex`/`Condvar` registry. The build environment is
+//! offline, so there is no tokio, hyper, or serde — and at this service's
+//! scale (long-running simulation jobs, not microsecond request churn)
+//! blocking threads are the simpler and entirely adequate model.
 
 pub mod client;
 pub mod http;
@@ -25,7 +30,5 @@ pub mod jobs;
 pub mod server;
 
 pub use client::{request, request_observed, Response};
-pub use jobs::{
-    job_path, ActiveJob, JobRecord, JobState, NextJob, Registry, ServiceCounters, Submit,
-};
+pub use jobs::{job_path, JobRecord, JobState, Registry, ServiceCounters, Submit};
 pub use server::{Server, ServerConfig};

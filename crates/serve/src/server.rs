@@ -1,6 +1,6 @@
 //! The job server: a `std::net::TcpListener` accept loop (thread per
-//! connection), a fixed pool of worker threads draining the job queue, and
-//! the HTTP routes.
+//! connection), a fixed pool of worker threads that take their work from
+//! the job [`Registry`] (the one place they wait), and the HTTP routes.
 //!
 //! Routes:
 //!
@@ -13,7 +13,7 @@
 //! | `GET /healthz` | `ok` |
 
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
-use crate::jobs::{job_path, ActiveJob, NextJob, Registry, Submit};
+use crate::jobs::{job_path, Registry, Submit};
 use moheco_bench::jobspec::JobSpec;
 use moheco_bench::EnginePool;
 use moheco_obs::json::JsonWriter;
@@ -22,23 +22,14 @@ use moheco_obs::PhaseBreakdown;
 use moheco_runtime::{render_pool_cache, render_prometheus};
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a streamer sleeps between polls of a still-running job's file.
 const STREAM_POLL: Duration = Duration::from_millis(10);
-
-/// How long an idle worker waits on the job queue before looking for an
-/// in-flight job to help with.
-const IDLE_POLL: Duration = Duration::from_millis(50);
-
-/// How long a helping worker waits on another job's round barrier for a
-/// claimable cell before checking the queue again.
-const HELP_PATIENCE: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -75,13 +66,6 @@ struct Shared {
     pool: Arc<EnginePool>,
     data_dir: PathBuf,
     stopping: AtomicBool,
-    /// Jobs currently being driven by a worker — what idle workers scan for
-    /// something to help with. Entries are pushed before the driving worker
-    /// starts and removed when it finishes; the lock is only ever held to
-    /// clone an `Arc` out, never while touching a job's execution core.
-    active: Mutex<Vec<(String, Arc<ActiveJob>)>>,
-    /// Round-robin cursor so idle workers spread across active jobs.
-    help_cursor: AtomicUsize,
 }
 
 /// A running server. Dropping it without [`Server::shutdown`] leaks the
@@ -104,8 +88,6 @@ impl Server {
             pool: Arc::new(EnginePool::new(config.tenant_quota_blocks)),
             data_dir: config.data_dir,
             stopping: AtomicBool::new(false),
-            active: Mutex::new(Vec::new()),
-            help_cursor: AtomicUsize::new(0),
         });
         let accept_handle = {
             let shared = shared.clone();
@@ -131,8 +113,9 @@ impl Server {
     pub fn start_workers(&mut self, n: usize) {
         for _ in 0..n {
             let shared = self.shared.clone();
-            self.worker_handles
-                .push(std::thread::spawn(move || worker_loop(shared)));
+            self.worker_handles.push(std::thread::spawn(move || {
+                shared.registry.work(&shared.pool, &shared.data_dir)
+            }));
         }
     }
 
@@ -174,89 +157,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         std::thread::spawn(move || {
             let _ = handle_connection(stream, &shared);
         });
-    }
-}
-
-/// The worker policy: drain the job queue, and whenever the queue is empty
-/// lend a hand to another worker's in-flight job. N workers over one
-/// adaptive job all pull cells from that job's single `next_cells`
-/// allocation loop — the execution core commits completions in schedule
-/// order, so the extra workers change wall time, never bytes (under
-/// `reuse: reset`).
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        match shared.registry.next_job_timeout(IDLE_POLL) {
-            NextJob::Shutdown => return,
-            NextJob::Job(id, tenant, spec) => run_job(&shared, &id, &tenant, &spec),
-            NextJob::Idle => {
-                let job = {
-                    let active = shared.active.lock().expect("active jobs lock");
-                    if active.is_empty() {
-                        None
-                    } else {
-                        let pick = shared.help_cursor.fetch_add(1, Ordering::Relaxed);
-                        Some(active[pick % active.len()].1.clone())
-                    }
-                    // The active-map lock drops here, before the core is
-                    // touched — helping never blocks submissions.
-                };
-                if let Some(job) = job {
-                    // Errors surface through the driving worker's `drive`.
-                    let _ = job.help(HELP_PATIENCE);
-                }
-            }
-        }
-    }
-}
-
-/// Opens and drives one dequeued job, registering it as active so idle
-/// workers can help, and recording the terminal state however it ends —
-/// open failure, execution error, panic, or success.
-fn run_job(shared: &Arc<Shared>, id: &str, tenant: &str, spec: &JobSpec) {
-    let opened = catch_unwind(AssertUnwindSafe(|| {
-        ActiveJob::open(
-            &shared.registry,
-            &shared.pool,
-            &shared.data_dir,
-            id,
-            tenant,
-            spec,
-        )
-    }));
-    let job = match opened {
-        Ok(Ok(job)) => Arc::new(job),
-        Ok(Err(e)) => return shared.registry.finish(id, Err(e)),
-        Err(panic) => return shared.registry.finish(id, Err(panic_message(panic))),
-    };
-    shared
-        .active
-        .lock()
-        .expect("active jobs lock")
-        .push((id.to_string(), job.clone()));
-    let driven = catch_unwind(AssertUnwindSafe(|| job.drive()));
-    shared
-        .active
-        .lock()
-        .expect("active jobs lock")
-        .retain(|(active_id, _)| active_id != id);
-    let outcome = match driven {
-        Ok(Ok(schedule)) => {
-            shared.registry.record_outcome(id, &schedule);
-            Ok(())
-        }
-        Ok(Err(e)) => Err(e),
-        Err(panic) => Err(panic_message(panic)),
-    };
-    shared.registry.finish(id, outcome);
-}
-
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    match panic.downcast_ref::<&str>() {
-        Some(msg) => format!("worker panicked: {msg}"),
-        None => match panic.downcast_ref::<String>() {
-            Some(msg) => format!("worker panicked: {msg}"),
-            None => "worker panicked".to_string(),
-        },
     }
 }
 
