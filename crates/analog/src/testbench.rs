@@ -36,11 +36,6 @@ impl DesignVariable {
             unit,
         }
     }
-
-    /// The midpoint of the allowed range.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
 }
 
 /// A benchmark circuit with its evaluation map.
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn design_variable_construction() {
         let v = DesignVariable::new("w_in", 10.0, 100.0, "um");
-        assert_eq!(v.midpoint(), 55.0);
+        assert_eq!((v.lo, v.hi), (10.0, 100.0));
         assert_eq!(v.unit, "um");
     }
 

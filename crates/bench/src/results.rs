@@ -167,13 +167,6 @@ pub struct BaselineComparison {
     pub summary: String,
 }
 
-impl BaselineComparison {
-    /// Whether the gate passes.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// Multi-seed aggregate of one (scenario, algo) campaign cell group: the
 /// schema-v4 baseline record. Where a v3 baseline froze one seed's point
 /// estimate — so a gate verdict could be pure seed noise — the aggregate
@@ -611,20 +604,20 @@ mod tests {
         near.best_yield.median += 0.03;
         near.best_yield.mean += 0.2;
         let cmp = compare_aggregates(&baseline.to_json(), &near.to_json());
-        assert!(cmp.passed(), "{:?}", cmp.failures);
+        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
         assert!(cmp.summary.contains("cross-seed std"));
         // A large median drift fails.
         let mut far = baseline.clone();
         far.best_yield.median += 0.08;
         let cmp = compare_aggregates(&baseline.to_json(), &far.to_json());
-        assert!(!cmp.passed());
+        assert!(!cmp.failures.is_empty());
         assert!(cmp.failures[0].contains("median yield deviation"));
         // The seed set is part of the identity: a 2-seed aggregate can never
         // silently replace a 3-seed baseline.
         let mut fewer = baseline.clone();
         fewer.seeds = vec![1, 2];
         let cmp = compare_aggregates(&baseline.to_json(), &fewer.to_json());
-        assert!(!cmp.passed());
+        assert!(!cmp.failures.is_empty());
         assert!(cmp.failures.iter().any(|f| f.contains("seeds")));
         // So are the estimator and the prescreen: an lhs or prescreened
         // aggregate can never silently replace an mc or unscreened baseline.

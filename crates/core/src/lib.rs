@@ -65,6 +65,6 @@ pub use benchmark::{Benchmark, CircuitBench};
 pub use candidate::{best_candidate_index, Candidate, Stage};
 pub use config::{MohecoConfig, YieldStrategy};
 pub use problem::{FeasibilityReport, YieldProblem};
-pub use stats::{table_row, RunSummary};
+pub use stats::RunSummary;
 pub use trace::{GenerationRecord, Trace};
 pub use two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};

@@ -62,20 +62,7 @@ impl<T: Testbench> YieldProblem<CircuitBench<T>> {
     /// through a fresh one-worker [`Engine`] (Latin-Hypercube sample
     /// streams, the default estimator).
     pub fn new(testbench: T) -> Self {
-        Self::with_estimator(testbench, EstimatorKind::default())
-    }
-
-    /// [`Self::new`] with an explicit variance-reduction estimator: the
-    /// fresh engine's sample streams are shaped by `estimator` and
-    /// [`Self::report_first`] condenses them with its variance formula.
-    /// The default kind ([`EstimatorKind::MonteCarlo`]) is bit-identical to
-    /// [`Self::new`].
-    pub fn with_estimator(testbench: T, estimator: EstimatorKind) -> Self {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            estimator,
-            workers: 1,
-            ..EngineConfig::default()
-        }));
+        let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(1)));
         Self::with_engine(testbench, engine)
     }
 
@@ -145,13 +132,6 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
     /// Total number of simulations spent so far.
     pub fn simulations(&self) -> u64 {
         self.engine.simulations()
-    }
-
-    /// Resets the simulation counter *and the engine cache* (used between
-    /// experiment repetitions, so a repetition cannot be served from a
-    /// previous run's cache).
-    pub fn reset_counter(&self) {
-        self.engine.reset();
     }
 
     /// Design-space bounds of the benchmark.
@@ -366,7 +346,7 @@ mod tests {
         let x = p.testbench().reference_design();
         let _ = p.feasibility(&x);
         assert!(p.simulations() > 0);
-        p.reset_counter();
+        p.engine().reset();
         assert_eq!(p.simulations(), 0);
     }
 
@@ -416,7 +396,10 @@ mod tests {
     #[test]
     fn estimator_choice_threads_through_the_problem() {
         use moheco_sampling::EstimatorKind;
-        let p = YieldProblem::with_estimator(FoldedCascode::new(), EstimatorKind::Antithetic);
+        let config = EngineConfig::default()
+            .with_workers(1)
+            .with_estimator(EstimatorKind::Antithetic);
+        let p = YieldProblem::with_engine(FoldedCascode::new(), Arc::new(Engine::new(config)));
         assert_eq!(p.estimator(), EstimatorKind::Antithetic);
         let x = p.testbench().reference_design();
         let ci = p.report_first(&x, 100);

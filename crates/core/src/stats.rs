@@ -59,16 +59,6 @@ impl RunSummary {
     }
 }
 
-/// Formats a deviation table row like Tables 1 and 3 of the paper
-/// (best / worst / average / variance), interpreting "best" as the smallest
-/// value (smallest deviation or smallest simulation count).
-pub fn table_row(label: &str, summary: &RunSummary) -> String {
-    format!(
-        "{label:<28} {:>12.4} {:>12.4} {:>12.4} {:>12.3e}",
-        summary.min, summary.max, summary.mean, summary.variance
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +81,5 @@ mod tests {
         let s = RunSummary::of(&[]);
         assert_eq!(s.runs, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn table_row_contains_label_and_values() {
-        let s = RunSummary::of(&[0.1, 0.3]);
-        let row = table_row("MOHECO", &s);
-        assert!(row.contains("MOHECO"));
-        assert!(row.contains("0.1"));
-        assert!(row.contains("0.3"));
     }
 }

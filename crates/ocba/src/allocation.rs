@@ -67,33 +67,11 @@ impl std::error::Error for OcbaError {}
 /// Maps a non-finite mean (NaN or an infinity) to the worst possible value
 /// so comparisons against it are total and it can never win a best-design
 /// selection. Finite means pass through unchanged.
-pub(crate) fn finite_or_worst(mean: f64) -> f64 {
+fn finite_or_worst(mean: f64) -> f64 {
     if mean.is_finite() {
         mean
     } else {
         f64::NEG_INFINITY
-    }
-}
-
-/// Summary statistics of one design under simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesignStats {
-    /// Sample mean of the performance (here: estimated yield).
-    pub mean: f64,
-    /// Sample variance of a *single* simulation replication.
-    pub variance: f64,
-    /// Number of replications already spent on this design.
-    pub samples: usize,
-}
-
-impl DesignStats {
-    /// Creates design statistics.
-    pub fn new(mean: f64, variance: f64, samples: usize) -> Self {
-        Self {
-            mean,
-            variance,
-            samples,
-        }
     }
 }
 
@@ -120,32 +98,6 @@ pub fn allocate(means: &[f64], variances: &[f64], total: usize) -> Result<Vec<us
     let mut scratch = AllocScratch::default();
     scratch.targets(means.len(), |i| means[i], |i| variances[i], total)?;
     Ok(scratch.target)
-}
-
-/// Computes the incremental allocation given already-spent samples.
-///
-/// `stats[i].samples` simulations have already been spent on design `i`; the
-/// function allocates `delta` *additional* simulations so that the cumulative
-/// totals track the OCBA-optimal proportions as closely as possible (designs
-/// that already exceed their target receive nothing).
-///
-/// Returns the number of additional simulations for each design (sums to
-/// `delta`).
-///
-/// # Errors
-///
-/// Propagates the errors of [`allocate`].
-pub fn allocate_incremental(stats: &[DesignStats], delta: usize) -> Result<Vec<usize>, OcbaError> {
-    let mut out = Vec::new();
-    AllocScratch::default().increment(
-        stats.len(),
-        |i| stats[i].mean,
-        |i| stats[i].variance,
-        |i| stats[i].samples,
-        delta,
-        &mut out,
-    )?;
-    Ok(out)
 }
 
 /// `2^53`: below it every non-negative integer is an `f64`, so an integer
@@ -181,7 +133,7 @@ fn round_robin(keys: &mut [u128], extra: usize, out: &mut [usize]) {
 /// Working memory of the allocation rule, reusable across calls so that a
 /// sequential loop runs its rounds without allocating.
 ///
-/// The rule has this one body; [`allocate`], [`allocate_incremental`] and
+/// The rule has this one body; [`allocate`] and
 /// [`crate::allocate_arm_increment`] are wrappers that hand it fresh
 /// buffers. It reproduces the historical rule bit for bit: every float
 /// expression and summation order is unchanged, the two stable sorts became
@@ -322,8 +274,12 @@ impl AllocScratch {
         Ok(())
     }
 
-    /// The body of [`allocate_incremental`] over `s` designs: writes the
-    /// additional simulations per design into `out`.
+    /// Computes the incremental allocation given already-spent samples:
+    /// `count(i)` simulations have already been spent on design `i`, and
+    /// `delta` *additional* ones are split so that the cumulative totals
+    /// track the OCBA-optimal proportions as closely as possible (designs
+    /// that already exceed their target receive nothing). Writes the
+    /// additional simulations per design, summing to `delta`, into `out`.
     pub(crate) fn increment(
         &mut self,
         s: usize,
@@ -385,6 +341,22 @@ impl AllocScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The incremental rule over `(mean, variance, spent)` designs.
+    fn increment(designs: &[(f64, f64, usize)], delta: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        AllocScratch::default()
+            .increment(
+                designs.len(),
+                |i| designs[i].0,
+                |i| designs[i].1,
+                |i| designs[i].2,
+                delta,
+                &mut out,
+            )
+            .unwrap();
+        out
+    }
 
     #[test]
     fn rejects_bad_input() {
@@ -477,12 +449,8 @@ mod tests {
 
     #[test]
     fn incremental_allocation_tops_up_underfunded_designs() {
-        let stats = vec![
-            DesignStats::new(0.9, 0.09, 50),
-            DesignStats::new(0.88, 0.10, 15),
-            DesignStats::new(0.3, 0.21, 15),
-        ];
-        let add = allocate_incremental(&stats, 60).unwrap();
+        let designs = [(0.9, 0.09, 50), (0.88, 0.10, 15), (0.3, 0.21, 15)];
+        let add = increment(&designs, 60);
         assert_eq!(add.iter().sum::<usize>(), 60);
         // The close competitor that is underfunded should receive the most.
         assert!(add[1] >= add[2], "allocation {add:?}");
@@ -491,11 +459,8 @@ mod tests {
     #[test]
     fn incremental_handles_overfunded_population() {
         // Everyone already has far more than the target for such a tiny delta.
-        let stats = vec![
-            DesignStats::new(0.9, 0.01, 1000),
-            DesignStats::new(0.2, 0.01, 1000),
-        ];
-        let add = allocate_incremental(&stats, 5).unwrap();
+        let designs = [(0.9, 0.01, 1000), (0.2, 0.01, 1000)];
+        let add = increment(&designs, 5);
         assert_eq!(add.iter().sum::<usize>(), 5);
     }
 
@@ -533,13 +498,13 @@ mod tests {
         // every remainder unit of the proportional split must land on a
         // design with a positive shortfall, for any delta.
         for delta in [1, 3, 7, 20, 61, 1000] {
-            let stats = vec![
-                DesignStats::new(0.9, 0.09, 5000),
-                DesignStats::new(0.88, 0.10, 15),
-                DesignStats::new(0.86, 0.12, 15),
-                DesignStats::new(0.3, 0.21, 15),
+            let designs = [
+                (0.9, 0.09, 5000),
+                (0.88, 0.10, 15),
+                (0.86, 0.12, 15),
+                (0.3, 0.21, 15),
             ];
-            let add = allocate_incremental(&stats, delta).unwrap();
+            let add = increment(&designs, delta);
             assert_eq!(add.iter().sum::<usize>(), delta);
             assert_eq!(
                 add[0], 0,
@@ -550,12 +515,9 @@ mod tests {
         // than one unit per design, so the remainder exceeds the number of
         // underfunded designs and the pre-fix full-list cycling wraps around
         // into the overfunded competitor.
-        let stats = vec![
-            DesignStats::new(0.9, 0.25, 0),
-            DesignStats::new(0.2, 0.01, 1_000_000_000_000_000_000),
-        ];
+        let designs = [(0.9, 0.25, 0), (0.2, 0.01, 1_000_000_000_000_000_000)];
         let delta = (1usize << 60) + 127;
-        let add = allocate_incremental(&stats, delta).unwrap();
+        let add = increment(&designs, delta);
         assert_eq!(add.iter().sum::<usize>(), delta);
         assert_eq!(add[1], 0, "overfunded design funded: {add:?}");
     }

@@ -8,11 +8,10 @@
 //! campaign cells and a "replication" is a whole seeded optimization run.
 //! [`Arm`] is that four-number abstraction, and [`allocate_arm_increment`]
 //! is the capped incremental allocation every consumer (the sequential
-//! design loop, the campaign scheduler) routes through: it runs
-//! [`crate::allocate_incremental`]'s shortfall split (including the
-//! remainder-to-underfunded-only and NaN-ranking fixes) and owns the
-//! cap-clamp-then-redistribute step that used to live inline in
-//! [`crate::run_sequential_batched`].
+//! design loop, the campaign scheduler) routes through: it runs the rule's
+//! incremental shortfall split (including the remainder-to-underfunded-only
+//! and NaN-ranking fixes) and owns the cap-clamp-then-redistribute step that
+//! used to live inline in [`crate::run_sequential_batched`].
 
 use crate::allocation::{AllocScratch, OcbaError};
 
@@ -68,8 +67,8 @@ impl Arm {
 ///
 /// Returns [`OcbaError::ZeroBudget`] when `delta` is zero and
 /// [`OcbaError::TooFewDesigns`] when `arms` is empty; otherwise propagates
-/// [`crate::allocate_incremental`]'s input validation (e.g. a negative or
-/// non-finite variance).
+/// [`crate::allocate`]'s input validation (e.g. a negative or non-finite
+/// variance).
 pub fn allocate_arm_increment(arms: &[Arm], delta: usize) -> Result<Vec<usize>, OcbaError> {
     let mut granted = Vec::new();
     arm_increment(arms, delta, &mut AllocScratch::default(), &mut granted)?;

@@ -8,14 +8,13 @@
 //! Chen et al. 2000) so that promising candidates receive many samples and
 //! clearly bad candidates receive few.
 //!
-//! * [`allocation`] — the OCBA rule itself ([`allocation::allocate`]) and an
-//!   incremental variant that tops up designs already partially simulated.
-//! * [`arms`] — the same rule over abstract arms (mean/variance/count/cap),
-//!   used by both the sequential design loop and the campaign scheduler.
+//! * [`allocation`] — the OCBA rule itself ([`allocation::allocate`]).
+//! * [`arms`] — the rule's incremental form over abstract arms
+//!   (mean/variance/count/cap), which tops up arms already partially
+//!   simulated; used by both the sequential design loop and the campaign
+//!   scheduler.
 //! * [`sequential`] — the `n0`-then-`Δ`-increments loop used inside one
-//!   MOHECO generation ([`sequential::run_sequential`]).
-//! * [`ordinal`] — ranking helpers, good-enough subsets and alignment
-//!   probability estimation.
+//!   MOHECO generation ([`sequential::run_sequential_batched`]).
 //!
 //! # Example
 //!
@@ -36,12 +35,8 @@
 
 pub mod allocation;
 pub mod arms;
-pub mod ordinal;
 pub mod sequential;
 
-pub use allocation::{allocate, allocate_incremental, DesignStats, OcbaError};
+pub use allocation::{allocate, OcbaError};
 pub use arms::{allocate_arm_increment, Arm};
-pub use ordinal::{alignment_level, alignment_probability, rank_descending, selected_subset};
-pub use sequential::{
-    run_sequential, run_sequential_batched, RunningStats, SequentialConfig, SequentialOutcome,
-};
+pub use sequential::{run_sequential_batched, RunningStats, SequentialConfig, SequentialOutcome};

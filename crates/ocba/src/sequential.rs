@@ -80,20 +80,6 @@ pub struct SequentialConfig {
     pub per_design_cap: Option<usize>,
 }
 
-impl SequentialConfig {
-    /// Paper-default configuration for a population of `num_designs` feasible
-    /// candidates: `n0 = 15`, `Δ = 20`, `T = sim_ave * num_designs` with
-    /// `sim_ave = 35`.
-    pub fn paper_default(num_designs: usize) -> Self {
-        Self {
-            n0: 15,
-            delta: 20,
-            total_budget: 35 * num_designs.max(1),
-            per_design_cap: None,
-        }
-    }
-}
-
 /// Result of a sequential allocation run.
 #[derive(Debug, Clone)]
 pub struct SequentialOutcome {
@@ -105,30 +91,6 @@ pub struct SequentialOutcome {
     pub total_spent: usize,
     /// Number of OCBA rounds executed after the initial `n0` phase.
     pub rounds: usize,
-}
-
-impl SequentialOutcome {
-    /// Index of the design with the best (highest) estimated mean.
-    ///
-    /// Non-finite means (e.g. a NaN from a poisoned outcome stream) are
-    /// ranked worst-possible, so they can never win the selection.
-    pub fn best_design(&self) -> usize {
-        self.stats
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                crate::allocation::finite_or_worst(a.1.mean)
-                    .partial_cmp(&crate::allocation::finite_or_worst(b.1.mean))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Estimated means per design.
-    pub fn means(&self) -> Vec<f64> {
-        self.stats.iter().map(|s| s.mean).collect()
-    }
 }
 
 /// Runs the sequential OCBA loop over `num_designs` designs with a *batched*
@@ -243,29 +205,6 @@ where
     })
 }
 
-/// Runs the sequential OCBA loop with a per-design simulator closure.
-///
-/// Thin wrapper over [`run_sequential_batched`] that evaluates each round
-/// entry one by one, in entry order — the historical formulation, kept for
-/// callers without a batch-capable evaluator.
-///
-/// # Errors
-///
-/// Propagates [`OcbaError`] from the allocation rule (only possible with
-/// fewer than two designs).
-pub fn run_sequential<F>(
-    num_designs: usize,
-    config: SequentialConfig,
-    mut simulate: F,
-) -> Result<SequentialOutcome, OcbaError>
-where
-    F: FnMut(usize, usize) -> Vec<f64>,
-{
-    run_sequential_batched(num_designs, config, |round| {
-        round.iter().map(|&(d, n)| simulate(d, n)).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,6 +240,14 @@ mod tests {
                 })
                 .collect()
         }
+        /// Runs the batched loop, simulating each round entry in order.
+        fn run(&mut self, config: SequentialConfig) -> SequentialOutcome {
+            let designs = self.probs.len();
+            run_sequential_batched(designs, config, |round| {
+                round.iter().map(|&(d, n)| self.simulate(d, n)).collect()
+            })
+            .unwrap()
+        }
     }
 
     #[test]
@@ -326,15 +273,14 @@ mod tests {
 
     #[test]
     fn sequential_respects_total_budget() {
-        let probs = vec![0.9, 0.7, 0.5, 0.3, 0.1];
-        let mut sim = FakeBernoulli::new(probs.clone());
+        let mut sim = FakeBernoulli::new(vec![0.9, 0.7, 0.5, 0.3, 0.1]);
         let config = SequentialConfig {
             n0: 10,
             delta: 20,
             total_budget: 200,
             per_design_cap: None,
         };
-        let out = run_sequential(probs.len(), config, |d, n| sim.simulate(d, n)).unwrap();
+        let out = sim.run(config);
         assert_eq!(out.total_spent, 200);
         assert_eq!(out.spent.iter().sum::<usize>(), 200);
     }
@@ -343,10 +289,17 @@ mod tests {
     fn sequential_identifies_the_best_design() {
         let probs = vec![0.55, 0.95, 0.40, 0.30];
         let mut sim = FakeBernoulli::new(probs);
-        let config = SequentialConfig::paper_default(4);
-        let out = run_sequential(4, config, |d, n| sim.simulate(d, n)).unwrap();
-        assert_eq!(out.best_design(), 1);
-        assert_eq!(out.means().len(), 4);
+        let config = SequentialConfig {
+            n0: 15,
+            delta: 20,
+            total_budget: 35 * 4,
+            per_design_cap: None,
+        };
+        let out = sim.run(config);
+        let best = (0..4)
+            .max_by(|&a, &b| out.stats[a].mean.total_cmp(&out.stats[b].mean))
+            .unwrap();
+        assert_eq!(best, 1);
     }
 
     #[test]
@@ -360,7 +313,7 @@ mod tests {
             total_budget: 35 * probs.len(),
             per_design_cap: None,
         };
-        let out = run_sequential(probs.len(), config, |d, n| sim.simulate(d, n)).unwrap();
+        let out = sim.run(config);
         let good: usize = out.spent[..3].iter().sum();
         let bad: usize = out.spent[3..].iter().sum();
         assert!(good > bad, "good {good} bad {bad}");
@@ -376,7 +329,7 @@ mod tests {
             total_budget: 500,
             per_design_cap: Some(40),
         };
-        let out = run_sequential(3, config, |d, n| sim.simulate(d, n)).unwrap();
+        let out = sim.run(config);
         for &s in &out.spent {
             assert!(s <= 40, "spent {s} exceeds cap");
         }
@@ -399,7 +352,7 @@ mod tests {
             total_budget: 50 * probs.len(),
             per_design_cap: Some(30),
         };
-        let out = run_sequential(probs.len(), config, |d, n| sim.simulate(d, n)).unwrap();
+        let out = sim.run(config);
         // Every design must be filled to its cap: the cap binds before the
         // budget (5 * 30 < 250).
         assert_eq!(
@@ -414,32 +367,16 @@ mod tests {
     }
 
     #[test]
-    fn nan_mean_design_is_never_best() {
-        // A poisoned outcome stream gives design 1 a NaN mean; pre-fix the
-        // max_by tie-handling lets it win the best-design selection.
-        let mut outcome = SequentialOutcome {
-            stats: vec![RunningStats::new(); 3],
-            spent: vec![10; 3],
-            total_spent: 30,
-            rounds: 1,
-        };
-        outcome.stats[0].extend(&[1.0, 0.0, 1.0, 1.0]);
-        outcome.stats[1].push(f64::NAN);
-        outcome.stats[2].extend(&[0.0, 0.0, 1.0, 0.0]);
-        assert!(outcome.stats[1].mean.is_nan());
-        assert_eq!(outcome.best_design(), 0);
-    }
-
-    #[test]
     fn too_few_designs_is_an_error() {
-        let res = run_sequential(1, SequentialConfig::paper_default(1), |_, n| vec![1.0; n]);
+        let config = SequentialConfig {
+            n0: 15,
+            delta: 20,
+            total_budget: 35,
+            per_design_cap: None,
+        };
+        let res = run_sequential_batched(1, config, |round| {
+            round.iter().map(|&(_, n)| vec![1.0; n]).collect()
+        });
         assert!(matches!(res, Err(OcbaError::TooFewDesigns { .. })));
-    }
-
-    #[test]
-    fn paper_default_budget_matches_sim_ave_times_population() {
-        let c = SequentialConfig::paper_default(50);
-        assert_eq!(c.n0, 15);
-        assert_eq!(c.total_budget, 35 * 50);
     }
 }

@@ -4,9 +4,8 @@
 //! capacity remains, and always spending precisely what the configuration
 //! admits.
 
-use moheco_ocba::allocation::allocate_incremental;
-use moheco_ocba::sequential::{run_sequential, run_sequential_batched, SequentialConfig};
-use moheco_ocba::DesignStats;
+use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
+use moheco_ocba::{allocate_arm_increment, Arm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,8 +74,10 @@ fn randomized_configurations_conserve_budget() {
             per_design_cap: cap,
         };
         let mut sim = Bernoulli::new(probs, 1 + trial);
-        let out = run_sequential(num_designs, config, |d, n| sim.simulate(d, n))
-            .expect("at least two designs");
+        let out = run_sequential_batched(num_designs, config, |round| {
+            round.iter().map(|&(d, n)| sim.simulate(d, n)).collect()
+        })
+        .expect("at least two designs");
 
         // Spent vector and total agree.
         assert_eq!(
@@ -148,9 +149,9 @@ fn incremental_allocations_sum_to_delta_over_random_stats() {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     for _ in 0..200 {
         let n = rng.gen_range(2..10usize);
-        let stats: Vec<DesignStats> = (0..n)
+        let arms: Vec<Arm> = (0..n)
             .map(|_| {
-                DesignStats::new(
+                Arm::new(
                     rng.gen::<f64>(),
                     rng.gen::<f64>() * 0.25,
                     rng.gen_range(0..500usize),
@@ -158,7 +159,7 @@ fn incremental_allocations_sum_to_delta_over_random_stats() {
             })
             .collect();
         let delta = rng.gen_range(1..100usize);
-        let add = allocate_incremental(&stats, delta).expect("valid inputs");
-        assert_eq!(add.iter().sum::<usize>(), delta, "stats {stats:?}");
+        let add = allocate_arm_increment(&arms, delta).expect("valid inputs");
+        assert_eq!(add.iter().sum::<usize>(), delta, "arms {arms:?}");
     }
 }

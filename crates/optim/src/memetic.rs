@@ -58,11 +58,6 @@ impl StagnationTracker {
             false
         }
     }
-
-    /// Number of consecutive stagnant generations currently recorded.
-    pub fn stagnant_generations(&self) -> usize {
-        self.stagnant
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,7 @@ mod tests {
         assert!(!t.update(10.0));
         assert!(!t.update(10.0));
         assert!(t.update(10.0)); // third stagnant generation fires
-        assert_eq!(t.stagnant_generations(), 0); // reset after firing
+        assert_eq!(t.stagnant, 0); // reset after firing
         assert!(!t.update(9.0)); // improvement resets
         assert!(!t.update(9.5));
         assert!(!t.update(9.5));

@@ -142,22 +142,11 @@ impl Correlation {
         })
     }
 
-    /// Builds an exponential-decay correlation: `rho_{ij} = rho^{|i-j|}`.
-    ///
-    /// This is a convenient synthetic structure mimicking a parameter deck in
-    /// which "nearby" parameters (same processing step) are correlated.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `|rho| >= 1`.
-    pub fn exponential(dim: usize, rho: f64) -> Result<Self, CorrelationError> {
-        if rho.abs() >= 1.0 {
-            return Err(CorrelationError::InvalidEntry {
-                row: 0,
-                col: 1,
-                value: rho,
-            });
-        }
+    /// The exponential-decay correlation `rho_{ij} = rho^{|i-j|}`: a
+    /// synthetic structure in which "nearby" parameters (same processing
+    /// step) are correlated.
+    #[cfg(test)]
+    pub(crate) fn exponential(dim: usize, rho: f64) -> Result<Self, CorrelationError> {
         let mut data = vec![0.0; dim * dim];
         for i in 0..dim {
             for j in 0..dim {
@@ -310,13 +299,6 @@ mod tests {
         }
         let r = sum_xy / (sum_x2.sqrt() * sum_y2.sqrt());
         assert!((r - rho).abs() < 0.02, "sample correlation {r}");
-    }
-
-    #[test]
-    fn exponential_rejects_unit_rho() {
-        assert!(Correlation::exponential(4, 1.0).is_err());
-        assert!(Correlation::exponential(4, -1.0).is_err());
-        assert!(Correlation::exponential(4, 0.99).is_ok());
     }
 
     #[test]

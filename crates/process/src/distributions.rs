@@ -29,12 +29,6 @@ pub struct Normal {
 }
 
 impl Normal {
-    /// Standard normal distribution (mean 0, sigma 1).
-    pub const STANDARD: Normal = Normal {
-        mean: 0.0,
-        sigma: 1.0,
-    };
-
     /// Creates a normal distribution.
     ///
     /// # Panics
@@ -215,7 +209,7 @@ mod tests {
 
     #[test]
     fn normal_inverse_cdf_known_quantiles() {
-        let d = Normal::STANDARD;
+        let d = Normal::new(0.0, 1.0);
         assert!((d.inverse_cdf(0.5)).abs() < 1e-8);
         assert!((d.inverse_cdf(0.975) - 1.959964).abs() < 1e-4);
         assert!((d.inverse_cdf(0.025) + 1.959964).abs() < 1e-4);

@@ -43,8 +43,6 @@ pub use distributions::{
     standard_normal, standard_normal_cdf, standard_normal_inverse_cdf, Distribution1d, Normal,
     TruncatedNormal, Uniform,
 };
-pub use parameters::{
-    InterDieEffect, InterDieParameter, MismatchComponent, MismatchModel, MISMATCH_COMPONENTS,
-};
+pub use parameters::{InterDieEffect, InterDieParameter, MismatchModel, MISMATCH_COMPONENTS};
 pub use sample::{ProcessSample, ProcessSampler};
 pub use technology::{tech_035um, tech_90nm, Technology};

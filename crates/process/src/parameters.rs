@@ -79,22 +79,8 @@ impl InterDieParameter {
     }
 }
 
-/// Index of an intra-die (mismatch) component for one device.
-///
-/// The paper uses exactly four mismatch variables per transistor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MismatchComponent {
-    /// Oxide-thickness mismatch.
-    Tox = 0,
-    /// Threshold-voltage mismatch.
-    Vth0 = 1,
-    /// Lateral-diffusion (effective length) mismatch.
-    Ld = 2,
-    /// Width-reduction (effective width) mismatch.
-    Wd = 3,
-}
-
-/// Number of intra-die mismatch components per transistor.
+/// Number of intra-die mismatch components per transistor (the paper uses
+/// exactly four: `TOX`, `VTH0`, `LD`, `WD`, in that order).
 pub const MISMATCH_COMPONENTS: usize = 4;
 
 /// Pelgrom-style mismatch model: the standard deviation of each per-device
@@ -171,14 +157,5 @@ mod tests {
             a_wd: 1e-9,
         };
         assert!(m.sigma_vth(0.0).is_finite());
-    }
-
-    #[test]
-    fn mismatch_component_indices() {
-        assert_eq!(MismatchComponent::Tox as usize, 0);
-        assert_eq!(MismatchComponent::Vth0 as usize, 1);
-        assert_eq!(MismatchComponent::Ld as usize, 2);
-        assert_eq!(MismatchComponent::Wd as usize, 3);
-        assert_eq!(MISMATCH_COMPONENTS, 4);
     }
 }

@@ -42,23 +42,6 @@ impl ProcessSample {
     pub fn dimension(&self) -> usize {
         self.inter.len() + MISMATCH_COMPONENTS * self.intra.len()
     }
-
-    /// Returns `true` when every deviation is exactly zero.
-    pub fn is_nominal(&self) -> bool {
-        self.inter.iter().all(|&v| v == 0.0)
-            && self.intra.iter().all(|d| d.iter().all(|&v| v == 0.0))
-    }
-
-    /// Flattens the sample into a single vector (inter-die first, then the
-    /// per-device mismatch z-scores). Useful for surrogate-model training.
-    pub fn to_flat_vec(&self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(self.dimension());
-        v.extend_from_slice(&self.inter);
-        for d in &self.intra {
-            v.extend_from_slice(d);
-        }
-        v
-    }
 }
 
 /// Generator of [`ProcessSample`]s for a given technology and device count.
@@ -77,30 +60,6 @@ impl ProcessSampler {
             tech,
             num_devices,
             correlation: Correlation::identity(dim),
-        }
-    }
-
-    /// Creates a sampler with a correlation structure over the inter-die
-    /// parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the correlation dimension does not match the number of
-    /// inter-die parameters of the technology.
-    pub fn with_correlation(
-        tech: Technology,
-        num_devices: usize,
-        correlation: Correlation,
-    ) -> Self {
-        assert_eq!(
-            correlation.dim(),
-            tech.num_inter_die(),
-            "correlation dimension must match the number of inter-die parameters"
-        );
-        Self {
-            tech,
-            num_devices,
-            correlation,
         }
     }
 
@@ -186,9 +145,12 @@ mod tests {
     #[test]
     fn nominal_sample_is_all_zero() {
         let s = ProcessSample::nominal(20, 15);
-        assert!(s.is_nominal());
+        assert!(s
+            .inter
+            .iter()
+            .chain(s.intra.as_flattened())
+            .all(|&v| v == 0.0));
         assert_eq!(s.dimension(), 80);
-        assert_eq!(s.to_flat_vec().len(), 80);
     }
 
     #[test]
@@ -300,7 +262,11 @@ mod tests {
                 Correlation::exponential(n_inter, 0.0).unwrap(),
             ];
             for corr in correlations {
-                let sampler = ProcessSampler::with_correlation(tech.clone(), devices, corr.clone());
+                let sampler = ProcessSampler {
+                    tech: tech.clone(),
+                    num_devices: devices,
+                    correlation: corr.clone(),
+                };
                 let mut rng = StdRng::seed_from_u64(5);
                 for case in 0..60 {
                     let mut u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
@@ -318,7 +284,14 @@ mod tests {
                     let got = sampler.from_unit_point(&u);
                     assert_eq!(got.inter.len(), want.inter.len());
                     assert_eq!(got.intra.len(), want.intra.len());
-                    for (g, w) in got.to_flat_vec().iter().zip(want.to_flat_vec()) {
+                    let flat = |s: &ProcessSample| -> Vec<f64> {
+                        s.inter
+                            .iter()
+                            .chain(s.intra.as_flattened())
+                            .copied()
+                            .collect()
+                    };
+                    for (g, w) in flat(&got).into_iter().zip(flat(&want)) {
                         // NaN payloads are unspecified; NaN must map to NaN.
                         let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
                         assert!(same, "case {case}: {g} vs {w}");
@@ -333,24 +306,6 @@ mod tests {
     fn unit_point_wrong_dimension_panics() {
         let sampler = ProcessSampler::new(tech_035um(), 15);
         let _ = sampler.from_unit_point(&[0.5; 3]);
-    }
-
-    #[test]
-    fn correlated_sampler_requires_matching_dimension() {
-        let tech = tech_035um();
-        let corr = Correlation::exponential(tech.num_inter_die(), 0.5).unwrap();
-        let sampler = ProcessSampler::with_correlation(tech, 15, corr);
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = sampler.sample(&mut rng);
-        assert_eq!(s.inter.len(), 20);
-    }
-
-    #[test]
-    #[should_panic]
-    fn correlated_sampler_dimension_mismatch_panics() {
-        let tech = tech_035um();
-        let corr = Correlation::identity(5);
-        let _ = ProcessSampler::with_correlation(tech, 15, corr);
     }
 
     #[test]

@@ -165,16 +165,6 @@ impl EngineStatsSnapshot {
         }
     }
 
-    /// Mean requested samples per Monte-Carlo batch (nominal-only batches
-    /// are excluded from the denominator).
-    pub fn mean_batch_samples(&self) -> f64 {
-        if self.mc_batches == 0 {
-            0.0
-        } else {
-            self.mc_samples_served as f64 / self.mc_batches as f64
-        }
-    }
-
     /// Accumulates another snapshot into this one: every counter is summed
     /// except `max_batch_samples`, which is a high-water mark and takes the
     /// maximum. Used by campaign totals and the service's per-tenant /
@@ -249,7 +239,6 @@ mod tests {
         assert_eq!(snap.max_batch_samples, 40);
         assert_eq!(stats.timing().busy_nanos, 1_600);
         assert!((snap.hit_rate() - 50.0 / 68.0).abs() < 1e-12);
-        assert!((snap.mean_batch_samples() - 30.0).abs() < 1e-12);
         stats.reset();
         assert_eq!(stats.snapshot(), EngineStatsSnapshot::default());
         assert_eq!(stats.timing(), EngineTiming::default());
@@ -297,6 +286,5 @@ mod tests {
     fn empty_snapshot_rates_are_zero() {
         let snap = EngineStatsSnapshot::default();
         assert_eq!(snap.hit_rate(), 0.0);
-        assert_eq!(snap.mean_batch_samples(), 0.0);
     }
 }

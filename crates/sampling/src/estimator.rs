@@ -663,62 +663,6 @@ impl YieldEstimator for ImportanceSamplingEstimator {
     }
 }
 
-/// Estimates the yield of `indicator` with a fresh standalone estimator:
-/// `blocks × block` samples are generated block by block (each block an
-/// independent stream of `rng`), simulated, and condensed with the
-/// estimator's variance formula.
-///
-/// This is the self-contained entry point used by tests and examples; the
-/// production path is the evaluation engine, which generates identical
-/// blocks from its per-`(design, block)` streams and caches the outcomes.
-///
-/// # Example
-///
-/// ```
-/// use moheco_sampling::{estimate_with, EstimatorKind};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// // P[u0 < 0.8] = 0.8, estimated with stratified LHS.
-/// let est = estimate_with(
-///     EstimatorKind::StratifiedLhs,
-///     &mut rng,
-///     8,  // blocks
-///     50, // samples per block
-///     1,  // dimension
-///     None,
-///     |u| u[0] < 0.8,
-/// );
-/// assert!((est.value - 0.8).abs() < 0.05);
-/// assert!(est.std_error > 0.0 && est.samples == 400);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_with<F>(
-    kind: EstimatorKind,
-    rng: &mut StdRng,
-    blocks: usize,
-    block: usize,
-    dim: usize,
-    shift: Option<&[f64]>,
-    mut indicator: F,
-) -> EstimatedYield
-where
-    F: FnMut(&[f64]) -> bool,
-{
-    let estimator = kind.build(block);
-    let mut outcomes = Vec::with_capacity(blocks * block);
-    for _ in 0..blocks {
-        let generated = estimator.generate_block(rng, block, dim, SamplingPlan::default(), shift);
-        for (i, point) in generated.points.chunks_exact(dim).enumerate() {
-            let raw = if indicator(point) { 1.0 } else { 0.0 };
-            let w = generated.weights.get(i).copied().unwrap_or(1.0);
-            outcomes.push(weighted_outcome(w, raw));
-        }
-    }
-    estimator.estimate(&outcomes)
-}
-
 /// Converts an [`EstimatedYield`] into the counting representation used by
 /// the optimizer's bookkeeping ([`YieldEstimate`]); the uncertainty
 /// information is dropped.
@@ -732,6 +676,31 @@ impl From<EstimatedYield> for YieldEstimate {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Estimates the yield of `indicator` with a fresh estimator of `kind`:
+    /// `blocks × block` samples generated block by block from `rng`,
+    /// simulated, and condensed with the estimator's variance formula.
+    fn estimate_blocks(
+        kind: EstimatorKind,
+        rng: &mut StdRng,
+        blocks: usize,
+        block: usize,
+        dim: usize,
+        indicator: impl Fn(&[f64]) -> bool,
+    ) -> EstimatedYield {
+        let estimator = kind.build(block);
+        let mut outcomes = Vec::with_capacity(blocks * block);
+        for _ in 0..blocks {
+            let generated =
+                estimator.generate_block(rng, block, dim, SamplingPlan::default(), None);
+            for (i, point) in generated.points.chunks_exact(dim).enumerate() {
+                let raw = if indicator(point) { 1.0 } else { 0.0 };
+                let w = generated.weights.get(i).copied().unwrap_or(1.0);
+                outcomes.push(weighted_outcome(w, raw));
+            }
+        }
+        estimator.estimate(&outcomes)
+    }
 
     #[test]
     fn kind_labels_roundtrip() {
@@ -1034,14 +1003,14 @@ mod tests {
     }
 
     #[test]
-    fn estimate_with_is_unbiased_for_every_kind() {
+    fn every_kind_is_unbiased() {
         // P[u0 + u1 < 1.0] = 0.5; average over seeds must track it.
         for kind in EstimatorKind::ALL {
             let mut total = 0.0;
             let runs = 30;
             for seed in 0..runs {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let est = estimate_with(kind, &mut rng, 4, 50, 2, None, |u| u[0] + u[1] < 1.0);
+                let est = estimate_blocks(kind, &mut rng, 4, 50, 2, |u| u[0] + u[1] < 1.0);
                 assert_eq!(est.samples, 200);
                 total += est.value;
             }
@@ -1059,7 +1028,7 @@ mod tests {
             let runs = 40;
             for seed in 0..runs {
                 let mut rng = StdRng::seed_from_u64(1000 + seed);
-                let est = estimate_with(kind, &mut rng, 8, 50, 1, None, |u| u[0] < 0.8);
+                let est = estimate_blocks(kind, &mut rng, 8, 50, 1, |u| u[0] < 0.8);
                 let h = est.half_width(Z_95).max(1e-9);
                 if (est.value - 0.8).abs() <= 1.5 * h {
                     covered += 1;

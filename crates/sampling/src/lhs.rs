@@ -9,29 +9,6 @@
 
 use rand::Rng;
 
-/// Generates `n` Latin-Hypercube points in `[0, 1)^dim`.
-///
-/// Every dimension is partitioned into `n` equal strata; each stratum
-/// receives exactly one point, and the strata are paired across dimensions by
-/// independent random permutations. The returned matrix has one row per
-/// sample.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `dim == 0`.
-pub fn latin_hypercube<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize) -> Vec<Vec<f64>> {
-    SamplingPlan::LatinHypercube.generate(rng, n, dim)
-}
-
-/// Generates `n` primitive Monte-Carlo (uniform i.i.d.) points in `[0, 1)^dim`.
-///
-/// # Panics
-///
-/// Panics if `dim == 0`.
-pub fn primitive_monte_carlo<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize) -> Vec<Vec<f64>> {
-    SamplingPlan::PrimitiveMonteCarlo.generate(rng, n, dim)
-}
-
 /// Sampling plans available to the Monte-Carlo yield estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingPlan {
@@ -96,7 +73,7 @@ mod tests {
     #[test]
     fn lhs_points_are_in_unit_cube() {
         let mut rng = StdRng::seed_from_u64(1);
-        let pts = latin_hypercube(&mut rng, 50, 7);
+        let pts = SamplingPlan::LatinHypercube.generate(&mut rng, 50, 7);
         assert_eq!(pts.len(), 50);
         for p in &pts {
             assert_eq!(p.len(), 7);
@@ -110,7 +87,7 @@ mod tests {
     fn lhs_stratification_one_point_per_stratum() {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 20;
-        let pts = latin_hypercube(&mut rng, n, 3);
+        let pts = SamplingPlan::LatinHypercube.generate(&mut rng, n, 3);
         for d in 0..3 {
             let mut counts = vec![0usize; n];
             for p in &pts {
@@ -133,9 +110,9 @@ mod tests {
         let mut pmc_means = Vec::new();
         for seed in 0..runs {
             let mut rng = StdRng::seed_from_u64(seed);
-            let l = latin_hypercube(&mut rng, n, 1);
+            let l = SamplingPlan::LatinHypercube.generate(&mut rng, n, 1);
             lhs_means.push(l.iter().map(|p| p[0]).sum::<f64>() / n as f64);
-            let p = primitive_monte_carlo(&mut rng, n, 1);
+            let p = SamplingPlan::PrimitiveMonteCarlo.generate(&mut rng, n, 1);
             pmc_means.push(p.iter().map(|q| q[0]).sum::<f64>() / n as f64);
         }
         let var = |xs: &[f64]| {
@@ -153,7 +130,7 @@ mod tests {
     #[test]
     fn pmc_points_are_in_unit_cube() {
         let mut rng = StdRng::seed_from_u64(3);
-        let pts = primitive_monte_carlo(&mut rng, 100, 5);
+        let pts = SamplingPlan::PrimitiveMonteCarlo.generate(&mut rng, 100, 5);
         assert_eq!(pts.len(), 100);
         for p in &pts {
             for &x in p {
@@ -175,13 +152,13 @@ mod tests {
     #[should_panic]
     fn zero_samples_panics() {
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = latin_hypercube(&mut rng, 0, 3);
+        let _ = SamplingPlan::LatinHypercube.generate(&mut rng, 0, 3);
     }
 
     #[test]
     #[should_panic]
     fn zero_dimension_panics() {
         let mut rng = StdRng::seed_from_u64(6);
-        let _ = primitive_monte_carlo(&mut rng, 3, 0);
+        let _ = SamplingPlan::PrimitiveMonteCarlo.generate(&mut rng, 3, 0);
     }
 }

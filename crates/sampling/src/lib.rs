@@ -8,7 +8,7 @@
 //!   of unit-hypercube points ([`lhs::SamplingPlan`]).
 //! * [`acceptance`] — the acceptance-sampling screen that skips Monte-Carlo
 //!   sampling for candidates far from the acceptance-region border.
-//! * [`yield_est`] — the Bernoulli yield estimator, standard errors and
+//! * [`yield_est`] — the Bernoulli yield estimate, standard errors and
 //!   Wilson confidence intervals.
 //! * [`estimator`] — the pluggable variance-reduction estimator layer
 //!   ([`estimator::YieldEstimator`]): plain Monte-Carlo, stratified LHS,
@@ -22,14 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use moheco_sampling::{estimate_yield, SamplingPlan};
+//! use moheco_sampling::{SamplingPlan, YieldEstimate};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! let points = SamplingPlan::LatinHypercube.generate_flat(&mut rng, 2000, 2);
 //! // A toy "circuit" passes when the sum of two uniform variates is below 1.5.
-//! let est = estimate_yield(&mut rng, SamplingPlan::LatinHypercube, 2000, 2, |u| {
-//!     u[0] + u[1] < 1.5
-//! });
+//! let passes = points.chunks_exact(2).filter(|u| u[0] + u[1] < 1.5).count();
+//! let est = YieldEstimate::new(passes, 2000);
 //! assert!((est.value() - 0.875).abs() < 0.03);
 //! ```
 
@@ -44,14 +44,13 @@ pub mod yield_est;
 
 pub use acceptance::{AcceptanceSampler, AsDecision};
 pub use estimator::{
-    estimate_with, weighted_outcome, AntitheticEstimator, BlockPoints, EstimatedYield,
-    EstimatorKind, ImportanceSamplingEstimator, MonteCarloEstimator, StratifiedLhsEstimator,
-    YieldEstimator, Z_95,
+    weighted_outcome, AntitheticEstimator, BlockPoints, EstimatedYield, EstimatorKind,
+    ImportanceSamplingEstimator, MonteCarloEstimator, StratifiedLhsEstimator, YieldEstimator, Z_95,
 };
-pub use lhs::{latin_hypercube, primitive_monte_carlo, SamplingPlan};
+pub use lhs::SamplingPlan;
 pub use oracle::{
     gaussian_margin_yield, independent_margins_yield, standard_normal_cdf,
     standard_normal_quantile, standard_normal_quantiles,
 };
 pub use stream::{splitmix64, RngStreams, SimulationCounter};
-pub use yield_est::{deviation_pp, estimate_yield, YieldEstimate};
+pub use yield_est::YieldEstimate;

@@ -5,9 +5,6 @@
 //! fraction of sampled process points whose simulated performances pass every
 //! spec — the mean of the Bernoulli indicator `J(x, ξ)` used in the paper.
 
-use crate::lhs::SamplingPlan;
-use rand::Rng;
-
 /// A Monte-Carlo yield estimate: accumulated yield contribution over sample
 /// count.
 ///
@@ -66,13 +63,6 @@ impl YieldEstimate {
         (p * (1.0 - p) / self.samples as f64).sqrt()
     }
 
-    /// Per-sample variance `p (1 - p)` of the Bernoulli indicator, the
-    /// quantity the OCBA rule needs.
-    pub fn bernoulli_variance(&self) -> f64 {
-        let p = self.value();
-        p * (1.0 - p)
-    }
-
     /// Wilson-score confidence interval at the given z value
     /// (1.96 for 95 % confidence).
     pub fn wilson_interval(&self, z: f64) -> (f64, f64) {
@@ -97,49 +87,15 @@ impl YieldEstimate {
     }
 }
 
-/// Estimates yield by evaluating `indicator` on `n` fresh unit-hypercube
-/// points of dimension `dim` generated according to `plan`.
-///
-/// The indicator receives one unit point and must return `true` when the
-/// circuit meets all specifications at the corresponding process sample.
-pub fn estimate_yield<R, F>(
-    rng: &mut R,
-    plan: SamplingPlan,
-    n: usize,
-    dim: usize,
-    mut indicator: F,
-) -> YieldEstimate
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[f64]) -> bool,
-{
-    if n == 0 {
-        return YieldEstimate::default();
-    }
-    let points = plan.generate_flat(rng, n, dim);
-    let passes = points.chunks_exact(dim).filter(|p| indicator(p)).count();
-    YieldEstimate::new(passes, n)
-}
-
-/// Convenience: the absolute deviation between an estimated yield and a
-/// reference yield, expressed in percentage points (the metric of Tables 1
-/// and 3 of the paper).
-pub fn deviation_pp(estimate: f64, reference: f64) -> f64 {
-    (estimate - reference).abs() * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn value_and_errors() {
         let e = YieldEstimate::new(80, 100);
         assert!((e.value() - 0.8).abs() < 1e-12);
         assert!((e.std_error() - (0.8_f64 * 0.2 / 100.0).sqrt()).abs() < 1e-12);
-        assert!((e.bernoulli_variance() - 0.16).abs() < 1e-12);
     }
 
     #[test]
@@ -205,51 +161,5 @@ mod tests {
         assert!(lo2 > 0.8 && lo2 < 1.0, "lower {lo2}");
         // Zero samples: the interval is the whole unit range.
         assert_eq!(YieldEstimate::default().wilson_interval(1.96), (0.0, 1.0));
-    }
-
-    #[test]
-    fn estimate_yield_matches_known_probability() {
-        // Indicator passes when the first coordinate is below 0.7.
-        let mut rng = StdRng::seed_from_u64(11);
-        let e = estimate_yield(
-            &mut rng,
-            SamplingPlan::PrimitiveMonteCarlo,
-            20_000,
-            3,
-            |u| u[0] < 0.7,
-        );
-        assert!((e.value() - 0.7).abs() < 0.02, "estimate {}", e.value());
-    }
-
-    #[test]
-    fn lhs_estimate_is_less_noisy_than_pmc() {
-        let runs = 100;
-        let n = 64;
-        let spread = |plan: SamplingPlan| {
-            let mut vals = Vec::new();
-            for seed in 0..runs {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let e = estimate_yield(&mut rng, plan, n, 2, |u| u[0] + u[1] < 1.0);
-                vals.push(e.value());
-            }
-            let m = vals.iter().sum::<f64>() / runs as f64;
-            vals.iter().map(|v| (v - m).powi(2)).sum::<f64>() / runs as f64
-        };
-        let v_lhs = spread(SamplingPlan::LatinHypercube);
-        let v_pmc = spread(SamplingPlan::PrimitiveMonteCarlo);
-        assert!(v_lhs < v_pmc, "lhs {v_lhs} pmc {v_pmc}");
-    }
-
-    #[test]
-    fn zero_samples_requested_returns_default() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let e = estimate_yield(&mut rng, SamplingPlan::LatinHypercube, 0, 4, |_| true);
-        assert_eq!(e.samples, 0);
-    }
-
-    #[test]
-    fn deviation_is_in_percentage_points() {
-        assert!((deviation_pp(0.98, 0.9927) - 1.27).abs() < 1e-9);
-        assert_eq!(deviation_pp(0.5, 0.5), 0.0);
     }
 }

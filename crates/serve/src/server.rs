@@ -290,10 +290,9 @@ fn job_status(id: &str, writer: &mut TcpStream, shared: &Shared) -> std::io::Res
 /// left (including a torn tail from a previous killed server, which a
 /// resubmission would truncate and rewrite) is flushed verbatim.
 fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    if shared.registry.get(id).is_none() {
+    let Some(record) = shared.registry.get(id) else {
         return write_response(writer, 404, "text/plain", b"unknown job\n");
-    }
-    let record = shared.registry.get(id).expect("checked above");
+    };
     let path = job_path(&shared.data_dir, &record.tenant, id);
     let mut chunks = ChunkedWriter::begin(writer.try_clone()?, 200, "application/jsonl")?;
     let mut offset: u64 = 0;

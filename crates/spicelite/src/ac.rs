@@ -129,13 +129,10 @@ impl FrequencyResponse {
         20.0 * self.magnitude(i).max(1e-30).log10()
     }
 
-    /// Phase in degrees at sweep point `i`, unwrapped so that it decreases
-    /// monotonically through poles (standard Bode convention starting near 180°
-    /// for an inverting amplifier or 0° for a non-inverting one).
-    pub fn phase_deg(&self, i: usize) -> f64 {
-        self.unwrapped_phase()[i]
-    }
-
+    /// Phase in degrees at every sweep point, unwrapped so that it
+    /// decreases monotonically through poles (standard Bode convention
+    /// starting near 180° for an inverting amplifier or 0° for a
+    /// non-inverting one).
     fn unwrapped_phase(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.values.len());
         let mut prev = self.values[0].arg_deg();
@@ -378,7 +375,8 @@ mod tests {
         let (ckt, out) = rc_lowpass(r, c);
         let fc = 1.0 / (2.0 * std::f64::consts::PI * r * c);
         let resp = sweep(&ckt, out, &[fc / 1e3, fc]).unwrap();
-        let phase_shift = resp.phase_deg(1) - resp.phase_deg(0);
+        let phases = resp.unwrapped_phase();
+        let phase_shift = phases[1] - phases[0];
         assert!((phase_shift + 45.0).abs() < 0.5, "shift {phase_shift}");
     }
 

@@ -34,8 +34,6 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The complex one.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     pub const fn new(re: f64, im: f64) -> Self {
@@ -50,11 +48,6 @@ impl Complex {
     /// Creates a purely imaginary complex number.
     pub const fn from_imag(im: f64) -> Self {
         Self { re: 0.0, im }
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
     }
 
     /// Magnitude (modulus).
@@ -75,18 +68,6 @@ impl Complex {
     /// Argument (phase) in degrees.
     pub fn arg_deg(self) -> f64 {
         self.arg().to_degrees()
-    }
-
-    /// Multiplicative inverse.
-    ///
-    /// Returns `None` when the number is (numerically) zero.
-    pub fn inv(self) -> Option<Self> {
-        let d = self.norm_sqr();
-        if d == 0.0 {
-            None
-        } else {
-            Some(Self::new(self.re / d, -self.im / d))
-        }
     }
 
     /// Scales by a real factor.
@@ -211,7 +192,6 @@ mod tests {
     fn construction_and_constants() {
         assert_eq!(Complex::ZERO, Complex::new(0.0, 0.0));
         assert_eq!(Complex::ONE, Complex::new(1.0, 0.0));
-        assert_eq!(Complex::J, Complex::new(0.0, 1.0));
         assert_eq!(Complex::from_real(2.5), Complex::new(2.5, 0.0));
         assert_eq!(Complex::from_imag(-1.5), Complex::new(0.0, -1.5));
         assert_eq!(Complex::from(3.0), Complex::new(3.0, 0.0));
@@ -263,19 +243,9 @@ mod tests {
         let a = Complex::new(3.0, 4.0);
         assert!(close(a.abs(), 5.0));
         assert!(close(a.norm_sqr(), 25.0));
-        let j = Complex::J;
+        let j = Complex::from_imag(1.0);
         assert!(close(j.arg_deg(), 90.0));
         assert!(close(Complex::new(-1.0, 0.0).arg_deg(), 180.0));
-    }
-
-    #[test]
-    fn conjugate_and_inverse() {
-        let a = Complex::new(2.0, -3.0);
-        assert_eq!(a.conj(), Complex::new(2.0, 3.0));
-        let inv = a.inv().expect("nonzero");
-        let one = a * inv;
-        assert!(close(one.re, 1.0) && close(one.im, 0.0));
-        assert!(Complex::ZERO.inv().is_none());
     }
 
     #[test]

@@ -18,12 +18,6 @@ pub enum SpiceError {
         /// The dimension actually supplied.
         got: usize,
     },
-    /// A Cholesky factorisation was requested for a matrix that is not
-    /// symmetric positive definite.
-    NotPositiveDefinite {
-        /// The row at which the factorisation failed.
-        row: usize,
-    },
     /// The bias bisection ([`Mosfet::vgs_for_current`] and its laned form)
     /// could not reach the target drain current within its gate-voltage
     /// search range.
@@ -58,9 +52,6 @@ impl fmt::Display for SpiceError {
             SpiceError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
-            SpiceError::NotPositiveDefinite { row } => {
-                write!(f, "matrix is not positive definite at row {row}")
-            }
             SpiceError::DcNoConvergence { iterations, residual } => write!(
                 f,
                 "dc operating point did not converge after {iterations} iterations (residual {residual:e})"
@@ -88,7 +79,6 @@ mod tests {
                 },
                 "expected 2",
             ),
-            (SpiceError::NotPositiveDefinite { row: 1 }, "row 1"),
             (
                 SpiceError::DcNoConvergence {
                     iterations: 50,

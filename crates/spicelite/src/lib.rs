@@ -7,7 +7,7 @@
 //! crate provides the simulation building blocks:
 //!
 //! * [`complex`] / [`linalg`] — the numerical kernels (complex arithmetic,
-//!   dense LU with partial pivoting, Cholesky).
+//!   dense LU with partial pivoting).
 //! * [`mosfet`] — a square-law MOSFET compact model whose parameters
 //!   (`TOX`, `VTH0`, `LD`, `WD`, mobility, junction caps) are exactly the
 //!   quantities the paper's statistical process models perturb.

@@ -1,15 +1,13 @@
-//! Dense linear algebra kernels used by the MNA solver and by other crates in
-//! the workspace (Cholesky factorisation for correlated process sampling,
-//! normal-equation solves for Levenberg–Marquardt training).
+//! Dense linear algebra kernels used by the MNA solver and by the
+//! normal-equation solves of Levenberg–Marquardt training in
+//! `moheco-surrogate`.
 //!
 //! Only the operations the workspace needs are implemented: dense storage,
-//! matrix/vector products, LU factorisation with partial pivoting (real and
-//! complex) and Cholesky factorisation for symmetric positive definite
-//! matrices.
+//! diagonal damping and LU factorisation with partial pivoting (real and
+//! complex).
 
 use crate::complex::Complex;
 use crate::error::SpiceError;
-use std::fmt;
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -18,7 +16,7 @@ use std::fmt;
 /// ```
 /// use spicelite::linalg::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
 /// let x = a.solve(&[3.0, 5.0]).expect("non-singular");
 /// assert!((x[0] - 0.8).abs() < 1e-12);
 /// assert!((x[1] - 1.4).abs() < 1e-12);
@@ -37,35 +35,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates an identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows do not all have the same length.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = if r == 0 { 0 } else { rows[0].len() };
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
         }
     }
 
@@ -97,57 +66,6 @@ impl Matrix {
     /// Borrow of the underlying row-major data.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix-vector product `A * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
-        let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let mut acc = 0.0;
-            for j in 0..self.cols {
-                acc += self[(i, j)] * x[j];
-            }
-            y[i] = acc;
-        }
-        y
-    }
-
-    /// Matrix-matrix product `A * B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions do not agree.
-    pub fn mul_mat(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.cols, b.rows, "dimension mismatch in mul_mat");
-        let mut c = Matrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..b.cols {
-                    c[(i, j)] += aik * b[(k, j)];
-                }
-            }
-        }
-        c
     }
 
     /// Adds `k * I` to the diagonal in place (used for LM damping).
@@ -188,47 +106,6 @@ impl Matrix {
         lu_solve_in_place(n, &mut a, &mut x)?;
         Ok(x)
     }
-
-    /// Cholesky factorisation `A = L L^T` of a symmetric positive-definite
-    /// matrix, returning the lower-triangular factor `L`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::NotPositiveDefinite`] when a diagonal entry of the
-    /// factor would be non-positive, and [`SpiceError::DimensionMismatch`] when
-    /// the matrix is not square.
-    pub fn cholesky(&self) -> Result<Matrix, SpiceError> {
-        if !self.is_square() {
-            return Err(SpiceError::DimensionMismatch {
-                expected: self.rows,
-                got: self.cols,
-            });
-        }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(SpiceError::NotPositiveDefinite { row: i });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(l)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -241,18 +118,6 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         &mut self.data[i * self.cols + j]
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                write!(f, "{:>12.4e} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
     }
 }
 
@@ -445,28 +310,14 @@ impl std::ops::IndexMut<(usize, usize)> for CMatrix {
     }
 }
 
-/// Computes the dot product of two equally sized slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn identity_solve_returns_rhs() {
-        let a = Matrix::identity(4);
+        let mut a = Matrix::zeros(4, 4);
+        a.add_diagonal(1.0);
         let b = vec![1.0, -2.0, 3.0, 0.5];
         let x = a.solve(&b).unwrap();
         for (xi, bi) in x.iter().zip(&b) {
@@ -476,7 +327,7 @@ mod tests {
 
     #[test]
     fn solve_2x2() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
         let x = a.solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
@@ -485,7 +336,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero pivot forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let x = a.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -493,7 +344,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert!(matches!(
             a.solve(&[1.0, 2.0]),
             Err(SpiceError::SingularMatrix { .. })
@@ -511,7 +362,7 @@ mod tests {
 
     #[test]
     fn rhs_length_mismatch_is_rejected() {
-        let a = Matrix::identity(3);
+        let a = Matrix::zeros(3, 3);
         assert!(matches!(
             a.solve(&[1.0, 2.0]),
             Err(SpiceError::DimensionMismatch { .. })
@@ -519,49 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let c = a.mul_mat(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]));
-        let t = a.transpose();
-        assert_eq!(t, Matrix::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]));
-    }
-
-    #[test]
-    fn mul_vec_matches_manual() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let y = a.mul_vec(&[1.0, 0.0, -1.0]);
-        assert_eq!(y, vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn cholesky_of_spd_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let l = a.cholesky().unwrap();
-        // Reconstruct L * L^T and compare.
-        let lt = l.transpose();
-        let rec = l.mul_mat(&lt);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((rec[(i, j)] - a[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(matches!(
-            a.cholesky(),
-            Err(SpiceError::NotPositiveDefinite { .. })
-        ));
-    }
-
-    #[test]
     fn add_diagonal_damps() {
-        let mut a = Matrix::identity(2);
-        a.add_diagonal(0.5);
+        let mut a = Matrix::zeros(2, 2);
+        a.add_diagonal(1.5);
         assert_eq!(a[(0, 0)], 1.5);
         assert_eq!(a[(1, 1)], 1.5);
         assert_eq!(a[(0, 1)], 0.0);
@@ -593,17 +404,5 @@ mod tests {
             a.solve(&[Complex::ONE, Complex::ONE]),
             Err(SpiceError::SingularMatrix { .. })
         ));
-    }
-
-    #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        let a = Matrix::identity(4);
-        assert!((a.frobenius_norm() - 2.0).abs() < 1e-14);
     }
 }

@@ -1,14 +1,13 @@
 //! Seed-driven property suite for the dense linear-algebra kernels.
 //!
-//! The LU and Cholesky routines in `linalg` are the arithmetic floor the
-//! whole workspace stands on — the AC sweep, the batched simulation path
-//! and the surrogate fits all funnel through them. The unit
-//! tests in the module pin a handful of hand-computed systems; this suite
-//! drives the kernels over families of random systems and asserts the
-//! *properties* that must hold for every member: small residuals on
-//! well-conditioned systems, exact reconstruction for Cholesky factors,
-//! detected singularities with the correct pivot, and round-trips through the
-//! complex solver.
+//! The LU routines in `linalg` are the arithmetic floor the whole workspace
+//! stands on — the AC sweep, the batched simulation path and the surrogate
+//! fits all funnel through them. The unit tests in the module pin a handful
+//! of hand-computed systems; this suite drives the kernels over families of
+//! random systems and asserts the *properties* that must hold for every
+//! member: small residuals on well-conditioned systems, detected
+//! singularities with the correct pivot, and round-trips through the complex
+//! solver.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,10 +24,12 @@ fn random_dominant(rng: &mut StdRng, n: usize) -> Matrix {
 }
 
 fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-    a.mul_vec(x)
-        .iter()
-        .zip(b)
-        .map(|(ax, bi)| (ax - bi) * (ax - bi))
+    let n = x.len();
+    (0..n)
+        .map(|i| {
+            let ax: f64 = (0..n).map(|j| a[(i, j)] * x[j]).sum();
+            (ax - b[i]) * (ax - b[i])
+        })
         .sum::<f64>()
         .sqrt()
 }
@@ -67,39 +68,6 @@ fn solve_is_bit_identical_to_the_in_place_kernel() {
         for (i, (m, k)) in via_matrix.iter().zip(&x).enumerate() {
             assert_eq!(m.to_bits(), k.to_bits(), "seed {seed} x[{i}]: {m} vs {k}");
         }
-    }
-}
-
-#[test]
-fn cholesky_factors_reconstruct_random_spd_matrices() {
-    for seed in 0..25u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0DE + seed);
-        let n = rng.gen_range(1..10);
-        // G^T G is positive semi-definite; the diagonal shift makes it SPD.
-        let g = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect());
-        let mut a = g.transpose().mul_mat(&g);
-        a.add_diagonal(0.5);
-        let l = a
-            .cholesky()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
-        // L must be lower triangular with positive diagonal.
-        for i in 0..n {
-            assert!(l[(i, i)] > 0.0, "seed {seed}: L[{i},{i}] not positive");
-            for j in (i + 1)..n {
-                assert_eq!(l[(i, j)], 0.0, "seed {seed}: L[{i},{j}] above diagonal");
-            }
-        }
-        let rec = l.mul_mat(&l.transpose());
-        let mut err = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                err = err.max((rec[(i, j)] - a[(i, j)]).abs());
-            }
-        }
-        assert!(
-            err <= 1e-10 * a.frobenius_norm(),
-            "seed {seed} n {n}: reconstruction error {err:e}"
-        );
     }
 }
 

@@ -8,10 +8,17 @@
 //! ```
 
 use moheco_ocba::allocation::allocate;
-use moheco_ocba::ordinal::{rank_descending, selected_subset};
-use moheco_ocba::sequential::{run_sequential, SequentialConfig};
+use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Indices of `values` from the highest value to the lowest (a stable
+/// sort, so ties keep index order).
+fn rank_descending(values: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| values[b].total_cmp(&values[a]));
+    order
+}
 
 fn main() {
     // True (unknown) yields of ten candidate designs.
@@ -19,16 +26,26 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
 
     // Run the sequential OCBA loop with the paper's parameters (n0 = 15,
-    // sim_ave = 35 per design on average).
-    let config = SequentialConfig::paper_default(true_yields.len());
-    let outcome = run_sequential(true_yields.len(), config, |design, n| {
-        (0..n)
-            .map(|_| {
-                if rng.gen::<f64>() < true_yields[design] {
-                    1.0
-                } else {
-                    0.0
-                }
+    // Δ = 20, sim_ave = 35 per design on average).
+    let config = SequentialConfig {
+        n0: 15,
+        delta: 20,
+        total_budget: 35 * true_yields.len(),
+        per_design_cap: None,
+    };
+    let outcome = run_sequential_batched(true_yields.len(), config, |round| {
+        round
+            .iter()
+            .map(|&(design, n)| {
+                (0..n)
+                    .map(|_| {
+                        if rng.gen::<f64>() < true_yields[design] {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
             })
             .collect()
     })
@@ -48,15 +65,15 @@ fn main() {
         "\ntotal samples: {} (uniform allocation would also use {}, but spread evenly)",
         outcome.total_spent, config.total_budget
     );
-    println!("best design found: {}", outcome.best_design());
+    let estimated: Vec<f64> = outcome.stats.iter().map(|s| s.mean).collect();
+    let ranking = rank_descending(&estimated);
+    println!("best design found: {}", ranking[0]);
 
     // How good is the ranking?
-    let estimated = outcome.means();
-    let observed_top3 = selected_subset(&estimated, 3);
-    let true_top3 = selected_subset(true_yields.as_ref(), 3);
     println!(
         "observed top-3 {:?} vs true top-3 {:?}",
-        observed_top3, true_top3
+        &ranking[..3],
+        &rank_descending(&true_yields)[..3]
     );
 
     // A one-shot OCBA allocation for a fresh budget, given the estimates.
@@ -67,8 +84,5 @@ fn main() {
         .collect();
     let next_allocation = allocate(&estimated, &variances, 350).expect("valid inputs");
     println!("\nnext-round OCBA allocation of 350 samples: {next_allocation:?}");
-    println!(
-        "ranking of designs by estimated yield: {:?}",
-        rank_descending(&estimated)
-    );
+    println!("ranking of designs by estimated yield: {ranking:?}");
 }

@@ -1,6 +1,7 @@
 //! Property-style tests of the core data structures and invariants: OCBA
-//! allocations, Latin Hypercube stratification, yield estimates, the
-//! feasibility comparator and the linear-algebra kernels.
+//! allocations and the sequential OCBA loop, Latin Hypercube
+//! stratification, yield estimates, the feasibility comparator, the LU
+//! solve and the process-correlation Cholesky factor.
 //!
 //! The original seed used the `proptest` crate; this build environment is
 //! offline, so the same properties are exercised by deterministic seeded
@@ -8,11 +9,13 @@
 //! strategy is now drawn from a seeded `StdRng`, so failures stay
 //! reproducible).
 
-use moheco_ocba::allocation::{allocate, allocate_incremental, DesignStats};
-use moheco_ocba::ordinal::{rank_descending, selected_subset};
+use moheco_ocba::allocation::allocate;
+use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
+use moheco_ocba::{allocate_arm_increment, Arm};
 use moheco_optim::constraints::{feasibility_compare, is_better_or_equal};
 use moheco_optim::problem::Evaluation;
-use moheco_sampling::{latin_hypercube, YieldEstimate};
+use moheco_process::Correlation;
+use moheco_sampling::{SamplingPlan, YieldEstimate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spicelite::linalg::Matrix;
@@ -44,15 +47,15 @@ fn ocba_incremental_distributes_delta() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(1000 + seed);
         let n = rng.gen_range(2usize..12);
-        let stats: Vec<DesignStats> = (0..n)
+        let arms: Vec<Arm> = (0..n)
             .map(|_| {
                 let m = rng.gen_range(0.05..0.95);
                 let spent = rng.gen_range(1usize..200);
-                DesignStats::new(m, m * (1.0 - m), spent)
+                Arm::new(m, m * (1.0 - m), spent)
             })
             .collect();
         let delta = rng.gen_range(1usize..500);
-        let add = allocate_incremental(&stats, delta).expect("valid");
+        let add = allocate_arm_increment(&arms, delta).expect("valid");
         assert_eq!(add.iter().sum::<usize>(), delta, "seed {seed}");
     }
 }
@@ -65,7 +68,7 @@ fn lhs_is_stratified() {
         let mut rng = StdRng::seed_from_u64(2000 + seed);
         let n = rng.gen_range(2usize..40);
         let dim = rng.gen_range(1usize..10);
-        let pts = latin_hypercube(&mut rng, n, dim);
+        let pts = SamplingPlan::LatinHypercube.generate(&mut rng, n, dim);
         assert_eq!(pts.len(), n);
         for d in 0..dim {
             let mut counts = vec![0usize; n];
@@ -94,7 +97,8 @@ fn yield_estimate_merge_is_consistent() {
         assert_eq!(m.samples, n1 + n2);
         assert_eq!(m.sum, (p1 + p2) as f64);
         assert!((0.0..=1.0).contains(&m.value()));
-        assert!(m.bernoulli_variance() <= 0.25 + 1e-12);
+        let p = m.value();
+        assert!(p * (1.0 - p) <= 0.25 + 1e-12);
     }
 }
 
@@ -115,28 +119,50 @@ fn feasibility_comparator_is_antisymmetric() {
     }
 }
 
-/// Ranking is a permutation and the selected subset contains the maximum.
+/// The sequential OCBA loop spends exactly its budget when no cap binds,
+/// and with a per-design cap no design exceeds it while the budget is spent
+/// up to the total cap room.
 #[test]
-fn ranking_is_a_permutation() {
+fn sequential_spends_the_budget_within_caps() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(5000 + seed);
-        let n = rng.gen_range(1usize..30);
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e3..1e3)).collect();
-        let order = rank_descending(&values);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..values.len()).collect::<Vec<_>>());
-        let top = selected_subset(&values, 1);
-        let max_idx = values
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
-        assert!(
-            (values[top[0]] - values[max_idx]).abs() < 1e-12,
+        let n = rng.gen_range(2usize..12);
+        let n0 = rng.gen_range(1usize..16);
+        let cap = (seed % 2 == 1).then(|| rng.gen_range(1usize..60));
+        let config = SequentialConfig {
+            n0,
+            delta: rng.gen_range(1usize..30),
+            total_budget: n * n0 + rng.gen_range(0usize..500),
+            per_design_cap: cap,
+        };
+        let probs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let out = run_sequential_batched(n, config, |round| {
+            round
+                .iter()
+                .map(|&(d, k)| {
+                    (0..k)
+                        .map(|_| f64::from(u8::from(rng.gen::<f64>() < probs[d])))
+                        .collect()
+                })
+                .collect()
+        })
+        .expect("at least two designs");
+        assert_eq!(
+            out.spent.iter().sum::<usize>(),
+            out.total_spent,
             "seed {seed}"
         );
+        match cap {
+            None => assert_eq!(out.total_spent, config.total_budget, "seed {seed}"),
+            Some(cap) => {
+                assert!(out.spent.iter().all(|&s| s <= cap), "seed {seed}");
+                assert_eq!(
+                    out.total_spent,
+                    config.total_budget.min(cap * n),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 }
 
@@ -160,7 +186,9 @@ fn lu_solve_roundtrip() {
             a[(i, i)] = row_sum + 1.0; // strict diagonal dominance
         }
         let x_true: Vec<f64> = (0..dim).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let b = a.mul_vec(&x_true);
+        let b: Vec<f64> = (0..dim)
+            .map(|i| (0..dim).map(|j| a[(i, j)] * x_true[j]).sum())
+            .collect();
         let x = a.solve(&b).expect("diagonally dominant");
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-8, "seed {seed}");
@@ -168,26 +196,43 @@ fn lu_solve_roundtrip() {
     }
 }
 
-/// Cholesky factors of SPD matrices reconstruct the original matrix.
+/// The Cholesky factor of a random SPD correlation matrix `C` reconstructs
+/// it: the columns `L e_j = correlate(e_j)` satisfy `Σ_j L e_j (L e_j)ᵀ = C`.
 #[test]
 fn cholesky_roundtrip() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(7000 + seed);
         let dim = rng.gen_range(1usize..6);
-        // Build SPD as B^T B + I.
-        let mut b = Matrix::zeros(dim, dim);
+        // S = BᵀB + I is SPD; scaling it to unit diagonal keeps it SPD.
+        let b: Vec<f64> = (0..dim * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let s = |i: usize, j: usize| -> f64 {
+            let diag = if i == j { 1.0 } else { 0.0 };
+            diag + (0..dim)
+                .map(|k| b[k * dim + i] * b[k * dim + j])
+                .sum::<f64>()
+        };
+        let c: Vec<f64> = (0..dim * dim)
+            .map(|k| {
+                let (i, j) = (k / dim, k % dim);
+                if i == j {
+                    1.0
+                } else {
+                    s(i, j) / (s(i, i) * s(j, j)).sqrt()
+                }
+            })
+            .collect();
+        let corr = Correlation::from_matrix(dim, &c).expect("spd");
+        let columns: Vec<Vec<f64>> = (0..dim)
+            .map(|j| {
+                let mut e = vec![0.0; dim];
+                e[j] = 1.0;
+                corr.correlate(&e)
+            })
+            .collect();
         for i in 0..dim {
-            for j in 0..dim {
-                b[(i, j)] = rng.gen_range(-1.0..1.0);
-            }
-        }
-        let mut spd = b.transpose().mul_mat(&b);
-        spd.add_diagonal(1.0);
-        let l = spd.cholesky().expect("spd");
-        let rec = l.mul_mat(&l.transpose());
-        for i in 0..dim {
-            for j in 0..dim {
-                assert!((rec[(i, j)] - spd[(i, j)]).abs() < 1e-9, "seed {seed}");
+            for k in 0..dim {
+                let rec: f64 = columns.iter().map(|col| col[i] * col[k]).sum();
+                assert!((rec - c[i * dim + k]).abs() < 1e-9, "seed {seed}");
             }
         }
     }
