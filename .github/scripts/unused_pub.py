@@ -5,8 +5,15 @@ An item counts as used when its name appears, as a whole word, in code that
 a program runs: the library crates themselves, their binaries (`src/bin/`),
 `benches/`, or `perfbench/src`. Code that only tests or demonstrates runs
 nothing for a user and is not a caller: `#[cfg(test)]` items, `tests/`
-directories and `examples/`. Comments and string literals are ignored, and
-the item's own definition does not count.
+directories and `examples/`. Comments, string literals and `use`
+declarations are ignored.
+
+The scan is transitive. A use does not count when it sits inside the item's
+own definition or its own `impl` blocks (those whose self type it is), or
+inside the definition or `impl` blocks of an item already found unused; the
+scan repeats until the list stops growing. So a family of items that only
+name each other (a trait and the types implementing it, a struct and the
+one wrapper that holds it) is listed whole.
 
 The match is by name, not by path, so two items sharing a name (`new`,
 `len`) shield each other; the list is a lower bound on what is unused. It is
@@ -30,6 +37,8 @@ CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
 # uses (an unused import warns), and a `pub use` re-exports for others.
 USE_DECL = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?use\s[^;]*;", re.M)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IMPL = re.compile(r"\bimpl\b")
+PATH_TYPE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*\s*::\s*)*([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def strip_comments_and_strings(src):
@@ -108,6 +117,79 @@ def strip_cfg_test(code):
     return "".join(out)
 
 
+def skip_generics(code, i):
+    """Index just past the balanced `<...>` starting at `code[i]`."""
+    depth = 0
+    while i < len(code):
+        if code[i] == "<":
+            depth += 1
+        elif code[i] == ">" and code[i - 1] != "-":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return i
+
+
+def block_end(code, i):
+    """Index just past the `{...}` block opening at `code[i]`."""
+    depth = 0
+    while i < len(code):
+        depth += {"{": 1, "}": -1}.get(code[i], 0)
+        i += 1
+        if depth == 0:
+            break
+    return i
+
+
+def item_end(code, start, kind):
+    """Index just past the item whose header starts at `start`: through its
+    `{...}` body, or through its `;`. A `const`, `static` or `type` always
+    ends at its `;`; the others end at the first body or `;` outside
+    brackets (so `fn f(a: [u8; 4])` and tuple structs are read whole)."""
+    braces = kind in ("const", "static", "type")
+    depth, i = 0, start
+    while i < len(code):
+        c = code[i]
+        if c in "([" or (braces and c == "{"):
+            depth += 1
+        elif c in ")]" or (braces and c == "}"):
+            depth -= 1
+        elif depth == 0 and c == ";":
+            return i + 1
+        elif depth == 0 and c == "{":
+            return block_end(code, i)
+        i += 1
+    return i
+
+
+def impl_blocks(code):
+    """`(start, end, self_type)` of every `impl` item: the self type is the
+    last path segment of the type after `for`, or of the implemented type."""
+    out = []
+    for m in IMPL.finditer(code):
+        # An item starts a file or follows a `}`, `;`, attribute or `unsafe`;
+        # any other `impl` is an argument or return type (`-> impl Fn()`).
+        before = code[: m.start()].rstrip()
+        if before and before[-1] not in "{};]" and not before.endswith("unsafe"):
+            continue
+        i = m.end()
+        while i < len(code) and code[i].isspace():
+            i += 1
+        if code.startswith("<", i):
+            i = skip_generics(code, i)
+        brace = code.find("{", i)
+        if brace < 0:
+            continue
+        header = re.split(r"\bwhere\b", code[i:brace])[0]
+        target = re.split(r"\bfor\b", header)[-1]
+        target = re.sub(r"&|'[A-Za-z_]+|\b(?:mut|dyn)\b", " ", target)
+        name = PATH_TYPE.search(target)
+        if name:
+            out.append((m.start(), block_end(code, brace), name.group(1)))
+    return out
+
+
 def rust_files(root, rel):
     base = os.path.join(root, rel)
     for dirpath, dirnames, filenames in os.walk(base):
@@ -140,25 +222,45 @@ def main():
         f for b in benches + [os.path.join("perfbench", "src")] for f in rust_files(root, b)
     ]
 
-    uses = {}
     definitions = []
+    codes = {}
+    spans = {}  # path -> [(start, end, owner name)]: definitions and impls
     for path in caller_files:
         with open(os.path.join(root, path), encoding="utf-8") as fh:
             code = strip_cfg_test(strip_comments_and_strings(fh.read()))
-        for w in WORD.finditer(USE_DECL.sub("", code)):
-            uses[w.group(0)] = uses.get(w.group(0), 0) + 1
+        code = USE_DECL.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), code)
+        codes[path] = code
+        spans[path] = impl_blocks(code)
         if path in lib_files and "/bin/" not in path:
             for m in PUB_ITEM.finditer(code):
                 line = code.count("\n", 0, m.start()) + 1
                 definitions.append((path, line, m.group(1), m.group(2)))
+                spans[path].append((m.start(), item_end(code, m.start(), m.group(1)), m.group(2)))
 
-    defined = {}
-    for _, _, _, name in definitions:
-        defined[name] = defined.get(name, 0) + 1
-    unused = [d for d in definitions if uses.get(d[3], 0) <= defined[d[3]] and d[3] != "main"]
-    for path, line, kind, name in unused:
+    # Every use of a defined name, with the owners of the spans around it.
+    defined = {name for _, _, _, name in definitions}
+    uses = {name: [] for name in defined}
+    for path, code in codes.items():
+        for w in WORD.finditer(code):
+            if w.group(0) in defined:
+                owners = {o for a, b, o in spans[path] if a <= w.start() < b}
+                uses[w.group(0)].append(owners)
+
+    unused = set()
+    while True:
+        found = {
+            name
+            for name in defined - unused
+            if name != "main"
+            and not any(name not in owners and not owners & unused for owners in uses[name])
+        }
+        if not found:
+            break
+        unused |= found
+    listed = [d for d in definitions if d[3] in unused]
+    for path, line, kind, name in listed:
         print(f"{path}:{line} {kind} {name}")
-    print(f"{len(unused)} pub item(s) with no caller outside tests and examples")
+    print(f"{len(listed)} pub item(s) with no caller outside tests and examples")
 
 
 if __name__ == "__main__":

@@ -8,13 +8,13 @@
 //! * [`technology`] — the two technology nodes of the paper with exactly the
 //!   same statistical dimensionality (20 inter-die variables for 0.35 µm,
 //!   47 for 90 nm, four mismatch variables per transistor).
-//! * [`distributions`] — normal / uniform / truncated-normal sampling and the
-//!   standard normal inverse CDF used by Latin Hypercube Sampling.
-//! * [`correlation`] — Cholesky-based correlated sampling of inter-die
-//!   parameters.
+//! * [`parameters`] — the inter-die parameters, their effects on the device
+//!   models, and the Pelgrom mismatch model.
 //! * [`sample`] — [`sample::ProcessSample`] (a ξ vector) and
-//!   [`sample::ProcessSampler`] which draws samples directly or maps
-//!   unit-hypercube points from a design-of-experiments generator.
+//!   [`sample::ProcessSampler`], which draws independent normals directly
+//!   (Box–Muller) or maps unit-hypercube points from a design-of-experiments
+//!   generator through the standard normal quantile, scaling each inter-die
+//!   value by its sigma.
 //!
 //! # Example
 //!
@@ -28,21 +28,18 @@
 //! let xi = sampler.sample(&mut rng);
 //! assert_eq!(xi.inter.len(), 20);
 //! assert_eq!(xi.intra.len(), 15);
+//!
+//! // A unit-cube point maps coordinate by coordinate: its centre is nominal.
+//! let centre = sampler.from_unit_point(&[0.5; 80]);
+//! assert_eq!(centre, sampler.nominal());
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod correlation;
-pub mod distributions;
 pub mod parameters;
 pub mod sample;
 pub mod technology;
 
-pub use correlation::{Correlation, CorrelationError};
-pub use distributions::{
-    standard_normal, standard_normal_cdf, standard_normal_inverse_cdf, Distribution1d, Normal,
-    TruncatedNormal, Uniform,
-};
 pub use parameters::{InterDieEffect, InterDieParameter, MismatchModel, MISMATCH_COMPONENTS};
 pub use sample::{ProcessSample, ProcessSampler};
 pub use technology::{tech_035um, tech_90nm, Technology};

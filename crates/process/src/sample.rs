@@ -7,13 +7,13 @@
 //! standard deviation depends on the device area, which is only known to the
 //! circuit evaluator.
 //!
-//! Samples can be drawn directly from a RNG ([`ProcessSampler::sample`]) or
-//! mapped from a point in the unit hypercube
+//! Every variable is an independent standard normal; an inter-die value is
+//! that normal times its parameter's sigma. Samples can be drawn directly
+//! from a RNG by Box–Muller ([`ProcessSampler::sample`]) or mapped from a
+//! point in the unit hypercube through the standard normal quantile
 //! ([`ProcessSampler::from_unit_point`]) so that Latin Hypercube Sampling and
 //! other design-of-experiment generators can be used unchanged.
 
-use crate::correlation::Correlation;
-use crate::distributions::standard_normal;
 use crate::parameters::MISMATCH_COMPONENTS;
 use crate::technology::Technology;
 use moheco_sampling::oracle::standard_normal_quantiles;
@@ -37,11 +37,6 @@ impl ProcessSample {
             intra: vec![[0.0; MISMATCH_COMPONENTS]; num_devices],
         }
     }
-
-    /// Total number of scalar statistical variables in the sample.
-    pub fn dimension(&self) -> usize {
-        self.inter.len() + MISMATCH_COMPONENTS * self.intra.len()
-    }
 }
 
 /// Generator of [`ProcessSample`]s for a given technology and device count.
@@ -49,28 +44,12 @@ impl ProcessSample {
 pub struct ProcessSampler {
     tech: Technology,
     num_devices: usize,
-    correlation: Correlation,
 }
 
 impl ProcessSampler {
     /// Creates a sampler with independent inter-die parameters.
     pub fn new(tech: Technology, num_devices: usize) -> Self {
-        let dim = tech.num_inter_die();
-        Self {
-            tech,
-            num_devices,
-            correlation: Correlation::identity(dim),
-        }
-    }
-
-    /// The technology this sampler draws from.
-    pub fn technology(&self) -> &Technology {
-        &self.tech
-    }
-
-    /// Number of devices (transistors) in the circuit.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
+        Self { tech, num_devices }
     }
 
     /// Total dimension of the statistical space
@@ -84,33 +63,25 @@ impl ProcessSampler {
         ProcessSample::nominal(self.tech.num_inter_die(), self.num_devices)
     }
 
-    /// Draws one sample using the supplied RNG (primitive Monte Carlo).
+    /// Draws one sample using the supplied RNG (primitive Monte Carlo): a
+    /// Box–Muller normal per variable, inter-die ones scaled by their sigmas.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ProcessSample {
-        let n_inter = self.tech.num_inter_die();
-        let z: Vec<f64> = (0..n_inter).map(|_| standard_normal(rng)).collect();
-        let zc = self.correlation.correlate(&z);
-        let inter: Vec<f64> = zc
+        let inter = self
+            .tech
+            .inter_die
             .iter()
-            .zip(&self.tech.inter_die)
-            .map(|(z, p)| z * p.sigma)
+            .map(|p| standard_normal(rng) * p.sigma)
             .collect();
-        let intra: Vec<[f64; MISMATCH_COMPONENTS]> = (0..self.num_devices)
-            .map(|_| {
-                [
-                    standard_normal(rng),
-                    standard_normal(rng),
-                    standard_normal(rng),
-                    standard_normal(rng),
-                ]
-            })
+        let intra = (0..self.num_devices)
+            .map(|_| std::array::from_fn(|_| standard_normal(rng)))
             .collect();
         ProcessSample { inter, intra }
     }
 
     /// Maps a point `u` of the unit hypercube `[0,1)^d` to a process sample,
     /// where `d == self.dimension()`. Each coordinate is pushed through the
-    /// standard normal inverse CDF; inter-die coordinates are then correlated
-    /// and scaled by their sigmas.
+    /// standard normal quantile; inter-die coordinates are then scaled by
+    /// their sigmas.
     ///
     /// This is the hook used by Latin Hypercube Sampling.
     ///
@@ -119,13 +90,11 @@ impl ProcessSampler {
     /// Panics if `u.len() != self.dimension()`.
     pub fn from_unit_point(&self, u: &[f64]) -> ProcessSample {
         assert_eq!(u.len(), self.dimension(), "unit point has wrong dimension");
-        // The quantiles run in lanes straight into the sample, and the
-        // correlation in place, with the bits of the one-coordinate-at-a-time
-        // mapping.
+        // The quantiles run in lanes straight into the sample, with the bits
+        // of the one-coordinate-at-a-time mapping.
         let n_inter = self.tech.num_inter_die();
         let mut xi = self.nominal();
         standard_normal_quantiles(&u[..n_inter], &mut xi.inter);
-        self.correlation.correlate_in_place(&mut xi.inter);
         for (v, p) in xi.inter.iter_mut().zip(&self.tech.inter_die) {
             *v *= p.sigma;
         }
@@ -134,11 +103,22 @@ impl ProcessSampler {
     }
 }
 
+/// Draws a standard-normal variate using the Box–Muller transform.
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    loop {
+        let u1: f64 = rng.gen::<f64>();
+        let u2: f64 = rng.gen::<f64>();
+        if u1 > f64::MIN_POSITIVE {
+            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributions::standard_normal_inverse_cdf;
     use crate::technology::{tech_035um, tech_90nm};
+    use moheco_sampling::standard_normal_quantile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -150,7 +130,7 @@ mod tests {
             .iter()
             .chain(s.intra.as_flattened())
             .all(|&v| v == 0.0));
-        assert_eq!(s.dimension(), 80);
+        assert_eq!((s.inter.len(), s.intra.len()), (20, 15));
     }
 
     #[test]
@@ -159,7 +139,7 @@ mod tests {
         assert_eq!(s1.dimension(), 80);
         let s2 = ProcessSampler::new(tech_90nm(), 19);
         assert_eq!(s2.dimension(), 123);
-        assert_eq!(s2.num_devices(), 19);
+        assert_eq!(s2.nominal().intra.len(), 19);
     }
 
     #[test]
@@ -213,38 +193,22 @@ mod tests {
     }
 
     /// The one-coordinate-at-a-time mapping `from_unit_point` replaced: the
-    /// reference for the laned, in-place one.
+    /// reference for the laned one.
     fn reference_from_unit_point(
         tech: &Technology,
         num_devices: usize,
-        correlation: &Correlation,
         u: &[f64],
     ) -> ProcessSample {
         let n_inter = tech.num_inter_die();
-        let z: Vec<f64> = u[..n_inter]
-            .iter()
-            .map(|&ui| standard_normal_inverse_cdf(ui))
-            .collect();
-        let dim = correlation.dim();
-        let chol = correlation.factor();
-        let zc: Vec<f64> = (0..dim)
-            .map(|i| {
-                chol[i * dim..i * dim + i + 1]
-                    .iter()
-                    .zip(&z)
-                    .map(|(&l, &zj)| l * zj)
-                    .sum()
-            })
-            .collect();
-        let inter = zc
+        let inter = u[..n_inter]
             .iter()
             .zip(&tech.inter_die)
-            .map(|(z, p)| z * p.sigma)
+            .map(|(&ui, p)| standard_normal_quantile(ui) * p.sigma)
             .collect();
         let intra = (0..num_devices)
             .map(|d| {
                 let base = n_inter + d * MISMATCH_COMPONENTS;
-                std::array::from_fn(|k| standard_normal_inverse_cdf(u[base + k]))
+                std::array::from_fn(|k| standard_normal_quantile(u[base + k]))
             })
             .collect();
         ProcessSample { inter, intra }
@@ -255,47 +219,35 @@ mod tests {
         use rand::Rng;
         let specials = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0];
         for (tech, devices) in [(tech_035um(), 15), (tech_90nm(), 19)] {
-            let n_inter = tech.num_inter_die();
-            let correlations = [
-                Correlation::identity(n_inter),
-                Correlation::exponential(n_inter, 0.5).unwrap(),
-                Correlation::exponential(n_inter, 0.0).unwrap(),
-            ];
-            for corr in correlations {
-                let sampler = ProcessSampler {
-                    tech: tech.clone(),
-                    num_devices: devices,
-                    correlation: corr.clone(),
+            let sampler = ProcessSampler::new(tech.clone(), devices);
+            let mut rng = StdRng::seed_from_u64(5);
+            for case in 0..60 {
+                let mut u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
+                // Sprinkle exact centres (z = +0.0) and, in later cases,
+                // non-finite inputs over the point.
+                let sprinkle = if case < 20 { 1 } else { specials.len() };
+                for _ in 0..case % 12 {
+                    let k = rng.gen_range(0..u.len());
+                    u[k] = specials[rng.gen_range(0..sprinkle)];
+                }
+                if case == 1 {
+                    u.iter_mut().for_each(|v| *v = 0.5);
+                }
+                let want = reference_from_unit_point(&tech, devices, &u);
+                let got = sampler.from_unit_point(&u);
+                assert_eq!(got.inter.len(), want.inter.len());
+                assert_eq!(got.intra.len(), want.intra.len());
+                let flat = |s: &ProcessSample| -> Vec<f64> {
+                    s.inter
+                        .iter()
+                        .chain(s.intra.as_flattened())
+                        .copied()
+                        .collect()
                 };
-                let mut rng = StdRng::seed_from_u64(5);
-                for case in 0..60 {
-                    let mut u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
-                    // Sprinkle exact centres (z = +0.0, the row-sum fallback)
-                    // and, in later cases, non-finite inputs over the point.
-                    let sprinkle = if case < 20 { 1 } else { specials.len() };
-                    for _ in 0..case % 12 {
-                        let k = rng.gen_range(0..u.len());
-                        u[k] = specials[rng.gen_range(0..sprinkle)];
-                    }
-                    if case == 1 {
-                        u.iter_mut().for_each(|v| *v = 0.5);
-                    }
-                    let want = reference_from_unit_point(&tech, devices, &corr, &u);
-                    let got = sampler.from_unit_point(&u);
-                    assert_eq!(got.inter.len(), want.inter.len());
-                    assert_eq!(got.intra.len(), want.intra.len());
-                    let flat = |s: &ProcessSample| -> Vec<f64> {
-                        s.inter
-                            .iter()
-                            .chain(s.intra.as_flattened())
-                            .copied()
-                            .collect()
-                    };
-                    for (g, w) in flat(&got).into_iter().zip(flat(&want)) {
-                        // NaN payloads are unspecified; NaN must map to NaN.
-                        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
-                        assert!(same, "case {case}: {g} vs {w}");
-                    }
+                for (g, w) in flat(&got).into_iter().zip(flat(&want)) {
+                    // NaN payloads are unspecified; NaN must map to NaN.
+                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                    assert!(same, "case {case}: {g} vs {w}");
                 }
             }
         }
@@ -317,5 +269,16 @@ mod tests {
         // Same seed reproduces.
         let c = sampler.sample(&mut StdRng::seed_from_u64(1));
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn standard_normal_has_unit_variance() {
+        let mut r = StdRng::seed_from_u64(42);
+        let n = 40_000;
+        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut r)).collect();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.02);
+        assert!((var - 1.0).abs() < 0.03);
     }
 }

@@ -9,7 +9,7 @@
 //! structured: Gaussian inter-die corners with a few-percent spread plus
 //! Pelgrom-scaled mismatch.
 
-use crate::parameters::{InterDieEffect, InterDieParameter, MismatchModel};
+use crate::parameters::{InterDieEffect, InterDieParameter, MismatchModel, MISMATCH_COMPONENTS};
 
 /// A CMOS technology node with its statistical process description.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,9 +61,10 @@ impl Technology {
     }
 
     /// Total number of statistical variables for a circuit with
-    /// `num_devices` transistors (four mismatch variables per device).
+    /// `num_devices` transistors ([`MISMATCH_COMPONENTS`] mismatch variables
+    /// per device).
     pub fn num_variables(&self, num_devices: usize) -> usize {
-        self.num_inter_die() + 4 * num_devices
+        self.num_inter_die() + MISMATCH_COMPONENTS * num_devices
     }
 }
 

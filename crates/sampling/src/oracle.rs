@@ -9,8 +9,8 @@
 //! eyeballed against another Monte-Carlo run.
 //!
 //! This module is also the canonical home of the standard-normal CDF and
-//! quantile approximations used across the workspace (`moheco-process`
-//! re-exports them for its distribution samplers).
+//! quantile approximations used across the workspace (`moheco-process` maps
+//! unit-cube points through the quantile).
 //!
 //! # Example
 //!
@@ -229,6 +229,10 @@ mod tests {
         assert!((standard_normal_cdf(1.959963985) - 0.975).abs() < 1e-7);
         assert!(standard_normal_cdf(8.0) > 1.0 - 1e-12);
         assert!(standard_normal_cdf(-8.0) < 1e-12);
+        for &x in &[0.1, 0.5, 1.0, 2.0] {
+            let s = standard_normal_cdf(x) + standard_normal_cdf(-x);
+            assert!((s - 1.0).abs() < 1e-7, "asymmetry at x = {x}");
+        }
     }
 
     #[test]
@@ -240,6 +244,19 @@ mod tests {
                 "round trip failed at p = {p}"
             );
         }
+        for &x in &[-2.5, -1.0, -0.3, 0.0, 0.7, 1.5, 3.0] {
+            let p = standard_normal_cdf(x);
+            let back = standard_normal_quantile(p);
+            assert!((back - x).abs() < 2e-4, "x {x} -> p {p} -> {back}");
+        }
+    }
+
+    #[test]
+    fn quantile_matches_known_values() {
+        assert!(standard_normal_quantile(0.5).abs() < 1e-8);
+        assert!((standard_normal_quantile(0.975) - 1.959964).abs() < 1e-4);
+        assert!((standard_normal_quantile(0.025) + 1.959964).abs() < 1e-4);
+        assert!((standard_normal_quantile(0.84134) - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-style tests of the core data structures and invariants: OCBA
 //! allocations and the sequential OCBA loop, Latin Hypercube
-//! stratification, yield estimates, the feasibility comparator, the LU
-//! solve and the process-correlation Cholesky factor.
+//! stratification and its survival through the process-variation mapping,
+//! yield estimates, the feasibility comparator and the LU solve.
 //!
 //! The original seed used the `proptest` crate; this build environment is
 //! offline, so the same properties are exercised by deterministic seeded
@@ -14,8 +14,8 @@ use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
 use moheco_ocba::{allocate_arm_increment, Arm};
 use moheco_optim::constraints::{feasibility_compare, is_better_or_equal};
 use moheco_optim::problem::Evaluation;
-use moheco_process::Correlation;
-use moheco_sampling::{SamplingPlan, YieldEstimate};
+use moheco_process::{tech_035um, tech_90nm, ProcessSampler};
+use moheco_sampling::{standard_normal_quantile, SamplingPlan, YieldEstimate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spicelite::linalg::Matrix;
@@ -196,44 +196,47 @@ fn lu_solve_roundtrip() {
     }
 }
 
-/// The Cholesky factor of a random SPD correlation matrix `C` reconstructs
-/// it: the columns `L e_j = correlate(e_j)` satisfy `Σ_j L e_j (L e_j)ᵀ = C`.
+/// The process-variation mapping keeps Latin Hypercube stratification: an
+/// n-point block mapped through `from_unit_point` puts exactly one value of
+/// every coordinate in each stratum `[σ·Φ⁻¹(k/n), σ·Φ⁻¹((k+1)/n))`, with
+/// `σ = 1` for the mismatch z-scores and the outer strata open-ended.
 #[test]
-fn cholesky_roundtrip() {
+fn unit_point_mapping_keeps_lhs_strata() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(7000 + seed);
-        let dim = rng.gen_range(1usize..6);
-        // S = BᵀB + I is SPD; scaling it to unit diagonal keeps it SPD.
-        let b: Vec<f64> = (0..dim * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let s = |i: usize, j: usize| -> f64 {
-            let diag = if i == j { 1.0 } else { 0.0 };
-            diag + (0..dim)
-                .map(|k| b[k * dim + i] * b[k * dim + j])
-                .sum::<f64>()
+        let (tech, devices) = if seed % 2 == 0 {
+            (tech_035um(), 15)
+        } else {
+            (tech_90nm(), 19)
         };
-        let c: Vec<f64> = (0..dim * dim)
-            .map(|k| {
-                let (i, j) = (k / dim, k % dim);
-                if i == j {
-                    1.0
-                } else {
-                    s(i, j) / (s(i, i) * s(j, j)).sqrt()
-                }
+        let mut rng = StdRng::seed_from_u64(7000 + seed);
+        let n = rng.gen_range(2usize..40);
+        let sampler = ProcessSampler::new(tech.clone(), devices);
+        let pts = SamplingPlan::LatinHypercube.generate(&mut rng, n, sampler.dimension());
+        let values: Vec<Vec<f64>> = pts
+            .iter()
+            .map(|u| {
+                let xi = sampler.from_unit_point(u);
+                xi.inter
+                    .iter()
+                    .chain(xi.intra.as_flattened())
+                    .copied()
+                    .collect()
             })
             .collect();
-        let corr = Correlation::from_matrix(dim, &c).expect("spd");
-        let columns: Vec<Vec<f64>> = (0..dim)
-            .map(|j| {
-                let mut e = vec![0.0; dim];
-                e[j] = 1.0;
-                corr.correlate(&e)
-            })
-            .collect();
-        for i in 0..dim {
-            for k in 0..dim {
-                let rec: f64 = columns.iter().map(|col| col[i] * col[k]).sum();
-                assert!((rec - c[i * dim + k]).abs() < 1e-9, "seed {seed}");
+        let sigmas = tech
+            .inter_die
+            .iter()
+            .map(|p| p.sigma)
+            .chain(std::iter::repeat(1.0));
+        for (d, sigma) in (0..sampler.dimension()).zip(sigmas) {
+            let edges: Vec<f64> = (1..n)
+                .map(|k| sigma * standard_normal_quantile(k as f64 / n as f64))
+                .collect();
+            let mut counts = vec![0usize; n];
+            for v in &values {
+                counts[edges.iter().filter(|&&e| e <= v[d]).count()] += 1;
             }
+            assert!(counts.iter().all(|&c| c == 1), "seed {seed} coordinate {d}");
         }
     }
 }
