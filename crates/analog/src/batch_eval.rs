@@ -12,12 +12,16 @@
 //!   stamps a [`LinearCircuit`], sweeps it with [`spicelite::ac::sweep`] and
 //!   reads the figures of merit through the [`FrequencyResponse`] methods.
 //! * [`evaluate_block_batched`] solves all bias points of a sample together
-//!   with [`vgs_for_current_lanes`], builds a [`LinearCircuit`] only for the
-//!   block's first sample (the template of one [`FactorizedCircuit`]), then
-//!   writes every later sample's element values straight into that template
-//!   through a [`ValueWriter`](spicelite::batch::ValueWriter), sweeps over
-//!   SIMD lanes into a reused buffer, and extracts the figures of merit from
-//!   the prefix of the response they depend on ([`foms`]).
+//!   with [`vgs_for_current_lanes`], writes every sample's element values
+//!   straight into a [`FactorizedCircuit`] template through a
+//!   [`ValueWriter`](spicelite::batch::ValueWriter), sweeps over SIMD lanes
+//!   into a reused buffer, and extracts the figures of merit from the prefix
+//!   of the response they depend on ([`foms`]). The template is kept per
+//!   thread and reused across blocks, designs and circuits; a
+//!   [`LinearCircuit`] is built only when a sample's netlist departs from it
+//!   (the first sample on a thread, a switch of circuit, a flipped gmb
+//!   stamp), and that netlist becomes the new template.
+//!   [`Testbench::evaluate_nominal`] runs here too, as a one-sample block.
 //! * [`outcome_block_batched`] runs the same per-sample core (`BlockCore`)
 //!   for the pass/fail outcome alone, and skips the sweep and the figures
 //!   of merit of a sample an analytic specification already fails.
@@ -36,6 +40,7 @@ use spicelite::ac::{foms, log_space, sweep};
 use spicelite::batch::FactorizedCircuit;
 use spicelite::mosfet::{vgs_for_current_lanes, BiasRequest, MosOperatingPoint};
 use spicelite::netlist::{ElementSink, LinearCircuit, NodeId};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// The AC analysis grid shared by both benchmark circuits: 50 log-spaced
@@ -156,10 +161,20 @@ pub(crate) fn evaluate_scalar<T: SampleCircuit>(
     p.performance(a0_db, gbw_hz, pm_deg)
 }
 
+thread_local! {
+    /// The [`FactorizedCircuit`] template the last block on this thread
+    /// left behind. A template holds only a netlist's structure, so it
+    /// serves any later block, design or circuit that stamps the same
+    /// structure; [`ValueWriter::finish`](spicelite::batch::ValueWriter::finish)
+    /// catches every one that does not.
+    static TEMPLATE: Cell<Option<FactorizedCircuit>> = const { Cell::new(None) };
+}
+
 /// The per-sample core of both block paths: one design's samples in order,
 /// through the laned bias solve and one [`FactorizedCircuit`] template that
-/// the block's first sample builds and every later sample writes its
-/// element values into.
+/// every sample writes its element values into. The template is taken from
+/// the thread's slot and returned to it on drop; a sample whose netlist
+/// departs from it (or the first sample on a thread) builds a new one.
 struct BlockCore<'a, T> {
     tb: &'a T,
     x: &'a [f64],
@@ -168,7 +183,10 @@ struct BlockCore<'a, T> {
 
 impl<'a, T: SampleCircuit> BlockCore<'a, T> {
     fn new(tb: &'a T, x: &'a [f64]) -> Self {
-        Self { tb, x, fac: None }
+        // Taken out of the slot rather than borrowed, so a block nested in
+        // another on this thread builds a template of its own.
+        let fac = TEMPLATE.take();
+        Self { tb, x, fac }
     }
 
     /// Prepares `xi` and loads its element values into the template. `None`
@@ -183,12 +201,13 @@ impl<'a, T: SampleCircuit> BlockCore<'a, T> {
         match written {
             Some((None, _)) => None,
             Some((Some(p), true)) => Some(p),
-            // The block's first sample builds the template. A netlist whose
-            // structure departs from it (the gmb stamp is skipped when
-            // gmb <= 0) re-templates the same way.
+            // The first sample on a thread builds the template. A netlist
+            // whose structure departs from it (the other circuit; the gmb
+            // stamp is skipped when gmb <= 0) re-templates the same way.
             _ => {
                 let mut ckt = LinearCircuit::new();
                 let p = tb.prepare(x, xi, BiasSolve::Laned, &mut ckt)?;
+                builds::record();
                 self.fac.insert(FactorizedCircuit::new(&ckt)).load(&ckt);
                 Some(p)
             }
@@ -208,6 +227,14 @@ impl<'a, T: SampleCircuit> BlockCore<'a, T> {
                 p.performance(foms.dc_gain_db, gbw_hz, pm_deg)
             }
             Err(_) => AmplifierPerformance::failed(),
+        }
+    }
+}
+
+impl<T> Drop for BlockCore<'_, T> {
+    fn drop(&mut self) {
+        if let Some(fac) = self.fac.take() {
+            TEMPLATE.set(Some(fac));
         }
     }
 }
@@ -292,6 +319,32 @@ mod skips {
 mod skips {
     #[inline(always)]
     pub fn record(_: usize) {}
+}
+
+/// How many [`FactorizedCircuit`] templates the block paths built on this
+/// thread. Counted in test builds only.
+#[cfg(test)]
+mod builds {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BUILT: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub fn record() {
+        BUILT.set(BUILT.get() + 1);
+    }
+
+    /// The builds counted since the last call.
+    pub fn take() -> usize {
+        BUILT.take()
+    }
+}
+
+#[cfg(not(test))]
+mod builds {
+    #[inline(always)]
+    pub fn record() {}
 }
 
 #[cfg(test)]
@@ -414,5 +467,140 @@ mod tests {
         );
         assert!(cov.saturation_alone > 0 && cov.sweep_only > 0 && cov.passed > 0);
         assert!(cov.unprepared > 0);
+    }
+
+    /// `evaluate_block` bits against the scalar loop; NaN payloads are
+    /// unspecified (see `spicelite::batch`), so NaN matches any NaN.
+    fn assert_matches_scalar<T: Testbench>(tb: &T, x: &[f64], xis: &[ProcessSample], ctx: &str) {
+        let got = tb.evaluate_block(x, xis);
+        assert_eq!(got.len(), xis.len());
+        for (i, (g, xi)) in got.iter().zip(xis).enumerate() {
+            let w = tb.evaluate(x, xi);
+            let fields = |p: &AmplifierPerformance| {
+                [
+                    p.a0_db,
+                    p.gbw_hz,
+                    p.pm_deg,
+                    p.output_swing_v,
+                    p.power_w,
+                    p.area_um2,
+                    p.offset_v,
+                ]
+            };
+            for (a, b) in fields(g).into_iter().zip(fields(&w)) {
+                let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+                assert!(same, "{ctx} sample {i}: {a} vs {b}");
+            }
+            assert_eq!(g.all_saturated, w.all_saturated, "{ctx} sample {i}");
+        }
+    }
+
+    fn assert_outcomes_match_scalar<T: Testbench>(
+        tb: &T,
+        x: &[f64],
+        xis: &[ProcessSample],
+        ctx: &str,
+    ) {
+        let mut out = vec![f64::NAN; xis.len()];
+        tb.outcome_block(x, xis, &mut out);
+        for (i, (o, xi)) in out.iter().zip(xis).enumerate() {
+            let want = if tb.specs().all_met(&tb.evaluate(x, xi)) {
+                1.0
+            } else {
+                0.0
+            };
+            assert_eq!(*o, want, "{ctx} sample {i}");
+        }
+    }
+
+    #[test]
+    fn template_reuse_across_blocks_designs_and_circuits_keeps_the_scalar_bits() {
+        let tele = TelescopicTwoStage::new();
+        let fold = FoldedCascode::new();
+        let tele_sampler = ProcessSampler::new(tele.technology().clone(), tele.num_devices());
+        let fold_sampler = ProcessSampler::new(fold.technology().clone(), fold.num_devices());
+        assert_ne!(tele_sampler.dimension(), fold_sampler.dimension());
+        let mut rng = StdRng::seed_from_u64(32);
+        // One set of sample buffers for both technologies, as
+        // `CircuitBench::simulate_block` keeps per thread: every block is
+        // mapped into buffers the other technology filled last.
+        let mut buffers: Vec<ProcessSample> = Vec::new();
+        let mut block = |sampler: &ProcessSampler, nan_at: Option<(usize, usize)>| {
+            let n = 13;
+            buffers.resize_with(n, || ProcessSample::nominal(0, 0));
+            for (i, xi) in buffers.iter_mut().enumerate() {
+                let mut u: Vec<f64> = (0..sampler.dimension()).map(|_| rng.gen()).collect();
+                if let Some((sample, coord)) = nan_at {
+                    if i == sample {
+                        u[coord] = f64::NAN;
+                    }
+                }
+                sampler.from_unit_point_into(&u, xi);
+                let want = sampler.from_unit_point(&u);
+                assert_eq!(xi.inter.len(), want.inter.len());
+                assert_eq!(xi.intra.len(), want.intra.len());
+                let flat = |s: &ProcessSample| -> Vec<u64> {
+                    s.inter
+                        .iter()
+                        .chain(s.intra.as_flattened())
+                        .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+                        .collect()
+                };
+                assert_eq!(flat(xi), flat(&want), "sample {i}");
+            }
+            buffers.clone()
+        };
+
+        let tele_x = tele.reference_design();
+        let mut tele_y = tele_x.clone();
+        tele_y[11] *= 1.3;
+        let fold_x = fold.reference_design();
+        let mut fold_bad = fold_x.clone();
+        fold_bad[0] = -1.0;
+
+        builds::take();
+        let xis = block(&tele_sampler, None);
+        assert_outcomes_match_scalar(&tele, &tele_x, &xis, "telescopic x");
+        assert_eq!(builds::take(), 1, "the thread's first block builds");
+        let xis = block(&tele_sampler, None);
+        assert_matches_scalar(&tele, &tele_y, &xis, "telescopic y");
+        assert_eq!(builds::take(), 0, "a new design reuses the template");
+        let xis = block(&fold_sampler, None);
+        assert_outcomes_match_scalar(&fold, &fold_x, &xis, "folded x");
+        assert_eq!(builds::take(), 1, "the other circuit re-templates once");
+        let xis = block(&fold_sampler, None);
+        assert_matches_scalar(&fold, &fold_bad, &xis, "folded, negative width");
+        let failed = vec![AmplifierPerformance::failed(); xis.len()];
+        assert_eq!(fold.evaluate_block(&fold_bad, &xis), failed);
+        assert_eq!(builds::take(), 0);
+        let xis = block(&fold_sampler, None);
+        assert_outcomes_match_scalar(&fold, &fold_x, &xis, "folded after a failure");
+        assert_eq!(builds::take(), 0, "a failed design leaves the template");
+
+        // A NaN threshold mismatch makes a device's gmb NaN, so its gmb
+        // stamp drops out and the netlist departs from the template.
+        let xis = block(&tele_sampler, None);
+        let mut ckt = LinearCircuit::new();
+        tele.prepare(&tele_x, &xis[0], BiasSolve::Scalar, &mut ckt)
+            .expect("the reference design prepares");
+        let template = FactorizedCircuit::new(&ckt);
+        let n_inter = tele.technology().num_inter_die();
+        let flips = (0..tele.num_devices()).find(|&d| {
+            let mut xi = xis[0].clone();
+            xi.intra[d][1] = f64::NAN;
+            let mut ckt = LinearCircuit::new();
+            tele.prepare(&tele_x, &xi, BiasSolve::Scalar, &mut ckt)
+                .is_some_and(|_| !template.matches(&ckt))
+        });
+        let d = flips.expect("some device's NaN mismatch flips the gmb stamp");
+        builds::take();
+        let xis = block(&tele_sampler, Some((5, n_inter + 4 * d + 1)));
+        assert_matches_scalar(&tele, &tele_x, &xis, "telescopic gmb flip");
+        assert_outcomes_match_scalar(&tele, &tele_x, &xis, "telescopic gmb flip");
+        // Circuit switch, flip, flip back; then the flip and back again.
+        assert_eq!(builds::take(), 5);
+        let xis = block(&tele_sampler, None);
+        assert_matches_scalar(&tele, &tele_y, &xis, "telescopic after the flip");
+        assert_eq!(builds::take(), 0, "the flip restored the template");
     }
 }

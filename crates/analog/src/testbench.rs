@@ -66,6 +66,10 @@ pub trait Testbench: Send + Sync {
     fn reference_design(&self) -> Vec<f64>;
 
     /// Evaluates the circuit performances for sizing `x` at process sample `xi`.
+    ///
+    /// This is the scalar reference: [`Self::evaluate_block`],
+    /// [`Self::outcome_block`] and [`Self::evaluate_nominal`] must return
+    /// its bits, and the equivalence suites compare them against it.
     fn evaluate(&self, x: &[f64], xi: &ProcessSample) -> AmplifierPerformance;
 
     /// Evaluates one sizing against a whole block of process samples.
@@ -118,9 +122,16 @@ pub trait Testbench: Send + Sync {
     }
 
     /// Evaluates the circuit at the nominal (variation-free) process point.
+    ///
+    /// The default runs [`Self::evaluate_block`] on a one-sample block, so
+    /// a circuit with a batched fast path judges its nominal point on it
+    /// too; by that method's contract the result is
+    /// `self.evaluate(x, &nominal)` bit for bit.
     fn evaluate_nominal(&self, x: &[f64]) -> AmplifierPerformance {
         let xi = ProcessSample::nominal(self.technology().num_inter_die(), self.num_devices());
-        self.evaluate(x, &xi)
+        self.evaluate_block(x, std::slice::from_ref(&xi))
+            .pop()
+            .expect("one performance per sample")
     }
 
     /// Normalised nominal specification margins of sizing `x` (used by the

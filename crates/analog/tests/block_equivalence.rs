@@ -99,3 +99,63 @@ fn folded_cascode_random_designs_match_scalar_loop() {
 fn telescopic_random_designs_match_scalar_loop() {
     check_random_designs(&TelescopicTwoStage::new(), 43);
 }
+
+/// `evaluate_nominal` and `nominal_margins` run on the block path; both must
+/// return the bits of the scalar `evaluate` at the nominal sample. The
+/// designs, evaluated in sequence on one thread so each one meets the
+/// template the one before left: the reference, a negative width, the
+/// all-minimum corner (starved), then 240 draws: two thirds inside the
+/// bounds, one third from a box stretched past them, and every sixth with one
+/// coordinate negated, so that preparation fails on some (a negative
+/// dimension, an unreachable bias point).
+fn check_nominal(tb: &dyn Testbench, seed: u64) {
+    use rand::Rng;
+    let nominal = ProcessSampler::new(tb.technology().clone(), tb.num_devices()).nominal();
+    let reference = tb.reference_design();
+    let mut negative = reference.clone();
+    negative[0] = -1.0;
+    let mins: Vec<f64> = tb.design_variables().iter().map(|v| v.lo).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut designs = vec![reference, negative, mins];
+    designs.extend((0..240).map(|d| {
+        let mut x: Vec<f64> = tb
+            .design_variables()
+            .iter()
+            .map(|v| match d % 3 {
+                2 => rng.gen_range(0.05 * v.lo..=3.0 * v.hi),
+                _ => rng.gen_range(v.lo..=v.hi),
+            })
+            .collect();
+        if d % 6 == 5 {
+            let k = rng.gen_range(0..x.len());
+            x[k] = -x[k];
+        }
+        x
+    }));
+    let failed = AmplifierPerformance::failed();
+    let mut unprepared = 0;
+    for (di, x) in designs.iter().enumerate() {
+        let ctx = format!("{} nominal design {di}", tb.name());
+        let want = tb.evaluate(x, &nominal);
+        assert_bit_equal(&tb.evaluate_nominal(x), &want, &ctx);
+        let margins = tb.nominal_margins(x);
+        let want_margins = tb.specs().margins(&want);
+        assert_eq!(margins.len(), want_margins.len(), "{ctx}");
+        for (k, (g, w)) in margins.iter().zip(&want_margins).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{ctx} margin {k}: {g} vs {w}");
+        }
+        unprepared += usize::from(want == failed);
+    }
+    assert_eq!(tb.evaluate(&designs[1], &nominal), failed, "negative width");
+    assert!(
+        unprepared >= 20,
+        "{}: {unprepared} failed designs",
+        tb.name()
+    );
+}
+
+#[test]
+fn nominal_evaluation_matches_the_scalar_reference() {
+    check_nominal(&TelescopicTwoStage::new(), 32);
+    check_nominal(&FoldedCascode::new(), 33);
+}

@@ -19,8 +19,9 @@
 //! their static dispatch.
 
 use moheco_analog::Testbench;
-use moheco_process::ProcessSampler;
+use moheco_process::{ProcessSample, ProcessSampler};
 use moheco_runtime::SimulationModel;
+use std::cell::Cell;
 
 /// A yield-optimization benchmark: an engine-dispatchable simulation model
 /// plus its design-space description.
@@ -50,6 +51,12 @@ pub trait Benchmark: SimulationModel {
     /// { self }`; the method exists because generic code over `B: Benchmark +
     /// ?Sized` cannot coerce `&B` to `&dyn SimulationModel` itself.
     fn as_model(&self) -> &dyn SimulationModel;
+}
+
+thread_local! {
+    /// The process samples [`CircuitBench::simulate_block`] maps a block
+    /// into, reused across blocks, designs and circuits on this thread.
+    static SAMPLES: Cell<Vec<ProcessSample>> = const { Cell::new(Vec::new()) };
 }
 
 /// Adapter exposing a circuit [`Testbench`] + matched [`ProcessSampler`] pair
@@ -100,8 +107,17 @@ impl<T: Testbench> SimulationModel for CircuitBench<T> {
 
     fn simulate_block(&self, x: &[f64], us: &[Vec<f64>], out: &mut [f64]) {
         assert_eq!(us.len(), out.len(), "outcome buffer must match the block");
-        let xis: Vec<_> = us.iter().map(|u| self.sampler.from_unit_point(u)).collect();
-        self.testbench.outcome_block(x, &xis, out);
+        // Taken out of the thread's slot rather than borrowed, so a testbench
+        // that re-enters a benchmark on this thread gets samples of its own.
+        let mut xis = SAMPLES.take();
+        if xis.len() < us.len() {
+            xis.resize_with(us.len(), || self.sampler.nominal());
+        }
+        for (u, xi) in us.iter().zip(&mut xis) {
+            self.sampler.from_unit_point_into(u, xi);
+        }
+        self.testbench.outcome_block(x, &xis[..us.len()], out);
+        SAMPLES.set(xis);
     }
 
     fn nominal(&self, x: &[f64]) -> Vec<f64> {

@@ -89,17 +89,31 @@ impl ProcessSampler {
     ///
     /// Panics if `u.len() != self.dimension()`.
     pub fn from_unit_point(&self, u: &[f64]) -> ProcessSample {
+        let mut xi = self.nominal();
+        self.from_unit_point_into(u, &mut xi);
+        xi
+    }
+
+    /// [`Self::from_unit_point`] into an existing sample, which is resized
+    /// to this sampler's shape and overwritten: no allocation once `xi` has
+    /// held a sample of this shape, whatever it held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u.len() != self.dimension()`.
+    pub fn from_unit_point_into(&self, u: &[f64], xi: &mut ProcessSample) {
         assert_eq!(u.len(), self.dimension(), "unit point has wrong dimension");
         // The quantiles run in lanes straight into the sample, with the bits
         // of the one-coordinate-at-a-time mapping.
         let n_inter = self.tech.num_inter_die();
-        let mut xi = self.nominal();
+        xi.inter.resize(n_inter, 0.0);
+        xi.intra
+            .resize(self.num_devices, [0.0; MISMATCH_COMPONENTS]);
         standard_normal_quantiles(&u[..n_inter], &mut xi.inter);
         for (v, p) in xi.inter.iter_mut().zip(&self.tech.inter_die) {
             *v *= p.sigma;
         }
         standard_normal_quantiles(&u[n_inter..], xi.intra.as_flattened_mut());
-        xi
     }
 }
 
