@@ -41,6 +41,6 @@ pub use specs::{AmplifierPerformance, SpecKind, SpecSet, SpecTarget, Specificati
 pub use telescopic::TelescopicTwoStage;
 pub use testbench::{DesignVariable, Testbench};
 pub use variation_map::{
-    bias_current_factor, bias_current_factor_from_shifts, inter_die_shifts, mismatch_deltas,
-    perturbed_model, perturbed_model_with_shifts, MismatchDeltas, PolarityShift,
+    bias_current_factor_from_shifts, inter_die_shifts, mismatch_deltas,
+    perturbed_model_with_shifts, MismatchDeltas, PolarityShift,
 };

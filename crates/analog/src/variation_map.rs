@@ -118,23 +118,10 @@ pub fn mismatch_deltas(
     }
 }
 
-/// Builds the perturbed model card of device `index` with polarity `base`.
-pub fn perturbed_model(
-    base: MosModel,
-    tech: &Technology,
-    sample: &ProcessSample,
-    index: usize,
-    geometry: MosGeometry,
-) -> MosModel {
-    let shifts = inter_die_shifts(tech, sample);
-    perturbed_model_with_shifts(base, &shifts, tech, sample, index, geometry)
-}
-
-/// Like [`perturbed_model`], but takes the inter-die shifts precomputed by
-/// [`inter_die_shifts`]. The shifts depend only on `(tech, sample)`, so a
-/// testbench evaluating many devices against one sample can hoist the
-/// accumulation out of its per-device loop; the resulting model card is
-/// bit-identical to the [`perturbed_model`] one.
+/// Builds the perturbed model card of device `index` with polarity `base`
+/// from the inter-die shifts computed by [`inter_die_shifts`]. The shifts
+/// depend only on `(tech, sample)`, so a testbench evaluating many devices
+/// against one sample computes them once, outside its per-device loop.
 pub fn perturbed_model_with_shifts(
     base: MosModel,
     shifts: &(PolarityShift, PolarityShift),
@@ -160,12 +147,8 @@ pub fn perturbed_model_with_shifts(
 }
 
 /// Multiplicative spread of a resistor-defined bias current caused by the
-/// diffusion-resistance inter-die parameters (both polarities contribute).
-pub fn bias_current_factor(tech: &Technology, sample: &ProcessSample) -> f64 {
-    bias_current_factor_from_shifts(&inter_die_shifts(tech, sample))
-}
-
-/// Like [`bias_current_factor`], but from precomputed inter-die shifts.
+/// diffusion-resistance inter-die parameters (both polarities contribute),
+/// from the inter-die shifts computed by [`inter_die_shifts`].
 pub fn bias_current_factor_from_shifts(shifts: &(PolarityShift, PolarityShift)) -> f64 {
     // A resistor-defined reference current varies inversely with the sheet
     // resistance; average the two polarities' diffusion-resistance spread.
@@ -188,7 +171,7 @@ mod tests {
         let (n, p) = inter_die_shifts(&tech, &sample);
         assert_eq!(n, PolarityShift::default());
         assert_eq!(p, PolarityShift::default());
-        assert!((bias_current_factor(&tech, &sample) - 1.0).abs() < 1e-12);
+        assert!((bias_current_factor_from_shifts(&(n, p)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -197,7 +180,8 @@ mod tests {
         let sample = ProcessSample::nominal(tech.num_inter_die(), 15);
         let base = model_035um(MosType::Nmos);
         let g = MosGeometry::new(20e-6, 1e-6, 1.0).unwrap();
-        let m = perturbed_model(base, &tech, &sample, 0, g);
+        let shifts = inter_die_shifts(&tech, &sample);
+        let m = perturbed_model_with_shifts(base, &shifts, &tech, &sample, 0, g);
         assert!((m.vth0 - base.vth0).abs() < 1e-12);
         assert!((m.tox - base.tox).abs() < 1e-15);
         assert!((m.u0 - base.u0).abs() < 1e-12);
@@ -209,12 +193,13 @@ mod tests {
         let mut sample = ProcessSample::nominal(tech.num_inter_die(), 15);
         // Index 1 is VTH0Rn in the 0.35um list.
         sample.inter[1] = 0.05;
-        let (n, p) = inter_die_shifts(&tech, &sample);
-        assert!((n.d_vth0 - 0.05).abs() < 1e-12);
-        assert_eq!(p.d_vth0, 0.0);
+        let shifts = inter_die_shifts(&tech, &sample);
+        assert!((shifts.0.d_vth0 - 0.05).abs() < 1e-12);
+        assert_eq!(shifts.1.d_vth0, 0.0);
         let g = MosGeometry::new(20e-6, 1e-6, 1.0).unwrap();
-        let nmod = perturbed_model(model_035um(MosType::Nmos), &tech, &sample, 0, g);
-        let pmod = perturbed_model(model_035um(MosType::Pmos), &tech, &sample, 0, g);
+        let model =
+            |ty| perturbed_model_with_shifts(model_035um(ty), &shifts, &tech, &sample, 0, g);
+        let (nmod, pmod) = (model(MosType::Nmos), model(MosType::Pmos));
         assert!(nmod.vth0 > model_035um(MosType::Nmos).vth0 + 0.04);
         assert!((pmod.vth0 - model_035um(MosType::Pmos).vth0).abs() < 1e-9);
     }
@@ -251,7 +236,8 @@ mod tests {
         let mut max_rel_vth: f64 = 0.0;
         for _ in 0..200 {
             let s = sampler.sample(&mut rng);
-            let m = perturbed_model(base, &tech, &s, 0, g);
+            let m =
+                perturbed_model_with_shifts(base, &inter_die_shifts(&tech, &s), &tech, &s, 0, g);
             max_rel_vth = max_rel_vth.max(((m.vth0 - base.vth0) / base.vth0).abs());
         }
         // Shifts should be noticeable but nowhere near 100%.
@@ -260,40 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_shift_variants_are_bit_identical() {
-        let tech = tech_035um();
-        let sampler = ProcessSampler::new(tech.clone(), 15);
-        let mut rng = StdRng::seed_from_u64(123);
-        let g = MosGeometry::new(35e-6, 0.7e-6, 1.0).unwrap();
-        for _ in 0..50 {
-            let s = sampler.sample(&mut rng);
-            let shifts = inter_die_shifts(&tech, &s);
-            for ty in [MosType::Nmos, MosType::Pmos] {
-                let base = model_035um(ty);
-                let a = perturbed_model(base, &tech, &s, 3, g);
-                let b = perturbed_model_with_shifts(base, &shifts, &tech, &s, 3, g);
-                assert_eq!(a.vth0.to_bits(), b.vth0.to_bits());
-                assert_eq!(a.tox.to_bits(), b.tox.to_bits());
-                assert_eq!(a.u0.to_bits(), b.u0.to_bits());
-                assert_eq!(a.ld.to_bits(), b.ld.to_bits());
-                assert_eq!(a.wd.to_bits(), b.wd.to_bits());
-                assert_eq!(a.cj.to_bits(), b.cj.to_bits());
-                assert_eq!(a.cjsw.to_bits(), b.cjsw.to_bits());
-            }
-            assert_eq!(
-                bias_current_factor(&tech, &s).to_bits(),
-                bias_current_factor_from_shifts(&shifts).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn bias_factor_responds_to_rdiff() {
         let tech = tech_035um();
         let mut sample = ProcessSample::nominal(tech.num_inter_die(), 15);
         // Index 5 is DELRDIFFN; +10% sheet resistance lowers the current.
         sample.inter[5] = 0.10;
-        let f = bias_current_factor(&tech, &sample);
+        let f = bias_current_factor_from_shifts(&inter_die_shifts(&tech, &sample));
         assert!(f < 1.0 && f > 0.9);
     }
 }

@@ -19,15 +19,6 @@ use moheco_sampling::EstimatorKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn screen(problem: &YieldProblem<moheco::CircuitBench<FoldedCascode>>, x: Vec<f64>) -> Candidate {
-    let rep = problem.feasibility(&x);
-    if rep.is_feasible() {
-        Candidate::feasible(x, rep.decision)
-    } else {
-        Candidate::infeasible(x, rep.violation)
-    }
-}
-
 fn main() {
     let (budget, engine) = moheco_bench::cli::figure_binary_scale();
     let config = MohecoConfig {
@@ -62,12 +53,12 @@ fn main() {
         } else {
             random_point(&bounds, &mut rng)
         };
-        candidates.push(screen(&problem, x));
+        candidates.push(Candidate::screened(&problem.feasibility(&x), x));
     }
     let mut fixed_candidates = candidates.clone();
 
     let before = problem.simulations();
-    let record = estimate_two_stage(&problem, &mut candidates, &config);
+    let served = estimate_two_stage(&problem, &mut candidates, &config);
     let oo_sims = problem.simulations() - before;
 
     // Bin the feasible candidates by estimated yield.
@@ -77,7 +68,7 @@ fn main() {
         (-1.0, 0.4, "< 40%"),
     ];
     let population = candidates.len() as f64;
-    let total_samples: usize = record.samples.iter().sum();
+    let total_samples: usize = served.iter().sum();
     println!("Fig. 3: OO budget allocation over one typical population (example 1)");
     println!(
         "{:<12} {:>18} {:>18}",
@@ -86,7 +77,7 @@ fn main() {
     for (lo, hi, label) in bins {
         let mut members = 0usize;
         let mut samples = 0usize;
-        for (c, &s) in candidates.iter().zip(&record.samples) {
+        for (c, &s) in candidates.iter().zip(&served) {
             let y = c.yield_value();
             if c.feasible && y >= lo && y < hi {
                 members += 1;

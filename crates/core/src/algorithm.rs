@@ -19,14 +19,12 @@ use crate::candidate::{best_candidate_index, Candidate};
 use crate::config::{MohecoConfig, YieldStrategy};
 use crate::problem::YieldProblem;
 use crate::trace::{GenerationRecord, Trace};
-use crate::two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};
-use moheco_obs::{PhaseBreakdown, Span};
-use moheco_optim::de::{de_crossover, de_mutant, DeConfig};
+use crate::two_stage::{estimate_fixed_budget, estimate_two_stage};
+use moheco_obs::Span;
+use moheco_optim::de::{de_crossover, de_mutant};
 use moheco_optim::memetic::StagnationTracker;
 use moheco_optim::nelder_mead::{nelder_mead, NelderMeadConfig};
-use moheco_optim::population::{Individual, Population};
-use moheco_optim::problem::{random_point, Evaluation};
-use moheco_runtime::EngineStatsSnapshot;
+use moheco_optim::problem::random_point;
 use moheco_sampling::{EstimatedYield, YieldEstimate};
 use rand::Rng;
 
@@ -50,16 +48,6 @@ pub struct RunResult {
     pub local_searches: usize,
     /// Per-generation trace.
     pub trace: Trace,
-    /// Evaluation-engine instrumentation for the run (simulations run,
-    /// cache hits, batch sizes, busy time).
-    pub engine_stats: EngineStatsSnapshot,
-    /// Per-phase budget attribution for the run, aggregated from the
-    /// problem's tracer. Empty when tracing is disabled (the default); with
-    /// an aggregating or collecting tracer attached via
-    /// [`YieldProblem::with_tracer`](crate::problem::YieldProblem::with_tracer),
-    /// the per-phase *self* simulation counts of a fresh-engine run sum to
-    /// [`Self::total_simulations`].
-    pub phase_breakdown: PhaseBreakdown,
 }
 
 impl RunResult {
@@ -124,7 +112,6 @@ impl YieldOptimizer {
         let cfg = &self.config;
         let bounds = problem.bounds();
         let sims_at_start = problem.simulations();
-        let hits_at_start = problem.engine_stats().cache_hits;
         // Everything below runs under the "optimize" phase; harnesses may
         // wrap this call in an outer span of their own (e.g. "run").
         let tracer = problem.tracer().clone();
@@ -148,18 +135,11 @@ impl YieldOptimizer {
             )
             .collect();
         let mut population = self.screen_batch(problem, initial_xs);
-        let init_alloc = self.estimate_generation(problem, &mut population);
+        let init_samples = self.estimate_generation(problem, &mut population);
 
         let mut trace = Trace::new();
         let mut best = population[best_candidate_index(&population).expect("non-empty")].clone();
-        trace.push(self.record(
-            0,
-            &population,
-            &init_alloc,
-            problem,
-            sims_at_start,
-            hits_at_start,
-        ));
+        trace.push(self.record(0, &population, &init_samples, problem, sims_at_start));
 
         let mut memetic_tracker = StagnationTracker::new(cfg.memetic_trigger);
         let mut stop_stagnation = 0usize;
@@ -168,24 +148,20 @@ impl YieldOptimizer {
 
         for gen in 1..cfg.max_generations {
             generations = gen + 1;
-            // Steps 1-3: DE mutation + crossover + feasibility screen.
-            let view = candidate_population(&population);
-            let de_cfg = DeConfig {
-                population_size: cfg.population_size,
-                f: cfg.de_f,
-                cr: cfg.de_cr,
-                ..DeConfig::default()
-            };
-            let trial_xs: Vec<Vec<f64>> = (0..population.len())
+            // Steps 1-3: DE/best/1 mutation + crossover + feasibility screen.
+            let n = population.len();
+            let base = best_candidate_index(&population).expect("non-empty");
+            let member = |i: usize| population[i].x.as_slice();
+            let trial_xs: Vec<Vec<f64>> = (0..n)
                 .map(|i| {
-                    let mutant = de_mutant(&view, i, &de_cfg, &bounds, rng);
+                    let mutant = de_mutant(n, member, base, i, cfg.de_f, &bounds, rng);
                     de_crossover(&population[i].x, &mutant, cfg.de_cr, rng)
                 })
                 .collect();
             let mut trials = self.screen_batch(problem, trial_xs);
 
             // Steps 4-7: yield estimation of the trial candidates.
-            let alloc = self.estimate_generation(problem, &mut trials);
+            let samples = self.estimate_generation(problem, &mut trials);
 
             // Step 8: one-to-one selection.
             for (parent, trial) in population.iter_mut().zip(trials) {
@@ -228,14 +204,7 @@ impl YieldOptimizer {
                 }
             }
 
-            trace.push(self.record(
-                gen,
-                &population,
-                &alloc,
-                problem,
-                sims_at_start,
-                hits_at_start,
-            ));
+            trace.push(self.record(gen, &population, &samples, problem, sims_at_start));
 
             // Step 11: stopping criteria.
             if best.feasible && best.yield_value() >= cfg.target_yield {
@@ -275,8 +244,6 @@ impl YieldOptimizer {
             generations,
             local_searches,
             trace,
-            engine_stats: problem.engine_stats(),
-            phase_breakdown: tracer.breakdown(),
         }
     }
 
@@ -291,22 +258,17 @@ impl YieldOptimizer {
         let reports = problem.feasibility_batch(&xs);
         xs.into_iter()
             .zip(reports)
-            .map(|(x, report)| {
-                if report.is_feasible() {
-                    Candidate::feasible(x, report.decision)
-                } else {
-                    Candidate::infeasible(x, report.violation)
-                }
-            })
+            .map(|(x, report)| Candidate::screened(&report, x))
             .collect()
     }
 
-    /// Steps 4-7: estimate the yields of one generation of candidates.
+    /// Steps 4-7: estimate the yields of one generation of candidates;
+    /// returns the Monte-Carlo samples served to each.
     fn estimate_generation<B: Benchmark + ?Sized>(
         &self,
         problem: &YieldProblem<B>,
         candidates: &mut [Candidate],
-    ) -> AllocationRecord {
+    ) -> Vec<usize> {
         let _span = Span::enter(problem.tracer(), "estimation");
         match self.config.strategy {
             YieldStrategy::TwoStageOo => estimate_two_stage(problem, candidates, &self.config),
@@ -352,7 +314,6 @@ impl YieldOptimizer {
         let est = problem.estimate_yield(&result.x, cfg.n_max, report.decision);
         let mut refined = Candidate::feasible(result.x, report.decision);
         refined.estimate = est;
-        refined.stage = crate::candidate::Stage::Two;
         Some(refined)
     }
 
@@ -360,48 +321,22 @@ impl YieldOptimizer {
         &self,
         generation: usize,
         population: &[Candidate],
-        alloc: &AllocationRecord,
+        samples: &[usize],
         problem: &YieldProblem<B>,
         sims_at_start: u64,
-        hits_at_start: u64,
     ) -> GenerationRecord {
         let best_idx = best_candidate_index(population).expect("non-empty");
         GenerationRecord {
             generation,
             best_yield: population[best_idx].yield_value(),
-            num_feasible: population.iter().filter(|c| c.feasible).count(),
             simulations_so_far: problem.simulations() - sims_at_start,
-            cache_hits_so_far: problem.engine_stats().cache_hits - hits_at_start,
-            simulations_this_generation: alloc.total as u64,
             candidates: population
                 .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    (
-                        c.x.clone(),
-                        c.yield_value(),
-                        alloc.samples.get(i).copied().unwrap_or(0),
-                    )
-                })
+                .zip(samples)
+                .map(|(c, &n)| (c.x.clone(), c.yield_value(), n))
                 .collect(),
         }
     }
-}
-
-/// Builds an `moheco-optim` population view of the candidates so the DE
-/// operators (and their best-member selection) can be reused unchanged.
-fn candidate_population(candidates: &[Candidate]) -> Population {
-    candidates
-        .iter()
-        .map(|c| {
-            let eval = if c.feasible {
-                Evaluation::feasible(-c.yield_value())
-            } else {
-                Evaluation::new(f64::INFINITY, c.violation.max(1e-12))
-            };
-            Individual::new(c.x.clone(), eval)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -494,7 +429,7 @@ mod tests {
             "yield {}",
             result.reported_yield
         );
-        assert!(result.trace.records[0].num_feasible >= 1);
+        assert!(result.trace.records[0].best_yield > 0.0);
     }
 
     #[test]

@@ -1,16 +1,7 @@
 //! Candidate solutions of the yield optimizer.
 
+use crate::problem::FeasibilityReport;
 use moheco_sampling::{AsDecision, YieldEstimate};
-
-/// Which yield-estimation stage a candidate currently belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Stage 1: ordinal-optimization budget; only the ranking needs to be right.
-    One,
-    /// Stage 2: the candidate exceeded the promotion threshold and is
-    /// estimated with the maximum number of samples.
-    Two,
-}
 
 /// One candidate sizing with its feasibility and yield information.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +16,6 @@ pub struct Candidate {
     pub decision: AsDecision,
     /// Accumulated Monte-Carlo yield estimate.
     pub estimate: YieldEstimate,
-    /// Current estimation stage.
-    pub stage: Stage,
 }
 
 impl Candidate {
@@ -39,7 +28,6 @@ impl Candidate {
             violation,
             decision: AsDecision::RejectWithoutSampling,
             estimate: YieldEstimate::default(),
-            stage: Stage::One,
         }
     }
 
@@ -51,7 +39,17 @@ impl Candidate {
             violation: 0.0,
             decision,
             estimate: YieldEstimate::default(),
-            stage: Stage::One,
+        }
+    }
+
+    /// The candidate a nominal feasibility screen of `x` makes: feasible with
+    /// the report's acceptance-sampling decision, or infeasible with its
+    /// violation.
+    pub fn screened(report: &FeasibilityReport, x: Vec<f64>) -> Self {
+        if report.is_feasible() {
+            Self::feasible(x, report.decision)
+        } else {
+            Self::infeasible(x, report.violation)
         }
     }
 

@@ -25,9 +25,9 @@
 //! the [`moheco_runtime`] crate (re-exported here as [`runtime`]): batches
 //! run in parallel on a multi-worker [`runtime::Engine`] with bit-identical
 //! results to the one-worker engine, repeated evaluations are served from the
-//! engine cache, and the engine instrumentation is surfaced in
-//! [`RunResult::engine_stats`] and the per-generation [`Trace`]. Construct a
-//! problem with [`YieldProblem::with_engine`] to choose the engine.
+//! engine cache, and the engine instrumentation is read from
+//! [`YieldProblem::engine_stats`]. Construct a problem with
+//! [`YieldProblem::with_engine`] to choose the engine.
 //!
 //! # Example
 //!
@@ -62,9 +62,9 @@ pub use moheco_runtime as runtime;
 
 pub use algorithm::{RunResult, YieldOptimizer};
 pub use benchmark::{Benchmark, CircuitBench};
-pub use candidate::{best_candidate_index, Candidate, Stage};
+pub use candidate::{best_candidate_index, Candidate};
 pub use config::{MohecoConfig, YieldStrategy};
 pub use problem::{FeasibilityReport, YieldProblem};
 pub use stats::RunSummary;
 pub use trace::{GenerationRecord, Trace};
-pub use two_stage::{estimate_fixed_budget, estimate_two_stage, AllocationRecord};
+pub use two_stage::{estimate_fixed_budget, estimate_two_stage};

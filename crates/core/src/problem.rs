@@ -26,7 +26,7 @@ use crate::benchmark::{Benchmark, CircuitBench};
 use moheco_analog::Testbench;
 use moheco_runtime::{Engine, EngineConfig, EvalEngine, McRequest};
 use moheco_sampling::{
-    AcceptanceSampler, AsDecision, EstimatedYield, EstimatorKind, SimulationCounter, YieldEstimate,
+    AcceptanceSampler, AsDecision, EstimatedYield, EstimatorKind, YieldEstimate,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -122,11 +122,6 @@ impl<B: Benchmark + ?Sized> YieldProblem<B> {
     /// batch sizes, busy time).
     pub fn engine_stats(&self) -> moheco_runtime::EngineStatsSnapshot {
         self.engine.stats()
-    }
-
-    /// The shared simulation counter (clone it to keep a handle).
-    pub fn counter(&self) -> SimulationCounter {
-        self.engine.counter()
     }
 
     /// Total number of simulations spent so far.

@@ -12,25 +12,12 @@ pub struct GenerationRecord {
     pub generation: usize,
     /// Best yield estimate in the population after this generation.
     pub best_yield: f64,
-    /// Number of feasible candidates in the population.
-    pub num_feasible: usize,
-    /// Cumulative circuit simulations after this generation.
+    /// Cumulative circuit simulations (executed, not cache-served) after
+    /// this generation.
     pub simulations_so_far: u64,
-    /// Cumulative engine cache hits after this generation — Monte-Carlo
-    /// samples *and* nominal screens served without running a simulation
-    /// (see `moheco-runtime`), so this is not an MC-only counter.
-    pub cache_hits_so_far: u64,
-    /// Monte-Carlo samples *served* to this generation's yield estimation.
-    ///
-    /// "Served" counts what the estimator consumed, whether the engine
-    /// executed a fresh simulation or answered from its block cache — so a
-    /// re-read sample range counts in full here. Executed-only accounting
-    /// lives in [`Self::simulations_so_far`], which advances by at most (and
-    /// usually less than) this amount per generation; the difference is the
-    /// cache's contribution. Same width as every sibling counter (`u64`).
-    pub simulations_this_generation: u64,
-    /// `(design point, estimated yield, samples spent)` for every candidate
-    /// evaluated this generation (trial candidates).
+    /// `(design point, estimated yield, samples served)` for every member of
+    /// the population after this generation; the samples are those this
+    /// generation's estimation served to the slot's trial candidate.
     pub candidates: Vec<(Vec<f64>, f64, usize)>,
 }
 
@@ -106,10 +93,7 @@ mod tests {
         GenerationRecord {
             generation,
             best_yield: best,
-            num_feasible: n,
             simulations_so_far: (generation as u64 + 1) * 100,
-            cache_hits_so_far: 10 * generation as u64,
-            simulations_this_generation: 100,
             candidates: (0..n)
                 .map(|i| (vec![i as f64], 0.5 + 0.1 * i as f64, 10 * (i + 1)))
                 .collect(),
@@ -137,34 +121,6 @@ mod tests {
         assert_eq!(t.training_pairs(2).len(), 6);
         assert_eq!(t.generation_pairs(1).len(), 3);
         assert!(t.generation_pairs(9).is_empty());
-    }
-
-    /// Pins the hits-vs-executed counting contract of
-    /// [`GenerationRecord::simulations_this_generation`]: served samples
-    /// (cache hits included) are what the per-generation counter records,
-    /// while `simulations_so_far` moves only by executed simulations — a
-    /// fully cached generation serves samples while executing none.
-    #[test]
-    fn served_vs_executed_distinction_is_representable() {
-        let warm = GenerationRecord {
-            generation: 1,
-            best_yield: 0.9,
-            num_feasible: 1,
-            // No new simulations executed since generation 0...
-            simulations_so_far: 100,
-            cache_hits_so_far: 250,
-            // ...yet the estimator was served a full 250-sample re-read.
-            simulations_this_generation: 250,
-            candidates: vec![(vec![0.0], 0.9, 250)],
-        };
-        assert!(warm.simulations_this_generation > warm.simulations_so_far - 100);
-        // The counter is u64 like its siblings: sums over long campaigns
-        // cannot quietly truncate on 32-bit targets.
-        let total: u64 = [warm.clone(), warm]
-            .iter()
-            .map(|r| r.simulations_this_generation)
-            .sum();
-        assert_eq!(total, 500);
     }
 
     #[test]

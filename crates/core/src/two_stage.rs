@@ -22,7 +22,7 @@
 //! [`EvalEngine`]: moheco_runtime::EvalEngine
 
 use crate::benchmark::Benchmark;
-use crate::candidate::{Candidate, Stage};
+use crate::candidate::Candidate;
 use crate::config::MohecoConfig;
 use crate::problem::YieldProblem;
 use moheco_obs::Span;
@@ -30,44 +30,26 @@ use moheco_ocba::sequential::{run_sequential_batched, SequentialConfig};
 use moheco_runtime::McRequest;
 use moheco_sampling::{AsDecision, YieldEstimate};
 
-/// Per-generation record of how the estimation budget was spent.
-///
-/// Counts are Monte-Carlo samples *served* per candidate; samples re-read
-/// from the engine cache (e.g. when re-estimating a previously seen design)
-/// are included here even though they cost no executed simulation — the
-/// executed count lives in the engine's counter.
-#[derive(Debug, Clone, Default)]
-pub struct AllocationRecord {
-    /// Samples served for each candidate of the generation (same order as
-    /// the candidate slice passed in; infeasible candidates receive 0).
-    pub samples: Vec<usize>,
-    /// Estimated yields after the allocation (0 for infeasible candidates).
-    pub yields: Vec<f64>,
-    /// Indices of candidates promoted to stage 2 this generation.
-    pub promoted: Vec<usize>,
-    /// Total samples spent this generation.
-    pub total: usize,
-}
-
 /// Estimates the yields of a generation of candidates with the two-stage
 /// OO scheme, updating the candidates in place.
+///
+/// Returns the Monte-Carlo samples *served* to each candidate (same order
+/// as `candidates`; infeasible candidates receive 0). Samples re-read from
+/// the engine cache (e.g. when re-estimating a previously seen design) count
+/// here even though they cost no executed simulation — the executed count
+/// lives in the engine's counter.
 pub fn estimate_two_stage<B: Benchmark + ?Sized>(
     problem: &YieldProblem<B>,
     candidates: &mut [Candidate],
     config: &MohecoConfig,
-) -> AllocationRecord {
+) -> Vec<usize> {
     let feasible_idx: Vec<usize> = candidates
         .iter()
         .enumerate()
         .filter(|(_, c)| c.feasible && c.decision != AsDecision::RejectWithoutSampling)
         .map(|(i, _)| i)
         .collect();
-    let mut record = AllocationRecord {
-        samples: vec![0; candidates.len()],
-        yields: vec![0.0; candidates.len()],
-        promoted: Vec::new(),
-        total: 0,
-    };
+    let mut served = vec![0; candidates.len()];
 
     match feasible_idx.len() {
         0 => {}
@@ -84,8 +66,7 @@ pub fn estimate_two_stage<B: Benchmark + ?Sized>(
                 outcomes.iter().sum(),
                 outcomes.len(),
             ));
-            record.samples[i] = outcomes.len();
-            record.total += outcomes.len();
+            served[i] = outcomes.len();
         }
         _ => {
             // Sequential OCBA over the feasible candidates; every round becomes
@@ -144,8 +125,7 @@ pub fn estimate_two_stage<B: Benchmark + ?Sized>(
                 // Merge onto any prior samples (whose stream indices the
                 // cursors skipped), mirroring the single-feasible branch.
                 candidates[i].estimate = prior[k].merge(&YieldEstimate::from_sum(sum, stats.count));
-                record.samples[i] = outcome.spent[k];
-                record.total += outcome.spent[k];
+                served[i] = outcome.spent[k];
             }
         }
     }
@@ -159,8 +139,6 @@ pub fn estimate_two_stage<B: Benchmark + ?Sized>(
             if missing > 0 {
                 topups.push((i, missing));
             }
-            candidates[i].stage = Stage::Two;
-            record.promoted.push(i);
         }
     }
     if !topups.is_empty() {
@@ -180,44 +158,32 @@ pub fn estimate_two_stage<B: Benchmark + ?Sized>(
             candidates[i].estimate = candidates[i]
                 .estimate
                 .merge(&YieldEstimate::from_sum(out.iter().sum(), out.len()));
-            record.samples[i] += out.len();
-            record.total += out.len();
+            served[i] += out.len();
         }
     }
-
-    for (i, c) in candidates.iter().enumerate() {
-        record.yields[i] = c.yield_value();
-    }
-    record
+    served
 }
 
 /// Estimates the yields of a generation with the fixed-budget baseline
 /// (`sims` samples per feasible candidate, reduced for deeply accepted
-/// ones), dispatched to the engine as one batch.
+/// ones), dispatched to the engine as one batch. Returns the samples served
+/// to each candidate, as [`estimate_two_stage`] does.
 pub fn estimate_fixed_budget<B: Benchmark + ?Sized>(
     problem: &YieldProblem<B>,
     candidates: &mut [Candidate],
     sims: usize,
-) -> AllocationRecord {
-    let mut record = AllocationRecord {
-        samples: vec![0; candidates.len()],
-        yields: vec![0.0; candidates.len()],
-        promoted: Vec::new(),
-        total: 0,
-    };
+) -> Vec<usize> {
     let _span = Span::enter(problem.tracer(), "fixed_budget");
-    for (i, c) in candidates.iter_mut().enumerate() {
-        if !c.feasible {
-            continue;
-        }
-        let est = problem.estimate_yield(&c.x, sims, c.decision);
-        c.estimate = est;
-        c.stage = Stage::Two;
-        record.samples[i] = est.samples;
-        record.total += est.samples;
-        record.yields[i] = c.yield_value();
-    }
-    record
+    candidates
+        .iter_mut()
+        .map(|c| {
+            if !c.feasible {
+                return 0;
+            }
+            c.estimate = problem.estimate_yield(&c.x, sims, c.decision);
+            c.estimate.samples
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -238,14 +204,7 @@ mod tests {
         warm[8] = 180.0;
         [reference, starved, warm]
             .into_iter()
-            .map(|x| {
-                let rep = problem.feasibility(&x);
-                if rep.is_feasible() {
-                    Candidate::feasible(x, rep.decision)
-                } else {
-                    Candidate::infeasible(x, rep.violation)
-                }
-            })
+            .map(|x| Candidate::screened(&problem.feasibility(&x), x))
             .collect()
     }
 
@@ -260,9 +219,10 @@ mod tests {
             n_max: 60,
             ..MohecoConfig::fast()
         };
-        let record = estimate_two_stage(&problem, &mut candidates, &config);
+        let served = estimate_two_stage(&problem, &mut candidates, &config);
+        assert_eq!(served.len(), candidates.len());
         // The infeasible candidate received no samples.
-        for (c, &s) in candidates.iter().zip(&record.samples) {
+        for (c, &s) in candidates.iter().zip(&served) {
             if !c.feasible {
                 assert_eq!(s, 0);
                 assert_eq!(c.yield_value(), 0.0);
@@ -270,8 +230,6 @@ mod tests {
                 assert!(s > 0, "feasible candidates must be sampled");
             }
         }
-        assert_eq!(record.total, record.samples.iter().sum::<usize>());
-        assert_eq!(record.yields.len(), candidates.len());
     }
 
     #[test]
@@ -286,14 +244,17 @@ mod tests {
             stage2_threshold: 0.5,
             ..MohecoConfig::fast()
         };
-        let record = estimate_two_stage(&problem, &mut candidates, &config);
+        let _ = estimate_two_stage(&problem, &mut candidates, &config);
+        let promoted: Vec<&Candidate> = candidates
+            .iter()
+            .filter(|c| c.feasible && c.yield_value() >= config.stage2_threshold)
+            .collect();
         assert!(
-            !record.promoted.is_empty(),
+            !promoted.is_empty(),
             "the reference design should be promoted"
         );
-        for &i in &record.promoted {
-            assert_eq!(candidates[i].stage, Stage::Two);
-            assert_eq!(candidates[i].estimate.samples, 80);
+        for c in promoted {
+            assert_eq!(c.estimate.samples, 80);
         }
     }
 
@@ -305,14 +266,7 @@ mod tests {
         starved[8] = 55.0;
         let mut candidates: Vec<Candidate> = [reference, starved]
             .into_iter()
-            .map(|x| {
-                let rep = problem.feasibility(&x);
-                if rep.is_feasible() {
-                    Candidate::feasible(x, rep.decision)
-                } else {
-                    Candidate::infeasible(x, rep.violation)
-                }
-            })
+            .map(|x| Candidate::screened(&problem.feasibility(&x), x))
             .collect();
         let config = MohecoConfig {
             sim_ave: 20,
@@ -321,17 +275,16 @@ mod tests {
             stage2_threshold: 1.1, // disable promotion
             ..MohecoConfig::fast()
         };
-        let record = estimate_two_stage(&problem, &mut candidates, &config);
-        assert_eq!(record.samples[0], 20);
-        assert_eq!(record.samples[1], 0);
+        let served = estimate_two_stage(&problem, &mut candidates, &config);
+        assert_eq!(served, [20, 0]);
     }
 
     #[test]
     fn fixed_budget_gives_every_feasible_candidate_the_same_samples() {
         let problem = YieldProblem::new(FoldedCascode::new());
         let mut candidates = make_candidates(&problem);
-        let record = estimate_fixed_budget(&problem, &mut candidates, 40);
-        for (c, &s) in candidates.iter().zip(&record.samples) {
+        let served = estimate_fixed_budget(&problem, &mut candidates, 40);
+        for (c, &s) in candidates.iter().zip(&served) {
             if c.feasible && c.decision == AsDecision::FullSampling {
                 assert_eq!(s, 40);
             } else if !c.feasible {
@@ -353,12 +306,7 @@ mod tests {
             .map(|&i| {
                 let mut x = reference.clone();
                 x[8] = i;
-                let rep = problem.feasibility(&x);
-                if rep.is_feasible() {
-                    Candidate::feasible(x, rep.decision)
-                } else {
-                    Candidate::infeasible(x, rep.violation)
-                }
+                Candidate::screened(&problem.feasibility(&x), x)
             })
             .collect();
         let config = MohecoConfig {
@@ -369,11 +317,11 @@ mod tests {
             stage2_threshold: 1.1,
             ..MohecoConfig::fast()
         };
-        let record = estimate_two_stage(&problem, &mut candidates, &config);
-        let feasible_total: usize = record.samples.iter().sum();
+        let served = estimate_two_stage(&problem, &mut candidates, &config);
+        let feasible_total: usize = served.iter().sum();
         assert!(feasible_total > 0);
         // Best-yield candidate should not be starved relative to the worst.
-        let yields = &record.yields;
+        let yields: Vec<f64> = candidates.iter().map(Candidate::yield_value).collect();
         let best = yields
             .iter()
             .enumerate()
@@ -388,9 +336,9 @@ mod tests {
             .unwrap()
             .0;
         assert!(
-            record.samples[best] + config.delta >= record.samples[worst_feasible],
+            served[best] + config.delta >= served[worst_feasible],
             "allocation {:?} yields {:?}",
-            record.samples,
+            served,
             yields
         );
     }
@@ -415,8 +363,8 @@ mod tests {
                 c.estimate = YieldEstimate::new(55, 55); // 5 samples of headroom
             }
         }
-        let record = estimate_two_stage(&problem, &mut candidates, &config);
-        for (c, &served) in candidates.iter().zip(&record.samples) {
+        let served = estimate_two_stage(&problem, &mut candidates, &config);
+        for (c, &served) in candidates.iter().zip(&served) {
             if c.feasible {
                 assert!(
                     c.estimate.samples <= config.n_max,
@@ -441,13 +389,13 @@ mod tests {
             ..MohecoConfig::fast()
         };
         let mut first = template.clone();
-        let rec1 = estimate_two_stage(&problem, &mut first, &config);
+        let served1 = estimate_two_stage(&problem, &mut first, &config);
         let after_first = problem.simulations();
         // Re-estimating clones of the same candidates replays the same
         // sample streams: identical estimates, zero new simulations.
         let mut second = template.clone();
-        let rec2 = estimate_two_stage(&problem, &mut second, &config);
-        assert_eq!(rec1.samples, rec2.samples);
+        let served2 = estimate_two_stage(&problem, &mut second, &config);
+        assert_eq!(served1, served2);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.estimate, b.estimate);
         }

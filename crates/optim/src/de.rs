@@ -47,24 +47,27 @@ impl Default for DeConfig {
     }
 }
 
-/// Generates the `DE/best/1` mutant (donor) vector for target index `i`:
-/// the current best member plus `F` times the difference of two random
-/// members (the paper's "select base vector" step, which propagates good
-/// schemata).
+/// Generates the `DE/best/1` mutant (donor) vector for member `target` of an
+/// `n`-member population whose member `j` has the design `member(j)`: the
+/// `base` member (the caller's current best) plus `f` times the difference of
+/// two random members (the paper's "select base vector" step, which
+/// propagates good schemata).
 ///
 /// # Panics
 ///
 /// Panics if the population has fewer than four members.
-pub fn de_mutant<R: Rng + ?Sized>(
-    population: &Population,
+pub fn de_mutant<'a, R: Rng + ?Sized>(
+    n: usize,
+    member: impl Fn(usize) -> &'a [f64],
+    base: usize,
     target: usize,
-    config: &DeConfig,
+    f: f64,
     bounds: &[(f64, f64)],
     rng: &mut R,
 ) -> Vec<f64> {
-    let n = population.len();
     assert!(n >= 4, "DE needs at least four individuals");
-    // Pick three distinct indices different from the target.
+    // Pick three distinct indices different from the target (`DE/rand/1`'s
+    // triple; `DE/best/1` replaces the first with `base`).
     let mut pick = || loop {
         let r = rng.gen_range(0..n);
         if r != target {
@@ -78,13 +81,11 @@ pub fn de_mutant<R: Rng + ?Sized>(
     while r3 == r1 || r3 == r2 {
         r3 = pick();
     }
-    let base = &population.members[population.best_index().unwrap_or(r1)].x;
-    let a = &population.members[r2].x;
-    let b = &population.members[r3].x;
-    let mut mutant: Vec<f64> = base
+    let (a, b) = (member(r2), member(r3));
+    let mut mutant: Vec<f64> = member(base)
         .iter()
         .zip(a.iter().zip(b.iter()))
-        .map(|(&base_j, (&a_j, &b_j))| base_j + config.f * (a_j - b_j))
+        .map(|(&base_j, (&a_j, &b_j))| base_j + f * (a_j - b_j))
         .collect();
     clamp_to_bounds(&mut mutant, bounds);
     mutant
@@ -157,9 +158,12 @@ impl DifferentialEvolution {
             // population as it stood at the start of the generation, so the
             // whole generation can be evaluated as one batch (and, with a
             // batch-capable problem, dispatched in parallel).
-            let trials: Vec<Vec<f64>> = (0..population.len())
+            let n = population.len();
+            let base = population.best_index().expect("non-empty population");
+            let member = |i: usize| population.members[i].x.as_slice();
+            let trials: Vec<Vec<f64>> = (0..n)
                 .map(|i| {
-                    let mutant = de_mutant(&population, i, &self.config, &bounds, rng);
+                    let mutant = de_mutant(n, member, base, i, self.config.f, &bounds, rng);
                     de_crossover(&population.members[i].x, &mutant, self.config.cr, rng)
                 })
                 .collect();
@@ -268,11 +272,40 @@ mod tests {
         let mut problem = sphere(4);
         let mut rng = StdRng::seed_from_u64(9);
         let pop = Population::random(&mut problem, 10, &mut rng);
-        let cfg = DeConfig::default();
         let bounds = problem.bounds();
+        let member = |i: usize| pop.members[i].x.as_slice();
         for i in 0..pop.len() {
-            let m = de_mutant(&pop, i, &cfg, &bounds, &mut rng);
+            let m = de_mutant(pop.len(), member, 0, i, 0.8, &bounds, &mut rng);
             assert!(m.iter().all(|v| (-5.0..=5.0).contains(v)));
+        }
+    }
+
+    #[test]
+    fn zero_step_mutant_is_the_clamped_base_member() {
+        let designs = [
+            vec![0.5, -0.5],
+            vec![7.0, -9.0],
+            vec![1.0, 2.0],
+            vec![-3.0, 4.0],
+            vec![0.0, 0.0],
+        ];
+        let bounds = [(-5.0, 5.0); 2];
+        let mut rng = StdRng::seed_from_u64(16);
+        for base in 0..designs.len() {
+            for target in 0..designs.len() {
+                let m = de_mutant(
+                    designs.len(),
+                    |i| designs[i].as_slice(),
+                    base,
+                    target,
+                    0.0,
+                    &bounds,
+                    &mut rng,
+                );
+                let mut expected = designs[base].clone();
+                clamp_to_bounds(&mut expected, &bounds);
+                assert_eq!(m, expected);
+            }
         }
     }
 

@@ -19,11 +19,6 @@ impl Individual {
     pub fn new(x: Vec<f64>, eval: Evaluation) -> Self {
         Self { x, eval }
     }
-
-    /// Returns `true` when the individual satisfies all constraints.
-    pub fn is_feasible(&self) -> bool {
-        self.eval.is_feasible()
-    }
 }
 
 /// A population of individuals.
@@ -89,22 +84,9 @@ impl Population {
         self.best_index().map(|i| &self.members[i])
     }
 
-    /// Number of feasible individuals.
-    pub fn num_feasible(&self) -> usize {
-        self.members.iter().filter(|m| m.is_feasible()).count()
-    }
-
     /// Iterator over the members.
     pub fn iter(&self) -> std::slice::Iter<'_, Individual> {
         self.members.iter()
-    }
-}
-
-impl FromIterator<Individual> for Population {
-    fn from_iter<T: IntoIterator<Item = Individual>>(iter: T) -> Self {
-        Self {
-            members: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -147,14 +129,13 @@ mod tests {
 
     #[test]
     fn feasibility_dominates_best_selection() {
-        let pop: Population = vec![
-            Individual::new(vec![0.0], Evaluation::infeasible(0.01)),
-            Individual::new(vec![1.0], Evaluation::feasible(99.0)),
-        ]
-        .into_iter()
-        .collect();
+        let pop = Population {
+            members: vec![
+                Individual::new(vec![0.0], Evaluation::infeasible(0.01)),
+                Individual::new(vec![1.0], Evaluation::feasible(99.0)),
+            ],
+        };
         assert_eq!(pop.best_index(), Some(1));
-        assert_eq!(pop.num_feasible(), 1);
     }
 
     #[test]

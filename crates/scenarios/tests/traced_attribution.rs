@@ -34,7 +34,7 @@ fn every_scenario_attributes_its_full_budget_to_phases() {
             ..MohecoConfig::fast()
         });
         let mut rng = StdRng::seed_from_u64(7);
-        let result = optimizer.run_from(&problem, &scenario.warm_start(), &mut rng);
+        optimizer.run_from(&problem, &scenario.warm_start(), &mut rng);
         drop(root);
 
         let breakdown = tracer.breakdown();
@@ -55,8 +55,5 @@ fn every_scenario_attributes_its_full_budget_to_phases() {
             "{}: screening phase missing",
             scenario.name()
         );
-        // The result's own breakdown (captured inside the optimizer, while
-        // the root span was still open) carries the same nested paths.
-        assert!(result.phase_breakdown.get("run/optimize").is_some());
     }
 }

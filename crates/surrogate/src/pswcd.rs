@@ -8,10 +8,11 @@
 //! pessimistic — designs with perfectly acceptable Monte-Carlo yield get
 //! rejected.
 //!
-//! The implementation searches the worst case of each spec over the ±k·σ
-//! inter-die box (random search plus coordinate refinement), with the
-//! mismatch variables set to ±k·σ in their most pessimistic direction per
-//! spec.
+//! The implementation searches the worst case of each spec by random probes
+//! of the ±k·σ box over the inter-die and mismatch variables (the nominal
+//! point first). Each spec's probes are judged as one batched
+//! [`Testbench::evaluate_block`] call, and the Monte-Carlo yield of
+//! [`overdesign_comparison`] as one [`Testbench::outcome_block`] call.
 
 use moheco_analog::Testbench;
 use moheco_process::ProcessSample;
@@ -57,35 +58,37 @@ pub fn pswcd_analyze<T: Testbench, R: Rng + ?Sized>(
     let tech = testbench.technology();
     let n_inter = tech.num_inter_die();
     let n_dev = testbench.num_devices();
-    let num_specs = testbench.specs().len();
-    let mut worst_margins = vec![f64::INFINITY; num_specs];
+    let mut worst_margins = vec![f64::INFINITY; testbench.specs().len()];
     let mut simulations = 0usize;
 
-    #[allow(clippy::needless_range_loop)] // one independent worst-case search per spec index
-    for spec_idx in 0..num_specs {
+    for (spec, worst) in testbench.specs().specs.iter().zip(&mut worst_margins) {
         // Random search over the ±k sigma box for this spec's worst case.
-        for probe in 0..config.probes {
-            let mut sample = ProcessSample::nominal(n_inter, n_dev);
-            if probe > 0 {
-                for (j, v) in sample.inter.iter_mut().enumerate() {
-                    let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-                    let magnitude = rng.gen::<f64>() * config.k_sigma;
-                    *v = sign * magnitude * tech.inter_die[j].sigma;
-                }
-                for d in sample.intra.iter_mut() {
-                    for z in d.iter_mut() {
+        let probes: Vec<ProcessSample> = (0..config.probes)
+            .map(|probe| {
+                let mut sample = ProcessSample::nominal(n_inter, n_dev);
+                if probe > 0 {
+                    for (j, v) in sample.inter.iter_mut().enumerate() {
                         let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-                        *z = sign * rng.gen::<f64>() * config.k_sigma;
+                        let magnitude = rng.gen::<f64>() * config.k_sigma;
+                        *v = sign * magnitude * tech.inter_die[j].sigma;
+                    }
+                    for d in sample.intra.iter_mut() {
+                        for z in d.iter_mut() {
+                            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                            *z = sign * rng.gen::<f64>() * config.k_sigma;
+                        }
                     }
                 }
-            }
-            let perf = testbench.evaluate(x, &sample);
-            simulations += 1;
-            let margin = testbench.specs().specs[spec_idx].margin(&perf);
-            if margin < worst_margins[spec_idx] {
-                worst_margins[spec_idx] = margin;
+                sample
+            })
+            .collect();
+        for perf in testbench.evaluate_block(x, &probes) {
+            let margin = spec.margin(&perf);
+            if margin < *worst {
+                *worst = margin;
             }
         }
+        simulations += probes.len();
     }
 
     let accepted = worst_margins.iter().all(|&m| m >= 0.0);
@@ -111,20 +114,17 @@ pub fn overdesign_comparison<T: Testbench, R: Rng + ?Sized>(
         testbench.technology().clone(),
         testbench.num_devices(),
     );
-    let mut passes = 0usize;
-    for _ in 0..mc_samples {
-        let xi = sampler.sample(rng);
-        if testbench.specs().all_met(&testbench.evaluate(x, &xi)) {
-            passes += 1;
-        }
-    }
+    let samples: Vec<ProcessSample> = (0..mc_samples).map(|_| sampler.sample(rng)).collect();
+    let mut outcomes = vec![0.0; mc_samples];
+    testbench.outcome_block(x, &samples, &mut outcomes);
+    let passes = outcomes.iter().filter(|&&o| o == 1.0).count();
     (report.accepted, passes as f64 / mc_samples.max(1) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moheco_analog::{FoldedCascode, Testbench};
+    use moheco_analog::{FoldedCascode, TelescopicTwoStage, Testbench};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -174,6 +174,95 @@ mod tests {
             !accepted || mc_yield > 0.95,
             "pswcd accepted={accepted} while yield={mc_yield}"
         );
+    }
+
+    /// [`overdesign_comparison`] as a scalar loop: one [`Testbench::evaluate`]
+    /// per probe and per Monte-Carlo sample, drawing from `rng` in the same
+    /// order. Returns the worst margins, the analysis's simulation count and
+    /// the Monte-Carlo yield.
+    fn scalar_reference<T: Testbench>(
+        tb: &T,
+        x: &[f64],
+        mc_samples: usize,
+        config: &PswcdConfig,
+        rng: &mut StdRng,
+    ) -> (Vec<f64>, usize, f64) {
+        let tech = tb.technology();
+        let mut worst_margins = vec![f64::INFINITY; tb.specs().len()];
+        let mut simulations = 0usize;
+        for (spec_idx, worst) in worst_margins.iter_mut().enumerate() {
+            for probe in 0..config.probes {
+                let mut sample = ProcessSample::nominal(tech.num_inter_die(), tb.num_devices());
+                if probe > 0 {
+                    for (j, v) in sample.inter.iter_mut().enumerate() {
+                        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                        let magnitude = rng.gen::<f64>() * config.k_sigma;
+                        *v = sign * magnitude * tech.inter_die[j].sigma;
+                    }
+                    for d in sample.intra.iter_mut() {
+                        for z in d.iter_mut() {
+                            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                            *z = sign * rng.gen::<f64>() * config.k_sigma;
+                        }
+                    }
+                }
+                let perf = tb.evaluate(x, &sample);
+                simulations += 1;
+                let margin = tb.specs().specs[spec_idx].margin(&perf);
+                if margin < *worst {
+                    *worst = margin;
+                }
+            }
+        }
+        let sampler = moheco_process::ProcessSampler::new(tech.clone(), tb.num_devices());
+        let mut passes = 0usize;
+        for _ in 0..mc_samples {
+            let xi = sampler.sample(rng);
+            if tb.specs().all_met(&tb.evaluate(x, &xi)) {
+                passes += 1;
+            }
+        }
+        (
+            worst_margins,
+            simulations,
+            passes as f64 / mc_samples.max(1) as f64,
+        )
+    }
+
+    fn check_block_matches_scalar<T: Testbench>(tb: &T, seed: u64) {
+        let reference = tb.reference_design();
+        let bounds = tb.bounds();
+        // The reference sizing, a corner of the design box and a mid-box
+        // sizing: feasible, failing and in-between designs.
+        let designs = [
+            reference.clone(),
+            bounds.iter().map(|&(lo, _)| lo).collect(),
+            bounds
+                .iter()
+                .map(|&(lo, hi)| 0.5 * (lo + hi))
+                .collect::<Vec<f64>>(),
+        ];
+        let config = PswcdConfig {
+            k_sigma: 3.0,
+            probes: 9,
+        };
+        for (d, x) in designs.iter().enumerate() {
+            let rng = || StdRng::seed_from_u64(seed + d as u64);
+            let (margins, simulations, mc_yield) = scalar_reference(tb, x, 30, &config, &mut rng());
+            let report = pswcd_analyze(tb, x, &config, &mut rng());
+            let bits = |v: &[f64]| v.iter().map(|m| m.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&report.worst_margins), bits(&margins), "design {d}");
+            assert_eq!(report.simulations, simulations);
+            let (accepted, block_yield) = overdesign_comparison(tb, x, 30, &config, &mut rng());
+            assert_eq!(accepted, margins.iter().all(|&m| m >= 0.0));
+            assert_eq!(block_yield.to_bits(), mc_yield.to_bits(), "design {d}");
+        }
+    }
+
+    #[test]
+    fn block_pswcd_matches_the_scalar_reference_loop() {
+        check_block_matches_scalar(&FoldedCascode::new(), 31);
+        check_block_matches_scalar(&TelescopicTwoStage::new(), 47);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! models and the benchmark testbenches.
 
 use moheco_analog::{
-    inter_die_shifts, perturbed_model, FoldedCascode, TelescopicTwoStage, Testbench,
+    inter_die_shifts, perturbed_model_with_shifts, FoldedCascode, TelescopicTwoStage, Testbench,
 };
 use moheco_process::{tech_035um, tech_90nm, ProcessSample, ProcessSampler};
 use rand::rngs::StdRng;
@@ -87,12 +87,12 @@ fn perturbed_models_change_device_current_consistently() {
     let mut sample = ProcessSample::nominal(tech.num_inter_die(), 19);
     // Index 1 is VTH0Rn: a +30 mV global NMOS threshold shift.
     sample.inter[1] = 0.03;
-    let (n_shift, _) = inter_die_shifts(&tech, &sample);
-    assert!((n_shift.d_vth0 - 0.03).abs() < 1e-12);
+    let shifts = inter_die_shifts(&tech, &sample);
+    assert!((shifts.0.d_vth0 - 0.03).abs() < 1e-12);
     let g = MosGeometry::new(10e-6, 0.2e-6, 1.0).expect("geometry");
     let nominal = Mosfet::new(model_035um(MosType::Nmos), g);
     let shifted = Mosfet::new(
-        perturbed_model(model_035um(MosType::Nmos), &tech, &sample, 0, g),
+        perturbed_model_with_shifts(model_035um(MosType::Nmos), &shifts, &tech, &sample, 0, g),
         g,
     );
     let id_nom = nominal.operating_point(0.8, 1.0, 0.0).id;
