@@ -149,12 +149,45 @@ impl_sample_uniform_int!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
 ///
 /// Every span of a 64-bit or narrower type fits in 64 bits except the full
 /// inclusive range, `span == 2^64`; those take the cheaper `u64` division,
-/// which equals the 128-bit modulo bit for bit.
+/// which equals the 128-bit modulo bit for bit. Spans up to
+/// [`FASTMOD_MAX`] — every Latin-hypercube shuffle of a block of at most 64
+/// samples — skip the division altogether through [`fastmod`].
 fn reduce(bits: u64, span: u128) -> u128 {
     match u64::try_from(span) {
+        Ok(narrow) if narrow <= FASTMOD_MAX => fastmod(bits, narrow) as u128,
         Ok(narrow) => (bits % narrow) as u128,
         Err(_) => bits as u128 % span,
     }
+}
+
+/// The largest divisor [`fastmod`] serves.
+const FASTMOD_MAX: u64 = 64;
+
+/// `FASTMOD_C[d] = ⌊(2^128 − 1)/d⌋ + 1`, taken mod 2^128 (so `0` for
+/// `d = 1`); entry `0` is unused.
+const FASTMOD_C: [u128; FASTMOD_MAX as usize + 1] = {
+    let mut c = [0u128; FASTMOD_MAX as usize + 1];
+    let mut d = 1;
+    while d <= FASTMOD_MAX as usize {
+        c[d] = (u128::MAX / d as u128).wrapping_add(1);
+        d += 1;
+    }
+    c
+};
+
+/// `bits % d` for `1 <= d <= FASTMOD_MAX` without a division
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019):
+/// the fractional part `c·bits mod 2^128` of `bits / d`, times `d`, keeps
+/// the remainder in its top 128 bits. With 128 fractional bits against a
+/// 64-bit numerator and a 7-bit divisor the result is exact for every
+/// input.
+#[inline]
+fn fastmod(bits: u64, d: u64) -> u64 {
+    let frac = FASTMOD_C[d as usize].wrapping_mul(bits as u128);
+    // The top 128 bits of the 192-bit product `frac * d`.
+    let lo = (frac as u64 as u128 * d as u128) >> 64;
+    let hi = (frac >> 64) * d as u128;
+    ((hi + lo) >> 64) as u64
 }
 
 macro_rules! impl_sample_uniform_float {
@@ -404,6 +437,20 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(a.gen_range(0..=u64::MAX), b.next_u64());
         }
+    }
+
+    #[test]
+    fn fastmod_equals_the_remainder_for_every_small_divisor() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let random: Vec<u64> = (0..1_000_000).map(|_| rng.next_u64()).collect();
+        for d in 1..=super::FASTMOD_MAX {
+            let edges = [0, 1, d - 1, d, d + 1, 1 << 63, u64::MAX - 1, u64::MAX];
+            for &bits in edges.iter().chain(&random) {
+                assert_eq!(super::fastmod(bits, d), bits % d, "{bits} % {d}");
+            }
+        }
+        // Spans past the table take the division.
+        assert_eq!(super::reduce(u64::MAX, 65), (u64::MAX % 65) as u128);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl SamplingPlan {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn lhs_points_are_in_unit_cube() {
@@ -125,6 +125,36 @@ mod tests {
             var(&lhs_means),
             var(&pmc_means)
         );
+    }
+
+    #[test]
+    fn lhs_matches_the_plain_modulo_shuffle_bit_for_bit() {
+        // The generator body with every shuffle draw reduced by a plain `%`
+        // of a raw `next_u64`, the remainder `gen_range` must reproduce.
+        fn modulo_lhs(rng: &mut StdRng, n: usize, dim: usize) -> Vec<f64> {
+            let mut out = vec![0.0; n * dim];
+            let mut perm: Vec<usize> = (0..n).collect();
+            for d in 0..dim {
+                for i in (1..n).rev() {
+                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                    perm.swap(i, j);
+                }
+                for (i, &stratum) in perm.iter().enumerate() {
+                    let jitter: f64 = rng.gen();
+                    out[i * dim + d] = (stratum as f64 + jitter) / n as f64;
+                }
+            }
+            out
+        }
+        for (seed, (n, dim)) in [(50, 123), (50, 1), (65, 3)].into_iter().enumerate() {
+            let mut a = StdRng::seed_from_u64(seed as u64);
+            let mut b = a.clone();
+            let fast = SamplingPlan::LatinHypercube.generate_flat(&mut a, n, dim);
+            let reference = modulo_lhs(&mut b, n, dim);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&reference), "n {n}, dim {dim}");
+            assert_eq!(a, b, "the streams must stay in step");
+        }
     }
 
     #[test]

@@ -47,11 +47,19 @@ impl Scenario for RegisteredScenario {
     }
 }
 
-fn circuit<T: Testbench + 'static>(
-    name: &'static str,
-    description: &'static str,
-    testbench: T,
-) -> Arc<dyn Scenario> {
+#[cfg(test)]
+thread_local! {
+    /// Scenarios built on this thread, so tests can see what a lookup builds.
+    static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn count_build() {
+    #[cfg(test)]
+    BUILT.with(|n| n.set(n.get() + 1));
+}
+
+fn circuit<T: Testbench + 'static>(entry: &Entry, testbench: T) -> Arc<dyn Scenario> {
+    count_build();
     let mut spec_names: Vec<String> = testbench
         .specs()
         .specs
@@ -62,23 +70,20 @@ fn circuit<T: Testbench + 'static>(
         spec_names.push("saturation".into());
     }
     Arc::new(RegisteredScenario {
-        name,
-        description,
+        name: entry.name,
+        description: entry.description,
         spec_names,
         bench: Arc::new(CircuitBench::new(testbench)),
         warm_start: true,
     })
 }
 
-fn synthetic(
-    name: &'static str,
-    description: &'static str,
-    bench: SyntheticBench,
-) -> Arc<dyn Scenario> {
+fn synthetic(entry: &Entry, bench: SyntheticBench) -> Arc<dyn Scenario> {
+    count_build();
     let spec_names = bench.specs().iter().map(|s| s.name.clone()).collect();
     Arc::new(RegisteredScenario {
-        name,
-        description,
+        name: entry.name,
+        description: entry.description,
         spec_names,
         bench: Arc::new(bench),
         warm_start: false,
@@ -209,66 +214,109 @@ fn stress_24d() -> SyntheticBench {
     )
 }
 
-/// All built-in scenarios, in registry order.
-pub fn all_scenarios() -> Vec<Arc<dyn Scenario>> {
-    vec![
-        circuit(
-            "folded_cascode",
-            "Paper example 1: folded-cascode OTA, 0.35um, nominal corner",
-            FoldedCascode::new(),
-        ),
-        circuit(
-            "folded_cascode_harsh",
-            "Example 1 at a harsh corner: all statistical spreads x1.5",
-            FoldedCascode::with_corner(1.5),
-        ),
-        circuit(
-            "telescopic",
-            "Paper example 2: two-stage telescopic cascode, 90nm, nominal corner",
-            TelescopicTwoStage::new(),
-        ),
-        circuit(
-            "telescopic_mild",
-            "Example 2 at a mild corner: all statistical spreads x0.7",
-            TelescopicTwoStage::with_corner(0.7),
-        ),
-        synthetic(
-            "quadratic_feasibility",
-            "6-d sphere + tilted plane, 2 independent Gaussian specs, closed-form yield",
-            quadratic_feasibility(),
-        ),
-        synthetic(
-            "rotated_ellipsoid",
-            "8-d rotated ill-conditioned ellipsoid, 1 Gaussian spec, closed-form yield",
-            rotated_ellipsoid(),
-        ),
-        synthetic(
-            "two_basin",
+/// One registry entry: its name, its description and the builder of its
+/// scenario. A lookup builds only the entries it returns.
+struct Entry {
+    name: &'static str,
+    description: &'static str,
+    build: fn(&Entry) -> Arc<dyn Scenario>,
+}
+
+/// The registry, in registry order.
+const REGISTRY: [Entry; 9] = [
+    Entry {
+        name: "folded_cascode",
+        description: "Paper example 1: folded-cascode OTA, 0.35um, nominal corner",
+        build: |e| circuit(e, FoldedCascode::new()),
+    },
+    Entry {
+        name: "folded_cascode_harsh",
+        description: "Example 1 at a harsh corner: all statistical spreads x1.5",
+        build: |e| circuit(e, FoldedCascode::with_corner(1.5)),
+    },
+    Entry {
+        name: "telescopic",
+        description: "Paper example 2: two-stage telescopic cascode, 90nm, nominal corner",
+        build: |e| circuit(e, TelescopicTwoStage::new()),
+    },
+    Entry {
+        name: "telescopic_mild",
+        description: "Example 2 at a mild corner: all statistical spreads x0.7",
+        build: |e| circuit(e, TelescopicTwoStage::with_corner(0.7)),
+    },
+    Entry {
+        name: "quadratic_feasibility",
+        description: "6-d sphere + tilted plane, 2 independent Gaussian specs, closed-form yield",
+        build: |e| synthetic(e, quadratic_feasibility()),
+    },
+    Entry {
+        name: "rotated_ellipsoid",
+        description: "8-d rotated ill-conditioned ellipsoid, 1 Gaussian spec, closed-form yield",
+        build: |e| synthetic(e, rotated_ellipsoid()),
+    },
+    Entry {
+        name: "two_basin",
+        description:
             "5-d bimodal acceptance region (narrow trap + wide optimum), closed-form yield",
-            two_basin(),
-        ),
-        synthetic(
-            "margin_wall",
-            "4-d flat acceptance boundary in the moderate-yield regime, closed-form yield",
-            margin_wall(),
-        ),
-        synthetic(
-            "stress_24d",
+        build: |e| synthetic(e, two_basin()),
+    },
+    Entry {
+        name: "margin_wall",
+        description: "4-d flat acceptance boundary in the moderate-yield regime, closed-form yield",
+        build: |e| synthetic(e, margin_wall()),
+    },
+    Entry {
+        name: "stress_24d",
+        description:
             "24-d high-dimensional stress case, 2 independent Gaussian specs, closed-form yield",
-            stress_24d(),
-        ),
-    ]
+        build: |e| synthetic(e, stress_24d()),
+    },
+];
+
+/// All built-in scenarios, in registry order, each built afresh.
+pub fn all_scenarios() -> Vec<Arc<dyn Scenario>> {
+    REGISTRY.iter().map(|e| (e.build)(e)).collect()
 }
 
-/// Looks a scenario up by its registry name.
+/// Looks a scenario up by its registry name, building only that scenario.
 pub fn find_scenario(name: &str) -> Option<Arc<dyn Scenario>> {
-    all_scenarios().into_iter().find(|s| s.name() == name)
+    REGISTRY
+        .iter()
+        .find(|e| e.name == name)
+        .map(|e| (e.build)(e))
 }
 
-/// The names of all registered scenarios, in registry order.
+/// The names of all registered scenarios, in registry order; builds none.
 pub fn scenario_names() -> Vec<String> {
-    all_scenarios()
-        .iter()
-        .map(|s| s.name().to_string())
-        .collect()
+    REGISTRY.iter().map(|e| e.name.to_string()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `f` and returns how many scenarios it built on this thread.
+    fn builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = BUILT.with(|n| n.get());
+        let out = f();
+        (out, BUILT.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn lookups_build_only_the_scenarios_they_return() {
+        for name in ["margin_wall", "telescopic"] {
+            let (found, built) = builds(|| find_scenario(name));
+            assert_eq!(found.expect("registered").name(), name);
+            assert_eq!(built, 1, "find_scenario({name:?})");
+        }
+        let (missing, built) = builds(|| find_scenario("no_such_scenario"));
+        assert!(missing.is_none());
+        assert_eq!(built, 0);
+        let (names, built) = builds(scenario_names);
+        assert_eq!(built, 0, "scenario_names");
+        let (all, built) = builds(all_scenarios);
+        assert_eq!(built, 9, "all_scenarios");
+        let all_names: Vec<String> = all.iter().map(|s| s.name().to_string()).collect();
+        assert_eq!(names, all_names);
+    }
 }

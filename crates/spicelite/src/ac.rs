@@ -272,9 +272,46 @@ pub fn foms(freqs: &[f64], values: &[Complex]) -> AcFoms {
     let Some(fu) = unity else {
         return none;
     };
+    // The phases are read up to the first frequency at or above fu, or to
+    // the last one when none reaches it.
+    let stop = (1..freqs.len()).find(|&i| freqs[i] >= fu);
     let phase0 = values[0].arg_deg();
+    let phase_at_fu = match wrap_counts(values, stop.unwrap_or(freqs.len() - 1)) {
+        Some((before, at)) => {
+            let unwrapped = |i: usize, wraps: i64| {
+                if i == 0 {
+                    phase0
+                } else {
+                    shift(values[i].arg_deg(), wraps)
+                }
+            };
+            match stop {
+                Some(i) => {
+                    let prev = unwrapped(i - 1, before);
+                    let p = unwrapped(i, at);
+                    let t = (fu.log10() - freqs[i - 1].log10())
+                        / (freqs[i].log10() - freqs[i - 1].log10());
+                    prev + t * (p - prev)
+                }
+                None => unwrapped(freqs.len() - 1, at),
+            }
+        }
+        None => unwrap_sequentially(freqs, values, fu, phase0),
+    };
+    AcFoms {
+        dc_gain_db,
+        crossing: Some((fu, 180.0 + (phase_at_fu - phase0))),
+    }
+}
+
+/// The unwrapped phase at `fu` exactly as [`FrequencyResponse::phase_margin_deg`]
+/// reads it: every phase up to the first frequency at or above `fu` is
+/// unwrapped with the running correction and interpolated at `fu`, or the
+/// last unwrapped phase is returned when no frequency reaches `fu`.
+fn unwrap_sequentially(freqs: &[f64], values: &[Complex], fu: f64, phase0: f64) -> f64 {
+    #[cfg(test)]
+    tests::count_unwrap(false);
     let mut prev = phase0;
-    let mut phase_at_fu = None;
     for i in 1..freqs.len() {
         let mut p = values[i].arg_deg();
         while p - prev > 180.0 {
@@ -285,17 +322,62 @@ pub fn foms(freqs: &[f64], values: &[Complex]) -> AcFoms {
         }
         if freqs[i] >= fu {
             let t = (fu.log10() - freqs[i - 1].log10()) / (freqs[i].log10() - freqs[i - 1].log10());
-            phase_at_fu = Some(prev + t * (p - prev));
-            break;
+            return prev + t * (p - prev);
         }
         prev = p;
     }
-    // No frequency reaches fu: the last unwrapped phase, which `prev` holds.
-    let phase_shift = phase_at_fu.unwrap_or(prev) - phase0;
-    AcFoms {
-        dc_gain_db,
-        crossing: Some((fu, 180.0 + phase_shift)),
+    prev
+}
+
+/// The net number of turns the unwrapping of [`unwrap_sequentially`] adds
+/// at points `last - 1` and `last`, counted without a single `atan2` — or
+/// `None` when a step up to `last` cannot be certified.
+///
+/// A step is certified when `Re(v[j-1]·conj v[j]) > 1e-9·(|v[j-1]|² + |v[j]|²)`
+/// with the right side a normal number: the phasors are then finite (an
+/// infinite or NaN component fails the comparison) and turn by less than
+/// 90°, with a margin no rounding in the comparison, in `atan2` or in the
+/// running correction can close. Such a step's raw phases differ by that
+/// turn, or by it ∓ 360° when it crosses `atan2`'s branch cut, the negative
+/// real axis. `atan2`'s sign is the sign bit of `Im`, and a step of less
+/// than 90° crosses the real axis on its negative side exactly when it ends
+/// there, so the cut is crossed where the sign bit of `Im` changes and
+/// `Re(v[j]) < 0`. A step into a negative `Im` turns the phase up past
+/// 180° and the correction adds a turn; a step into a positive `Im` takes
+/// one off.
+fn wrap_counts(values: &[Complex], last: usize) -> Option<(i64, i64)> {
+    let mut wraps = 0i64;
+    let mut before = 0i64;
+    let mut a = values[0];
+    let mut norm_a = a.norm_sqr();
+    for &b in &values[1..=last] {
+        let norm_b = b.norm_sqr();
+        let scale = norm_a + norm_b;
+        if !(scale >= f64::MIN_POSITIVE && a.re * b.re + a.im * b.im > 1e-9 * scale) {
+            return None;
+        }
+        before = wraps;
+        if a.im.is_sign_negative() != b.im.is_sign_negative() && b.re < 0.0 {
+            wraps += if b.im.is_sign_negative() { 1 } else { -1 };
+        }
+        a = b;
+        norm_a = norm_b;
     }
+    #[cfg(test)]
+    tests::count_unwrap(true);
+    Some((before, wraps))
+}
+
+/// `raw` moved by `wraps` turns in the sequential `±360` steps the
+/// correction loops of [`unwrap_sequentially`] take.
+fn shift(mut raw: f64, wraps: i64) -> f64 {
+    for _ in 0..wraps {
+        raw += 360.0;
+    }
+    for _ in wraps..0 {
+        raw -= 360.0;
+    }
+    raw
 }
 
 /// Sweeps `circuit` over `freqs` and records the phasor at `output`.
@@ -327,6 +409,21 @@ pub fn sweep(
 mod tests {
     use super::*;
     use crate::netlist::LinearCircuit;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Phase extractions on this thread: `[sequential, counted]`.
+        static UNWRAPS: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// Records which unwrapping path a [`foms`] call took.
+    pub(super) fn count_unwrap(counted: bool) {
+        UNWRAPS.with(|c| {
+            let mut n = c.get();
+            n[usize::from(counted)] += 1;
+            c.set(n);
+        });
+    }
 
     /// RC low-pass driven by a unit AC source through the resistor.
     fn rc_lowpass(r: f64, c: f64) -> (LinearCircuit, NodeId) {
@@ -532,6 +629,75 @@ mod tests {
             }
         }
         assert!(crossings > 500, "only {crossings} responses crossed 0 dB");
+    }
+
+    #[test]
+    fn counted_unwrap_matches_methods_on_random_responses() {
+        // Responses that turn through many full circles in steps mostly under
+        // 90° (the counted path) and sometimes over (the sequential
+        // fallback), with points on both axes carrying signed zeros, so the
+        // branch cut is crossed, touched and straddled in both directions.
+        let mut state = 0x5eed_cafe_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let freqs = log_space(1e3, 3e10, 60);
+        let before = UNWRAPS.with(Cell::get);
+        let mut crossings = 0;
+        for case in 0..40_000 {
+            let mut mag = 10f64.powf(-1.0 + 5.0 * next());
+            let mut phase = 360.0 * next() - 180.0;
+            let spin = if next() < 0.5 { -1.0 } else { 1.0 };
+            let wide = next() < 0.2;
+            let values: Vec<Complex> = (0..freqs.len())
+                .map(|_| {
+                    mag *= 10f64.powf(-0.25 * next());
+                    let step = if wide && next() < 0.05 { 120.0 } else { 60.0 };
+                    phase += spin * step * next() - 0.2 * spin * step * next();
+                    let r = next();
+                    if r < 0.04 {
+                        // On an axis: a signed zero in the other component.
+                        let z = if next() < 0.5 { 0.0 } else { -0.0 };
+                        let quarter = ((phase / 90.0).round() as i64).rem_euclid(4);
+                        match quarter {
+                            0 => Complex::new(mag, z),
+                            1 => Complex::new(z, mag),
+                            2 => Complex::new(-mag, z),
+                            _ => Complex::new(z, -mag),
+                        }
+                    } else {
+                        let rad = phase.to_radians();
+                        Complex::new(mag * rad.cos(), mag * rad.sin())
+                    }
+                })
+                .collect();
+            let resp = FrequencyResponse {
+                freqs: freqs.clone(),
+                values,
+            };
+            let f = foms(&resp.freqs, &resp.values);
+            assert_eq!(f.dc_gain_db.to_bits(), resp.dc_gain_db().to_bits());
+            match (f.crossing, resp.unity_gain_freq(), resp.phase_margin_deg()) {
+                (Some((fu, pm)), Ok(a), Ok(b)) => {
+                    crossings += 1;
+                    assert_eq!(fu.to_bits(), a.to_bits(), "case {case}");
+                    assert_eq!(pm.to_bits(), b.to_bits(), "case {case}");
+                }
+                (None, Err(_), Err(_)) => {}
+                (a, b, c) => panic!("case {case}: foms {a:?} vs methods {b:?} / {c:?}"),
+            }
+        }
+        let after = UNWRAPS.with(Cell::get);
+        let (sequential, counted) = (after[0] - before[0], after[1] - before[1]);
+        assert!(
+            crossings > 10_000,
+            "only {crossings} responses crossed 0 dB"
+        );
+        assert!(counted > 5_000, "the counted path ran {counted} times");
+        assert!(sequential > 500, "the fallback ran {sequential} times");
     }
 
     #[test]

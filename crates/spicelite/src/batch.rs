@@ -67,9 +67,10 @@
 //! may return NaNs that differ in those bits. Every non-NaN result, and
 //! every NaN bred from finite or infinite values alone, matches bit for bit.
 //!
-//! The inner kernel is compiled three times — generic, AVX2 and AVX-512F via
-//! `#[target_feature]` — and dispatched once per `FactorizedCircuit` from
-//! runtime CPU detection ([`Kernel::detect`]). All versions run the same
+//! The whole chunk loop — lane set-up, solve and extraction — is compiled
+//! three times, generic, AVX2 and AVX-512F via `#[target_feature]`; the
+//! variant is chosen once per `FactorizedCircuit` from runtime CPU detection
+//! ([`Kernel::detect`]) and entered once per sweep. All versions run the same
 //! per-lane operation sequence; Rust never contracts `a*b + c` into FMA or
 //! reassociates floats, so the wider builds change throughput, not values.
 //!
@@ -539,83 +540,126 @@ impl FactorizedCircuit {
     }
 
     /// The lane-chunked sweep of the stamped planes, pushing one phasor per
-    /// frequency onto `values`.
+    /// frequency onto `values`, on the kernel variant chosen at construction.
     fn solve_sweep(
         &mut self,
         output: NodeId,
         freqs: &[f64],
         values: &mut Vec<Complex>,
     ) -> Result<(), SpiceError> {
-        let dim = self.dim;
-        if dim == 0 {
+        if self.dim == 0 {
             values.resize(freqs.len(), Complex::ZERO);
             return Ok(());
         }
         debug_assert!(output < self.num_nodes, "output node out of range");
         let out_idx = if output == 0 { None } else { Some(output - 1) };
-        // Back-substitution solves rows `first_row..dim`, all the output
-        // unknown depends on; a ground output reads none of them.
-        let first_row = out_idx.unwrap_or(dim);
-
-        let n_freqs = freqs.len();
-        let mut start = 0;
-        while start < n_freqs {
-            // Tail chunks repeat the last frequency in the padding lanes; the
-            // duplicate results are discarded.
-            let real_lanes = (n_freqs - start).min(LANES);
-            let mut omegas = [0.0f64; LANES];
-            for (l, omega) in omegas.iter_mut().enumerate() {
-                let fi = (start + l).min(n_freqs - 1);
-                *omega = 2.0 * std::f64::consts::PI * freqs[fi];
-            }
-
-            // Broadcast the real plane and right-hand side into the lanes,
-            // then accumulate the per-frequency imaginary plane.
-            let sys = &mut self.lanes;
-            sys.a_re.copy_from_slice(&self.re_bcast);
-            sys.a_im.iter_mut().for_each(|v| *v = 0.0);
-            for &(fl, c) in &self.cap_vals {
-                let lanes = &mut sys.a_im[fl * LANES..(fl + 1) * LANES];
-                for (l, v) in lanes.iter_mut().enumerate() {
-                    *v += omegas[l] * c;
-                }
-            }
-            sys.x_re.copy_from_slice(&self.rhs_bcast);
-            sys.x_im.iter_mut().for_each(|v| *v = 0.0);
-            sys.zero.copy_from_slice(&self.zero_init);
-
-            let mut sing = [NOT_SINGULAR; LANES];
-            match self.kernel {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `new_on` accepted this variant only after
-                // `is_x86_feature_detected!("avx512f")` returned true.
-                Kernel::Avx512 => unsafe { solve_lanes_avx512(sys, first_row, &mut sing) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: gated on `is_x86_feature_detected!("avx2")`.
-                Kernel::Avx2 => unsafe { solve_lanes_avx2(sys, first_row, &mut sing) },
-                Kernel::Generic => solve_lanes_impl(sys, first_row, &mut sing),
-            }
-
-            // Frequencies are processed in ascending order, so the first
-            // singular real lane is the first failing frequency overall —
-            // matching the scalar sweep's early return.
-            for &s in sing.iter().take(real_lanes) {
-                if s != NOT_SINGULAR {
-                    return Err(SpiceError::SingularMatrix { pivot: s });
-                }
-            }
-            match out_idx {
-                None => values.extend((0..real_lanes).map(|_| Complex::ZERO)),
-                Some(oi) => {
-                    let re = &self.lanes.x_re[oi * LANES..][..real_lanes];
-                    let im = &self.lanes.x_im[oi * LANES..][..real_lanes];
-                    values.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i)));
-                }
-            }
-            start += LANES;
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new_on` accepted this variant only after
+            // `is_x86_feature_detected!("avx512f")` returned true.
+            Kernel::Avx512 => unsafe { sweep_chunks_avx512(self, out_idx, freqs, values) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: gated on `is_x86_feature_detected!("avx2")`.
+            Kernel::Avx2 => unsafe { sweep_chunks_avx2(self, out_idx, freqs, values) },
+            Kernel::Generic => sweep_chunks(self, out_idx, freqs, values),
         }
-        Ok(())
     }
+}
+
+/// [`FactorizedCircuit::solve_sweep`]'s chunk loop, reading the output
+/// unknown `out_idx` (`None` for a ground output): lane set-up, solve and
+/// extraction, compiled whole into each kernel variant.
+#[inline(always)]
+fn sweep_chunks(
+    fac: &mut FactorizedCircuit,
+    out_idx: Option<usize>,
+    freqs: &[f64],
+    values: &mut Vec<Complex>,
+) -> Result<(), SpiceError> {
+    // Back-substitution solves rows `first_row..dim`, all the output
+    // unknown depends on; a ground output reads none of them.
+    let first_row = out_idx.unwrap_or(fac.dim);
+    let n_freqs = freqs.len();
+    let mut start = 0;
+    while start < n_freqs {
+        // Tail chunks repeat the last frequency in the padding lanes; the
+        // duplicate results are discarded.
+        let real_lanes = (n_freqs - start).min(LANES);
+        let mut omegas = [0.0f64; LANES];
+        for (l, omega) in omegas.iter_mut().enumerate() {
+            let fi = (start + l).min(n_freqs - 1);
+            *omega = 2.0 * std::f64::consts::PI * freqs[fi];
+        }
+
+        // Broadcast the real plane and right-hand side into the lanes, then
+        // accumulate the per-frequency imaginary plane.
+        let sys = &mut fac.lanes;
+        sys.a_re.copy_from_slice(&fac.re_bcast);
+        sys.a_im.iter_mut().for_each(|v| *v = 0.0);
+        for &(fl, c) in &fac.cap_vals {
+            let lanes = &mut sys.a_im[fl * LANES..(fl + 1) * LANES];
+            for (l, v) in lanes.iter_mut().enumerate() {
+                *v += omegas[l] * c;
+            }
+        }
+        sys.x_re.copy_from_slice(&fac.rhs_bcast);
+        sys.x_im.iter_mut().for_each(|v| *v = 0.0);
+        sys.zero.copy_from_slice(&fac.zero_init);
+
+        let mut sing = [NOT_SINGULAR; LANES];
+        solve_lanes_impl(sys, first_row, &mut sing);
+
+        // Frequencies are processed in ascending order, so the first
+        // singular real lane is the first failing frequency overall —
+        // matching the scalar sweep's early return.
+        for &s in sing.iter().take(real_lanes) {
+            if s != NOT_SINGULAR {
+                return Err(SpiceError::SingularMatrix { pivot: s });
+            }
+        }
+        match out_idx {
+            None => values.extend((0..real_lanes).map(|_| Complex::ZERO)),
+            Some(oi) => {
+                let re = &sys.x_re[oi * LANES..][..real_lanes];
+                let im = &sys.x_im[oi * LANES..][..real_lanes];
+                values.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i)));
+            }
+        }
+        start += LANES;
+    }
+    Ok(())
+}
+
+/// [`sweep_chunks`] compiled for AVX-512F.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_chunks_avx512(
+    fac: &mut FactorizedCircuit,
+    out_idx: Option<usize>,
+    freqs: &[f64],
+    values: &mut Vec<Complex>,
+) -> Result<(), SpiceError> {
+    sweep_chunks(fac, out_idx, freqs, values)
+}
+
+/// [`sweep_chunks`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_chunks_avx2(
+    fac: &mut FactorizedCircuit,
+    out_idx: Option<usize>,
+    freqs: &[f64],
+    values: &mut Vec<Complex>,
+) -> Result<(), SpiceError> {
+    sweep_chunks(fac, out_idx, freqs, values)
 }
 
 /// Writes one sample's element values into a [`FactorizedCircuit`] through
@@ -1140,18 +1184,6 @@ fn solve_lanes_sized<const N: usize>(
         store(x_re, i * L, &qr);
         store(x_im, i * L, &qi);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn solve_lanes_avx512(sys: &mut LaneSystem, first_row: usize, sing: &mut [usize; LANES]) {
-    solve_lanes_impl(sys, first_row, sing);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn solve_lanes_avx2(sys: &mut LaneSystem, first_row: usize, sing: &mut [usize; LANES]) {
-    solve_lanes_impl(sys, first_row, sing);
 }
 
 #[cfg(test)]
